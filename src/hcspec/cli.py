@@ -69,6 +69,13 @@ def _require(payload: dict, field: str, command: str):
     return payload[field]
 
 
+def _require_int(payload: dict, field: str, command: str) -> int:
+    value = _require(payload, field, command)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"$.payload.{field}: expected an integer, got {value!r}")
+    return value
+
+
 def _the_complex(scenario: Scenario) -> complexes.FiniteComplex:
     if scenario.kind != "finite-complex":
         raise ParseError(f"$.kind: expected finite-complex, got {scenario.kind}")
@@ -227,8 +234,8 @@ def _parse_factors(scenario: Scenario, command: str, expected: int | None = None
 def _cmd_dbar(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
     factors = _parse_factors(scenario, "dbar", expected=2)
     x, y = factors
-    p = _require(scenario.payload, "p", "dbar")
-    q = _require(scenario.payload, "q", "dbar")
+    p = _require_int(scenario.payload, "p", "dbar")
+    q = _require_int(scenario.payload, "q", "dbar")
     report = neumann_compactness(x, y, p, q)
     results: dict = {
         "p": p,
@@ -250,7 +257,7 @@ def _cmd_dbar(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
 
 def _cmd_dbar_n(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
     factors = _parse_factors(scenario, "dbar-n")
-    q = _require(scenario.payload, "q", "dbar-n")
+    q = _require_int(scenario.payload, "q", "dbar-n")
     report = riemann_surface_product_report(factors, q)
     results = {
         "q": q,

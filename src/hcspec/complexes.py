@@ -241,12 +241,6 @@ def solution_operator(
     to the kernel and vanishes on the orthogonal complement of the range.
     """
     complex_._require_degree(degree)
-    return _solution_operator_any(complex_, degree, tol)
-
-
-def _solution_operator_any(
-    complex_: FiniteComplex, degree: int, tol: Tolerance
-) -> np.ndarray:
     return pseudo_inverse(complex_.differential(degree - 1), tol)
 
 
@@ -255,12 +249,6 @@ def laplacian_inverse(
 ) -> np.ndarray:
     """``N_i``, the pseudo-inverse of the Laplacian, zero on the harmonic space."""
     complex_._require_degree(degree)
-    return _laplacian_inverse_any(complex_, degree, tol)
-
-
-def _laplacian_inverse_any(
-    complex_: FiniteComplex, degree: int, tol: Tolerance
-) -> np.ndarray:
     return pseudo_inverse(_laplacian_any(complex_, degree), tol)
 
 
@@ -284,9 +272,9 @@ def check_identities(
     """
     d_prev = complex_.differential(degree - 1)
     d_here = complex_.differential(degree)
-    n_here = _laplacian_inverse_any(complex_, degree, tol)
-    n_up = _laplacian_inverse_any(complex_, degree + 1, tol)
-    s_here = _solution_operator_any(complex_, degree, tol)
+    n_here = pseudo_inverse(_laplacian_any(complex_, degree), tol)
+    n_up = pseudo_inverse(_laplacian_any(complex_, degree + 1), tol)
+    s_here = pseudo_inverse(d_prev, tol)
     s_up = pseudo_inverse(d_here, tol)
 
     residuals = {

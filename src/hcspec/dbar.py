@@ -3,11 +3,15 @@
 A factor model captures, per bidegree ``(p, q)``, the spectrum and essential
 spectrum of the complex Laplacian (the box operator) of one Hermitian factor,
 together with a closed-range attestation, the Bergman space dimension, and
-cohomology dimensions.  The product formulas combine two factors bidegree by
-bidegree; the compactness rules read the answer off the essential spectrum of
-the product, with shortcut rules (infinite Bergman space, non-compact factor
-solution operator) that can decide the verdict even when parts of the factor
-data are unknown.
+cohomology dimensions.  Products use the one product formula of
+:mod:`hcspec.spectra` (:func:`~hcspec.spectra.product_operator` and
+:func:`~hcspec.spectra.product_essential`), with one term per bidegree
+splitting or, for n one-dimensional factors, per bit vector; its unions run
+in term order, then factor order, because ``normalize`` is not associative on
+representation.  The compactness rules read the answer off the essential
+spectrum of the product, with shortcut rules (infinite Bergman space,
+non-compact factor solution operator) that can decide the verdict even when
+parts of the factor data are unknown.
 
 Unknown entries are ``None``; they propagate to an undecidable verdict rather
 than a guess, except where a shortcut rule applies.  Models are presumed to
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ToolkitError
 from .gaussian_oracle import FORM_LADDER_BASE, FUNCTION_LADDER_BASE, LADDER_STEP
@@ -40,7 +44,8 @@ from .spectra import (
     is_subset_of_zero,
     minkowski_sum,
     multiplicity_at,
-    union,
+    product_essential,
+    product_operator,
 )
 
 __all__ = [
@@ -164,14 +169,30 @@ class DbarFactorModel:
         return entry is not None and entry.is_empty()
 
 
-def _term_bidegrees(
+def _box_terms(
     x: DbarFactorModel, y: DbarFactorModel, p: int, q: int
-) -> list[tuple[int, int, int, int]]:
+) -> tuple[list[tuple[int, int, int, int]], list[tuple[OperatorSpectrum, OperatorSpectrum]]]:
+    """The splittings ``(p', q', p'', q'')`` of ``(p, q)`` and their factor entries.
+
+    Raises when ``(p, q)`` is out of range or a required entry is unknown.
+    """
+    total = x.complex_dimension + y.complex_dimension
+    if not (0 <= p <= total and 0 <= q <= total):
+        raise BidegreeOutOfRangeError(f"bidegree ({p}, {q}) outside [0, {total}]^2")
+    bidegrees = []
     terms = []
     for p1 in range(max(0, p - y.complex_dimension), min(p, x.complex_dimension) + 1):
         for q1 in range(max(0, q - y.complex_dimension), min(q, x.complex_dimension) + 1):
-            terms.append((p1, q1, p - p1, q - q1))
-    return terms
+            p2, q2 = p - p1, q - q1
+            left = x.box_spectrum[(p1, q1)]
+            right = y.box_spectrum[(p2, q2)]
+            if left is None or right is None:
+                raise MissingSpectrumDataError(
+                    f"unknown factor spectrum at {(p1, q1)} (x) {(p2, q2)}"
+                )
+            bidegrees.append((p1, q1, p2, q2))
+            terms.append((left, right))
+    return bidegrees, terms
 
 
 def product_box_spectrum(
@@ -179,27 +200,14 @@ def product_box_spectrum(
 ) -> OperatorSpectrum:
     """Spectrum and essential spectrum of the product box operator at ``(p, q)``.
 
-    Unions over all splittings ``p = p' + p''`` and ``q = q' + q''`` of the
-    Minkowski sums of the factor spectra; the essential part swaps in one
-    factor's essential spectrum at a time.  Raises when a required factor
-    entry is unknown.
+    The product formula of :func:`hcspec.spectra.product_operator` over all
+    splittings ``p = p' + p''`` and ``q = q' + q''``: the union of the
+    Minkowski sums of the factor spectra, with one factor's essential spectrum
+    swapped in at a time for the essential part.  Unions run in splitting
+    order, then factor order, because ``normalize`` is not associative on
+    representation.  Raises when a required factor entry is unknown.
     """
-    total = x.complex_dimension + y.complex_dimension
-    if not (0 <= p <= total and 0 <= q <= total):
-        raise BidegreeOutOfRangeError(f"bidegree ({p}, {q}) outside [0, {total}]^2")
-    spectrum = EMPTY
-    essential = EMPTY
-    for p1, q1, p2, q2 in _term_bidegrees(x, y, p, q):
-        left = x.box_spectrum[(p1, q1)]
-        right = y.box_spectrum[(p2, q2)]
-        if left is None or right is None:
-            raise MissingSpectrumDataError(
-                f"unknown factor spectrum at {(p1, q1)} (x) {(p2, q2)}"
-            )
-        spectrum = union(spectrum, minkowski_sum(left.spectrum, right.spectrum))
-        essential = union(essential, minkowski_sum(left.essential, right.spectrum))
-        essential = union(essential, minkowski_sum(left.spectrum, right.essential))
-    return OperatorSpectrum(spectrum, essential)
+    return product_operator(_box_terms(x, y, p, q)[1])
 
 
 def _bergman_shortcut(
@@ -244,52 +252,27 @@ def neumann_compactness(
         raise MissingAttestationError(
             "compactness criteria require closed-range attestations on both factors"
         )
-    total = x.complex_dimension + y.complex_dimension
-    if not (0 <= p <= total and 0 <= q <= total):
-        raise BidegreeOutOfRangeError(f"bidegree ({p}, {q}) outside [0, {total}]^2")
-
-    shortcut = _bergman_shortcut(x, y, p, q, "left") or _bergman_shortcut(
-        y, x, p, q, "right"
-    )
-
     try:
-        product = product_box_spectrum(x, y, p, q)
+        bidegrees, terms = _box_terms(x, y, p, q)
     except MissingSpectrumDataError:
+        shortcut = _bergman_shortcut(x, y, p, q, "left") or _bergman_shortcut(
+            y, x, p, q, "right"
+        )
         if shortcut is not None:
             return shortcut
         return CompactnessReport(Verdict.UNDECIDABLE, "unknown-factor-data", (), EMPTY)
 
-    witnesses = []
-    for p1, q1, p2, q2 in _term_bidegrees(x, y, p, q):
-        left = x.box_spectrum[(p1, q1)]
-        right = y.box_spectrum[(p2, q2)]
-        contributes = not (
-            minkowski_sum(left.essential, right.spectrum).is_empty()
-            and minkowski_sum(left.spectrum, right.essential).is_empty()
-        )
-        if contributes:
-            witnesses.append((p1, q1, p2, q2))
+    essential, contributors = product_essential(terms)
+    witnesses = tuple(dict.fromkeys(bidegrees[t] for t, _ in contributors))
     if witnesses:
         return CompactnessReport(
-            Verdict.NONCOMPACT,
-            "factor-essential-contribution",
-            tuple(witnesses),
-            product.essential,
+            Verdict.NONCOMPACT, "factor-essential-contribution", witnesses, essential
         )
-    return CompactnessReport(
-        Verdict.COMPACT, "essential-spectrum-empty", (), product.essential
-    )
+    return CompactnessReport(Verdict.COMPACT, "essential-spectrum-empty", (), essential)
 
 
 # ---------------------------------------------------------------------------
 # Products of several one-dimensional factors
-
-
-def _fold_minkowski(parts: Iterable[SpectralSet]) -> SpectralSet:
-    result = SpectralSet.of(Point(0, 1))
-    for part in parts:
-        result = minkowski_sum(result, part)
-    return result
 
 
 def _feasible_bit_vectors(
@@ -315,6 +298,22 @@ def _feasible_bit_vectors(
 
 def _essential_not_within_zero(entry: OperatorSpectrum | None) -> bool:
     return entry is not None and not is_subset_of_zero(entry.essential)
+
+
+def _essential_over(
+    factors: Sequence[DbarFactorModel], vectors: Sequence[tuple[int, ...]]
+) -> tuple[SpectralSet, list[tuple[int, int]]] | None:
+    """:func:`product_essential` over bit vectors; ``None`` if an entry is unknown.
+
+    Term ``t`` takes factor ``j``'s entry at bidegree ``(0, vectors[t][j])``.
+    """
+    terms = [
+        tuple(factor.box_spectrum[(0, bit)] for factor, bit in zip(factors, bits))
+        for bits in vectors
+    ]
+    if any(entry is None for term in terms for entry in term):
+        return None
+    return product_essential(terms)
 
 
 def riemann_surface_product_report(
@@ -349,25 +348,9 @@ def riemann_surface_product_report(
 
     trace: list[str] = []
 
-    def essential_at(degree: int) -> SpectralSet | None:
-        essential = EMPTY
-        for bits in itertools.product((0, 1), repeat=n):
-            if sum(bits) != degree:
-                continue
-            for j in range(n):
-                own = factors[j].box_spectrum[(0, bits[j])]
-                others = [
-                    factors[j2].box_spectrum[(0, bits[j2])] for j2 in range(n) if j2 != j
-                ]
-                if own is None or any(o is None for o in others):
-                    return None
-                term = minkowski_sum(
-                    own.essential, _fold_minkowski(o.spectrum for o in others)
-                )
-                essential = union(essential, term)
-        return essential
-
-    computed = essential_at(q)
+    vectors = [bits for bits in itertools.product((0, 1), repeat=n) if sum(bits) == q]
+    computed = _essential_over(factors, vectors)
+    reported = computed[0] if computed is not None else EMPTY
 
     for j, factor in enumerate(factors):
         if (
@@ -381,7 +364,7 @@ def riemann_surface_product_report(
                 Verdict.NONCOMPACT,
                 "infinite-bergman-space",
                 ((j,) + (0,) * n,),
-                computed if computed is not None else EMPTY,
+                reported,
                 tuple(trace),
             )
 
@@ -395,21 +378,21 @@ def riemann_surface_product_report(
                 Verdict.NONCOMPACT,
                 "noncompact-factor-solution-operator",
                 ((j,) + (0,) * n,),
-                computed if computed is not None else EMPTY,
+                reported,
                 tuple(trace),
             )
 
-    essential = computed
-    if essential is None:
+    if computed is None:
         return CompactnessReport(
             Verdict.UNDECIDABLE, "unknown-factor-data", (), EMPTY, tuple(trace)
         )
+    essential, contributors = computed
 
-    bottom = essential_at(0)
-    top = essential_at(n)
-    if bottom is not None and not bottom.is_empty() and q <= n - 1:
+    bottom = _essential_over(factors, [(0,) * n])
+    top = _essential_over(factors, [(1,) * n])
+    if bottom is not None and not bottom[0].is_empty() and q <= n - 1:
         trace.append("non-compact at degree 0 propagates to all degrees below n")
-    if top is not None and not top.is_empty() and q >= 1:
+    if top is not None and not top[0].is_empty() and q >= 1:
         trace.append("non-compact at degree n propagates to all degrees above 0")
     if 1 <= q <= n - 1 and bottom is not None and top is not None:
         trace.append("middle degrees are compact exactly when degrees 0 and n are")
@@ -418,25 +401,10 @@ def riemann_surface_product_report(
         return CompactnessReport(
             Verdict.COMPACT, "essential-spectrum-empty", (), essential, tuple(trace)
         )
-
-    witnesses = []
-    for bits in itertools.product((0, 1), repeat=n):
-        if sum(bits) != q:
-            continue
-        for j in range(n):
-            own = factors[j].box_spectrum[(0, bits[j])]
-            others = [
-                factors[j2].box_spectrum[(0, bits[j2])] for j2 in range(n) if j2 != j
-            ]
-            term = minkowski_sum(
-                own.essential, _fold_minkowski(o.spectrum for o in others)
-            )
-            if not term.is_empty():
-                witnesses.append((j, *bits))
     return CompactnessReport(
         Verdict.NONCOMPACT,
         "essential-spectrum-nonempty",
-        tuple(witnesses),
+        tuple((j, *vectors[t]) for t, j in contributors),
         essential,
         tuple(trace),
     )

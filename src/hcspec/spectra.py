@@ -21,11 +21,12 @@ consisting of points only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ToolkitError
 
@@ -236,13 +237,6 @@ def _normalize_pass(work: tuple[Atom, ...]) -> list[Atom]:
 def union(a: SpectralSet, b: SpectralSet) -> SpectralSet:
     """Set union with pointwise multiplicity addition (infinite absorbs)."""
     return normalize(a.atoms + b.atoms)
-
-
-def _union_all(parts: Iterable[SpectralSet]) -> SpectralSet:
-    atoms: list[Atom] = []
-    for part in parts:
-        atoms.extend(part.atoms)
-    return normalize(atoms)
 
 
 def _representable(n: int, p: int, q: int) -> bool:
@@ -492,6 +486,50 @@ class OperatorSpectrum:
 EMPTY_OPERATOR_SPECTRUM = OperatorSpectrum(EMPTY)
 
 
+def _fold_spectra(factors: Iterable[OperatorSpectrum]) -> SpectralSet:
+    """Left Minkowski fold of the factor spectra, starting from the first."""
+    return functools.reduce(minkowski_sum, (factor.spectrum for factor in factors))
+
+
+def product_essential(
+    terms: Sequence[Sequence[OperatorSpectrum]],
+) -> tuple[SpectralSet, list[tuple[int, int]]]:
+    """Essential spectrum of a product operator, with the parts that build it.
+
+    Each term lists the factor spectra of one summand of the product (a degree
+    or bidegree splitting, or a bit vector), at least two of them.  Part
+    ``(t, j)`` is the essential spectrum of factor ``j`` of term ``t`` plus the
+    Minkowski sum of the spectra of the term's other factors.  Returns the
+    union of the parts and the ``(t, j)`` of the nonempty ones, in term order,
+    then factor order.  The union is taken incrementally in that order, since
+    ``normalize`` is not associative on representation.
+    """
+    essential = EMPTY
+    contributors: list[tuple[int, int]] = []
+    for t, term in enumerate(terms):
+        for j, own in enumerate(term):
+            if own.essential.is_empty():
+                continue
+            others = _fold_spectra(term[:j] + term[j + 1 :])
+            part = minkowski_sum(own.essential, others)
+            if not part.is_empty():
+                essential = union(essential, part)
+                contributors.append((t, j))
+    return essential, contributors
+
+
+def product_operator(terms: Sequence[Sequence[OperatorSpectrum]]) -> OperatorSpectrum:
+    """Spectrum and essential spectrum of a product operator.
+
+    The spectrum is the union, in term order, of the Minkowski sums of each
+    term's factor spectra; the essential spectrum is :func:`product_essential`.
+    """
+    spectrum = EMPTY
+    for term in terms:
+        spectrum = union(spectrum, _fold_spectra(term))
+    return OperatorSpectrum(spectrum, product_essential(terms)[0])
+
+
 def product_spectrum(
     left: Mapping[int, OperatorSpectrum],
     right: Mapping[int, OperatorSpectrum],
@@ -499,24 +537,13 @@ def product_spectrum(
 ) -> OperatorSpectrum:
     """Spectrum and essential spectrum of the product Laplacian at ``degree``.
 
-    The spectrum is the union over ``j + k = degree`` of the Minkowski sums of
-    the factor spectra; the essential spectrum replaces one factor at a time
-    by its essential part.  Degrees missing from a map are zero spaces and
-    contribute empty sets.
+    The product formula of :func:`product_operator` over the terms
+    ``j + k = degree``.  Degrees missing from a map are zero spaces and
+    contribute no term.
     """
-    spectrum_parts: list[SpectralSet] = []
-    essential_parts: list[SpectralSet] = []
-    for j in sorted(left):
-        k = degree - j
-        if k not in right:
-            continue
-        lsp, rsp = left[j], right[k]
-        spectrum_parts.append(minkowski_sum(lsp.spectrum, rsp.spectrum))
-        essential_parts.append(minkowski_sum(lsp.essential, rsp.spectrum))
-        essential_parts.append(minkowski_sum(lsp.spectrum, rsp.essential))
-    spectrum = _union_all(spectrum_parts)
-    essential = _union_all(essential_parts)
-    return OperatorSpectrum(spectrum, essential)
+    return product_operator(
+        [(left[j], right[degree - j]) for j in sorted(left) if degree - j in right]
+    )
 
 
 def nondegenerate_spectra_check(

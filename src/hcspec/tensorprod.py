@@ -16,11 +16,9 @@ import numpy as np
 
 from .complexes import (
     FiniteComplex,
-    ValidationReport,
     cohomology_dim,
     laplacian,
     spectrum_multiset,
-    validate,
 )
 from .numerics import (
     DEFAULT_TOL,
@@ -194,10 +192,3 @@ def verify_product_spectrum(
     max_gap = max((abs(x - y) for x, y in zip(lhs, rhs)), default=0.0)
     return SpectrumMatchReport(degree, tuple(lhs), tuple(rhs), max_gap, max_gap <= gap)
 
-
-def validate_product(
-    a: FiniteComplex, b: FiniteComplex, tol: Tolerance = DEFAULT_TOL
-) -> ValidationReport:
-    """Convenience: build the product and run the cochain validation on it."""
-    product, _ = tensor_complex(a, b)
-    return validate(product, tol)

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from hcspec.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -131,6 +133,26 @@ def test_parse_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "ParseError" in err
+
+
+@pytest.mark.parametrize("bad", ["x", 0.5, True])
+@pytest.mark.parametrize(
+    "command, scenario, field",
+    [
+        ("dbar", "bidisc.json", "p"),
+        ("dbar", "bidisc.json", "q"),
+        ("dbar-n", "riemann-triple.json", "q"),
+    ],
+)
+def test_dbar_degrees_must_be_integers(tmp_path, capsys, command, scenario, field, bad):
+    doc = json.loads((SCENARIOS / scenario).read_text())
+    doc["payload"][field] = bad
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"ParseError: $.payload.{field}:" in err
 
 
 def test_dbar_undecidable_with_partial_data(tmp_path, capsys):

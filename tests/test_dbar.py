@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from hcspec.dbar import (
 from hcspec.fuzzing import random_factor_model
 from hcspec.spectra import (
     AP,
+    EMPTY,
     INFINITE,
     OperatorSpectrum,
     Point,
@@ -25,6 +27,7 @@ from hcspec.spectra import (
     enumerate_below,
     is_subset,
     minkowski_sum,
+    union,
 )
 
 
@@ -169,6 +172,83 @@ def test_product_essential_contained_in_spectrum_fuzzed():
 
 # ---------------------------------------------------------------------------
 # Pairwise compactness
+
+
+def reference_essential(terms):
+    """The product formula written out term by term, as an independent check.
+
+    For each term and each factor j: factor j's essential spectrum plus the
+    Minkowski sum of the other factors' spectra, folded from ``{0}``.  Returns
+    the union of those parts and the (term, factor) pairs of nonempty parts.
+    """
+    essential = EMPTY
+    contributors = []
+    for t, term in enumerate(terms):
+        for j, own in enumerate(term):
+            others = SpectralSet.of(Point(0, 1))
+            for k, other in enumerate(term):
+                if k != j:
+                    others = minkowski_sum(others, other.spectrum)
+            part = minkowski_sum(own.essential, others)
+            essential = union(essential, part)
+            if not part.is_empty():
+                contributors.append((t, j))
+    return essential, contributors
+
+
+def test_pair_witnesses_match_reference_formula():
+    rnd = random.Random(2024)
+    noncompact = 0
+    for case in range(12):
+        x = random_factor_model(rnd, f"x{case}")
+        y = random_factor_model(rnd, f"y{case}")
+        for p in range(3):
+            for q in range(3):
+                splits = [
+                    (p1, q1, p - p1, q - q1)
+                    for p1 in range(max(0, p - 1), min(p, 1) + 1)
+                    for q1 in range(max(0, q - 1), min(q, 1) + 1)
+                ]
+                terms = [
+                    (x.box_spectrum[(p1, q1)], y.box_spectrum[(p2, q2)])
+                    for p1, q1, p2, q2 in splits
+                ]
+                essential, contributors = reference_essential(terms)
+                witnesses = tuple(dict.fromkeys(splits[t] for t, _ in contributors))
+                report = neumann_compactness(x, y, p, q)
+                assert report.witnesses == witnesses, (case, p, q)
+                assert report.essential_spectrum == essential, (case, p, q)
+                noncompact += report.verdict is Verdict.NONCOMPACT
+    assert noncompact >= 20
+
+
+def test_nfactor_witnesses_match_reference_formula():
+    # a low chance of infinite progressions keeps the shortcut rules from
+    # deciding most cases, so the formula's own witnesses are reached
+    rnd = random.Random(1)
+    by_formula = 0
+    for case in range(15):
+        n = 3 + case % 3
+        factors = [
+            random_factor_model(rnd, f"f{case}-{j}", infinite_chance=0.05)
+            for j in range(n)
+        ]
+        for q in range(n + 1):
+            vectors = [b for b in itertools.product((0, 1), repeat=n) if sum(b) == q]
+            terms = [
+                [factor.box_spectrum[(0, bit)] for factor, bit in zip(factors, bits)]
+                for bits in vectors
+            ]
+            essential, contributors = reference_essential(terms)
+            report = riemann_surface_product_report(factors, q)
+            assert report.essential_spectrum == essential, (case, q)
+            if report.fired_rule == "essential-spectrum-nonempty":
+                want = tuple((j, *vectors[t]) for t, j in contributors)
+                assert report.witnesses == want, (case, q)
+                by_formula += 1
+            elif report.fired_rule == "essential-spectrum-empty":
+                assert not contributors
+    assert by_formula >= 10
 
 
 def test_compact_pairing():
