@@ -161,12 +161,12 @@ def _cmd_tensor(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
     left, right = _the_pair(scenario)
     product, index = tensorprod.tensor_complex(left, right, args.max_dim)
     validation = complexes.validate(product, tol)
-    kuenneth = tensorprod.kuenneth_check(left, right, tol)
+    kuenneth = tensorprod.kuenneth_check(left, right, product, tol)
     matches = {}
     worst_gap = 0.0
     matches_ok = True
     for degree in product.degrees:
-        match = tensorprod.verify_product_spectrum(left, right, degree, tol, _MATCH_GAP)
+        match = tensorprod.verify_product_spectrum(left, right, product, degree, tol, _MATCH_GAP)
         matches[str(degree)] = {"max_gap": match.max_gap, "passed": match.passed}
         worst_gap = max(worst_gap, match.max_gap)
         matches_ok = matches_ok and match.passed

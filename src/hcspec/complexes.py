@@ -49,11 +49,18 @@ class FiniteComplex:
     ``dims[n]`` is the dimension at degree ``lo + n``.  A missing differential
     is the zero map.  Shapes are validated on construction; the cochain
     condition ``d_{i+1} d_i = 0`` is checked by :func:`validate`.
+
+    Each object memoizes, keyed by ``(degree, tol)``, the numeric rank of
+    each differential and the clipped Laplacian eigenvalues of each degree
+    (no eigenvectors), which :func:`cohomology_dim` and
+    :func:`spectrum_multiset` read.  The memo lives with the object, and the
+    object is frozen with read-only matrices, so no entry goes stale.
     """
 
     lo: int
     dims: tuple[int, ...]
     differentials: Mapping[int, np.ndarray] = field(default_factory=dict)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         dims = tuple(int(d) for d in self.dims)
@@ -189,6 +196,34 @@ class HodgeSplit:
     harmonic_dim: int
 
 
+def _kernel_mask(values: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Which clipped ascending Laplacian eigenvalues lie at or below the rank
+    cutoff for the Laplacian's size and largest eigenvalue: the kernel."""
+    sigma_max = float(values[-1]) if values.size else 0.0
+    return values <= tol.rank_cutoff(values.size, sigma_max)
+
+
+def _laplacian_eigenvalues(complex_: FiniteComplex, degree: int, tol: Tolerance) -> np.ndarray:
+    """Ascending Laplacian eigenvalues clipped at 0, memoized on the complex."""
+    key = ("eigenvalues", degree, tol)
+    if key not in complex_._memo:
+        values = np.zeros(0)
+        if complex_.dim(degree):
+            dec = hermitian_eig(_laplacian_any(complex_, degree), tol)
+            values = np.clip(dec.eigenvalues, 0.0, None)
+        values.setflags(write=False)
+        complex_._memo[key] = values
+    return complex_._memo[key]
+
+
+def _rank(complex_: FiniteComplex, degree: int, tol: Tolerance) -> int:
+    """Numeric rank of ``d_degree``, memoized on the complex."""
+    key = ("rank", degree, tol)
+    if key not in complex_._memo:
+        complex_._memo[key] = numeric_rank(complex_.differential(degree), tol)
+    return complex_._memo[key]
+
+
 def hodge(complex_: FiniteComplex, degree: int, tol: Tolerance = DEFAULT_TOL) -> HodgeSplit:
     """Split ``H_i`` into harmonic space, range of d, and range of d-star."""
     complex_._require_degree(degree)
@@ -198,10 +233,7 @@ def hodge(complex_: FiniteComplex, degree: int, tol: Tolerance = DEFAULT_TOL) ->
         empty = zero_matrix(0, 0)
         return HodgeSplit(degree, empty, empty, empty, 0)
     dec = hermitian_eig(delta, tol)
-    values = np.clip(dec.eigenvalues, 0.0, None)
-    sigma_max = float(values[-1]) if values.size else 0.0
-    cutoff = tol.rank_cutoff(n, sigma_max)
-    kernel = dec.vectors[:, values <= cutoff]
+    kernel = dec.vectors[:, _kernel_mask(np.clip(dec.eigenvalues, 0.0, None), tol)]
     p_harm = kernel @ kernel.conj().T
     p_range_d = range_projection(complex_.differential(degree - 1), tol)
     p_range_dstar = range_projection(complex_.differential(degree).conj().T, tol)
@@ -218,18 +250,19 @@ def cohomology_dim(
     rank threshold is unreliable for this input.
     """
     complex_._require_degree(degree)
-    split = hodge(complex_, degree, tol)
+    values = _laplacian_eigenvalues(complex_, degree, tol)
+    harmonic = int(np.count_nonzero(_kernel_mask(values, tol)))
     by_rank = (
         complex_.dim(degree)
-        - numeric_rank(complex_.differential(degree), tol)
-        - numeric_rank(complex_.differential(degree - 1), tol)
+        - _rank(complex_, degree, tol)
+        - _rank(complex_, degree - 1, tol)
     )
-    if split.harmonic_dim != by_rank:
+    if harmonic != by_rank:
         raise InconsistentRankError(
-            f"kernel dimension {split.harmonic_dim} vs rank-nullity {by_rank} "
+            f"kernel dimension {harmonic} vs rank-nullity {by_rank} "
             f"at degree {degree}"
         )
-    return split.harmonic_dim
+    return harmonic
 
 
 def solution_operator(
@@ -302,12 +335,8 @@ def basic_estimate_constant(
     """
     if complex_.dim(degree) == 0:
         return 0.0
-    delta = _laplacian_any(complex_, degree)
-    dec = hermitian_eig(delta, tol)
-    values = np.clip(dec.eigenvalues, 0.0, None)
-    sigma_max = float(values[-1]) if values.size else 0.0
-    cutoff = tol.rank_cutoff(delta.shape[0], sigma_max)
-    positive = values[values > cutoff]
+    values = _laplacian_eigenvalues(complex_, degree, tol)
+    positive = values[~_kernel_mask(values, tol)]
     if positive.size == 0:
         return math.inf
     return float(1.0 / positive[0])
@@ -317,11 +346,7 @@ def spectrum_multiset(
     complex_: FiniteComplex, degree: int, tol: Tolerance = DEFAULT_TOL
 ) -> list[float]:
     """Ascending Laplacian eigenvalues at one degree, negatives clamped to 0."""
-    if complex_.dim(degree) == 0:
-        return []
-    delta = _laplacian_any(complex_, degree)
-    dec = hermitian_eig(delta, tol)
-    return [float(v) for v in np.clip(dec.eigenvalues, 0.0, None)]
+    return _laplacian_eigenvalues(complex_, degree, tol).tolist()
 
 
 @dataclass(frozen=True)

@@ -226,12 +226,12 @@ def run_tensor_suite(seed: int, cases: int) -> SuiteResult:
         b = complexes.random_complex(dims_b, seed=rnd.randrange(2**32))
         product, _ = tensorprod.tensor_complex(a, b)
         for degree in product.degrees:
-            match = tensorprod.verify_product_spectrum(a, b, degree)
+            match = tensorprod.verify_product_spectrum(a, b, product, degree)
             if not match.passed:
                 failures.append(
                     f"case {case}: spectrum gap {match.max_gap:.2e} at degree {degree}"
                 )
-        kuenneth = tensorprod.kuenneth_check(a, b)
+        kuenneth = tensorprod.kuenneth_check(a, b, product)
         if not kuenneth.passed:
             failures.append(f"case {case}: Kuenneth mismatch {dict(kuenneth.pairs)}")
     return SuiteResult("tensor", cases, tuple(failures))

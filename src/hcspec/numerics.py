@@ -2,7 +2,10 @@
 
 Everything else in the package reduces to the operations here: Hermitian
 eigendecomposition, Moore-Penrose pseudo-inverse, Kronecker products, range
-projections and numeric rank.  All functions are pure; matrices are plain
+projections and numeric rank.  Pseudo-inverses and range projections are read
+off an eigendecomposition of the Hermitian dilation; the numeric rank needs
+no vectors and counts singular values alone, at the same cutoff (dimension
+``rows + cols``).  All functions are pure; matrices are plain
 ``numpy.ndarray`` values with dtype complex128 and are never mutated.
 """
 
@@ -30,6 +33,10 @@ class NoConvergenceError(ToolkitError):
 
 class SizeOverflowError(ToolkitError):
     """A product dimension exceeds the configured cap."""
+
+
+class NonFiniteError(ToolkitError, ValueError):
+    """A matrix holds NaN or Inf, given as input or reached by overflow."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +77,7 @@ def as_complex_matrix(entries) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
     if a.size and not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        raise ValueError("matrix entries must be finite")
+        raise NonFiniteError("matrix entries must be finite")
     a.setflags(write=False)
     return a
 
@@ -217,9 +224,19 @@ def range_projection(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def numeric_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above the rank cutoff."""
+    """Number of singular values above the rank cutoff.
+
+    The singular values come from an SVD without vectors; the cutoff is the
+    one :func:`range_projection` and :func:`pseudo_inverse` apply, with
+    dimension ``rows + cols``.
+    """
     a = as_complex_matrix(a)
-    if a.shape[0] == 0 or a.shape[1] == 0:
+    rows, cols = a.shape
+    if rows == 0 or cols == 0:
         return 0
-    values, _, cutoff = _dilation_spectral(a, tol)
-    return int(np.count_nonzero(values > cutoff))
+    try:
+        sigma = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(str(exc)) from exc
+    cutoff = tol.rank_cutoff(rows + cols, float(sigma[0]))
+    return int(np.count_nonzero(sigma > cutoff))

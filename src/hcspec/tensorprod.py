@@ -135,10 +135,13 @@ class KuennethReport:
 
 
 def kuenneth_check(
-    a: FiniteComplex, b: FiniteComplex, tol: Tolerance = DEFAULT_TOL
+    a: FiniteComplex, b: FiniteComplex, product: FiniteComplex, tol: Tolerance = DEFAULT_TOL
 ) -> KuennethReport:
-    """Product cohomology must be the convolution of factor cohomologies."""
-    product, _ = tensor_complex(a, b)
+    """Product cohomology must be the convolution of factor cohomologies.
+
+    ``product`` is the complex :func:`tensor_complex` built from ``a`` and
+    ``b``; callers build it once and pass it to every product check.
+    """
     factor_a = {j: cohomology_dim(a, j, tol) for j in a.degrees}
     factor_b = {k: cohomology_dim(b, k, tol) for k in b.degrees}
     pairs: dict[int, tuple[int, int]] = {}
@@ -166,14 +169,15 @@ class SpectrumMatchReport:
 def verify_product_spectrum(
     a: FiniteComplex,
     b: FiniteComplex,
+    product: FiniteComplex,
     degree: int,
     tol: Tolerance = DEFAULT_TOL,
     gap: float = 1e-7,
 ) -> SpectrumMatchReport:
     """Check that the product Laplacian's eigenvalue multiset at ``degree``
     equals the multiset union over ``j + k = degree`` of pairwise sums of
-    factor eigenvalues, by greedy matching after sorting."""
-    product, _ = tensor_complex(a, b)
+    factor eigenvalues, by greedy matching after sorting.  ``product`` is
+    the complex :func:`tensor_complex` built from ``a`` and ``b``."""
     if product.lo <= degree <= product.hi:
         lhs = spectrum_multiset(product, degree, tol)
     else:

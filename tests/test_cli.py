@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hcspec.cli import main
@@ -124,6 +125,23 @@ def test_max_dim_guard(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "SizeOverflowError" in err
+
+
+@pytest.mark.parametrize("command", ["identities", "tensor"])
+def test_non_finite_intermediates_exit_2(tmp_path, capsys, command):
+    # 1e308 is a finite entry, but the Laplacian d* d overflows to Inf
+    factor = {"lo": 0, "dims": [1, 1], "differentials": {"0": [[[1e308, 0.0]]]}}
+    if command == "tensor":
+        doc = {"version": "1", "kind": "finite-pair", "payload": {"left": factor, "right": factor}}
+    else:
+        doc = {"version": "1", "kind": "finite-complex", "payload": factor}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "NonFiniteError" in err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -20,7 +20,8 @@ from hcspec.complexes import (
     spectrum_multiset,
     validate,
 )
-from hcspec.numerics import Tolerance, max_abs
+from hcspec.numerics import NoConvergenceError, Tolerance, max_abs, numeric_rank, range_projection
+from hcspec.tensorprod import tensor_complex
 
 
 def chain(d=1.0):
@@ -130,6 +131,64 @@ def test_cohomology_cross_check_flags_bad_thresholds():
     bad = Tolerance(rank_threshold=1e-6)
     with pytest.raises(InconsistentRankError):
         cohomology_dim(c, 0, bad)
+
+
+def test_memo_is_keyed_by_tolerance():
+    # the threshold 3 drops the singular value 2 from the rank but keeps the
+    # Laplacian eigenvalue 4 off the kernel, so only fresh ranks disagree
+    bad = Tolerance(rank_threshold=3.0)
+    c = chain(2.0)
+    assert cohomology_dim(c, 0) == 0
+    with pytest.raises(InconsistentRankError):
+        cohomology_dim(c, 0, bad)
+    c = chain(2.0)
+    with pytest.raises(InconsistentRankError):
+        cohomology_dim(c, 0, bad)
+    assert cohomology_dim(c, 0) == 0
+    # memoized eigenvalues do not skip the residual gate of another tolerance
+    r = random_complex([3, 4, 2], seed=8)
+    spectrum_multiset(r, 1)
+    with pytest.raises(NoConvergenceError):
+        spectrum_multiset(r, 1, Tolerance(eigen_residual=1e-300))
+
+
+def test_spectrum_multiset_repeats():
+    c = random_complex([3, 4, 2], seed=8)
+    first = spectrum_multiset(c, 1)
+    first.append(-1.0)  # the caller owns the list; the memo must not change
+    again = spectrum_multiset(c, 1)
+    assert again == first[:-1]
+    assert again == spectrum_multiset(random_complex([3, 4, 2], seed=8), 1)
+
+
+def _random_complexes():
+    rnd = np.random.default_rng(2024)
+    return [
+        random_complex(list(rnd.integers(1, 5, size=rnd.integers(2, 4))), seed=seed)
+        for seed in range(10)
+    ]
+
+
+def test_hodge_and_cohomology_kernel_counts_agree():
+    # hodge counts eigenvector columns of the Laplacian; cohomology_dim counts
+    # the memoized eigenvalues and checks them against the SVD ranks
+    factors = _random_complexes()
+    products = [tensor_complex(a, b)[0] for a, b in zip(factors, factors[1:])]
+    for c in factors + products:
+        for degree in c.degrees:
+            assert hodge(c, degree).harmonic_dim == cohomology_dim(c, degree)
+
+
+def test_svd_rank_matches_dilation_projector_rank():
+    factors = _random_complexes()
+    deficient = 0
+    for a, b in zip(factors, factors[1:]):
+        product, _ = tensor_complex(a, b)
+        for d in product.differentials.values():
+            rank = numeric_rank(d)
+            deficient += rank < min(d.shape)
+            assert rank == round(float(np.trace(range_projection(d)).real))
+    assert deficient >= 10
 
 
 def test_solution_operator_examples():

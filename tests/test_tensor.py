@@ -1,6 +1,10 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from hcspec import cli, complexes, tensorprod
 from hcspec.complexes import FiniteComplex, random_complex, validate
 from hcspec.numerics import SizeOverflowError, kronecker, max_abs
 from hcspec.tensorprod import (
@@ -94,16 +98,19 @@ def test_block_assembly_matches_direct_laplacian():
 
 
 def test_kuenneth_examples():
+    def check(a, b):
+        return kuenneth_check(a, b, tensor_complex(a, b)[0])
+
     point = FiniteComplex(0, (1,))
-    report = kuenneth_check(point, point)
+    report = check(point, point)
     assert report.pairs[0] == (1, 1) and report.passed
 
-    report = kuenneth_check(chain(), chain())
+    report = check(chain(), chain())
     assert all(pair == (0, 0) for pair in report.pairs.values())
 
     two = FiniteComplex(0, (2,))
     three = FiniteComplex(0, (3,))
-    report = kuenneth_check(two, three)
+    report = check(two, three)
     assert report.pairs[0] == (6, 6)
 
 
@@ -111,17 +118,17 @@ def test_kuenneth_on_random_pairs():
     for seed in range(4):
         a = random_complex([2, 3, 1], seed=seed)
         b = random_complex([1, 2], seed=seed + 10)
-        assert kuenneth_check(a, b).passed
+        assert kuenneth_check(a, b, tensor_complex(a, b)[0]).passed
 
 
 def test_verify_product_spectrum_chain():
-    match = verify_product_spectrum(chain(), chain(), 1)
+    match = verify_product_spectrum(chain(), chain(), tensor_complex(chain(), chain())[0], 1)
     assert match.passed and match.max_gap <= 1e-12
     assert list(match.product_eigenvalues) == [2.0, 2.0]
 
 
 def test_verify_product_spectrum_outside_support():
-    match = verify_product_spectrum(chain(), chain(), 7)
+    match = verify_product_spectrum(chain(), chain(), tensor_complex(chain(), chain())[0], 7)
     assert match.passed
     assert match.product_eigenvalues == () and match.summed_eigenvalues == ()
 
@@ -132,7 +139,7 @@ def test_verify_product_spectrum_random_pairs():
         b = random_complex([2, 3, 1], seed=seed + 100)
         product, _ = tensor_complex(a, b)
         for degree in product.degrees:
-            match = verify_product_spectrum(a, b, degree)
+            match = verify_product_spectrum(a, b, product, degree)
             assert match.passed, (seed, degree, match.max_gap)
 
 
@@ -148,9 +155,9 @@ def test_shifted_degree_windows():
     product, _ = tensor_complex(a, b)
     assert (product.lo, product.hi) == (1, 3)
     assert validate(product).passed
-    assert kuenneth_check(a, b).passed
+    assert kuenneth_check(a, b, product).passed
     for degree in product.degrees:
-        assert verify_product_spectrum(a, b, degree).passed
+        assert verify_product_spectrum(a, b, product, degree).passed
 
 
 def test_nondegeneracy_preserved_on_instances():
@@ -164,3 +171,34 @@ def test_nondegeneracy_preserved_on_instances():
         assert is_nondegenerate(b).nondegenerate
         product, _ = tensor_complex(a, b)
         assert is_nondegenerate(product).nondegenerate
+
+
+def test_tensor_command_builds_once_and_ranks_once(tmp_path, monkeypatch, capsys):
+    ranked = []
+    builds = []
+    rank, build = complexes.numeric_rank, tensorprod.tensor_complex
+
+    def counting_rank(a, tol):
+        ranked.append(np.asarray(a))
+        return rank(a, tol)
+
+    def counting_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(complexes, "numeric_rank", counting_rank)
+    monkeypatch.setattr(tensorprod, "tensor_complex", counting_build)
+    payload = {
+        "left": {"random": {"dims": [2, 3, 2], "seed": 1}},
+        "right": {"random": {"dims": [2, 2, 1], "seed": 2}},
+    }
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"version": "1", "kind": "finite-pair", "payload": payload}))
+    assert cli.main(["tensor", str(path)]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+    # no nonzero differential twice, and at most the differentials of degrees
+    # lo - 1 .. hi of each factor (3 degrees) and of the product (5 degrees)
+    nonempty = Counter((a.shape, a.tobytes()) for a in ranked if a.size)
+    assert max(nonempty.values()) == 1
+    assert len(ranked) <= 4 + 4 + 6
