@@ -20,6 +20,7 @@ from .errors import ToolkitError
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
+    _svd,
     as_complex_matrix,
     hermitian_eig,
     max_abs,
@@ -130,13 +131,6 @@ def validate(complex_: FiniteComplex, tol: Tolerance = DEFAULT_TOL) -> Validatio
     return ValidationReport(residuals, passed)
 
 
-def _complement_basis(projector: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal columns spanning the complement of a projector's range."""
-    n = projector.shape[0]
-    dec = hermitian_eig(np.eye(n) - projector, tol)
-    return dec.vectors[:, dec.eigenvalues > 0.5]
-
-
 def random_complex(
     dims: tuple[int, ...] | list[int],
     seed: int,
@@ -148,7 +142,8 @@ def random_complex(
     Each differential is a complex Gaussian draw composed with the projection
     onto the orthogonal complement of the previous differential's range, which
     kills the composite up to floating error.  The projection is applied in
-    factored form, through an orthonormal basis of the complement, so the
+    factored form, through an orthonormal basis of the complement (the left
+    singular vectors of the previous differential past its rank), so the
     constructed matrix has no stray singular values straddling the rank
     cutoff.
     """
@@ -159,7 +154,8 @@ def random_complex(
     for offset in range(len(dims) - 1):
         rows, cols = dims[offset + 1], dims[offset]
         if previous is not None and previous.size:
-            complement = _complement_basis(range_projection(previous, tol), tol)
+            _, rank, u, _ = _svd(previous, tol, vectors=True)
+            complement = u[:, rank:]
         else:
             complement = np.eye(cols, dtype=np.complex128)
         width = complement.shape[1]

@@ -2,15 +2,15 @@
 
 Everything else in the package reduces to the operations here: Hermitian
 eigendecomposition, Moore-Penrose pseudo-inverse, Kronecker products, range
-projections and numeric rank.  Pseudo-inverses and range projections are read
-off an eigendecomposition of the Hermitian dilation; the numeric rank needs
-no vectors and counts singular values alone, at the same cutoff (dimension
-``rows + cols``).  All functions are pure; matrices are plain
+projections and numeric rank.  The last three of those are read off one
+singular value decomposition, which also fixes the rank cutoff (dimension
+``rows + cols``) for all of them.  All functions are pure; matrices are plain
 ``numpy.ndarray`` values with dtype complex128 and are never mutated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,18 +106,6 @@ class EigenDecomposition:
     residual: float
 
 
-def _eigh_unchecked(herm: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """eigh plus residual, without the public residual gate."""
-    if herm.shape[0] == 0:
-        return np.zeros(0), zero_matrix(0, 0), 0.0
-    try:
-        values, vectors = np.linalg.eigh(herm)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
-    residual = float(np.max(np.linalg.norm(herm @ vectors - vectors * values, axis=0)))
-    return values, vectors, residual
-
-
 def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
@@ -132,56 +120,59 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> EigenDecomposition:
     if max_abs(a - a.conj().T) > tol.identity_check:
         raise NotHermitianError("matrix deviates from its adjoint beyond tolerance")
     herm = (a + a.conj().T) / 2.0
-    values, vectors, residual = _eigh_unchecked(herm)
+    try:
+        values, vectors = np.linalg.eigh(herm)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(str(exc)) from exc
+    residual = float(
+        np.max(np.linalg.norm(herm @ vectors - vectors * values, axis=0), initial=0.0)
+    )
     if residual > tol.eigen_residual:
         raise NoConvergenceError(
             f"eigendecomposition residual {residual:.3e} exceeds {tol.eigen_residual:.3e}"
         )
-    values = values.copy()
     values.setflags(write=False)
-    vectors = np.array(vectors, copy=True)
     vectors.setflags(write=False)
     return EigenDecomposition(values, vectors, residual)
 
 
-def _dilation_spectral(a: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigendecomposition of the Hermitian dilation ``[[0, a], [a*, 0]]``.
+def _svd(a: np.ndarray, tol: Tolerance, vectors: bool = False):
+    """Singular values of a nonempty ``a``, descending, and how many of them
+    lie above the rank cutoff for dimension ``rows + cols``.
 
-    The dilation's eigenvalues are the signed singular values of ``a``; going
-    through it instead of a Gram matrix keeps their noise floor at machine
-    precision (squaring would raise it to its square root), so the standard
-    rank cutoff remains meaningful.  The cutoff dimension is ``rows + cols``,
-    the size of the matrix actually decomposed.  Returns eigenvalues,
-    eigenvectors, and the cutoff.
+    Returns ``(sigma, rank, u, vh)``; with ``vectors`` the unitary factors
+    are full (``u[:, rank:]`` spans the complement of the range), otherwise
+    they are ``None``.  Raises ``NonFiniteError`` when a singular value
+    overflows or a kept one has no finite reciprocal.
     """
     rows, cols = a.shape
-    dilation = np.zeros((rows + cols, rows + cols), dtype=np.complex128)
-    dilation[:rows, rows:] = a
-    dilation[rows:, :rows] = a.conj().T
-    values, vectors, _ = _eigh_unchecked(dilation)
-    sigma_max = float(np.max(np.abs(values))) if values.size else 0.0
-    cutoff = tol.rank_cutoff(rows + cols, sigma_max)
-    return values, vectors, cutoff
+    u = vh = None
+    try:
+        if vectors:
+            u, sigma, vh = np.linalg.svd(a)
+        else:
+            sigma = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(str(exc)) from exc
+    if not np.all(np.isfinite(sigma)):
+        raise NonFiniteError("a singular value overflows")
+    cutoff = tol.rank_cutoff(rows + cols, float(sigma[0]))
+    rank = int(np.count_nonzero(sigma > cutoff))
+    if rank and not math.isfinite(1.0 / float(sigma[rank - 1])):
+        raise NonFiniteError("a singular value above the rank cutoff has no finite reciprocal")
+    return sigma, rank, u, vh
 
 
 def pseudo_inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse through the Hermitian eigendecomposition kernel.
-
-    Applies the odd function ``t -> 1/t if |t| > cutoff else 0`` to the
-    Hermitian dilation of ``a`` and reads the inverse off the lower-left
-    block.  Singular values at or below the rank cutoff are treated as zero,
-    so the zero matrix maps to the (transposed) zero matrix.
-    """
+    """Moore-Penrose inverse ``V diag(1/sigma) U*`` over the singular values
+    above the rank cutoff, so the zero matrix maps to the (transposed) zero
+    matrix."""
     a = as_complex_matrix(a)
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         return zero_matrix(cols, rows)
-    values, vectors, cutoff = _dilation_spectral(a, tol)
-    inverted = np.zeros_like(values)
-    keep = np.abs(values) > cutoff
-    inverted[keep] = 1.0 / values[keep]
-    transform = (vectors * inverted) @ vectors.conj().T
-    result = np.array(transform[rows:, :rows])
+    sigma, rank, u, vh = _svd(a, tol, vectors=True)
+    result = (vh[:rank].conj().T / sigma[:rank]) @ u[:, :rank].conj().T
     result.setflags(write=False)
     return result
 
@@ -202,41 +193,26 @@ def kronecker(a, b, dim_cap: int = KRONECKER_DIM_CAP) -> np.ndarray:
 
 
 def range_projection(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projection onto the column space of ``a`` at the rank cutoff.
-
-    The even function ``t -> 1 if |t| > cutoff else 0`` of the Hermitian
-    dilation is block diagonal; its upper-left block is the projection onto
-    the range.
-    """
+    """Orthogonal projection onto the column space of ``a`` at the rank cutoff:
+    ``U_r U_r*`` over the left singular vectors of the kept singular values."""
     a = as_complex_matrix(a)
     rows, cols = a.shape
     if rows == 0:
         return zero_matrix(0, 0)
     if cols == 0:
         return zero_matrix(rows, rows)
-    values, vectors, cutoff = _dilation_spectral(a, tol)
-    keep = np.abs(values) > cutoff
-    basis = vectors[:rows, keep]
+    _, rank, u, _ = _svd(a, tol, vectors=True)
+    basis = u[:, :rank]
     proj = basis @ basis.conj().T
-    proj = np.array((proj + proj.conj().T) / 2.0)
+    proj = (proj + proj.conj().T) / 2.0
     proj.setflags(write=False)
     return proj
 
 
 def numeric_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above the rank cutoff.
-
-    The singular values come from an SVD without vectors; the cutoff is the
-    one :func:`range_projection` and :func:`pseudo_inverse` apply, with
-    dimension ``rows + cols``.
-    """
+    """Number of singular values above the rank cutoff, from an SVD without
+    vectors."""
     a = as_complex_matrix(a)
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
+    if a.size == 0:
         return 0
-    try:
-        sigma = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
-    cutoff = tol.rank_cutoff(rows + cols, float(sigma[0]))
-    return int(np.count_nonzero(sigma > cutoff))
+    return _svd(a, tol)[1]

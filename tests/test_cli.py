@@ -127,10 +127,18 @@ def test_max_dim_guard(capsys):
     assert "SizeOverflowError" in err
 
 
-@pytest.mark.parametrize("command", ["identities", "tensor"])
-def test_non_finite_intermediates_exit_2(tmp_path, capsys, command):
-    # 1e308 is a finite entry, but the Laplacian d* d overflows to Inf
-    factor = {"lo": 0, "dims": [1, 1], "differentials": {"0": [[[1e308, 0.0]]]}}
+@pytest.mark.parametrize(
+    "command, entry",
+    [
+        # 1e308 is a finite entry, but the Laplacian d* d overflows to Inf
+        pytest.param("identities", 1e308, id="identities"),
+        pytest.param("tensor", 1e308, id="tensor"),
+        # 1e-320 is nonzero above its rank cutoff, but its reciprocal overflows
+        pytest.param("identities", 1e-320, id="identities-subnormal"),
+    ],
+)
+def test_non_finite_intermediates_exit_2(tmp_path, capsys, command, entry):
+    factor = {"lo": 0, "dims": [1, 1], "differentials": {"0": [[[entry, 0.0]]]}}
     if command == "tensor":
         doc = {"version": "1", "kind": "finite-pair", "payload": {"left": factor, "right": factor}}
     else:

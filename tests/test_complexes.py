@@ -20,7 +20,15 @@ from hcspec.complexes import (
     spectrum_multiset,
     validate,
 )
-from hcspec.numerics import NoConvergenceError, Tolerance, max_abs, numeric_rank, range_projection
+from hcspec.numerics import (
+    DEFAULT_TOL,
+    NoConvergenceError,
+    Tolerance,
+    max_abs,
+    numeric_rank,
+    pseudo_inverse,
+    range_projection,
+)
 from hcspec.tensorprod import tensor_complex
 
 
@@ -179,15 +187,35 @@ def test_hodge_and_cohomology_kernel_counts_agree():
             assert hodge(c, degree).harmonic_dim == cohomology_dim(c, degree)
 
 
-def test_svd_rank_matches_dilation_projector_rank():
+def _dilation_reference(d):
+    """Pseudo-inverse, range projector and rank of ``d`` read off an
+    eigendecomposition of the Hermitian dilation ``[[0, d], [d*, 0]]``, whose
+    eigenvalues are the signed singular values of ``d``."""
+    rows, cols = d.shape
+    dilation = np.zeros((rows + cols, rows + cols), dtype=complex)
+    dilation[:rows, rows:] = d
+    dilation[rows:, :rows] = d.conj().T
+    values, vectors = np.linalg.eigh(dilation)
+    cutoff = DEFAULT_TOL.rank_cutoff(rows + cols, float(np.max(np.abs(values))))
+    keep = np.abs(values) > cutoff
+    inverted = np.zeros_like(values)
+    inverted[keep] = 1.0 / values[keep]
+    pinv = ((vectors * inverted) @ vectors.conj().T)[rows:, :rows]
+    basis = vectors[:rows, keep]
+    return pinv, basis @ basis.conj().T, int(np.count_nonzero(values[keep] > 0))
+
+
+def test_svd_kernels_match_dilation_reference():
     factors = _random_complexes()
     deficient = 0
     for a, b in zip(factors, factors[1:]):
         product, _ = tensor_complex(a, b)
         for d in product.differentials.values():
-            rank = numeric_rank(d)
+            pinv, proj, rank = _dilation_reference(d)
             deficient += rank < min(d.shape)
-            assert rank == round(float(np.trace(range_projection(d)).real))
+            assert numeric_rank(d) == rank
+            assert max_abs(range_projection(d) - proj) <= 1e-10
+            assert max_abs(pseudo_inverse(d) - pinv) <= 1e-10 * max(1.0, max_abs(pinv))
     assert deficient >= 10
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from hcspec.numerics import (
     DEFAULT_TOL,
+    NonFiniteError,
     NotHermitianError,
     SizeOverflowError,
     Tolerance,
@@ -150,6 +151,18 @@ def test_numeric_rank_examples():
     assert numeric_rank(np.eye(4)) == 4
     assert numeric_rank(np.zeros((3, 3))) == 0
     assert numeric_rank([[1.0, 1.0], [1.0, 1.0]]) == 1
+
+
+def test_overflowing_singular_value_is_refused():
+    # sigma_max = 2e308 overflows; an Inf cutoff would count rank 0
+    with pytest.raises(NonFiniteError):
+        numeric_rank([[1e308, 1e308], [1e308, 1e308]])
+
+
+def test_singular_value_without_finite_reciprocal_is_refused():
+    # 1e-320 lies above its own cutoff, but 1/1e-320 overflows to Inf
+    with pytest.raises(NonFiniteError):
+        pseudo_inverse([[1e-320]])
 
 
 def test_tolerance_validation():
