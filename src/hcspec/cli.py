@@ -26,12 +26,12 @@ from .numerics import (
     KRONECKER_DIM_CAP,
     NotHermitianError,
     Tolerance,
-    max_abs,
 )
 from .scenario import (
     ParseError,
     Scenario,
     dump_report,
+    is_json_int,
     json_ready,
     load_scenario,
     parse_factor_model,
@@ -71,7 +71,7 @@ def _require(payload: dict, field: str, command: str):
 
 def _require_int(payload: dict, field: str, command: str) -> int:
     value = _require(payload, field, command)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_json_int(value):
         raise ParseError(f"$.payload.{field}: expected an integer, got {value!r}")
     return value
 
@@ -117,22 +117,9 @@ def _cmd_hodge(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
     per_degree = {}
     for degree in complex_.degrees:
         split = complexes.hodge(complex_, degree, tol)
-        n = complex_.dim(degree)
-        identity = np.eye(n)
-        total = split.p_harmonic + split.p_range_d + split.p_range_dstar
-        residuals = {
-            "sum_minus_identity": max_abs(total - identity) if n else 0.0,
-            "pairwise_products": max(
-                max_abs(split.p_harmonic @ split.p_range_d),
-                max_abs(split.p_harmonic @ split.p_range_dstar),
-                max_abs(split.p_range_d @ split.p_range_dstar),
-            )
-            if n
-            else 0.0,
-        }
         per_degree[str(degree)] = {
             "harmonic_dim": split.harmonic_dim,
-            "residuals": residuals,
+            "residuals": complexes.hodge_residuals(split),
         }
     passed = ok and all(
         r <= tol.identity_check

@@ -236,6 +236,24 @@ def hodge(complex_: FiniteComplex, degree: int, tol: Tolerance = DEFAULT_TOL) ->
     return HodgeSplit(degree, p_harm, p_range_d, p_range_dstar, kernel.shape[1])
 
 
+def hodge_residuals(split: HodgeSplit) -> dict[str, float]:
+    """Max-norm residuals of the projector algebra of one Hodge split.
+
+    ``sum_minus_identity`` measures ``P_harm + P_d + P_d* - I``, and
+    ``pairwise_products`` the largest product of two different projectors.
+    Both are 0 on a zero space.
+    """
+    total = split.p_harmonic + split.p_range_d + split.p_range_dstar
+    return {
+        "sum_minus_identity": max_abs(total - np.eye(total.shape[0])),
+        "pairwise_products": max(
+            max_abs(split.p_harmonic @ split.p_range_d),
+            max_abs(split.p_harmonic @ split.p_range_dstar),
+            max_abs(split.p_range_d @ split.p_range_dstar),
+        ),
+    }
+
+
 def cohomology_dim(
     complex_: FiniteComplex, degree: int, tol: Tolerance = DEFAULT_TOL
 ) -> int:

@@ -8,10 +8,12 @@ cohomology dimensions.  Products use the one product formula of
 :func:`~hcspec.spectra.product_essential`), with one term per bidegree
 splitting or, for n one-dimensional factors, per bit vector; its unions run
 in term order, then factor order, because ``normalize`` is not associative on
-representation.  The compactness rules read the answer off the essential
-spectrum of the product, with shortcut rules (infinite Bergman space,
-non-compact factor solution operator) that can decide the verdict even when
-parts of the factor data are unknown.
+representation.  The compactness rules read the answer off the parts of
+:func:`~hcspec.spectra.product_essential`: the witnesses are the terms with a
+nonempty part.  Shortcut rules (infinite Bergman space, non-compact factor
+solution operator) can decide the verdict even when parts of the factor data
+are unknown; for n factors they apply when some bit vector of the form degree
+avoids every entry known to be empty.
 
 Unknown entries are ``None``; they propagate to an undecidable verdict rather
 than a guess, except where a shortcut rule applies.  Models are presumed to
@@ -97,28 +99,11 @@ class DbarFactorModel:
     cohomology_dim: Mapping[tuple[int, int], Mult | None] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        n = self.complex_dimension
-        if n < 1:
+        if self.complex_dimension < 1:
             raise BadDimensionError("complex dimension must be at least 1")
-        grid: dict[tuple[int, int], OperatorSpectrum | None] = {}
-        for p in range(n + 1):
-            for q in range(n + 1):
-                grid[(p, q)] = None
-        for key, value in dict(self.box_spectrum).items():
-            if key not in grid:
-                raise BidegreeOutOfRangeError(
-                    f"bidegree {key} outside the {n}-dimensional grid"
-                )
-            grid[key] = value
+        grid = self._fill_grid(self.box_spectrum)
         object.__setattr__(self, "box_spectrum", grid)
-
-        cohom: dict[tuple[int, int], Mult | None] = {key: None for key in grid}
-        for key, value in dict(self.cohomology_dim).items():
-            if key not in cohom:
-                raise BidegreeOutOfRangeError(
-                    f"bidegree {key} outside the {n}-dimensional grid"
-                )
-            cohom[key] = value
+        cohom = self._fill_grid(self.cohomology_dim)
         object.__setattr__(self, "cohomology_dim", cohom)
 
         base = grid[(0, 0)]
@@ -133,6 +118,18 @@ class DbarFactorModel:
             entry = grid[key]
             if dim is not None and entry is not None:
                 self._check_kernel_dim(key, dim, entry, "cohomology dimension")
+
+    def _fill_grid(self, entries: Mapping[tuple[int, int], object]) -> dict:
+        """``entries`` on every bidegree of the grid, ``None`` where missing."""
+        n = self.complex_dimension
+        grid = {(p, q): None for p in range(n + 1) for q in range(n + 1)}
+        for key, value in dict(entries).items():
+            if key not in grid:
+                raise BidegreeOutOfRangeError(
+                    f"bidegree {key} outside the {n}-dimensional grid"
+                )
+            grid[key] = value
+        return grid
 
     def _check_kernel_dim(
         self,
@@ -263,7 +260,7 @@ def neumann_compactness(
         return CompactnessReport(Verdict.UNDECIDABLE, "unknown-factor-data", (), EMPTY)
 
     essential, contributors = product_essential(terms)
-    witnesses = tuple(dict.fromkeys(bidegrees[t] for t, _ in contributors))
+    witnesses = tuple(dict.fromkeys(bidegrees[t] for t, _, _ in contributors))
     if witnesses:
         return CompactnessReport(
             Verdict.NONCOMPACT, "factor-essential-contribution", witnesses, essential
@@ -273,27 +270,6 @@ def neumann_compactness(
 
 # ---------------------------------------------------------------------------
 # Products of several one-dimensional factors
-
-
-def _feasible_bit_vectors(
-    factors: Sequence[DbarFactorModel], q: int, fixed: dict[int, int]
-) -> list[tuple[int, ...]]:
-    """Bit vectors K with sum q whose chosen entries are not known-empty."""
-    n = len(factors)
-    free = [j for j in range(n) if j not in fixed]
-    vectors = []
-    for bits in itertools.product((0, 1), repeat=len(free)):
-        vector = [0] * n
-        for j, value in fixed.items():
-            vector[j] = value
-        for j, value in zip(free, bits):
-            vector[j] = value
-        if sum(vector) != q:
-            continue
-        if any(factors[j].known_empty(0, vector[j]) for j in range(n)):
-            continue
-        vectors.append(tuple(vector))
-    return vectors
 
 
 def _essential_not_within_zero(entry: OperatorSpectrum | None) -> bool:
@@ -349,16 +325,16 @@ def riemann_surface_product_report(
     trace: list[str] = []
 
     vectors = [bits for bits in itertools.product((0, 1), repeat=n) if sum(bits) == q]
+    feasible = [
+        bits
+        for bits in vectors
+        if not any(factor.known_empty(0, bit) for factor, bit in zip(factors, bits))
+    ]
     computed = _essential_over(factors, vectors)
     reported = computed[0] if computed is not None else EMPTY
 
     for j, factor in enumerate(factors):
-        if (
-            factor.bergman_dim is not None
-            and is_infinite(factor.bergman_dim)
-            and q <= n - 1
-            and _feasible_bit_vectors(factors, q, {j: 0})
-        ):
+        if is_infinite(factor.bergman_dim) and any(bits[j] == 0 for bits in feasible):
             trace.append(f"factor {j} has an infinite Bergman space")
             return CompactnessReport(
                 Verdict.NONCOMPACT,
@@ -372,7 +348,7 @@ def riemann_surface_product_report(
         noncompact_solution = _essential_not_within_zero(
             factor.box_spectrum[(0, 0)]
         ) or _essential_not_within_zero(factor.box_spectrum[(0, 1)])
-        if noncompact_solution and _feasible_bit_vectors(factors, q, {}):
+        if noncompact_solution and feasible:
             trace.append(f"factor {j} has a non-compact solution operator")
             return CompactnessReport(
                 Verdict.NONCOMPACT,
@@ -404,7 +380,7 @@ def riemann_surface_product_report(
     return CompactnessReport(
         Verdict.NONCOMPACT,
         "essential-spectrum-nonempty",
-        tuple((j, *vectors[t]) for t, j in contributors),
+        tuple((j, *vectors[t]) for t, j, _ in contributors),
         essential,
         tuple(trace),
     )

@@ -43,6 +43,12 @@ def _fail(path: str, message: str) -> ParseError:
     return ParseError(f"{path}: {message}")
 
 
+def is_json_int(value: Any) -> bool:
+    """True for a JSON integer; ``true`` and ``false`` load as ``bool``, an
+    ``int`` subclass, and are refused."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Scenario:
     version: str
@@ -73,7 +79,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
     if not isinstance(payload, dict):
         raise _fail("$.payload", "payload must be a JSON object")
     seed = doc.get("rng_seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not is_json_int(seed):
         raise _fail("$.rng_seed", "rng_seed must be an integer")
     return Scenario(version, kind, payload, seed)
 
@@ -83,14 +89,9 @@ def scenario_from_dict(doc: Any) -> Scenario:
 
 
 def parse_complex_number(value: Any, path: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value, 0.0)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(part, (int, float)) for part in value)
-    ):
-        return complex(value[0], value[1])
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    if all(isinstance(part, float) or is_json_int(part) for part in parts):
+        return complex(parts[0], parts[1])
     raise _fail(path, f"expected a number or [re, im] pair, got {value!r}")
 
 
@@ -113,7 +114,7 @@ def matrix_to_json(matrix: np.ndarray) -> list[list[list[float]]]:
 
 
 def parse_rational(value: Any, path: str) -> Fraction:
-    if isinstance(value, int):
+    if is_json_int(value):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -130,7 +131,7 @@ def rational_to_json(value: Fraction) -> str:
 def parse_mult(value: Any, path: str) -> Mult:
     if value == "inf":
         return INFINITE
-    if isinstance(value, int) and value >= 1:
+    if is_json_int(value) and value >= 1:
         return value
     raise _fail(path, f"expected a positive integer or 'inf', got {value!r}")
 
@@ -145,7 +146,7 @@ def parse_extended_count(value: Any, path: str) -> Mult | None:
         return None
     if value == "inf":
         return INFINITE
-    if isinstance(value, int) and value >= 0:
+    if is_json_int(value) and value >= 0:
         return value
     raise _fail(path, f"expected a count, 'inf', 'unknown', or null, got {value!r}")
 
@@ -237,19 +238,19 @@ def parse_finite_complex(value: Any, path: str) -> FiniteComplex:
         if not isinstance(spec, dict) or "dims" not in spec or "seed" not in spec:
             raise _fail(f"{path}.random", "expected 'dims' and 'seed'")
         dims = spec["dims"]
-        if not isinstance(dims, list) or not all(isinstance(d, int) and d >= 0 for d in dims):
+        if not isinstance(dims, list) or not all(is_json_int(d) and d >= 0 for d in dims):
             raise _fail(f"{path}.random.dims", "expected an array of nonnegative integers")
-        if not isinstance(spec["seed"], int):
+        if not is_json_int(spec["seed"]):
             raise _fail(f"{path}.random.seed", "expected an integer seed")
         lo = spec.get("lo", 0)
-        if not isinstance(lo, int):
+        if not is_json_int(lo):
             raise _fail(f"{path}.random.lo", "expected an integer")
         return random_complex(dims, spec["seed"], lo=lo)
     dims = value.get("dims")
-    if not isinstance(dims, list) or not all(isinstance(d, int) and d >= 0 for d in dims):
+    if not isinstance(dims, list) or not all(is_json_int(d) and d >= 0 for d in dims):
         raise _fail(f"{path}.dims", "expected an array of nonnegative integers")
     lo = value.get("lo", 0)
-    if not isinstance(lo, int):
+    if not is_json_int(lo):
         raise _fail(f"{path}.lo", "expected an integer")
     differentials = {}
     for key, matrix in (value.get("differentials") or {}).items():
@@ -292,7 +293,7 @@ def parse_factor_model(value: Any, path: str) -> DbarFactorModel:
     if not isinstance(name, str):
         raise _fail(f"{path}.name", "expected a string")
     dimension = value.get("complex_dimension")
-    if not isinstance(dimension, int) or dimension < 1:
+    if not is_json_int(dimension) or dimension < 1:
         raise _fail(f"{path}.complex_dimension", "expected a positive integer")
     closed_range = value.get("closed_range", False)
     if not isinstance(closed_range, bool):

@@ -17,6 +17,12 @@ tails only the finite/infinite distinction is meaningful; the annotation then
 records the product of the input annotations as a nominal value.  The
 enumeration oracle compares sums at this class level, and exactly for inputs
 consisting of points only.
+
+The product formula is written once, in :func:`product_essential` (the
+essential spectrum as a union of parts, one factor's essential spectrum summed
+with the other factors' spectra) and :func:`product_operator`.  Every
+compactness verdict reads those parts: :func:`compactness_verdict` here, and
+the verdicts of :mod:`hcspec.dbar`.
 """
 
 from __future__ import annotations
@@ -240,7 +246,12 @@ def union(a: SpectralSet, b: SpectralSet) -> SpectralSet:
 
 
 def _representable(n: int, p: int, q: int) -> bool:
-    return any((n - i * p) % q == 0 for i in range(n // p + 1))
+    """Whether ``n = a*p + b*q`` with ``a, b >= 0``, for coprime ``p, q >= 2``.
+
+    The least admissible ``b`` is ``n * q^-1 mod p``; ``n`` is representable
+    exactly when that many ``q`` fit into it.
+    """
+    return n >= q * (n * pow(q, -1, p) % p)
 
 
 def _atom_minkowski(x: Atom, y: Atom) -> list[Atom]:
@@ -493,19 +504,19 @@ def _fold_spectra(factors: Iterable[OperatorSpectrum]) -> SpectralSet:
 
 def product_essential(
     terms: Sequence[Sequence[OperatorSpectrum]],
-) -> tuple[SpectralSet, list[tuple[int, int]]]:
+) -> tuple[SpectralSet, list[tuple[int, int, SpectralSet]]]:
     """Essential spectrum of a product operator, with the parts that build it.
 
     Each term lists the factor spectra of one summand of the product (a degree
     or bidegree splitting, or a bit vector), at least two of them.  Part
     ``(t, j)`` is the essential spectrum of factor ``j`` of term ``t`` plus the
     Minkowski sum of the spectra of the term's other factors.  Returns the
-    union of the parts and the ``(t, j)`` of the nonempty ones, in term order,
-    then factor order.  The union is taken incrementally in that order, since
-    ``normalize`` is not associative on representation.
+    union of the parts and the nonempty parts as ``(t, j, part)``, in term
+    order, then factor order.  The union is taken incrementally in that order,
+    since ``normalize`` is not associative on representation.
     """
     essential = EMPTY
-    contributors: list[tuple[int, int]] = []
+    parts: list[tuple[int, int, SpectralSet]] = []
     for t, term in enumerate(terms):
         for j, own in enumerate(term):
             if own.essential.is_empty():
@@ -514,8 +525,8 @@ def product_essential(
             part = minkowski_sum(own.essential, others)
             if not part.is_empty():
                 essential = union(essential, part)
-                contributors.append((t, j))
-    return essential, contributors
+                parts.append((t, j, part))
+    return essential, parts
 
 
 def product_operator(terms: Sequence[Sequence[OperatorSpectrum]]) -> OperatorSpectrum:
@@ -632,10 +643,14 @@ def compactness_verdict(
 ) -> CompactnessReport:
     """Decide compactness of the inverse-Laplacian of the product at ``degree``.
 
-    With nondegeneracy asserted on both factors, compactness holds exactly
-    when every relevant factor essential spectrum is empty.  Without it, the
-    criterion is that each cross sum of an essential spectrum with the other
-    factor's spectrum stays within ``{0}``.
+    Reads the parts of :func:`product_essential` over the supported splittings
+    ``j + k = degree``: in the term ``(left[j], right[k])`` the two parts are
+    the cross sums ``E_j + S_k`` and ``S_j + E_k``.  With nondegeneracy
+    asserted on both factors, compactness holds exactly when no part exists,
+    that is, when every relevant factor essential spectrum is empty (a
+    supported degree has a nonempty spectrum).  Without it, the criterion is
+    that each part stays within ``{0}``.  The witnesses are the splittings
+    that break the criterion.
     """
     if not (left.closed_range and right.closed_range):
         raise MissingAttestationError(
@@ -644,47 +659,21 @@ def compactness_verdict(
     pairs = [
         (j, degree - j) for j in sorted(left.support) if (degree - j) in right.support
     ]
-    product = product_spectrum(left.spectra, right.spectra, degree)
-
-    if left.nondegenerate and right.nondegenerate:
-        witnesses = tuple(
-            (j, k)
-            for (j, k) in pairs
-            if not (
-                left.spectra[j].essential.is_empty()
-                and right.spectra[k].essential.is_empty()
-            )
-        )
-        if witnesses:
-            return CompactnessReport(
-                Verdict.NONCOMPACT,
-                "factor-essential-spectrum-nonempty",
-                witnesses,
-                product.essential,
-            )
-        return CompactnessReport(
-            Verdict.COMPACT, "factor-essential-spectra-empty", (), product.essential
-        )
-
+    essential, parts = product_essential(
+        [(left.spectra[j], right.spectra[k]) for j, k in pairs]
+    )
+    nondegenerate = left.nondegenerate and right.nondegenerate
     witnesses = tuple(
-        (j, k)
-        for (j, k) in pairs
-        if not (
-            is_subset_of_zero(
-                minkowski_sum(left.spectra[j].essential, right.spectra[k].spectrum)
-            )
-            and is_subset_of_zero(
-                minkowski_sum(left.spectra[j].spectrum, right.spectra[k].essential)
-            )
+        dict.fromkeys(
+            pairs[t]
+            for t, _, part in parts
+            if nondegenerate or not is_subset_of_zero(part)
         )
     )
+    if nondegenerate:
+        rules = ("factor-essential-spectrum-nonempty", "factor-essential-spectra-empty")
+    else:
+        rules = ("essential-cross-sum-exceeds-zero", "essential-cross-sums-within-zero")
     if witnesses:
-        return CompactnessReport(
-            Verdict.NONCOMPACT,
-            "essential-cross-sum-exceeds-zero",
-            witnesses,
-            product.essential,
-        )
-    return CompactnessReport(
-        Verdict.COMPACT, "essential-cross-sums-within-zero", (), product.essential
-    )
+        return CompactnessReport(Verdict.NONCOMPACT, rules[0], witnesses, essential)
+    return CompactnessReport(Verdict.COMPACT, rules[1], (), essential)

@@ -181,6 +181,73 @@ def test_dbar_degrees_must_be_integers(tmp_path, capsys, command, scenario, fiel
     assert f"ParseError: $.payload.{field}:" in err
 
 
+_MYSTERY_FACTOR = {"name": "mystery", "complex_dimension": 1, "closed_range": True}
+
+
+@pytest.mark.parametrize(
+    "command, scenario, keys, bad, json_path",
+    [
+        pytest.param(
+            "symbolic", "symbolic-ap-pair.json", ["payload", "a", "atoms", 0],
+            {"kind": "point", "value": True}, "$.payload.a.atoms[0].value", id="point-value",
+        ),
+        pytest.param(
+            "symbolic", "symbolic-ap-pair.json", ["payload", "a", "atoms", 0, "step"],
+            True, "$.payload.a.atoms[0].step", id="step",
+        ),
+        pytest.param(
+            "symbolic", "symbolic-ap-pair.json", ["payload", "a", "atoms", 0, "mult"],
+            True, "$.payload.a.atoms[0].mult", id="mult",
+        ),
+        pytest.param(
+            "validate", "random-complex.json", ["payload", "random", "dims"],
+            [True, 2], "$.payload.random.dims", id="random-dims",
+        ),
+        pytest.param(
+            "validate", "random-complex.json", ["payload", "random", "seed"],
+            False, "$.payload.random.seed", id="random-seed",
+        ),
+        pytest.param(
+            "validate", "random-complex.json", ["payload", "random", "lo"],
+            True, "$.payload.random.lo", id="random-lo",
+        ),
+        pytest.param(
+            "validate", "chain.json", ["payload", "dims"], [True, 1], "$.payload.dims", id="dims",
+        ),
+        pytest.param("validate", "chain.json", ["payload", "lo"], False, "$.payload.lo", id="lo"),
+        pytest.param(
+            "validate", "chain.json", ["payload", "differentials", "0", 0, 0],
+            True, "$.payload.differentials.0[0][0]", id="matrix-entry",
+        ),
+        pytest.param(
+            "validate", "random-complex.json", ["rng_seed"], True, "$.rng_seed", id="rng-seed",
+        ),
+        pytest.param(
+            "dbar", "bidisc.json", ["payload", "factors", 0],
+            {**_MYSTERY_FACTOR, "complex_dimension": True},
+            "$.payload.factors[0].complex_dimension", id="complex-dimension",
+        ),
+        pytest.param(
+            "dbar", "bidisc.json", ["payload", "factors", 0],
+            {**_MYSTERY_FACTOR, "bergman_dim": True},
+            "$.payload.factors[0].bergman_dim", id="bergman-dim",
+        ),
+    ],
+)
+def test_json_booleans_are_not_integers(tmp_path, capsys, command, scenario, keys, bad, json_path):
+    doc = json.loads((SCENARIOS / scenario).read_text())
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = bad
+    path = tmp_path / "boolean.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"ParseError: {json_path}:" in err
+
+
 def test_dbar_undecidable_with_partial_data(tmp_path, capsys):
     scenario = {
         "version": "1",

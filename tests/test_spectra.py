@@ -1,9 +1,12 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from hcspec.fuzzing import (
+    random_operator_spectrum,
     random_spectral_model,
     random_spectral_set,
     sets_semantically_equal,
@@ -12,6 +15,7 @@ from hcspec.spectra import (
     AP,
     EMPTY,
     INFINITE,
+    CompactnessReport,
     EssentialNotContainedError,
     MissingAttestationError,
     OperatorSpectrum,
@@ -32,6 +36,7 @@ from hcspec.spectra import (
     normalize,
     product_spectrum,
     union,
+    _representable,
 )
 
 
@@ -211,6 +216,21 @@ def test_minkowski_large_coprime_steps_against_oracle():
             ap(rnd.randrange(0, 4), Fraction(rnd.randrange(3, 12), rnd.choice((1, 2, 4))))
         )
         assert minkowski_oracle_check(a, b, 200)
+
+
+def test_representable_matches_the_enumeration_loop():
+    def by_loop(n, p, q):
+        return any((n - i * p) % q == 0 for i in range(n // p + 1))
+
+    mismatches = [
+        (n, p, q)
+        for p in range(2, 31)
+        for q in range(2, 31)
+        if math.gcd(p, q) == 1
+        for n in range(p * q + 1)
+        if _representable(n, p, q) != by_loop(n, p, q)
+    ]
+    assert mismatches == []
 
 
 def test_minkowski_commutative_structurally():
@@ -485,6 +505,87 @@ def test_criterion_equivalences_on_fuzzed_models():
         assert by_cross == by_factors == by_product == (
             verdict.verdict is Verdict.COMPACT
         )
+
+
+def _reference_verdict(left, right, degree):
+    """Both criteria as their own loops over the cross sums ``E_j + S_k`` and
+    ``S_j + E_k``, with the essential spectrum of the full product spectrum."""
+    pairs = [
+        (j, degree - j) for j in sorted(left.support) if (degree - j) in right.support
+    ]
+    essential = product_spectrum(left.spectra, right.spectra, degree).essential
+    if left.nondegenerate and right.nondegenerate:
+        rules = ("factor-essential-spectrum-nonempty", "factor-essential-spectra-empty")
+        witnesses = tuple(
+            (j, k)
+            for (j, k) in pairs
+            if not (
+                left.spectra[j].essential.is_empty()
+                and right.spectra[k].essential.is_empty()
+            )
+        )
+    else:
+        rules = ("essential-cross-sum-exceeds-zero", "essential-cross-sums-within-zero")
+        witnesses = tuple(
+            (j, k)
+            for (j, k) in pairs
+            if not (
+                is_subset_of_zero(
+                    minkowski_sum(left.spectra[j].essential, right.spectra[k].spectrum)
+                )
+                and is_subset_of_zero(
+                    minkowski_sum(left.spectra[j].spectrum, right.spectra[k].essential)
+                )
+            )
+        )
+    if witnesses:
+        return CompactnessReport(Verdict.NONCOMPACT, rules[0], witnesses, essential)
+    return CompactnessReport(Verdict.COMPACT, rules[1], (), essential)
+
+
+_ZERO_SPECTRA = (
+    OperatorSpectrum(SpectralSet.of(pt(0))),
+    OperatorSpectrum(SpectralSet.of(pt(0, INFINITE))),
+    OperatorSpectrum(SpectralSet.of(pt(0)), SpectralSet.of(pt(0))),
+)
+
+
+def _verdict_model(rnd):
+    """Degrees 0..2 holding an empty spectrum (outside the support), a
+    spectrum equal to {0}, {0:inf} or {0} with {0} asserted essential, or a
+    random one (a quarter with an asserted essential part); either flag."""
+    spectra = {}
+    for degree in range(rnd.randint(1, 3)):
+        roll = rnd.random()
+        if roll < 0.15:
+            spectra[degree] = OperatorSpectrum(EMPTY)
+        elif roll < 0.45:
+            spectra[degree] = rnd.choice(_ZERO_SPECTRA)
+        else:
+            spectra[degree] = random_operator_spectrum(rnd)
+    return SpectralComplexModel(
+        spectra, nondegenerate=rnd.random() < 0.5, closed_range=True
+    )
+
+
+def test_verdict_matches_reference_criteria():
+    rnd = random.Random(2015)
+    fired = Counter()
+    for case in range(600):
+        left = _verdict_model(rnd)
+        right = _verdict_model(rnd)
+        degree = rnd.randint(0, 4)
+        expected = _reference_verdict(left, right, degree)
+        assert compactness_verdict(left, right, degree) == expected, case
+        fired[expected.fired_rule, expected.essential_spectrum.is_empty()] += 1
+    assert {rule for rule, _ in fired} == {
+        "factor-essential-spectrum-nonempty",
+        "factor-essential-spectra-empty",
+        "essential-cross-sum-exceeds-zero",
+        "essential-cross-sums-within-zero",
+    }
+    # the cross-sum criterion passes with essential parts equal to {0}
+    assert fired["essential-cross-sums-within-zero", False] > 0
 
 
 def test_spectral_model_support_consistency():
