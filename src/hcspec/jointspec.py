@@ -5,7 +5,8 @@ a strongly commuting normal pair yields four pairwise commuting Hermitian
 matrices.  Simultaneous diagonalization proceeds by eigendecomposing the
 first, clustering its eigenvalues, and recursing on the remaining matrices
 restricted to each cluster subspace.  Joint eigenvalues are then read off as
-Rayleigh quotients and validated by residual.
+Rayleigh quotients and validated by residual; quotients and residuals share
+one product of each operator with the basis.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ class EigenspaceSplitFailureError(ToolkitError):
     """Clustered eigenvalues could not be split within tolerance."""
 
 
+class PairShapeError(ToolkitError, ValueError):
+    """The two matrices of a pair are not square or differ in size."""
+
+
 @dataclass(frozen=True)
 class CommutingPair:
     """A validated pair of commuting normal matrices."""
@@ -63,9 +68,9 @@ def check_pair(t, s, tol: Tolerance = DEFAULT_TOL) -> CommutingPair:
     t = as_complex_matrix(t)
     s = as_complex_matrix(s)
     if t.shape[0] != t.shape[1] or s.shape[0] != s.shape[1]:
-        raise ValueError("both matrices must be square")
+        raise PairShapeError(f"both matrices must be square: {t.shape} and {s.shape}")
     if t.shape != s.shape:
-        raise ValueError(f"size mismatch: {t.shape} vs {s.shape}")
+        raise PairShapeError(f"size mismatch: {t.shape} vs {s.shape}")
     for name, m in (("first", t), ("second", s)):
         if max_abs(m @ m.conj().T - m.conj().T @ m) > tol.identity_check:
             raise NotNormalError(f"{name} matrix is not normal within tolerance")
@@ -107,11 +112,8 @@ def _simdiag(mats: Sequence[np.ndarray], tol: Tolerance) -> np.ndarray:
         if stop - start == 1:
             continue
         block = basis[:, start:stop]
-        restricted = [
-            (block.conj().T @ m @ block + (block.conj().T @ m @ block).conj().T) / 2.0
-            for m in rest
-        ]
-        inner = _simdiag(restricted, tol)
+        restricted = (block.conj().T @ m @ block for m in rest)
+        inner = _simdiag([(r + r.conj().T) / 2.0 for r in restricted], tol)
         basis[:, start:stop] = block @ inner
     return basis
 
@@ -132,6 +134,11 @@ class JointSpectrumPoints:
 def joint_spectrum(pair: CommutingPair, tol: Tolerance = DEFAULT_TOL) -> JointSpectrumPoints:
     """Simultaneous diagonalization of a commuting normal pair.
 
+    The joint eigenvalues of basis column ``v`` are the Rayleigh quotients
+    ``v* T v`` and ``v* S v``; they and the residuals ``|T v - lam v|`` and
+    ``|S v - mu v|`` are read from one product ``T V`` and one ``S V`` of
+    each operator with the whole basis ``V``.
+
     Raises ``EigenspaceSplitFailureError`` when some joint eigenvector fails
     the residual bound, which happens for eigenvalues clustered beyond what
     the gap threshold can separate.
@@ -147,10 +154,12 @@ def joint_spectrum(pair: CommutingPair, tol: Tolerance = DEFAULT_TOL) -> JointSp
         (s - s.conj().T) / 2.0j,
     ]
     basis = _simdiag(herm_parts, tol)
-    lams = np.einsum("ij,ik,kj->j", basis.conj(), t, basis)
-    mus = np.einsum("ij,ik,kj->j", basis.conj(), s, basis)
-    residual_t = np.linalg.norm(t @ basis - basis * lams, axis=0)
-    residual_s = np.linalg.norm(s @ basis - basis * mus, axis=0)
+    t_basis = t @ basis
+    s_basis = s @ basis
+    lams = np.sum(basis.conj() * t_basis, axis=0)
+    mus = np.sum(basis.conj() * s_basis, axis=0)
+    residual_t = np.linalg.norm(t_basis - basis * lams, axis=0)
+    residual_s = np.linalg.norm(s_basis - basis * mus, axis=0)
     worst = float(max(residual_t.max(), residual_s.max()))
     if worst > 10.0 * tol.eigen_residual:
         raise EigenspaceSplitFailureError(
@@ -261,10 +270,10 @@ def sum_operator_check(
         (abs(float(x) - y) for x, y in zip(eigenvalues, expected)), default=0.0
     )
 
-    lhs = SpectralSet.of(*(Point(Fraction(max(float(v), 0.0)), 1) for v in eig_t)) \
-        if eig_t.size else SpectralSet.of()
-    rhs = SpectralSet.of(*(Point(Fraction(max(float(v), 0.0)), 1) for v in eig_s)) \
-        if eig_s.size else SpectralSet.of()
+    lhs, rhs = (
+        SpectralSet.of(*(Point(Fraction(max(float(v), 0.0)), 1) for v in values))
+        for values in (eig_t, eig_s)
+    )
     symbolic_gap = 0.0
     if eig_t.size and eig_s.size:
         bound = Fraction(float(eigenvalues[-1])) + 1

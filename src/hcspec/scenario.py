@@ -91,7 +91,10 @@ def scenario_from_dict(doc: Any) -> Scenario:
 def parse_complex_number(value: Any, path: str) -> complex:
     parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
     if all(isinstance(part, float) or is_json_int(part) for part in parts):
-        return complex(parts[0], parts[1])
+        try:
+            return complex(parts[0], parts[1])
+        except OverflowError as exc:
+            raise _fail(path, "integer beyond float range") from exc
     raise _fail(path, f"expected a number or [re, im] pair, got {value!r}")
 
 

@@ -181,6 +181,18 @@ def test_dbar_degrees_must_be_integers(tmp_path, capsys, command, scenario, fiel
     assert f"ParseError: $.payload.{field}:" in err
 
 
+def _edited_scenario(tmp_path, scenario, keys, value) -> Path:
+    """A copy of a shipped scenario with the entry at ``keys`` set to ``value``."""
+    doc = json.loads((SCENARIOS / scenario).read_text())
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 _MYSTERY_FACTOR = {"name": "mystery", "complex_dimension": 1, "closed_range": True}
 
 
@@ -235,17 +247,45 @@ _MYSTERY_FACTOR = {"name": "mystery", "complex_dimension": 1, "closed_range": Tr
     ],
 )
 def test_json_booleans_are_not_integers(tmp_path, capsys, command, scenario, keys, bad, json_path):
-    doc = json.loads((SCENARIOS / scenario).read_text())
-    target = doc
-    for key in keys[:-1]:
-        target = target[key]
-    target[keys[-1]] = bad
-    path = tmp_path / "boolean.json"
-    path.write_text(json.dumps(doc))
+    path = _edited_scenario(tmp_path, scenario, keys, bad)
     code = main([command, str(path)])
     err = capsys.readouterr().err
     assert code == 2
     assert f"ParseError: {json_path}:" in err
+
+
+@pytest.mark.parametrize(
+    "command, scenario, keys, bad, error",
+    [
+        pytest.param(
+            "joint", "joint-pair.json", ["payload", "s"], [[3.0]],
+            "PairShapeError: size mismatch", id="joint-size-mismatch",
+        ),
+        pytest.param(
+            "joint", "joint-pair.json", ["payload", "t"], [[1.0, 0.0]],
+            "PairShapeError: both matrices must be square", id="joint-non-square",
+        ),
+        pytest.param(
+            "joint", "joint-pair.json", ["payload", "t", 0, 0], 10**399,
+            "ParseError: $.payload.t[0][0]: integer beyond float range", id="joint-huge-integer",
+        ),
+        pytest.param(
+            "joint", "joint-pair.json", ["payload", "s", 1, 1], [4.0, -(10**399)],
+            "ParseError: $.payload.s[1][1]: integer beyond float range", id="joint-huge-imaginary",
+        ),
+        pytest.param(
+            "validate", "chain.json", ["payload", "differentials", "0", 0, 0], 10**399,
+            "ParseError: $.payload.differentials.0[0][0]: integer beyond float range",
+            id="validate-huge-integer",
+        ),
+    ],
+)
+def test_malformed_matrices_exit_2(tmp_path, capsys, command, scenario, keys, bad, error):
+    path = _edited_scenario(tmp_path, scenario, keys, bad)
+    code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert error in err
 
 
 def test_dbar_undecidable_with_partial_data(tmp_path, capsys):

@@ -116,6 +116,39 @@ def test_tensor_pair_matches_cartesian_on_fuzzed_normals():
         assert pairing_gap(points.pairs, cartesian) <= 1e-7
 
 
+def _with_eigenvalues(rng, values):
+    """``U diag(values) U*`` for a random unitary U: normal, with those eigenvalues."""
+    n = len(values)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return u @ np.diag(values) @ u.conj().T
+
+
+@pytest.mark.parametrize("psd", [False, True], ids=["normal", "psd"])
+def test_tensor_pair_with_repeated_eigenvalues(psd):
+    # Repeated factor eigenvalues, and complex ones sharing a real part, give
+    # clusters that only the later Hermitian parts split: _simdiag recurses
+    # more than one level, as on the benchmark's tensored pairs.
+    rng = np.random.default_rng(17 + psd)
+    palette = [0.0, 0.5, 2.0] if psd else [1.0 + 1.0j, 1.0 - 1.0j, -0.5j, 2.0]
+    for n, m in ((5, 8), (6, 6), (7, 5), (8, 7)):
+        lam = rng.choice(palette, n)
+        mu = rng.choice(palette, m)
+        t = _with_eigenvalues(rng, lam)
+        s = _with_eigenvalues(rng, mu)
+        points = tensor_pair_spectrum(t, s)
+        cartesian = [(complex(a), complex(b)) for a in lam for b in mu]
+        assert pairing_gap(points.pairs, cartesian) <= 1e-7
+
+        big_t = np.kron(t, np.eye(m))
+        big_s = np.kron(np.eye(n), s)
+        basis = points.basis
+        want_t = np.einsum("ij,ik,kj->j", basis.conj(), big_t, basis)
+        want_s = np.einsum("ij,ik,kj->j", basis.conj(), big_s, basis)
+        got = np.array(points.pairs)
+        assert np.max(np.abs(got[:, 0] - want_t)) <= 1e-10
+        assert np.max(np.abs(got[:, 1] - want_s)) <= 1e-10
+
+
 def test_spectral_mapping():
     points = joint_spectrum(check_pair(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])))
     assert spectral_mapping(points, lambda lam, mu: lam) == (1 + 0j, 2 + 0j)
