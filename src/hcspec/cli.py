@@ -1,4 +1,8 @@
-"""Command-line front end: scenario files in, deterministic reports out."""
+"""Command-line front end: scenario files in, deterministic reports out.
+
+``_COMMANDS`` gives each command its scenario kind, handler and flags; the
+parser is built from it once, at import, and ``run`` checks the kind once.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +10,7 @@ import argparse
 import hashlib
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -47,19 +52,6 @@ from .spectra import (
     union,
 )
 
-COMMANDS = (
-    "validate",
-    "spectrum",
-    "hodge",
-    "identities",
-    "tensor",
-    "symbolic",
-    "dbar",
-    "dbar-n",
-    "joint",
-    "fuzz",
-)
-
 _MATCH_GAP = 1e-7
 
 
@@ -76,22 +68,17 @@ def _require_int(payload: dict, field: str, command: str) -> int:
     return value
 
 
-def _the_complex(scenario: Scenario) -> complexes.FiniteComplex:
-    if scenario.kind != "finite-complex":
-        raise ParseError(f"$.kind: expected finite-complex, got {scenario.kind}")
-    return parse_finite_complex(scenario.payload, "$.payload")
-
-
-def _the_pair(scenario: Scenario) -> tuple[complexes.FiniteComplex, complexes.FiniteComplex]:
-    if scenario.kind != "finite-pair":
-        raise ParseError(f"$.kind: expected finite-pair, got {scenario.kind}")
-    left = parse_finite_complex(_require(scenario.payload, "left", "tensor"), "$.payload.left")
-    right = parse_finite_complex(_require(scenario.payload, "right", "tensor"), "$.payload.right")
-    return left, right
+def _oracle_cutoff(args) -> Fraction | None:
+    if args.oracle_cutoff is None:
+        return None
+    cutoff = parse_rational(args.oracle_cutoff, "--oracle-cutoff")
+    if cutoff <= 0:
+        raise ParseError(f"--oracle-cutoff: expected a positive rational, got {args.oracle_cutoff}")
+    return cutoff
 
 
 def _cmd_validate(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
-    complex_ = _the_complex(scenario)
+    complex_ = parse_finite_complex(scenario.payload, "$.payload")
     report = complexes.validate(complex_, tol)
     results = {
         "dims": list(complex_.dims),
@@ -103,7 +90,7 @@ def _cmd_validate(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]
 
 
 def _cmd_spectrum(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
-    complex_ = _the_complex(scenario)
+    complex_ = parse_finite_complex(scenario.payload, "$.payload")
     ok = complexes.validate(complex_, tol).passed
     degrees = {
         str(d): complexes.spectrum_multiset(complex_, d, tol) for d in complex_.degrees
@@ -112,7 +99,7 @@ def _cmd_spectrum(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]
 
 
 def _cmd_hodge(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
-    complex_ = _the_complex(scenario)
+    complex_ = parse_finite_complex(scenario.payload, "$.payload")
     ok = complexes.validate(complex_, tol).passed
     per_degree = {}
     for degree in complex_.degrees:
@@ -130,7 +117,7 @@ def _cmd_hodge(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
 
 
 def _cmd_identities(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
-    complex_ = _the_complex(scenario)
+    complex_ = parse_finite_complex(scenario.payload, "$.payload")
     ok = complexes.validate(complex_, tol).passed
     per_degree = {}
     all_passed = ok
@@ -145,7 +132,8 @@ def _cmd_identities(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, boo
 
 
 def _cmd_tensor(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
-    left, right = _the_pair(scenario)
+    left = parse_finite_complex(_require(scenario.payload, "left", "tensor"), "$.payload.left")
+    right = parse_finite_complex(_require(scenario.payload, "right", "tensor"), "$.payload.right")
     product, index = tensorprod.tensor_complex(left, right, args.max_dim)
     validation = complexes.validate(product, tol)
     kuenneth = tensorprod.kuenneth_check(left, right, product, tol)
@@ -178,8 +166,6 @@ def _cmd_tensor(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
 
 
 def _cmd_symbolic(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
-    if scenario.kind != "spectral-model":
-        raise ParseError(f"$.kind: expected spectral-model, got {scenario.kind}")
     payload = scenario.payload
     operation = _require(payload, "operation", "symbolic")
     first = parse_spectral_set(_require(payload, "a", "symbolic"), "$.payload.a")
@@ -193,8 +179,8 @@ def _cmd_symbolic(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]
             results["result"] = union(first, second)
         else:
             results["result"] = minkowski_sum(first, second)
-            if args.oracle_cutoff is not None:
-                cutoff = parse_rational(args.oracle_cutoff, "--oracle-cutoff")
+            cutoff = _oracle_cutoff(args)
+            if cutoff is not None:
                 checked = minkowski_oracle_check(first, second, cutoff)
                 results["oracle"] = {"cutoff": cutoff, "passed": checked}
                 passed = checked
@@ -206,8 +192,6 @@ def _cmd_symbolic(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]
 
 
 def _parse_factors(scenario: Scenario, command: str, expected: int | None = None):
-    if scenario.kind != "dbar-factors":
-        raise ParseError(f"$.kind: expected dbar-factors, got {scenario.kind}")
     raw = _require(scenario.payload, "factors", command)
     if not isinstance(raw, list) or (expected is not None and len(raw) != expected):
         need = f"exactly {expected}" if expected is not None else "a list of"
@@ -259,8 +243,6 @@ def _cmd_dbar_n(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
 
 
 def _cmd_joint(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
-    if scenario.kind != "finite-pair":
-        raise ParseError(f"$.kind: expected finite-pair, got {scenario.kind}")
     t = parse_matrix(_require(scenario.payload, "t", "joint"), "$.payload.t")
     s = parse_matrix(_require(scenario.payload, "s", "joint"), "$.payload.s")
     pair = check_pair(t, s, tol)
@@ -290,15 +272,10 @@ def _cmd_joint(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
 
 
 def _cmd_fuzz(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
-    if scenario.kind not in fuzzing.SUITES:
-        raise ParseError(f"$.kind: no fuzz suite for kind {scenario.kind!r}")
+    if args.cases < 1:
+        raise ParseError(f"--cases: expected a positive integer, got {args.cases}")
     seed = args.seed if args.seed is not None else (scenario.rng_seed or 0)
-    cutoff = (
-        parse_rational(args.oracle_cutoff, "--oracle-cutoff")
-        if args.oracle_cutoff is not None
-        else None
-    )
-    suite_results = fuzzing.run_kind_suites(scenario.kind, seed, args.cases, cutoff)
+    suite_results = fuzzing.run_kind_suites(scenario.kind, seed, args.cases, _oracle_cutoff(args))
     results = {
         "seed": seed,
         "cases": args.cases,
@@ -310,32 +287,35 @@ def _cmd_fuzz(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
     return results, all(r.passed for r in suite_results)
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "spectrum": _cmd_spectrum,
-    "hodge": _cmd_hodge,
-    "identities": _cmd_identities,
-    "tensor": _cmd_tensor,
-    "symbolic": _cmd_symbolic,
-    "dbar": _cmd_dbar,
-    "dbar-n": _cmd_dbar_n,
-    "joint": _cmd_joint,
-    "fuzz": _cmd_fuzz,
+# command -> (scenario kind, or None for any kind; handler; the flags it reads)
+_COMMANDS = {
+    "validate": ("finite-complex", _cmd_validate, ("tol",)),
+    "spectrum": ("finite-complex", _cmd_spectrum, ("tol",)),
+    "hodge": ("finite-complex", _cmd_hodge, ("tol",)),
+    "identities": ("finite-complex", _cmd_identities, ("tol",)),
+    "tensor": ("finite-pair", _cmd_tensor, ("tol", "max_dim")),
+    "symbolic": ("spectral-model", _cmd_symbolic, ("oracle_cutoff",)),
+    "dbar": ("dbar-factors", _cmd_dbar, ()),
+    "dbar-n": ("dbar-factors", _cmd_dbar_n, ()),
+    "joint": ("finite-pair", _cmd_joint, ("tol", "max_dim")),
+    "fuzz": (None, _cmd_fuzz, ("seed", "oracle_cutoff", "cases")),
+}
+
+_FLAGS = {
+    "tol": {"type": float, "default": None, "help": "override the identity-check tolerance"},
+    "seed": {"type": int, "default": None, "help": "override the scenario seed"},
+    "oracle_cutoff": {"default": None, "help": "rational cutoff enabling the enumeration oracle"},
+    "max_dim": {"type": int, "default": KRONECKER_DIM_CAP, "help": "cap on product dimensions"},
+    "cases": {"type": int, "default": 100, "help": "number of fuzz cases"},
 }
 
 
-def _digest(scenario_path: Path, args) -> str:
-    flags = {
-        "tol": args.tol,
-        "seed": args.seed,
-        "oracle_cutoff": args.oracle_cutoff,
-        "max_dim": args.max_dim,
-        "cases": getattr(args, "cases", None),
-    }
+def _digest(scenario_path: Path, args, flags: tuple[str, ...]) -> str:
     digest = hashlib.sha256()
     digest.update(scenario_path.read_bytes())
     digest.update(b"\x00")
-    digest.update(json.dumps(flags, sort_keys=True).encode("utf-8"))
+    values = {flag: getattr(args, flag) for flag in flags}
+    digest.update(json.dumps(values, sort_keys=True).encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -352,13 +332,20 @@ def _flatten_csv(value, prefix: str, rows: list[tuple[str, str]]) -> None:
 
 def run(command: str, scenario_path: str | Path, out_path: str | Path | None, args) -> tuple[int, dict]:
     """Execute one command against a scenario file; returns (exit code, report)."""
+    kind, handler, flags = _COMMANDS[command]
     scenario_path = Path(scenario_path)
     scenario = load_scenario(scenario_path)
-    tol = DEFAULT_TOL if args.tol is None else Tolerance(identity_check=args.tol)
-    results, passed = _HANDLERS[command](scenario, tol, args)
+    if kind not in (None, scenario.kind):
+        raise ParseError(f"$.kind: expected {kind}, got {scenario.kind}")
+    tol = DEFAULT_TOL
+    if "tol" in flags and args.tol is not None:
+        if args.tol <= 0:
+            raise ParseError(f"--tol: expected a positive number, got {args.tol}")
+        tol = Tolerance(identity_check=args.tol)
+    results, passed = handler(scenario, tol, args)
     report = {
         "command": command,
-        "inputs_digest": _digest(scenario_path, args),
+        "inputs_digest": _digest(scenario_path, args, flags),
         "results": results,
         "pass": passed,
     }
@@ -384,22 +371,21 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, _, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("scenario", help="path to a scenario JSON file")
         cmd.add_argument("--out", default=None, help="write the report here instead of stdout")
         cmd.add_argument("--csv", action="store_true", help="flatten results to CSV")
-        cmd.add_argument("--tol", type=float, default=None, help="override the identity-check tolerance")
-        cmd.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        cmd.add_argument("--oracle-cutoff", default=None, help="rational cutoff enabling the enumeration oracle")
-        cmd.add_argument("--max-dim", type=int, default=KRONECKER_DIM_CAP, help="cap on product dimensions")
-        if name == "fuzz":
-            cmd.add_argument("--cases", type=int, default=100, help="number of fuzz cases")
+        for flag in flags:
+            cmd.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         code, _ = run(args.command, args.scenario, args.out, args)
         return code

@@ -63,17 +63,22 @@ class CommutingPair:
     commutator_norm: float
 
 
+def _check_normal(t: np.ndarray, s: np.ndarray, tol: Tolerance) -> None:
+    """Both matrices square and normal within tolerance."""
+    if t.shape[0] != t.shape[1] or s.shape[0] != s.shape[1]:
+        raise PairShapeError(f"both matrices must be square: {t.shape} and {s.shape}")
+    for name, m in (("first", t), ("second", s)):
+        if max_abs(m @ m.conj().T - m.conj().T @ m) > tol.identity_check:
+            raise NotNormalError(f"{name} matrix is not normal within tolerance")
+
+
 def check_pair(t, s, tol: Tolerance = DEFAULT_TOL) -> CommutingPair:
     """Validate normality of both matrices and their commutation."""
     t = as_complex_matrix(t)
     s = as_complex_matrix(s)
-    if t.shape[0] != t.shape[1] or s.shape[0] != s.shape[1]:
-        raise PairShapeError(f"both matrices must be square: {t.shape} and {s.shape}")
+    _check_normal(t, s, tol)
     if t.shape != s.shape:
         raise PairShapeError(f"size mismatch: {t.shape} vs {s.shape}")
-    for name, m in (("first", t), ("second", s)):
-        if max_abs(m @ m.conj().T - m.conj().T @ m) > tol.identity_check:
-            raise NotNormalError(f"{name} matrix is not normal within tolerance")
     commutator = max_abs(t @ s - s @ t)
     if commutator > tol.identity_check:
         raise NotCommutingError(
@@ -182,12 +187,16 @@ def tensor_pair_spectrum(
     """Joint spectrum of ``(T (x) I, I (x) S)`` for normal T and S.
 
     Equals the Cartesian product of the individual spectra as a multiset.
+    ``T (x) I`` is normal exactly when T is, so T and S are checked in place
+    of the Kronecker pair, which commutes exactly: every entry of both
+    products is the one product ``t_ae * s_bf``.
     """
     t = as_complex_matrix(t)
     s = as_complex_matrix(s)
+    _check_normal(t, s, tol)
     big_t = kronecker(t, np.eye(s.shape[0]), dim_cap)
     big_s = kronecker(np.eye(t.shape[0]), s, dim_cap)
-    return joint_spectrum(check_pair(big_t, big_s, tol), tol)
+    return joint_spectrum(CommutingPair(big_t, big_s, 0.0), tol)
 
 
 def spectral_mapping(

@@ -20,6 +20,7 @@ import numpy as np
 from .complexes import FiniteComplex, random_complex
 from .dbar import DbarFactorModel, builtin_models
 from .errors import ToolkitError
+from .numerics import KRONECKER_DIM_CAP
 from .spectra import (
     AP,
     INFINITE,
@@ -58,11 +59,14 @@ class Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read the file: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        raise ParseError(f"{path}: unreadable JSON: {exc}") from exc
     return scenario_from_dict(doc)
 
 
@@ -233,6 +237,17 @@ def operator_spectrum_to_json(value: OperatorSpectrum) -> dict:
 # Complexes
 
 
+def _parse_dims(value: Any, path: str) -> list[int]:
+    """Degree dimensions, each at most ``KRONECKER_DIM_CAP`` (the ``--max-dim``
+    default), so no factor is larger than a product may be."""
+    if not isinstance(value, list) or not all(is_json_int(d) and d >= 0 for d in value):
+        raise _fail(path, "expected an array of nonnegative integers")
+    for idx, dim in enumerate(value):
+        if dim > KRONECKER_DIM_CAP:
+            raise _fail(f"{path}[{idx}]", f"dimension exceeds the cap {KRONECKER_DIM_CAP}")
+    return value
+
+
 def parse_finite_complex(value: Any, path: str) -> FiniteComplex:
     if not isinstance(value, dict):
         raise _fail(path, "expected an object")
@@ -240,18 +255,14 @@ def parse_finite_complex(value: Any, path: str) -> FiniteComplex:
         spec = value["random"]
         if not isinstance(spec, dict) or "dims" not in spec or "seed" not in spec:
             raise _fail(f"{path}.random", "expected 'dims' and 'seed'")
-        dims = spec["dims"]
-        if not isinstance(dims, list) or not all(is_json_int(d) and d >= 0 for d in dims):
-            raise _fail(f"{path}.random.dims", "expected an array of nonnegative integers")
+        dims = _parse_dims(spec["dims"], f"{path}.random.dims")
         if not is_json_int(spec["seed"]):
             raise _fail(f"{path}.random.seed", "expected an integer seed")
         lo = spec.get("lo", 0)
         if not is_json_int(lo):
             raise _fail(f"{path}.random.lo", "expected an integer")
         return random_complex(dims, spec["seed"], lo=lo)
-    dims = value.get("dims")
-    if not isinstance(dims, list) or not all(is_json_int(d) and d >= 0 for d in dims):
-        raise _fail(f"{path}.dims", "expected an array of nonnegative integers")
+    dims = _parse_dims(value.get("dims"), f"{path}.dims")
     lo = value.get("lo", 0)
     if not is_json_int(lo):
         raise _fail(f"{path}.lo", "expected an integer")

@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -324,3 +325,131 @@ def test_module_error_is_surfaced_by_name(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "NotCommutingError" in err
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        pytest.param(lambda path: None, "cannot read the file", id="missing"),
+        pytest.param(lambda path: path.mkdir(), "cannot read the file", id="directory"),
+        pytest.param(
+            lambda path: path.write_bytes(b'{"version": "\xff"}'), "unreadable JSON: 'utf-8' codec",
+            id="non-utf8",
+        ),
+        pytest.param(
+            lambda path: path.write_text("[" * 100_000 + "]" * 100_000),
+            "unreadable JSON: maximum recursion depth",
+            id="deep-nesting",
+        ),
+    ],
+)
+def test_unreadable_scenario_exits_2(tmp_path, capsys, make, error):
+    path = tmp_path / "scenario.json"
+    make(path)
+    code = main(["validate", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"ParseError: {path}: {error}" in err
+
+
+@pytest.mark.parametrize(
+    "payload, json_path",
+    [
+        pytest.param({"random": {"dims": [3, 10**399], "seed": 1}}, "$.payload.random.dims[1]", id="random"),
+        pytest.param({"dims": [1, 10**30]}, "$.payload.dims[1]", id="explicit"),
+        pytest.param({"dims": [1, 4097]}, "$.payload.dims[1]", id="explicit-cap-plus-one"),
+    ],
+)
+def test_degree_dimensions_are_capped(tmp_path, capsys, payload, json_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"version": "1", "kind": "finite-complex", "payload": payload}))
+    code = main(["validate", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"ParseError: {json_path}: dimension exceeds the cap 4096" in err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        pytest.param(["fuzz", "symbolic-ap-pair.json", "--cases", "-3"], "--cases:", id="cases-negative"),
+        pytest.param(["fuzz", "symbolic-ap-pair.json", "--cases", "0"], "--cases:", id="cases-zero"),
+        pytest.param(
+            ["symbolic", "symbolic-ap-pair.json", "--oracle-cutoff=-5"], "--oracle-cutoff:",
+            id="cutoff-negative",
+        ),
+        pytest.param(
+            ["fuzz", "symbolic-ap-pair.json", "--oracle-cutoff", "0"], "--oracle-cutoff:",
+            id="fuzz-cutoff-zero",
+        ),
+        pytest.param(["validate", "chain.json", "--tol", "-1"], "--tol:", id="tol-negative"),
+    ],
+)
+def test_flag_ranges_exit_2(capsys, argv, error):
+    command, scenario, *flags = argv
+    code = main([command, str(SCENARIOS / scenario), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"ParseError: {error}" in err
+
+
+@pytest.mark.parametrize(
+    "command, scenario, expected",
+    [
+        ("validate", "bidisc.json", "finite-complex"),
+        ("spectrum", "joint-pair.json", "finite-complex"),
+        ("hodge", "symbolic-ap-pair.json", "finite-complex"),
+        ("identities", "chain-product.json", "finite-complex"),
+        ("tensor", "chain.json", "finite-pair"),
+        ("symbolic", "bidisc.json", "spectral-model"),
+        ("dbar", "chain.json", "dbar-factors"),
+        ("dbar-n", "symbolic-ap-pair.json", "dbar-factors"),
+        ("joint", "riemann-triple.json", "finite-pair"),
+    ],
+)
+def test_wrong_scenario_kind_exits_2(capsys, command, scenario, expected):
+    actual = json.loads((SCENARIOS / scenario).read_text())["kind"]
+    code = main([command, str(SCENARIOS / scenario)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"ParseError: $.kind: expected {expected}, got {actual}" in err
+
+
+def test_fuzz_refuses_an_unknown_kind(tmp_path, capsys):
+    # fuzz runs the suites of any scenario kind; only an unknown kind is wrong
+    path = _edited_scenario(tmp_path, "chain.json", ["kind"], "finite-triple")
+    code = main(["fuzz", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "ParseError: $.kind: kind must be one of" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dbar", "bidisc.json", "--tol", "1e-6"],
+        ["validate", "chain.json", "--seed", "3"],
+        ["symbolic", "symbolic-ap-pair.json", "--max-dim", "9"],
+    ],
+)
+def test_unread_flag_is_a_usage_error(capsys, argv):
+    command, scenario, *flags = argv
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(SCENARIOS / scenario), *flags])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert main(["validate", str(SCENARIOS / "chain.json")]) == 0
+    assert main(["dbar", str(SCENARIOS / "bidisc.json")]) == 0
+    capsys.readouterr()
+    assert calls == []

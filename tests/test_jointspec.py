@@ -6,6 +6,7 @@ from hcspec.jointspec import (
     NotCommutingError,
     NotNormalError,
     NotPSDError,
+    PairShapeError,
     check_pair,
     joint_spectrum,
     pairing_gap,
@@ -98,6 +99,15 @@ def test_tensor_pair_spectrum_examples():
 
     points = tensor_pair_spectrum(np.zeros((2, 2)), np.zeros((2, 2)))
     assert points.pairs == ((0j, 0j),) * 4
+
+
+def test_tensor_pair_spectrum_checks_its_factors():
+    with pytest.raises(NotNormalError):
+        tensor_pair_spectrum([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
+    with pytest.raises(NotNormalError):
+        tensor_pair_spectrum(np.eye(3), [[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(PairShapeError):
+        tensor_pair_spectrum([[1.0, 0.0]], np.eye(2))
 
 
 def test_tensor_pair_matches_cartesian_on_fuzzed_normals():
