@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -43,6 +44,7 @@ from .scenario import (
     parse_finite_complex,
     parse_matrix,
     parse_rational,
+    parse_seed,
     parse_spectral_set,
 )
 from .spectra import (
@@ -181,7 +183,7 @@ def _cmd_symbolic(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]
             results["result"] = minkowski_sum(first, second)
             cutoff = _oracle_cutoff(args)
             if cutoff is not None:
-                checked = minkowski_oracle_check(first, second, cutoff)
+                checked = minkowski_oracle_check(first, second, results["result"], cutoff)
                 results["oracle"] = {"cutoff": cutoff, "passed": checked}
                 passed = checked
     else:
@@ -274,7 +276,7 @@ def _cmd_joint(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
 def _cmd_fuzz(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
     if args.cases < 1:
         raise ParseError(f"--cases: expected a positive integer, got {args.cases}")
-    seed = args.seed if args.seed is not None else (scenario.rng_seed or 0)
+    seed = parse_seed(args.seed, "--seed") if args.seed is not None else (scenario.rng_seed or 0)
     suite_results = fuzzing.run_kind_suites(scenario.kind, seed, args.cases, _oracle_cutoff(args))
     results = {
         "seed": seed,
@@ -339,8 +341,8 @@ def run(command: str, scenario_path: str | Path, out_path: str | Path | None, ar
         raise ParseError(f"$.kind: expected {kind}, got {scenario.kind}")
     tol = DEFAULT_TOL
     if "tol" in flags and args.tol is not None:
-        if args.tol <= 0:
-            raise ParseError(f"--tol: expected a positive number, got {args.tol}")
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ParseError(f"--tol: expected a finite positive number, got {args.tol}")
         tol = Tolerance(identity_check=args.tol)
     results, passed = handler(scenario, tol, args)
     report = {

@@ -83,9 +83,19 @@ def scenario_from_dict(doc: Any) -> Scenario:
     if not isinstance(payload, dict):
         raise _fail("$.payload", "payload must be a JSON object")
     seed = doc.get("rng_seed")
-    if seed is not None and not is_json_int(seed):
-        raise _fail("$.rng_seed", "rng_seed must be an integer")
+    if seed is not None:
+        parse_seed(seed, "$.rng_seed")
     return Scenario(version, kind, payload, seed)
+
+
+def parse_seed(value: Any, source: str) -> int:
+    """A random seed: an integer of at least 0, which numpy's generators need.
+
+    ``source`` names where it came from (a JSON path or a flag).
+    """
+    if not is_json_int(value) or value < 0:
+        raise _fail(source, f"expected a nonnegative integer seed, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +266,11 @@ def parse_finite_complex(value: Any, path: str) -> FiniteComplex:
         if not isinstance(spec, dict) or "dims" not in spec or "seed" not in spec:
             raise _fail(f"{path}.random", "expected 'dims' and 'seed'")
         dims = _parse_dims(spec["dims"], f"{path}.random.dims")
-        if not is_json_int(spec["seed"]):
-            raise _fail(f"{path}.random.seed", "expected an integer seed")
+        seed = parse_seed(spec["seed"], f"{path}.random.seed")
         lo = spec.get("lo", 0)
         if not is_json_int(lo):
             raise _fail(f"{path}.random.lo", "expected an integer")
-        return random_complex(dims, spec["seed"], lo=lo)
+        return random_complex(dims, seed, lo=lo)
     dims = _parse_dims(value.get("dims"), f"{path}.dims")
     lo = value.get("lo", 0)
     if not is_json_int(lo):

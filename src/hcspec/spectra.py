@@ -18,6 +18,15 @@ records the product of the input annotations as a nominal value.  The
 enumeration oracle compares sums at this class level, and exactly for inputs
 consisting of points only.
 
+The oracle, :func:`minkowski_oracle_check`, checks a sum by brute force on
+the integer lattice ``(1/L)·ℤ``, where ``L`` is the lcm of every denominator
+involved: each set becomes sorted int64 indices below the cutoff with exact
+counts and infinite flags, and every pair of summand indices is added at
+once.  It never calls :func:`minkowski_sum`, its per-atom sums or the
+semigroup test, and uses no Frobenius bound.  Its work is bounded: more than
+``ORACLE_PAIR_CAP`` value pairs is an :class:`OracleBudgetError`, raised
+before anything is enumerated.
+
 The product formula is written once, in :func:`product_essential` (the
 essential spectrum as a union of parts, one factor's essential spectrum summed
 with the other factors' spectra) and :func:`product_operator`.  Every
@@ -34,6 +43,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
+import numpy as np
+
 from .errors import ToolkitError
 
 #: Infinite multiplicity marker.  Finite multiplicities are positive ints.
@@ -49,6 +60,18 @@ class EssentialNotContainedError(ToolkitError):
 
 class MissingAttestationError(ToolkitError):
     """A compactness question was posed without closed-range attestations."""
+
+
+class OracleBudgetError(ToolkitError):
+    """The enumeration oracle would exceed its budget; nothing was enumerated."""
+
+
+#: Most value pairs (values of ``a`` times values of ``b`` below the cutoff)
+#: the enumeration oracle adds up; it also bounds the values of each set.
+ORACLE_PAIR_CAP = 2**20
+
+# Lattice indices stay below this, so a sum of two indices fits in int64.
+_LATTICE_CAP = 2**62
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -341,35 +364,119 @@ def enumerate_below(s: SpectralSet, cutoff: RationalLike) -> list[tuple[Fraction
     return sorted(acc.items())
 
 
-def minkowski_oracle_check(a: SpectralSet, b: SpectralSet, cutoff: RationalLike) -> bool:
-    """Verify ``minkowski_sum`` against brute-force enumeration below ``cutoff``.
+def _scaled(x: Fraction, scale: int) -> int:
+    return x.numerator * (scale // x.denominator)
+
+
+def _progressions(s: SpectralSet, scale: int, limit: int):
+    """The atoms of ``s`` on the lattice ``(1/scale)·ℤ``, clipped at ``limit``.
+
+    Returns per-atom start and stride indices, the number of terms below
+    ``limit``, finite counts (Python ints, 0 for an infinite atom) and
+    infinite flags.  A point is a progression whose stride exceeds ``limit``,
+    so it has one term below it.  Starts are clipped to ``limit`` and strides
+    to ``limit + 1``, which keeps the term counts and every entry in int64.
+    """
+    starts = np.array([
+        min(_scaled(atom.value if isinstance(atom, Point) else atom.base, scale), limit)
+        for atom in s.atoms
+    ], dtype=np.int64)
+    strides = np.array([
+        limit + 1 if isinstance(atom, Point) else min(_scaled(atom.step, scale), limit + 1)
+        for atom in s.atoms
+    ], dtype=np.int64)
+    infinite = np.array([is_infinite(atom.mult) for atom in s.atoms], dtype=bool)
+    counts = np.array(
+        [0 if inf else atom.mult for atom, inf in zip(s.atoms, infinite)], dtype=object
+    )
+    lengths = (limit - starts + strides - 1) // strides
+    return starts, strides, lengths, counts, infinite
+
+
+def _classes(values: np.ndarray, counts: np.ndarray, infinite: np.ndarray):
+    """Distinct sorted ``values`` with summed exact ``counts`` and any-``infinite`` flags."""
+    index, inverse = np.unique(values, return_inverse=True)
+    total = np.zeros(index.size, dtype=object)
+    np.add.at(total, inverse, counts)
+    flags = np.zeros(index.size, dtype=bool)
+    flags[inverse[infinite]] = True
+    return index, total, flags
+
+
+def _lattice(progressions):
+    """Every lattice index below the limit, as :func:`_classes`."""
+    starts, strides, lengths, counts, infinite = progressions
+    term = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    values = np.repeat(starts, lengths) + np.repeat(strides, lengths) * term
+    return _classes(values, np.repeat(counts, lengths), np.repeat(infinite, lengths))
+
+
+def minkowski_oracle_check(
+    a: SpectralSet, b: SpectralSet, total: SpectralSet, cutoff: RationalLike
+) -> bool:
+    """Verify that ``total`` is ``a + b`` below ``cutoff`` by brute force.
 
     Valid because all values are nonnegative: a sum below the cutoff only uses
-    summands below the cutoff.  Values are compared exactly; multiplicities
-    are compared as finite/infinite classes, and as exact counts when both
-    inputs consist of points only.
+    summands below the cutoff.  Every value is scaled by ``L``, the lcm of
+    the denominators of the cutoff and of every atom of ``a``, ``b`` and
+    ``total``, to an index on the lattice ``(1/L)·ℤ``.  Each set becomes the
+    sorted int64 indices of its values below ``cutoff·L`` with exact counts
+    and infinite flags; the brute-force side adds every index of ``a`` to
+    every index of ``b`` at once.  It never calls :func:`minkowski_sum` or
+    the semigroup logic behind it and uses no Frobenius bound.  Index sets
+    are compared exactly; multiplicities as finite/infinite classes, and as
+    exact counts when both inputs consist of points only.
+
+    Raises :class:`OracleBudgetError` before enumerating anything when the
+    pair count (values of ``a`` times values of ``b`` below the cutoff), or
+    the values of ``a``, ``b`` or ``total`` alone, exceed ``ORACLE_PAIR_CAP``,
+    or when ``cutoff·L`` reaches ``2**62``, past which a sum of two indices
+    could leave int64.
     """
     bound = as_rational(cutoff)
-    lhs = enumerate_below(minkowski_sum(a, b), bound)
-    acc: dict[Fraction, Mult] = {}
-    for va, ma in enumerate_below(a, bound):
-        for vb, mb in enumerate_below(b, bound):
-            v = va + vb
-            if v < bound:
-                m = INFINITE if is_infinite(ma) or is_infinite(mb) else ma * mb
-                acc[v] = acc.get(v, 0) + m
-    rhs = sorted(acc.items())
-    if [v for v, _ in lhs] != [v for v, _ in rhs]:
-        return False
-    points_only = all(
-        isinstance(atom, Point) for atom in (*a.atoms, *b.atoms)
+    scale = math.lcm(bound.denominator, *(
+        x.denominator
+        for atom in (*a.atoms, *b.atoms, *total.atoms)
+        for x in ((atom.value,) if isinstance(atom, Point) else (atom.base, atom.step))
+    ))
+    limit = max(0, bound.numerator * (scale // bound.denominator))
+    if limit >= _LATTICE_CAP:
+        raise OracleBudgetError(
+            f"the oracle lattice below the cutoff has {limit} steps of 1/{scale}, "
+            f"beyond the cap {_LATTICE_CAP}"
+        )
+    a_prog, b_prog, total_prog = (_progressions(s, scale, limit) for s in (a, b, total))
+    # Python ints: a sum of per-atom term counts may leave int64
+    n_a, n_b, n_total = (
+        sum(lengths.tolist()) for _, _, lengths, _, _ in (a_prog, b_prog, total_prog)
     )
-    for (_, ml), (_, mr) in zip(lhs, rhs):
-        if is_infinite(ml) != is_infinite(mr):
-            return False
-        if points_only and ml != mr:
-            return False
-    return True
+    for what, count in (
+        ("value pairs", n_a * n_b),
+        ("values of a", n_a),
+        ("values of b", n_b),
+        ("values of the sum", n_total),
+    ):
+        if count > ORACLE_PAIR_CAP:
+            raise OracleBudgetError(
+                f"the oracle would enumerate {count} {what} below the cutoff, "
+                f"above the cap {ORACLE_PAIR_CAP}"
+            )
+
+    a_index, a_counts, a_infinite = _lattice(a_prog)
+    b_index, b_counts, b_infinite = _lattice(b_prog)
+    sums = np.add.outer(a_index, b_index)
+    below = sums < limit
+    index, counts, infinite = _classes(
+        sums[below],
+        np.multiply.outer(a_counts, b_counts)[below],
+        np.logical_or.outer(a_infinite, b_infinite)[below],
+    )
+    total_index, total_counts, total_infinite = _lattice(total_prog)
+    if not (np.array_equal(index, total_index) and np.array_equal(infinite, total_infinite)):
+        return False
+    points_only = all(isinstance(atom, Point) for atom in (*a.atoms, *b.atoms))
+    finite = ~infinite
+    return not points_only or counts[finite].tolist() == total_counts[finite].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import argparse
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hcspec import cli, spectra
 from hcspec.cli import main
+from hcspec.spectra import minkowski_sum
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -383,6 +386,8 @@ def test_degree_dimensions_are_capped(tmp_path, capsys, payload, json_path):
             id="fuzz-cutoff-zero",
         ),
         pytest.param(["validate", "chain.json", "--tol", "-1"], "--tol:", id="tol-negative"),
+        pytest.param(["validate", "random-complex.json", "--tol", "nan"], "--tol:", id="tol-nan"),
+        pytest.param(["tensor", "chain-product.json", "--tol", "inf"], "--tol:", id="tol-inf"),
     ],
 )
 def test_flag_ranges_exit_2(capsys, argv, error):
@@ -391,6 +396,73 @@ def test_flag_ranges_exit_2(capsys, argv, error):
     err = capsys.readouterr().err
     assert code == 2
     assert f"ParseError: {error}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, keys, source",
+    [
+        pytest.param(["fuzz", "joint-pair.json", "--seed", "-1"], None, "--seed", id="flag"),
+        pytest.param(["fuzz", "symbolic-ap-pair.json"], ["rng_seed"], "$.rng_seed", id="rng-seed"),
+        pytest.param(
+            ["validate", "random-complex.json"], ["payload", "random", "seed"],
+            "$.payload.random.seed", id="random-seed",
+        ),
+    ],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, argv, keys, source):
+    command, scenario, *flags = argv
+    path = SCENARIOS / scenario if keys is None else _edited_scenario(tmp_path, scenario, keys, -1)
+    code = main([command, str(path), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"ParseError: {source}: expected a nonnegative integer seed, got -1" in err
+
+
+def _symbolic_scenario(tmp_path, a_atoms, b_atoms) -> Path:
+    path = tmp_path / "sum.json"
+    payload = {"operation": "minkowski", "a": {"atoms": a_atoms}, "b": {"atoms": b_atoms}}
+    path.write_text(json.dumps({"version": "1", "kind": "spectral-model", "payload": payload}))
+    return path
+
+
+def test_oracle_budget_exits_2(tmp_path, capsys):
+    sixths = [{"kind": "ap", "base": "0", "step": "1/6", "mult": 1}]
+    path = _symbolic_scenario(tmp_path, sixths, sixths)
+    code = main(["symbolic", str(path), "--oracle-cutoff", "100000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (
+        "OracleBudgetError: the oracle would enumerate 360000000000 value pairs "
+        "below the cutoff, above the cap 1048576"
+    ) in err
+
+
+def test_points_only_oracle_at_a_huge_cutoff(tmp_path, capsys):
+    a = [{"kind": "point", "value": v, "mult": m} for v, m in (("0", 2), ("1/2", "inf"), ("7/3", 3))]
+    b = [{"kind": "point", "value": v, "mult": m} for v, m in (("1/6", 1), ("5", 4))]
+    path = _symbolic_scenario(tmp_path, a, b)
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "symbolic", path, "--oracle-cutoff", "1000000000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and report["pass"]
+    assert report["results"]["oracle"] == {"cutoff": "1000000000", "passed": True}
+
+
+def test_symbolic_builds_each_sum_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return minkowski_sum(a, b)
+
+    monkeypatch.setattr(spectra, "minkowski_sum", counting)
+    monkeypatch.setattr(cli, "minkowski_sum", counting)
+    points = [{"kind": "point", "value": "1/2", "mult": 2}]
+    for path in (SCENARIOS / "symbolic-ap-pair.json", _symbolic_scenario(tmp_path, points, points)):
+        calls.clear()
+        code, report = run_cli(capsys, "symbolic", path, "--oracle-cutoff", "100")
+        assert code == 0 and report["results"]["oracle"]["passed"]
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -19,6 +20,7 @@ from hcspec.spectra import (
     EssentialNotContainedError,
     MissingAttestationError,
     OperatorSpectrum,
+    OracleBudgetError,
     Point,
     SpectralComplexModel,
     SpectralSet,
@@ -183,8 +185,10 @@ def test_minkowski_infinite_multiplicity_propagates():
 
 
 def test_minkowski_oracle_examples():
-    assert minkowski_oracle_check(SpectralSet.of(ap(0, 2)), SpectralSet.of(ap(0, 3)), 20)
-    assert minkowski_oracle_check(EMPTY, SpectralSet.of(ap(0, 1)), 10)
+    a, b = SpectralSet.of(ap(0, 2)), SpectralSet.of(ap(0, 3))
+    assert minkowski_oracle_check(a, b, minkowski_sum(a, b), 20)
+    line = SpectralSet.of(ap(0, 1))
+    assert minkowski_oracle_check(EMPTY, line, minkowski_sum(EMPTY, line), 10)
 
 
 def test_minkowski_oracle_fuzzed():
@@ -192,7 +196,7 @@ def test_minkowski_oracle_fuzzed():
     for _ in range(300):
         a = random_spectral_set(rnd)
         b = random_spectral_set(rnd)
-        assert minkowski_oracle_check(a, b, 100)
+        assert minkowski_oracle_check(a, b, minkowski_sum(a, b), 100)
 
 
 def test_minkowski_fractional_semigroup_case():
@@ -201,7 +205,7 @@ def test_minkowski_fractional_semigroup_case():
     a = SpectralSet.of(ap("9/2", "9/2"))
     b = SpectralSet.of(ap("21/4", "21/4"))
     got = minkowski_sum(a, b)
-    assert minkowski_oracle_check(a, b, 120)
+    assert minkowski_oracle_check(a, b, got, 120)
     tail = [atom for atom in got.atoms if isinstance(atom, AP)]
     assert tail and tail[-1].step == Fraction(3, 4)
 
@@ -215,7 +219,94 @@ def test_minkowski_large_coprime_steps_against_oracle():
         b = SpectralSet.of(
             ap(rnd.randrange(0, 4), Fraction(rnd.randrange(3, 12), rnd.choice((1, 2, 4))))
         )
-        assert minkowski_oracle_check(a, b, 200)
+        assert minkowski_oracle_check(a, b, minkowski_sum(a, b), 200)
+
+
+def _double_loop_oracle(a, b, total, cutoff):
+    """The enumeration oracle as a Fraction double loop over ``enumerate_below``."""
+    bound = Fraction(cutoff)
+    acc = {}
+    for va, ma in enumerate_below(a, bound):
+        for vb, mb in enumerate_below(b, bound):
+            if va + vb < bound:
+                m = INFINITE if INFINITE in (ma, mb) else ma * mb
+                acc[va + vb] = acc.get(va + vb, 0) + m
+    want = sorted(acc.items())
+    got = enumerate_below(total, bound)
+    points_only = all(isinstance(atom, Point) for atom in a.atoms + b.atoms)
+    return [v for v, _ in got] == [v for v, _ in want] and all(
+        (ml == INFINITE) == (mr == INFINITE) and (not points_only or ml == mr)
+        for (_, ml), (_, mr) in zip(got, want)
+    )
+
+
+def _random_points(rnd):
+    return SpectralSet.of(
+        *(
+            pt(Fraction(rnd.randrange(0, 24), rnd.choice((1, 2, 3))), rnd.choice((1, 2, 3, INFINITE)))
+            for _ in range(rnd.randint(0, 4))
+        )
+    )
+
+
+def _corrupted(total, rnd, kind):
+    """``total`` with one atom dropped, reclassed, recounted or restepped, or a stray point."""
+    atoms = list(total.atoms)
+    if kind == "stray":
+        return SpectralSet((*atoms, pt(Fraction(rnd.randrange(0, 120), rnd.choice((1, 2, 3, 7))))))
+    if not atoms:
+        return total
+    j = rnd.randrange(min(len(atoms), 2))  # atoms are sorted, so these tend to be below the cutoff
+    x = atoms[j]
+    if kind == "drop":
+        del atoms[j]
+    elif kind == "flip":
+        atoms[j] = dataclasses.replace(x, mult=1 if x.mult == INFINITE else INFINITE)
+    elif kind == "count" and x.mult != INFINITE:
+        atoms[j] = dataclasses.replace(x, mult=x.mult + 1)
+    elif kind == "step" and isinstance(x, AP):
+        atoms[j] = dataclasses.replace(x, step=2 * x.step)
+    return SpectralSet(tuple(atoms))
+
+
+def test_lattice_oracle_agrees_with_the_double_loop():
+    rnd = random.Random(77)
+    cutoffs = (Fraction(100, 3), Fraction(25), Fraction(61, 4), Fraction(40, 7), Fraction(12))
+    kinds = ("none", "drop", "flip", "count", "stray", "step")
+    rejected = Counter()
+    for case in range(1200):
+        make = _random_points if case // len(kinds) % 3 == 0 else random_spectral_set
+        a, b = make(rnd), make(rnd)
+        kind = kinds[case % len(kinds)]
+        total = _corrupted(minkowski_sum(a, b), rnd, kind)
+        cutoff = rnd.choice(cutoffs)
+        want = _double_loop_oracle(a, b, total, cutoff)
+        assert minkowski_oracle_check(a, b, total, cutoff) == want, (a, b, total, cutoff)
+        rejected[kind] += not want
+    # every corruption is caught often enough to matter; the true sums pass
+    assert rejected["none"] == 0 and min(rejected[k] for k in kinds[1:]) >= 15, rejected
+
+
+def test_lattice_oracle_counts_beyond_int64():
+    a = SpectralSet.of(pt(1, 2**40), pt(2, 3))
+    b = SpectralSet.of(pt(0, 2**40), pt("1/2", 5))
+    total = minkowski_sum(a, b)
+    assert multiplicity_at(total, 1) == 2**80
+    assert minkowski_oracle_check(a, b, total, 100) and _double_loop_oracle(a, b, total, 100)
+    off_by_one = SpectralSet(tuple(
+        dataclasses.replace(x, mult=x.mult + 1) if x.value == 1 else x for x in total.atoms
+    ))
+    assert not minkowski_oracle_check(a, b, off_by_one, 100)
+    assert not _double_loop_oracle(a, b, off_by_one, 100)
+
+
+def test_oracle_budget_is_checked_before_enumerating():
+    # b has no value below the cutoff, so there are no pairs, but a alone is too large
+    line = SpectralSet.of(ap(0, "1/6"))
+    with pytest.raises(OracleBudgetError, match="6000000 values of a below the cutoff"):
+        minkowski_oracle_check(line, SpectralSet.of(pt(10**6)), EMPTY, 10**6)
+    with pytest.raises(OracleBudgetError, match="beyond the cap 4611686018427387904"):
+        minkowski_oracle_check(EMPTY, EMPTY, EMPTY, 2**62)
 
 
 def test_representable_matches_the_enumeration_loop():
