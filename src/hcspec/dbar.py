@@ -25,6 +25,7 @@ spectrum disables them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -57,6 +58,8 @@ __all__ = [
     "BidegreeOutOfRangeError",
     "MissingSpectrumDataError",
     "BadDimensionError",
+    "TooFewFactorsError",
+    "BitVectorBudgetError",
     "MissingAttestationError",
     "product_box_spectrum",
     "neumann_compactness",
@@ -75,6 +78,19 @@ class MissingSpectrumDataError(ToolkitError):
 
 class BadDimensionError(ToolkitError):
     """A factor has the wrong complex dimension for the requested report."""
+
+
+class TooFewFactorsError(ToolkitError, ValueError):
+    """An n-factor report was asked for fewer than two factors."""
+
+
+class BitVectorBudgetError(ToolkitError):
+    """An n-factor report would fold more than ``BIT_VECTOR_CAP`` bit vectors."""
+
+
+#: Most weight-q bit vectors (``math.comb(n, q)``) an n-factor report folds:
+#: every degree of up to 12 factors.
+BIT_VECTOR_CAP = 2**10
 
 
 @dataclass(frozen=True)
@@ -292,6 +308,14 @@ def _essential_over(
     return product_essential(terms)
 
 
+def _bit_vectors(n: int, q: int) -> list[tuple[int, ...]]:
+    """The bit vectors of length ``n`` and weight ``q``, in lexicographic order."""
+    return [
+        tuple(int(j in ones) for j in range(n))
+        for ones in reversed(list(itertools.combinations(range(n), q)))
+    ]
+
+
 def riemann_surface_product_report(
     factors: Sequence[DbarFactorModel], q: int
 ) -> CompactnessReport:
@@ -304,11 +328,13 @@ def riemann_surface_product_report(
     space on any factor forces non-compactness for ``q <= n - 1``, and a
     factor whose solution operator is non-compact (essential spectrum beyond
     ``{0}`` at bidegree (0,0) or (0,1)) forces non-compactness for every
-    ``q``.  The trace records which monotonicity rules applied.
+    ``q``.  The trace records which monotonicity rules applied.  More than
+    ``BIT_VECTOR_CAP`` bit vectors of weight ``q`` is a
+    :class:`BitVectorBudgetError`, raised before any fold.
     """
     n = len(factors)
     if n < 2:
-        raise ValueError("the product report needs at least two factors")
+        raise TooFewFactorsError(f"the product report needs at least two factors, got {n}")
     for factor in factors:
         if factor.complex_dimension != 1:
             raise BadDimensionError(
@@ -321,10 +347,15 @@ def riemann_surface_product_report(
         )
     if not 0 <= q <= n:
         raise BidegreeOutOfRangeError(f"form degree {q} outside [0, {n}]")
+    if math.comb(n, q) > BIT_VECTOR_CAP:
+        raise BitVectorBudgetError(
+            f"{n} factors have {math.comb(n, q)} bit vectors of weight {q}, "
+            f"above the cap {BIT_VECTOR_CAP}"
+        )
 
     trace: list[str] = []
 
-    vectors = [bits for bits in itertools.product((0, 1), repeat=n) if sum(bits) == q]
+    vectors = _bit_vectors(n, q)
     feasible = [
         bits
         for bits in vectors

@@ -10,6 +10,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import complexes, tensorprod
 from .dbar import DbarFactorModel, riemann_surface_product_report
 from .spectra import (
@@ -20,8 +22,9 @@ from .spectra import (
     SpectralComplexModel,
     SpectralSet,
     Verdict,
+    _lattice,
+    _on_lattice,
     compactness_verdict,
-    enumerate_below,
     find_uncovered,
     is_infinite,
     is_subset_of_zero,
@@ -158,9 +161,9 @@ def sets_semantically_equal(a: SpectralSet, b: SpectralSet, cutoff: Fraction) ->
     """
     if find_uncovered(a, b) is not None or find_uncovered(b, a) is not None:
         return False
-    ea = enumerate_below(a, cutoff)
-    eb = enumerate_below(b, cutoff)
-    return [(v, is_infinite(m)) for v, m in ea] == [(v, is_infinite(m)) for v, m in eb]
+    _, _, sides = _on_lattice({"lhs": a, "rhs": b}, cutoff)
+    (a_index, _, a_infinite), (b_index, _, b_infinite) = (_lattice(p) for p, _ in sides)
+    return np.array_equal(a_index, b_index) and np.array_equal(a_infinite, b_infinite)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +258,12 @@ def run_verdict_suite(seed: int, cases: int, cutoff: Fraction = Fraction(100)) -
         right = random_spectral_model(rnd)
         degree = rnd.randint(0, 4)
         product = product_spectrum(left.spectra, right.spectra, degree)
-        for value, _ in enumerate_below(product.essential, cutoff):
-            if not product.spectrum.contains(value):
-                failures.append(f"case {case}: essential value {value} not in spectrum")
-                break
+        sets = {"essential": product.essential, "spectrum": product.spectrum}
+        scale, _, sides = _on_lattice(sets, cutoff)
+        essential, spectrum = (_lattice(p)[0] for p, _ in sides)
+        outside = [Fraction(int(i), scale) for i in np.setdiff1d(essential, spectrum)]
+        if outside:
+            failures.append(f"case {case}: essential value {outside[0]} not in spectrum")
         pairs = [
             (j, degree - j)
             for j in sorted(left.support)
@@ -339,8 +344,6 @@ def run_surface_product_suite(seed: int, cases: int) -> SuiteResult:
 
 def run_joint_suite(seed: int, cases: int, gap: float = 1e-7) -> SuiteResult:
     """Joint spectra of tensored pairs and the sum-operator identity."""
-    import numpy as np
-
     from .jointspec import (
         pairing_gap,
         spectral_mapping,

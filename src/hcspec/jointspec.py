@@ -28,7 +28,7 @@ from .numerics import (
     max_abs,
     zero_matrix,
 )
-from .spectra import Point, SpectralSet, enumerate_below, is_infinite, minkowski_sum
+from .spectra import Point, SpectralSet, minkowski_sum
 
 # Relative gap below which eigenvalues are treated as one eigenspace.
 CLUSTER_GAP_FACTOR = 1e-6
@@ -283,20 +283,16 @@ def sum_operator_check(
         SpectralSet.of(*(Point(Fraction(max(float(v), 0.0)), 1) for v in values))
         for values in (eig_t, eig_s)
     )
-    symbolic_gap = 0.0
-    if eig_t.size and eig_s.size:
-        bound = Fraction(float(eigenvalues[-1])) + 1
-        listed: list[float] = []
-        for value, mult in enumerate_below(minkowski_sum(lhs, rhs), bound):
-            assert not is_infinite(mult)
-            listed.extend([float(value)] * int(mult))
-        listed.sort()
-        if len(listed) != eigenvalues.size:
-            symbolic_gap = float("inf")
-        else:
-            symbolic_gap = max(
-                (abs(float(x) - y) for x, y in zip(eigenvalues, listed)), default=0.0
-            )
+    # a sum of point sets normalizes to points only
+    listed = sorted(
+        float(atom.value) for atom in minkowski_sum(lhs, rhs).atoms for _ in range(atom.mult)
+    )
+    if len(listed) != eigenvalues.size:
+        symbolic_gap = float("inf")
+    else:
+        symbolic_gap = max(
+            (abs(float(x) - y) for x, y in zip(eigenvalues, listed)), default=0.0
+        )
     passed = max_gap <= gap and symbolic_gap <= gap
     return SumOperatorReport(
         tuple(float(v) for v in eigenvalues),

@@ -18,14 +18,14 @@ records the product of the input annotations as a nominal value.  The
 enumeration oracle compares sums at this class level, and exactly for inputs
 consisting of points only.
 
-The oracle, :func:`minkowski_oracle_check`, checks a sum by brute force on
-the integer lattice ``(1/L)·ℤ``, where ``L`` is the lcm of every denominator
-involved: each set becomes sorted int64 indices below the cutoff with exact
-counts and infinite flags, and every pair of summand indices is added at
-once.  It never calls :func:`minkowski_sum`, its per-atom sums or the
-semigroup test, and uses no Frobenius bound.  Its work is bounded: more than
-``ORACLE_PAIR_CAP`` value pairs is an :class:`OracleBudgetError`, raised
-before anything is enumerated.
+One kernel enumerates values below a cutoff, for the oracle
+:func:`minkowski_oracle_check`, :func:`enumerate_below` and the fuzz checks:
+on the integer lattice ``(1/L)·ℤ``, ``L`` the lcm of every denominator
+involved, each set becomes sorted int64 indices with exact counts and
+infinite flags.  The oracle adds every pair of summand indices at once; it
+never calls :func:`minkowski_sum`, its per-atom sums or the semigroup test.
+More than ``ORACLE_PAIR_CAP`` values of one set, or value pairs, is an
+:class:`OracleBudgetError`, raised before anything is enumerated.
 
 The product formula is written once, in :func:`product_essential` (the
 essential spectrum as a union of parts, one factor's essential spectrum summed
@@ -348,20 +348,14 @@ def covered_by_progression(s: SpectralSet, value: RationalLike) -> bool:
 
 
 def enumerate_below(s: SpectralSet, cutoff: RationalLike) -> list[tuple[Fraction, Mult]]:
-    """All spectrum values strictly below ``cutoff`` with total multiplicities."""
-    bound = as_rational(cutoff)
-    acc: dict[Fraction, Mult] = {}
-    for atom in s.atoms:
-        if isinstance(atom, Point):
-            if atom.value < bound:
-                acc[atom.value] = acc.get(atom.value, 0) + atom.mult
-        else:
-            n = 0
-            while atom.base + n * atom.step < bound:
-                v = atom.base + n * atom.step
-                acc[v] = acc.get(v, 0) + atom.mult
-                n += 1
-    return sorted(acc.items())
+    """All spectrum values strictly below ``cutoff`` with total multiplicities,
+    read off the lattice kernel under its budget (:func:`_on_lattice`)."""
+    scale, _, ((progressions, _),) = _on_lattice({"s": s}, cutoff)
+    index, counts, infinite = _lattice(progressions)
+    return [
+        (Fraction(i, scale), INFINITE if inf else count)
+        for i, count, inf in zip(index.tolist(), counts.tolist(), infinite.tolist())
+    ]
 
 
 def _scaled(x: Fraction, scale: int) -> int:
@@ -411,56 +405,63 @@ def _lattice(progressions):
     return _classes(values, np.repeat(counts, lengths), np.repeat(infinite, lengths))
 
 
+def _on_lattice(sets: Mapping[str, SpectralSet], cutoff: RationalLike):
+    """``L``, the lcm of the denominators of the cutoff and of every atom of
+    ``sets``, the limit ``cutoff·L``, and per set its :func:`_progressions`
+    and value count (a Python int).  Raises :class:`OracleBudgetError`, before
+    anything is enumerated, when a set has more than ``ORACLE_PAIR_CAP``
+    values below the cutoff or the limit reaches ``2**62``, past which a sum
+    of two indices could leave int64.
+    """
+    bound = as_rational(cutoff)
+    scale = math.lcm(bound.denominator, *(
+        x.denominator
+        for s in sets.values()
+        for atom in s.atoms
+        for x in ((atom.value,) if isinstance(atom, Point) else (atom.base, atom.step))
+    ))
+    limit = max(0, _scaled(bound, scale))
+    if limit >= _LATTICE_CAP:
+        raise OracleBudgetError(
+            f"the oracle lattice below the cutoff has {limit} steps of 1/{scale}, "
+            f"beyond the cap {_LATTICE_CAP}"
+        )
+    lattice = []
+    for name, s in sets.items():
+        progressions = _progressions(s, scale, limit)
+        count = sum(progressions[2].tolist())
+        _check_budget(count, f"values of {name}")
+        lattice.append((progressions, count))
+    return scale, limit, lattice
+
+
+def _check_budget(count: int, what: str) -> None:
+    if count > ORACLE_PAIR_CAP:
+        raise OracleBudgetError(
+            f"the oracle would enumerate {count} {what} below the cutoff, "
+            f"above the cap {ORACLE_PAIR_CAP}"
+        )
+
+
 def minkowski_oracle_check(
     a: SpectralSet, b: SpectralSet, total: SpectralSet, cutoff: RationalLike
 ) -> bool:
     """Verify that ``total`` is ``a + b`` below ``cutoff`` by brute force.
 
     Valid because all values are nonnegative: a sum below the cutoff only uses
-    summands below the cutoff.  Every value is scaled by ``L``, the lcm of
-    the denominators of the cutoff and of every atom of ``a``, ``b`` and
-    ``total``, to an index on the lattice ``(1/L)·ℤ``.  Each set becomes the
-    sorted int64 indices of its values below ``cutoff·L`` with exact counts
-    and infinite flags; the brute-force side adds every index of ``a`` to
-    every index of ``b`` at once.  It never calls :func:`minkowski_sum` or
-    the semigroup logic behind it and uses no Frobenius bound.  Index sets
-    are compared exactly; multiplicities as finite/infinite classes, and as
-    exact counts when both inputs consist of points only.
-
-    Raises :class:`OracleBudgetError` before enumerating anything when the
-    pair count (values of ``a`` times values of ``b`` below the cutoff), or
-    the values of ``a``, ``b`` or ``total`` alone, exceed ``ORACLE_PAIR_CAP``,
-    or when ``cutoff·L`` reaches ``2**62``, past which a sum of two indices
-    could leave int64.
+    summands below the cutoff.  The three sets go on one lattice
+    (:func:`_on_lattice`); the brute-force side adds every index of ``a`` to
+    every index of ``b`` at once.  It never calls :func:`minkowski_sum` or the
+    semigroup logic behind it and uses no Frobenius bound.  Index sets are
+    compared exactly; multiplicities as finite/infinite classes, and as exact
+    counts when both inputs consist of points only.  Raises
+    :class:`OracleBudgetError` as :func:`_on_lattice` does, or on more than
+    ``ORACLE_PAIR_CAP`` value pairs, before enumerating anything.
     """
-    bound = as_rational(cutoff)
-    scale = math.lcm(bound.denominator, *(
-        x.denominator
-        for atom in (*a.atoms, *b.atoms, *total.atoms)
-        for x in ((atom.value,) if isinstance(atom, Point) else (atom.base, atom.step))
-    ))
-    limit = max(0, bound.numerator * (scale // bound.denominator))
-    if limit >= _LATTICE_CAP:
-        raise OracleBudgetError(
-            f"the oracle lattice below the cutoff has {limit} steps of 1/{scale}, "
-            f"beyond the cap {_LATTICE_CAP}"
-        )
-    a_prog, b_prog, total_prog = (_progressions(s, scale, limit) for s in (a, b, total))
-    # Python ints: a sum of per-atom term counts may leave int64
-    n_a, n_b, n_total = (
-        sum(lengths.tolist()) for _, _, lengths, _, _ in (a_prog, b_prog, total_prog)
+    _, limit, ((a_prog, n_a), (b_prog, n_b), (total_prog, _)) = _on_lattice(
+        {"a": a, "b": b, "the sum": total}, cutoff
     )
-    for what, count in (
-        ("value pairs", n_a * n_b),
-        ("values of a", n_a),
-        ("values of b", n_b),
-        ("values of the sum", n_total),
-    ):
-        if count > ORACLE_PAIR_CAP:
-            raise OracleBudgetError(
-                f"the oracle would enumerate {count} {what} below the cutoff, "
-                f"above the cap {ORACLE_PAIR_CAP}"
-            )
+    _check_budget(n_a * n_b, "value pairs")
 
     a_index, a_counts, a_infinite = _lattice(a_prog)
     b_index, b_counts, b_infinite = _lattice(b_prog)

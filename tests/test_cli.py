@@ -437,6 +437,38 @@ def test_oracle_budget_exits_2(tmp_path, capsys):
     ) in err
 
 
+def _factors_scenario(tmp_path, count, q) -> Path:
+    path = tmp_path / "factors.json"
+    factors = [{"builtin": "infinite-bergman-factor"}] * count
+    payload = {"factors": factors, "q": q}
+    path.write_text(json.dumps({"version": "1", "kind": "dbar-factors", "payload": payload}))
+    return path
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_dbar_n_with_fewer_than_two_factors_exits_2(tmp_path, capsys, count):
+    code = main(["dbar-n", str(_factors_scenario(tmp_path, count, 0))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"TooFewFactorsError: the product report needs at least two factors, got {count}" in err
+
+
+@pytest.mark.parametrize("q", [0, 40])
+def test_dbar_n_forty_factors_at_the_end_degrees(tmp_path, capsys, q):
+    path = _factors_scenario(tmp_path, 40, q)
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "dbar-n", path)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and report["results"]["q"] == q
+
+
+def test_dbar_n_bit_vector_budget_exits_2(tmp_path, capsys):
+    code = main(["dbar-n", str(_factors_scenario(tmp_path, 40, 20))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "BitVectorBudgetError: 40 factors have 137846528820 bit vectors of weight 20" in err
+
+
 def test_points_only_oracle_at_a_huge_cutoff(tmp_path, capsys):
     a = [{"kind": "point", "value": v, "mult": m} for v, m in (("0", 2), ("1/2", "inf"), ("7/3", 3))]
     b = [{"kind": "point", "value": v, "mult": m} for v, m in (("1/6", 1), ("5", 4))]

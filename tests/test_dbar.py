@@ -15,6 +15,7 @@ from hcspec.dbar import (
     neumann_compactness,
     product_box_spectrum,
     riemann_surface_product_report,
+    _bit_vectors,
 )
 from hcspec.fuzzing import random_factor_model
 from hcspec.spectra import (
@@ -370,6 +371,13 @@ def test_monotonicity_trace_is_recorded():
     report = riemann_surface_product_report(factors, 1)
     assert report.verdict is Verdict.NONCOMPACT
     assert any("Bergman" in line for line in report.trace)
+
+
+def test_bit_vectors_match_the_filtered_product():
+    for n in range(11):
+        for q in range(n + 1):
+            want = [bits for bits in itertools.product((0, 1), repeat=n) if sum(bits) == q]
+            assert _bit_vectors(n, q) == want, (n, q)
 
 
 def test_product_report_input_validation():

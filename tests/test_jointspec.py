@@ -176,6 +176,13 @@ def test_sum_operator_examples():
     assert np.allclose(report.eigenvalues, [1.0, 1.0, 3.0, 3.0])
 
 
+def test_sum_operator_symbolic_route_counts_repeated_eigenvalues():
+    # exact repeats merge into points of multiplicity > 1, and 1 + 1 = 2 + 0
+    report = sum_operator_check(np.diag([1.0, 1.0, 2.0, 2.0]), np.diag([0.0, 1.0, 1.0, 2.0]))
+    assert len(report.eigenvalues) == len(report.expected) == 16
+    assert report.passed and report.symbolic_max_gap <= 1e-7
+
+
 def test_sum_operator_rejects_indefinite():
     with pytest.raises(NotPSDError):
         sum_operator_check(np.diag([-1.0, 1.0]), np.eye(2))

@@ -222,17 +222,35 @@ def test_minkowski_large_coprime_steps_against_oracle():
         assert minkowski_oracle_check(a, b, minkowski_sum(a, b), 200)
 
 
-def _double_loop_oracle(a, b, total, cutoff):
-    """The enumeration oracle as a Fraction double loop over ``enumerate_below``."""
+def _enumerate_by_loop(s, cutoff):
+    """Every value of ``s`` below ``cutoff`` with its total multiplicity, one
+    ``Fraction`` at a time: shares no code with the lattice kernel."""
     bound = Fraction(cutoff)
     acc = {}
-    for va, ma in enumerate_below(a, bound):
-        for vb, mb in enumerate_below(b, bound):
+    for atom in s.atoms:
+        if isinstance(atom, Point):
+            if atom.value < bound:
+                acc[atom.value] = acc.get(atom.value, 0) + atom.mult
+        else:
+            n = 0
+            while atom.base + n * atom.step < bound:
+                v = atom.base + n * atom.step
+                acc[v] = acc.get(v, 0) + atom.mult
+                n += 1
+    return sorted(acc.items())
+
+
+def _double_loop_oracle(a, b, total, cutoff):
+    """The enumeration oracle as a Fraction double loop over ``_enumerate_by_loop``."""
+    bound = Fraction(cutoff)
+    acc = {}
+    for va, ma in _enumerate_by_loop(a, bound):
+        for vb, mb in _enumerate_by_loop(b, bound):
             if va + vb < bound:
                 m = INFINITE if INFINITE in (ma, mb) else ma * mb
                 acc[va + vb] = acc.get(va + vb, 0) + m
     want = sorted(acc.items())
-    got = enumerate_below(total, bound)
+    got = _enumerate_by_loop(total, bound)
     points_only = all(isinstance(atom, Point) for atom in a.atoms + b.atoms)
     return [v for v, _ in got] == [v for v, _ in want] and all(
         (ml == INFINITE) == (mr == INFINITE) and (not points_only or ml == mr)
@@ -309,6 +327,23 @@ def test_oracle_budget_is_checked_before_enumerating():
         minkowski_oracle_check(EMPTY, EMPTY, EMPTY, 2**62)
 
 
+def test_enumerate_below_agrees_with_the_loop():
+    rnd = random.Random(78)
+    cutoffs = (Fraction(100, 3), Fraction(25), Fraction(61, 4), Fraction(40, 7), Fraction(12))
+    for case in range(1200):
+        s = (_random_points if case % 3 == 0 else random_spectral_set)(rnd)
+        if case % 4 == 0:
+            s = minkowski_sum(s, random_spectral_set(rnd))
+        cutoff = cutoffs[case % len(cutoffs)]
+        # values, exact counts and infinite classes (INFINITE is math.inf)
+        assert enumerate_below(s, cutoff) == _enumerate_by_loop(s, cutoff), (s, cutoff)
+
+
+def test_enumerate_below_is_budgeted():
+    with pytest.raises(OracleBudgetError, match="6000000 values of s below the cutoff"):
+        enumerate_below(SpectralSet.of(ap(0, "1/6")), 10**6)
+
+
 def test_representable_matches_the_enumeration_loop():
     def by_loop(n, p, q):
         return any((n - i * p) % q == 0 for i in range(n // p + 1))
@@ -339,6 +374,19 @@ def test_minkowski_associative_semantically():
         lhs = minkowski_sum(minkowski_sum(a, b), c)
         rhs = minkowski_sum(a, minkowski_sum(b, c))
         assert sets_semantically_equal(lhs, rhs, Fraction(100))
+
+
+def test_sets_semantically_equal_examples():
+    cutoff = Fraction(100)
+    assert not sets_semantically_equal(
+        SpectralSet.of(pt(1)), SpectralSet.of(pt(1, INFINITE)), cutoff
+    )
+    assert not sets_semantically_equal(
+        SpectralSet.of(ap(0, 2)), SpectralSet.of(ap(0, 1)), cutoff
+    )
+    assert sets_semantically_equal(
+        SpectralSet.of(ap(0, 2), ap(1, 2)), SpectralSet.of(ap(0, 1)), cutoff
+    )
 
 
 # ---------------------------------------------------------------------------
