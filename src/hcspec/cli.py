@@ -273,9 +273,13 @@ def _cmd_joint(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
     return results, passed
 
 
+#: Most cases ``fuzz --cases`` runs per suite: 100 times the default.
+FUZZ_CASES_CAP = 10_000
+
+
 def _cmd_fuzz(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
-    if args.cases < 1:
-        raise ParseError(f"--cases: expected a positive integer, got {args.cases}")
+    if not 1 <= args.cases <= FUZZ_CASES_CAP:
+        raise ParseError(f"--cases: expected an integer in [1, {FUZZ_CASES_CAP}], got {args.cases}")
     seed = parse_seed(args.seed, "--seed") if args.seed is not None else (scenario.rng_seed or 0)
     suite_results = fuzzing.run_kind_suites(scenario.kind, seed, args.cases, _oracle_cutoff(args))
     results = {

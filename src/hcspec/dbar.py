@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ToolkitError
 from .gaussian_oracle import FORM_LADDER_BASE, FUNCTION_LADDER_BASE, LADDER_STEP
@@ -308,6 +308,22 @@ def _essential_over(
     return product_essential(terms)
 
 
+def _uniform_term_noncompact(factors: Sequence[DbarFactorModel], bit: int) -> bool | None:
+    """Whether :func:`_essential_over` of the one vector ``(bit,) * n`` is
+    nonempty, read from emptiness alone; ``None`` if an entry is unknown.
+
+    A part is one factor's essential spectrum plus the Minkowski sum of the
+    others' spectra, and sums of nonempty sets are nonempty; an essential
+    spectrum lies in its own factor's spectrum.
+    """
+    entries = [factor.box_spectrum[(0, bit)] for factor in factors]
+    if any(entry is None for entry in entries):
+        return None
+    return not any(entry.is_empty() for entry in entries) and any(
+        not entry.essential.is_empty() for entry in entries
+    )
+
+
 def _bit_vectors(n: int, q: int) -> list[tuple[int, ...]]:
     """The bit vectors of length ``n`` and weight ``q``, in lexicographic order."""
     return [
@@ -395,11 +411,11 @@ def riemann_surface_product_report(
         )
     essential, contributors = computed
 
-    bottom = _essential_over(factors, [(0,) * n])
-    top = _essential_over(factors, [(1,) * n])
-    if bottom is not None and not bottom[0].is_empty() and q <= n - 1:
+    bottom = _uniform_term_noncompact(factors, 0)
+    top = _uniform_term_noncompact(factors, 1)
+    if bottom and q <= n - 1:
         trace.append("non-compact at degree 0 propagates to all degrees below n")
-    if top is not None and not top[0].is_empty() and q >= 1:
+    if top and q >= 1:
         trace.append("non-compact at degree n propagates to all degrees above 0")
     if 1 <= q <= n - 1 and bottom is not None and top is not None:
         trace.append("middle degrees are compact exactly when degrees 0 and n are")
@@ -473,6 +489,15 @@ def _gaussian_weight_line() -> DbarFactorModel:
     )
 
 
+#: Name -> constructor of every factor model shipped with the package; a
+#: scenario's ``{"builtin": name}`` builds only the model it names.
+BUILTIN_BUILDERS: dict[str, Callable[[], DbarFactorModel]] = {
+    "abstract-compact-factor": _abstract_compact_factor,
+    "infinite-bergman-factor": _infinite_bergman_factor,
+    "gaussian-weight-line": _gaussian_weight_line,
+}
+
+
 def builtin_models() -> dict[str, DbarFactorModel]:
     """Named factor models shipped with the package.
 
@@ -480,9 +505,4 @@ def builtin_models() -> dict[str, DbarFactorModel]:
     oracle in :mod:`hcspec.gaussian_oracle` and are regenerated by the test
     suite rather than trusted as typed-in constants.
     """
-    models = [
-        _abstract_compact_factor(),
-        _infinite_bergman_factor(),
-        _gaussian_weight_line(),
-    ]
-    return {model.name: model for model in models}
+    return {name: build() for name, build in BUILTIN_BUILDERS.items()}

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .complexes import FiniteComplex, random_complex
-from .dbar import DbarFactorModel, builtin_models
+from .dbar import BUILTIN_BUILDERS, DbarFactorModel
 from .errors import ToolkitError
 from .numerics import KRONECKER_DIM_CAP
 from .spectra import (
@@ -308,10 +308,9 @@ def parse_factor_model(value: Any, path: str) -> DbarFactorModel:
         raise _fail(path, "expected an object")
     if "builtin" in value:
         name = value["builtin"]
-        catalogue = builtin_models()
-        if name not in catalogue:
-            raise _fail(f"{path}.builtin", f"unknown builtin model {name!r}; have {sorted(catalogue)}")
-        return catalogue[name]
+        if not isinstance(name, str) or name not in BUILTIN_BUILDERS:
+            raise _fail(f"{path}.builtin", f"unknown builtin model {name!r}; have {sorted(BUILTIN_BUILDERS)}")
+        return BUILTIN_BUILDERS[name]()
     name = value.get("name")
     if not isinstance(name, str):
         raise _fail(f"{path}.name", "expected a string")

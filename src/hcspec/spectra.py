@@ -18,6 +18,12 @@ records the product of the input annotations as a nominal value.  The
 enumeration oracle compares sums at this class level, and exactly for inputs
 consisting of points only.
 
+:func:`normalize` runs its merge rules on the same kind of lattice: each call
+scales its atoms once, by the lcm of their denominators, to integer keys, and
+maps the keys back to atoms at the end.  The rules are those of the atom view,
+so the result is still not associative on representation (see
+:func:`normalize`); a canonical, order-free form is not built.
+
 One kernel enumerates values below a cutoff, for the oracle
 :func:`minkowski_oracle_check`, :func:`enumerate_below` and the fuzz checks:
 on the integer lattice ``(1/L)·ℤ``, ``L`` the lcm of every denominator
@@ -186,12 +192,6 @@ class SpectralSet:
 EMPTY = SpectralSet(())
 
 
-def _atom_sort_key(atom: Atom):
-    if isinstance(atom, Point):
-        return (atom.value, 0, Fraction(0))
-    return (atom.base, 1, atom.step)
-
-
 def normalize(atoms: Iterable[Atom]) -> SpectralSet:
     """Canonical form of a collection of atoms.
 
@@ -206,61 +206,95 @@ def normalize(atoms: Iterable[Atom]) -> SpectralSet:
     - a point sitting one step below a progression with the same multiplicity
       extends that progression downward.
 
+    The rules run on lattice keys: with ``L`` the lcm of every denominator of
+    the input, computed once per call, an atom is the integer tuple
+    ``(value or base times L, 0 for a point or 1 for a progression, step
+    times L or 0, mult)``.  Keys sort in the order of the values because
+    ``L > 0``, and no rule leaves the lattice ``(1/L)·ℤ``.  An output atom
+    whose key is an input atom's is that input object; merged and extended
+    atoms are built as ``Fraction(k, L)``.
+
     Absorption into a progression keeps the point set and the per-point
     finite/infinite class exact; nominal finite counts on progression-covered
-    values are class-level only (see the module docstring).
+    values are class-level only (see the module docstring).  The result is not
+    associative on representation: ``{0:1} ∪ AP(1, 1, 1)`` extends the
+    progression to ``AP(0, 1, 1)``, which then absorbs a second ``{0:1}``,
+    while the two points first merge to ``{0:2}``, which does not extend it.
     """
     work: list[Atom] = list(atoms)
-    for atom in work:
-        if not isinstance(atom, (Point, AP)):
-            raise TypeError(f"not a spectral atom: {atom!r}")
-
-    current = tuple(sorted(work, key=_atom_sort_key))
-    while True:
-        merged = _normalize_pass(current)
-        merged = tuple(sorted(merged, key=_atom_sort_key))
-        if merged == current:
-            return SpectralSet(merged)
-        current = merged
-
-
-def _normalize_pass(work: tuple[Atom, ...]) -> list[Atom]:
-    points: dict[Fraction, Mult] = {}
-    aps: dict[tuple[Fraction, Fraction], Mult] = {}
+    denominators: list[int] = []
     for atom in work:
         if isinstance(atom, Point):
-            points[atom.value] = points.get(atom.value, 0) + atom.mult
+            denominators.append(atom.value.denominator)
+        elif isinstance(atom, AP):
+            denominators += (atom.base.denominator, atom.step.denominator)
         else:
-            key = (atom.base, atom.step)
-            aps[key] = aps.get(key, 0) + atom.mult
+            raise TypeError(f"not a spectral atom: {atom!r}")
+    scale = math.lcm(*denominators)
+    keys = [
+        (_scaled(atom.value, scale), 0, 0, atom.mult)
+        if isinstance(atom, Point)
+        else (_scaled(atom.base, scale), 1, _scaled(atom.step, scale), atom.mult)
+        for atom in work
+    ]
 
-    ap_list = [AP(b, s, m) for (b, s), m in aps.items()]
-    infinite_aps = [ap for ap in ap_list if is_infinite(ap.mult)]
-    kept_aps: list[AP] = []
-    for ap in ap_list:
-        absorbed = any(
-            other is not ap and other.contains_ap(ap) for other in infinite_aps
+    # Sorting whole keys also orders equal atoms by mult; a pass merges those
+    # whatever their order, so only the order of distinct keys matters.
+    current = sorted(keys)
+    while True:
+        merged = sorted(_normalize_pass(current))
+        if merged == current:
+            break
+        current = merged
+    inputs = dict(zip(reversed(keys), reversed(work)))  # the first input atom per key
+    return SpectralSet(tuple(inputs[key] if key in inputs else _atom_at(key, scale) for key in current))
+
+
+def _atom_at(key: tuple, scale: int) -> Atom:
+    value, kind, step, mult = key
+    if kind:
+        return AP(Fraction(value, scale), Fraction(step, scale), mult)
+    return Point(Fraction(value, scale), mult)
+
+
+def _normalize_pass(work: list[tuple]) -> list[tuple]:
+    """One round of the merge rules of :func:`normalize` on lattice keys."""
+    points: dict[int, Mult] = {}
+    aps: dict[tuple[int, int], Mult] = {}
+    for value, kind, step, mult in work:
+        if kind:
+            aps[value, step] = aps.get((value, step), 0) + mult
+        else:
+            points[value] = points.get(value, 0) + mult
+
+    ap_list = [(base, step, mult) for (base, step), mult in aps.items()]
+    infinite_aps = [ap for ap in ap_list if is_infinite(ap[2])]
+    kept_aps = [
+        ap
+        for ap in ap_list
+        if not any(
+            other is not ap
+            and ap[0] >= other[0]
+            and ap[1] % other[1] == 0
+            and (ap[0] - other[0]) % other[1] == 0
+            for other in infinite_aps
         )
-        if not absorbed:
-            kept_aps.append(ap)
+    ]
 
-    kept_points: list[Point] = []
+    kept_points: list[tuple] = []
     for value in sorted(points, reverse=True):
-        pt = Point(value, points[value])
-        dropped = False
-        for idx, ap in enumerate(kept_aps):
-            if ap.covers(pt.value):
-                if is_infinite(ap.mult) or pt.mult == ap.mult:
-                    dropped = True
+        mult = points[value]
+        for idx, (base, step, ap_mult) in enumerate(kept_aps):
+            if value >= base and (value - base) % step == 0:
+                if is_infinite(ap_mult) or mult == ap_mult:
                     break
-            elif pt.value + ap.step == ap.base and pt.mult == ap.mult:
-                kept_aps[idx] = AP(pt.value, ap.step, ap.mult)
-                dropped = True
+            elif value + step == base and mult == ap_mult:
+                kept_aps[idx] = (value, step, ap_mult)
                 break
-        if not dropped:
-            kept_points.append(pt)
+        else:
+            kept_points.append((value, 0, 0, mult))
 
-    return [*kept_points, *kept_aps]
+    return [*kept_points, *((base, 1, step, mult) for base, step, mult in kept_aps)]
 
 
 def union(a: SpectralSet, b: SpectralSet) -> SpectralSet:

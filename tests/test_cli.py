@@ -377,6 +377,7 @@ def test_degree_dimensions_are_capped(tmp_path, capsys, payload, json_path):
     [
         pytest.param(["fuzz", "symbolic-ap-pair.json", "--cases", "-3"], "--cases:", id="cases-negative"),
         pytest.param(["fuzz", "symbolic-ap-pair.json", "--cases", "0"], "--cases:", id="cases-zero"),
+        pytest.param(["fuzz", "symbolic-ap-pair.json", "--cases", "10001"], "--cases:", id="cases-cap-plus-one"),
         pytest.param(
             ["symbolic", "symbolic-ap-pair.json", "--oracle-cutoff=-5"], "--oracle-cutoff:",
             id="cutoff-negative",

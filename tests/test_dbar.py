@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,10 @@ from hcspec.dbar import (
     product_box_spectrum,
     riemann_surface_product_report,
     _bit_vectors,
+    _essential_over,
+    _uniform_term_noncompact,
 )
-from hcspec.fuzzing import random_factor_model
+from hcspec.fuzzing import random_factor_model, random_operator_spectrum
 from hcspec.spectra import (
     AP,
     EMPTY,
@@ -250,6 +253,33 @@ def test_nfactor_witnesses_match_reference_formula():
             elif report.fired_rule == "essential-spectrum-empty":
                 assert not contributors
     assert by_formula >= 10
+
+
+def test_uniform_term_rule_matches_the_fold():
+    # the degree-0 and degree-n trace lines read emptiness only; folding the
+    # one bit vector (bit,) * n must give the same answer, unknowns included
+    rnd = random.Random(6)
+    outcomes = Counter()
+    for case in range(400):
+        n = rnd.randint(2, 5)
+        factors = [
+            DbarFactorModel(
+                name=f"f{case}-{j}",
+                complex_dimension=1,
+                closed_range=True,
+                box_spectrum={
+                    (0, bit): None if rnd.random() < 0.05 else random_operator_spectrum(rnd)
+                    for bit in (0, 1)
+                },
+            )
+            for j in range(n)
+        ]
+        for bit in (0, 1):
+            folded = _essential_over(factors, [(bit,) * n])
+            want = None if folded is None else not folded[0].is_empty()
+            assert _uniform_term_noncompact(factors, bit) is want, (case, bit)
+            outcomes[want] += 1
+    assert min(outcomes[True], outcomes[False], outcomes[None]) >= 50, outcomes
 
 
 def test_compact_pairing():

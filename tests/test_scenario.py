@@ -1,10 +1,11 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hcspec.dbar import builtin_models
+from hcspec.dbar import BUILTIN_BUILDERS, builtin_models
 from hcspec.scenario import (
     ParseError,
     dump_report,
@@ -108,8 +109,12 @@ def test_factor_model_roundtrip_and_builtins():
         assert again.cohomology_dim == model.cohomology_dim
         by_reference = parse_factor_model({"builtin": name}, "$")
         assert by_reference == model
-    with pytest.raises(ParseError):
-        parse_factor_model({"builtin": "no-such-model"}, "$")
+    catalogue = builtin_models()
+    assert list(catalogue) == list(BUILTIN_BUILDERS)
+    assert all(model.name == name for name, model in catalogue.items())
+    for bad in ("no-such-model", ["x"], {"a": 1}, 3):
+        with pytest.raises(ParseError, match=re.escape(f"have {sorted(catalogue)}")):
+            parse_factor_model({"builtin": bad}, "$")
     with pytest.raises(ParseError):
         parse_factor_model({"name": "x", "complex_dimension": 0}, "$")
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hcspec.fuzzing import (
+    random_atom,
     random_operator_spectrum,
     random_spectral_model,
     random_spectral_set,
@@ -38,6 +39,7 @@ from hcspec.spectra import (
     normalize,
     product_spectrum,
     union,
+    _atom_minkowski,
     _representable,
 )
 
@@ -99,6 +101,124 @@ def test_normalize_idempotent_on_fuzzed_sets():
     for _ in range(200):
         s = random_spectral_set(rnd)
         assert normalize(s.atoms) == s
+
+
+def _normalize_by_fractions(atoms):
+    """The merge passes of ``normalize`` on ``Fraction`` atoms, one atom at a
+    time: shares no code with the lattice-key kernel."""
+
+    def sort_key(atom):
+        if isinstance(atom, Point):
+            return (atom.value, 0, Fraction(0))
+        return (atom.base, 1, atom.step)
+
+    def one_pass(work):
+        points, aps = {}, {}
+        for atom in work:
+            if isinstance(atom, Point):
+                points[atom.value] = points.get(atom.value, 0) + atom.mult
+            else:
+                aps[atom.base, atom.step] = aps.get((atom.base, atom.step), 0) + atom.mult
+        ap_list = [AP(b, s, m) for (b, s), m in aps.items()]
+        infinite_aps = [x for x in ap_list if x.mult == INFINITE]
+        kept_aps = [
+            x for x in ap_list if not any(o is not x and o.contains_ap(x) for o in infinite_aps)
+        ]
+        kept_points = []
+        for value in sorted(points, reverse=True):
+            p = Point(value, points[value])
+            for idx, x in enumerate(kept_aps):
+                if x.covers(p.value):
+                    if x.mult == INFINITE or p.mult == x.mult:
+                        break
+                elif p.value + x.step == x.base and p.mult == x.mult:
+                    kept_aps[idx] = AP(p.value, x.step, x.mult)
+                    break
+            else:
+                kept_points.append(p)
+        return [*kept_points, *kept_aps]
+
+    current = tuple(sorted(atoms, key=sort_key))
+    while True:
+        merged = tuple(sorted(one_pass(current), key=sort_key))
+        if merged == current:
+            return merged
+        current = merged
+
+
+def _hard_atom_collection(rnd):
+    """Atoms built to reach every merge rule, on denominators 1, 2, 3, 7, 997."""
+    den = lambda: rnd.choice((1, 2, 3, 7, 997))
+    mult = lambda: rnd.choice((1, 1, 2, 3, INFINITE))
+    value = lambda: Fraction(rnd.randrange(0, 30 * (d := den())), d)
+    atoms = []
+    for _ in range(rnd.randint(0, 6)):
+        if rnd.random() < 0.5:
+            atoms.append(Point(value(), mult()))
+        else:
+            atoms.append(AP(value(), Fraction(rnd.randint(1, 6), den()), mult()))
+    for x in [a for a in atoms if isinstance(a, AP)]:
+        roll = rnd.random()
+        if roll < 0.3:  # a chain of points below the progression
+            for k in range(1, rnd.randint(2, 5)):
+                if x.base - k * x.step >= 0:
+                    atoms.append(Point(x.base - k * x.step, rnd.choice((x.mult, x.mult, 1))))
+        elif roll < 0.5:  # a point on it with another finite mult
+            atoms.append(Point(x.base + rnd.randint(0, 4) * x.step, rnd.choice((1, 2, 3))))
+        elif roll < 0.65:  # nested infinite progressions
+            atoms.append(AP(x.base + rnd.randint(0, 3) * x.step, x.step * rnd.randint(1, 3), INFINITE))
+    if atoms and rnd.random() < 0.25:  # a shifted copy
+        atoms += _atom_minkowski(rnd.choice(atoms), Point(value(), mult()))
+    if rnd.random() < 0.2:  # coprime progressions: a Frobenius expansion
+        p, q = rnd.choice(((3, 5), (4, 7), (5, 9), (7, 11), (11, 13)))
+        d = den()
+        atoms += _atom_minkowski(AP(value(), Fraction(p, d), mult()), AP(value(), Fraction(q, d), mult()))
+    if rnd.random() < 0.2:  # eigenvalues as the joint-spectrum check builds them
+        atoms += [Point(Fraction(rnd.uniform(0, 5)), mult()) for _ in range(rnd.randint(1, 4))]
+    if atoms and rnd.random() < 0.3:  # duplicates
+        atoms += rnd.choices(atoms, k=rnd.randint(1, 3))
+    rnd.shuffle(atoms)
+    return atoms
+
+
+# Collections whose result depends on the merge order: the points top down,
+# and a second pass that merges a progression extended onto a rival.
+_MERGE_ORDER_CASES = [
+    [pt(0), pt(1), pt(3, 2), ap(1, 1, 2), ap(2, 1)],
+    [ap(4, 3), ap(7, 3, 2), pt(4, 2), pt(1, 2)],
+    [pt(1, 2), ap(2, 1, 2), pt(7, 2), ap(2, 2, 2), pt(0, 2)],
+    [ap(0, 1, 2), ap(1, 1), pt(0)],
+]
+
+
+def _crowded_atom_collection(rnd):
+    """Many atoms on a few small integers, where merges interact."""
+    mult = lambda: rnd.choice((1, 2, INFINITE))
+    return [
+        pt(rnd.randrange(0, 8), mult()) if rnd.random() < 0.6 else ap(rnd.randrange(0, 8), rnd.randint(1, 3), mult())
+        for _ in range(rnd.randint(3, 8))
+    ]
+
+
+def test_normalize_agrees_with_the_fraction_passes():
+    rnd = random.Random(2024)
+    generators = (
+        lambda: [random_atom(rnd) for _ in range(rnd.randint(0, 5))],
+        lambda: _hard_atom_collection(rnd),
+        lambda: _hard_atom_collection(rnd),
+        lambda: _crowded_atom_collection(rnd),
+    )
+    collections = _MERGE_ORDER_CASES + [generators[case % 4]() for case in range(2400)]
+    for case, atoms in enumerate(collections):
+        assert repr(normalize(atoms).atoms) == repr(_normalize_by_fractions(atoms)), (case, atoms)
+
+
+def test_normalize_is_not_associative_on_representation():
+    zero, line = SpectralSet.of(pt(0)), SpectralSet.of(ap(1, 1))
+    assert union(union(zero, line), zero).atoms == (ap(0, 1),)
+    assert union(union(zero, zero), line).atoms == (pt(0, 2), ap(1, 1))
+    for atoms in ([pt(0), ap(1, 1), pt(0)], [pt(0), pt(0), ap(1, 1)]):
+        assert normalize(atoms).atoms == _normalize_by_fractions(atoms)
 
 
 # ---------------------------------------------------------------------------
