@@ -1,12 +1,18 @@
 """Joint spectra of commuting normal matrix pairs.
 
 A normal matrix splits into commuting Hermitian real and imaginary parts, so
-a strongly commuting normal pair yields four pairwise commuting Hermitian
-matrices.  Simultaneous diagonalization proceeds by eigendecomposing the
-first, clustering its eigenvalues, and recursing on the remaining matrices
-restricted to each cluster subspace.  Joint eigenvalues are then read off as
-Rayleigh quotients and validated by residual; quotients and residuals share
-one product of each operator with the basis.
+a strongly commuting normal pair ``(T, S)`` yields four pairwise commuting
+Hermitian matrices ``Re T, Im T, Re S, Im S``.  Their joint eigenspaces are
+the eigenspaces of one generic real combination of the four, and the weights
+``1, sqrt 2, sqrt 3, sqrt 5`` (normalized) are linearly independent over the
+rationals, so distinct joint points with rational coordinates never share a
+combination value.  One Hermitian eigendecomposition of that combination
+therefore yields the joint eigenbasis; one product ``T V`` and one ``S V``
+give the Rayleigh quotients and the residuals.  A cluster of combination
+eigenvalues that holds a column above the residual gate, where two joint
+points (nearly) collide in the combination, is split by the recursive
+``_simdiag``: eigendecompose one part restricted to the cluster, cluster its
+eigenvalues, and recurse on the remaining parts.
 """
 
 from __future__ import annotations
@@ -32,6 +38,10 @@ from .spectra import Point, SpectralSet, minkowski_sum
 
 # Relative gap below which eigenvalues are treated as one eigenspace.
 CLUSTER_GAP_FACTOR = 1e-6
+
+# Weights of Re T, Im T, Re S, Im S in the head combination: linearly
+# independent over the rationals, so rational joint points stay apart.
+COMBINATION_WEIGHTS = np.sqrt([1.0, 2.0, 3.0, 5.0]) / np.sqrt(11.0)
 
 
 class NotNormalError(ToolkitError):
@@ -103,8 +113,20 @@ def _clusters(values: np.ndarray) -> list[tuple[int, int]]:
     return ranges
 
 
+def _hermitian_parts(t: np.ndarray, s: np.ndarray) -> list[np.ndarray]:
+    """``Re T, Im T, Re S, Im S`` of a commuting normal pair."""
+    return [
+        (t + t.conj().T) / 2.0,
+        (t - t.conj().T) / 2.0j,
+        (s + s.conj().T) / 2.0,
+        (s - s.conj().T) / 2.0j,
+    ]
+
+
 def _simdiag(mats: Sequence[np.ndarray], tol: Tolerance) -> np.ndarray:
-    """Unitary basis simultaneously diagonalizing commuting Hermitian matrices."""
+    """Unitary basis simultaneously diagonalizing commuting Hermitian matrices:
+    eigendecompose the first, then recurse on the rest restricted to each
+    cluster of its eigenvalues."""
     n = mats[0].shape[0] if mats else 0
     if not mats or n == 0:
         return np.eye(n, dtype=np.complex128)
@@ -123,6 +145,20 @@ def _simdiag(mats: Sequence[np.ndarray], tol: Tolerance) -> np.ndarray:
     return basis
 
 
+def _quotients(
+    basis: np.ndarray, t_basis: np.ndarray, s_basis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rayleigh quotients of T and S on each basis column, and the larger of
+    the two residuals ``|T v - lam v|``, ``|S v - mu v|`` per column."""
+    lams = np.sum(basis.conj() * t_basis, axis=0)
+    mus = np.sum(basis.conj() * s_basis, axis=0)
+    residual = np.maximum(
+        np.linalg.norm(t_basis - basis * lams, axis=0),
+        np.linalg.norm(s_basis - basis * mus, axis=0),
+    )
+    return lams, mus, residual
+
+
 @dataclass(frozen=True)
 class JointSpectrumPoints:
     """Joint eigenvalue pairs (one per basis column) and the joint eigenbasis.
@@ -139,10 +175,16 @@ class JointSpectrumPoints:
 def joint_spectrum(pair: CommutingPair, tol: Tolerance = DEFAULT_TOL) -> JointSpectrumPoints:
     """Simultaneous diagonalization of a commuting normal pair.
 
-    The joint eigenvalues of basis column ``v`` are the Rayleigh quotients
-    ``v* T v`` and ``v* S v``; they and the residuals ``|T v - lam v|`` and
-    ``|S v - mu v|`` are read from one product ``T V`` and one ``S V`` of
-    each operator with the whole basis ``V``.
+    The basis ``V`` comes from one Hermitian eigendecomposition of the
+    combination ``sum c_i H_i`` of the four Hermitian parts with weights
+    ``COMBINATION_WEIGHTS``, which is the Hermitian part of
+    ``(c_0 - i c_1) T + (c_2 - i c_3) S``.  The joint eigenvalues of column
+    ``v`` are the Rayleigh quotients ``v* T v`` and ``v* S v``; they and the
+    residuals ``|T v - lam v|`` and ``|S v - mu v|`` are read from one
+    product ``T V`` and one ``S V``.  Only clusters of combination
+    eigenvalues that hold a column with residual above
+    ``10 * tol.eigen_residual`` are split again by ``_simdiag`` on the
+    restricted parts; their columns are then recomputed.
 
     Raises ``EigenspaceSplitFailureError`` when some joint eigenvector fails
     the residual bound, which happens for eigenvalues clustered beyond what
@@ -152,24 +194,33 @@ def joint_spectrum(pair: CommutingPair, tol: Tolerance = DEFAULT_TOL) -> JointSp
     n = t.shape[0]
     if n == 0:
         return JointSpectrumPoints((), zero_matrix(0, 0))
-    herm_parts = [
-        (t + t.conj().T) / 2.0,
-        (t - t.conj().T) / 2.0j,
-        (s + s.conj().T) / 2.0,
-        (s - s.conj().T) / 2.0j,
-    ]
-    basis = _simdiag(herm_parts, tol)
+    c = COMBINATION_WEIGHTS
+    mixed = (c[0] - 1j * c[1]) * t + (c[2] - 1j * c[3]) * s
+    head = hermitian_eig((mixed + mixed.conj().T) / 2.0, tol)
+    basis = np.array(head.vectors, copy=True)
     t_basis = t @ basis
     s_basis = s @ basis
-    lams = np.sum(basis.conj() * t_basis, axis=0)
-    mus = np.sum(basis.conj() * s_basis, axis=0)
-    residual_t = np.linalg.norm(t_basis - basis * lams, axis=0)
-    residual_s = np.linalg.norm(s_basis - basis * mus, axis=0)
-    worst = float(max(residual_t.max(), residual_s.max()))
-    if worst > 10.0 * tol.eigen_residual:
+    lams, mus, residual = _quotients(basis, t_basis, s_basis)
+    bound = 10.0 * tol.eigen_residual
+    redone = False
+    for start, stop in _clusters(head.eigenvalues):
+        if stop - start == 1 or residual[start:stop].max() <= bound:
+            continue
+        block = basis[:, start:stop]
+        parts = _hermitian_parts(
+            block.conj().T @ t_basis[:, start:stop], block.conj().T @ s_basis[:, start:stop]
+        )
+        basis[:, start:stop] = block @ _simdiag(parts, tol)
+        t_basis[:, start:stop] = t @ basis[:, start:stop]
+        s_basis[:, start:stop] = s @ basis[:, start:stop]
+        redone = True
+    if redone:
+        lams, mus, residual = _quotients(basis, t_basis, s_basis)
+    worst = float(residual.max())
+    if worst > bound:
         raise EigenspaceSplitFailureError(
             f"joint eigenvector residual {worst:.3e} exceeds "
-            f"{10.0 * tol.eigen_residual:.3e}; eigenvalues too clustered"
+            f"{bound:.3e}; eigenvalues too clustered"
         )
     order = sorted(
         range(n),
@@ -263,15 +314,15 @@ def sum_operator_check(
     """
     t = as_complex_matrix(t)
     s = as_complex_matrix(s)
-    eig_t = hermitian_eig(t, tol).eigenvalues
-    eig_s = hermitian_eig(s, tol).eigenvalues
+    eig_t = hermitian_eig(t, tol, vectors=False).eigenvalues
+    eig_s = hermitian_eig(s, tol, vectors=False).eigenvalues
     for name, values in (("first", eig_t), ("second", eig_s)):
         if values.size and float(values[0]) < -1e-9:
             raise NotPSDError(f"{name} matrix has eigenvalue {values[0]:.3e} < -1e-9")
     assembled = kronecker(t, np.eye(s.shape[0]), dim_cap) + kronecker(
         np.eye(t.shape[0]), s, dim_cap
     )
-    eigenvalues = hermitian_eig(assembled, tol).eigenvalues
+    eigenvalues = hermitian_eig(assembled, tol, vectors=False).eigenvalues
     expected = sorted(float(a + b) for a in eig_t for b in eig_s)
     if len(expected) != eigenvalues.size:
         raise AssertionError("dimension bookkeeping is broken")

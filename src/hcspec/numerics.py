@@ -22,6 +22,13 @@ KRONECKER_DIM_CAP = 4096
 
 _EPS = float(np.finfo(np.float64).eps)
 
+# Bound of the values-only eigen gate, in units of N * eps * ||A||_F (trace)
+# and N * eps * ||A||_F^2 (sum of squares).  Measured with eigvalsh: at most
+# 0.21 units on 300 random PSD Kronecker sums of size 64 to 256, and 5.2 on
+# 40,000 random 2 x 2 matrices, where the O(eps) rounding of the sums weighs
+# most against the small N.
+MOMENT_GATE = 16.0
+
 
 class NotHermitianError(ToolkitError):
     """Input matrix is not square or not Hermitian within tolerance."""
@@ -98,20 +105,44 @@ class EigenDecomposition:
     """Ascending eigenvalues and an orthonormal eigenbasis of a Hermitian matrix.
 
     ``residual`` is the largest ``||A v - lambda v||_2`` over eigenvector
-    columns, measured against the Hermitian part of the input.
+    columns, measured against the Hermitian part of the input.  A values-only
+    decomposition has ``vectors`` None and ``residual`` the larger of its two
+    moment deviations, in units of ``N * eps`` (see ``hermitian_eig``).
     """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
     residual: float
 
 
-def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> EigenDecomposition:
+def _moment_deviation(herm: np.ndarray, values: np.ndarray) -> float:
+    """The larger of ``|sum lam - tr A|`` over ``N eps ||A||_F`` and
+    ``|sum lam^2 - ||A||_F^2|`` over ``N eps ||A||_F^2``, taken on ``A`` and
+    ``lam`` scaled to max-norm 1 so that no moment overflows."""
+    scale = max_abs(herm) or 1.0
+    h, lam = herm / scale, values / scale
+    frob = float(np.linalg.norm(h))
+    unit = max(h.shape[0], 1) * _EPS * frob
+    if unit == 0.0:
+        return 0.0
+    first = abs(float(np.sum(lam)) - float(np.trace(h).real)) / unit
+    second = abs(float(np.sum(lam**2)) - frob**2) / (unit * frob)
+    return max(first, second)
+
+
+def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL, vectors: bool = True) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     Raises ``NotHermitianError`` when the input is not square or deviates
     from its adjoint by more than ``tol.identity_check`` in max-norm, and
     ``NoConvergenceError`` when the residual target cannot be met.
+
+    Without ``vectors`` only the eigenvalues are computed.  A backward-stable
+    solver returns the exact eigenvalues of a nearby matrix, so a moment gate
+    stands in for the residual: ``sum lam`` must match ``tr A`` within
+    ``MOMENT_GATE * N * eps * ||A||_F`` and ``sum lam^2`` must match
+    ``||A||_F^2`` within ``MOMENT_GATE * N * eps * ||A||_F^2``, or
+    ``NoConvergenceError`` is raised.
     """
     a = as_complex_matrix(a)
     n, m = a.shape
@@ -121,19 +152,31 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> EigenDecomposition:
         raise NotHermitianError("matrix deviates from its adjoint beyond tolerance")
     herm = (a + a.conj().T) / 2.0
     try:
-        values, vectors = np.linalg.eigh(herm)
+        if vectors:
+            values, basis = np.linalg.eigh(herm)
+        else:
+            values = np.linalg.eigvalsh(herm)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
+    if not vectors:
+        deviation = _moment_deviation(herm, values)
+        if not deviation <= MOMENT_GATE:  # NaN fails too
+            raise NoConvergenceError(
+                f"eigenvalue moments deviate by {deviation:.3e} units of N*eps, "
+                f"above {MOMENT_GATE:g}"
+            )
+        values.setflags(write=False)
+        return EigenDecomposition(values, None, deviation)
     residual = float(
-        np.max(np.linalg.norm(herm @ vectors - vectors * values, axis=0), initial=0.0)
+        np.max(np.linalg.norm(herm @ basis - basis * values, axis=0), initial=0.0)
     )
     if residual > tol.eigen_residual:
         raise NoConvergenceError(
             f"eigendecomposition residual {residual:.3e} exceeds {tol.eigen_residual:.3e}"
         )
     values.setflags(write=False)
-    vectors.setflags(write=False)
-    return EigenDecomposition(values, vectors, residual)
+    basis.setflags(write=False)
+    return EigenDecomposition(values, basis, residual)
 
 
 def _svd(a: np.ndarray, tol: Tolerance, vectors: bool = False):

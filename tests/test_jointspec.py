@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hcspec import jointspec
 from hcspec.jointspec import (
     EigenspaceSplitFailureError,
     NotCommutingError,
@@ -126,37 +131,105 @@ def test_tensor_pair_matches_cartesian_on_fuzzed_normals():
         assert pairing_gap(points.pairs, cartesian) <= 1e-7
 
 
-def _with_eigenvalues(rng, values):
-    """``U diag(values) U*`` for a random unitary U: normal, with those eigenvalues."""
-    n = len(values)
+def _unitary(rng, n):
     u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return u
+
+
+def _normal(values, u):
+    """``U diag(values) U*`` for a unitary U: normal, with those eigenvalues."""
     return u @ np.diag(values) @ u.conj().T
+
+
+def _quotient_gaps(points, t, s):
+    """Largest distance of the reported pairs from the basis Rayleigh quotients."""
+    basis = points.basis
+    got = np.array(points.pairs)
+    want_t = np.einsum("ij,ik,kj->j", basis.conj(), t, basis)
+    want_s = np.einsum("ij,ik,kj->j", basis.conj(), s, basis)
+    return max(np.max(np.abs(got[:, 0] - want_t)), np.max(np.abs(got[:, 1] - want_s)))
+
+
+def test_combination_collision_falls_back_to_simdiag(monkeypatch):
+    # (0, 0) and (c1 - i c0, 0) have the same combination value c0 c1 - c1 c0
+    # = 0, so the head eigendecomposition leaves their columns mixed and the
+    # cluster must be split by the recursion
+    c = jointspec.COMBINATION_WEIGHTS
+    lam = [0.0, complex(c[1], -c[0]), 1.0, 1.0j, 0.0]
+    mu = [0.0, 0.0, 2.0, -1.0, 0.0]
+    u = _unitary(np.random.default_rng(41), len(lam))
+    t, s = _normal(lam, u), _normal(mu, u)
+    calls = []
+    simdiag = jointspec._simdiag
+
+    def counting(mats, tol):
+        calls.append(len(mats))
+        return simdiag(mats, tol)
+
+    monkeypatch.setattr(jointspec, "_simdiag", counting)
+    points = joint_spectrum(check_pair(t, s))
+    assert calls and calls[0] == 4
+    assert pairing_gap(points.pairs, list(zip(lam, mu))) <= 1e-9
+    assert _quotient_gaps(points, t, s) <= 1e-10
+
+
+def test_combination_weights_separate_small_integer_points():
+    # No integer vector z != 0 with |z_i| <= 8 (coordinate differences of the
+    # Gaussian-integer palettes the tests and benchmark draw from) has c . z
+    # near 0; the smallest |c . z| there is about 4.4e-4, far above the
+    # cluster gap.  Rationally dependent weights such as 1, phi - 1,
+    # sqrt 2 - 1, sqrt 5 - 2 reach exactly 0 at z = (1, -2, 0, 1).
+    axis = np.arange(-8, 9)
+    box = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 4)
+    box = box[np.any(box != 0, axis=1)]
+    assert np.min(np.abs(box @ jointspec.COMBINATION_WEIGHTS)) > 1e-4
+
+
+@pytest.mark.parametrize("psd", [False, True], ids=["normal", "psd"])
+def test_tensor_pair_spectrum_makes_one_eigendecomposition(monkeypatch, psd):
+    # shaped like a joint-pairs benchmark case of size 6: lam repeats two
+    # palette values, mu draws from a palette, both in one random eigenbasis
+    rng = np.random.default_rng(43 + psd)
+    n = 6
+    if psd:
+        heads, mu = rng.integers(0, 5, 2), rng.integers(0, 4, n)
+    else:
+        heads = rng.integers(-3, 5, 2) + 1j * rng.integers(-3, 5, 2)
+        mu = rng.integers(-2, 4, n) + 1j * rng.integers(-2, 4, n)
+    lam = heads[np.arange(n) % 2]
+    u = _unitary(rng, n)
+    t, s = _normal(lam, u), _normal(mu, u)
+    vector_calls = []
+    hermitian_eig = jointspec.hermitian_eig
+
+    def counting(a, tol, vectors=True):
+        vector_calls.append(vectors)
+        return hermitian_eig(a, tol, vectors)
+
+    monkeypatch.setattr(jointspec, "hermitian_eig", counting)
+    points = tensor_pair_spectrum(t, s)
+    assert vector_calls == [True]
+    cartesian = [(complex(a), complex(b)) for a in lam for b in mu]
+    assert pairing_gap(points.pairs, cartesian) <= 1e-7
 
 
 @pytest.mark.parametrize("psd", [False, True], ids=["normal", "psd"])
 def test_tensor_pair_with_repeated_eigenvalues(psd):
-    # Repeated factor eigenvalues, and complex ones sharing a real part, give
-    # clusters that only the later Hermitian parts split: _simdiag recurses
-    # more than one level, as on the benchmark's tensored pairs.
+    # Repeated factor eigenvalues give joint eigenspaces of dimension above
+    # one, and complex ones sharing a real part give joint points that Re T
+    # alone cannot tell apart; the head combination separates them all, and
+    # the returned basis must still carry the reported Rayleigh quotients.
     rng = np.random.default_rng(17 + psd)
     palette = [0.0, 0.5, 2.0] if psd else [1.0 + 1.0j, 1.0 - 1.0j, -0.5j, 2.0]
     for n, m in ((5, 8), (6, 6), (7, 5), (8, 7)):
         lam = rng.choice(palette, n)
         mu = rng.choice(palette, m)
-        t = _with_eigenvalues(rng, lam)
-        s = _with_eigenvalues(rng, mu)
+        t = _normal(lam, _unitary(rng, n))
+        s = _normal(mu, _unitary(rng, m))
         points = tensor_pair_spectrum(t, s)
         cartesian = [(complex(a), complex(b)) for a in lam for b in mu]
         assert pairing_gap(points.pairs, cartesian) <= 1e-7
-
-        big_t = np.kron(t, np.eye(m))
-        big_s = np.kron(np.eye(n), s)
-        basis = points.basis
-        want_t = np.einsum("ij,ik,kj->j", basis.conj(), big_t, basis)
-        want_s = np.einsum("ij,ik,kj->j", basis.conj(), big_s, basis)
-        got = np.array(points.pairs)
-        assert np.max(np.abs(got[:, 0] - want_t)) <= 1e-10
-        assert np.max(np.abs(got[:, 1] - want_s)) <= 1e-10
+        assert _quotient_gaps(points, np.kron(t, np.eye(m)), np.kron(np.eye(n), s)) <= 1e-10
 
 
 def test_spectral_mapping():
@@ -197,3 +270,22 @@ def test_sum_operator_symbolic_route_on_fuzzed_psd():
         bs = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         report = sum_operator_check(bt @ bt.conj().T, bs @ bs.conj().T)
         assert report.passed, (report.max_gap, report.symbolic_max_gap)
+
+
+# Joint points from a small Gaussian-integer palette: many repeated points,
+# and many distinct ones that agree in some coordinates.  The combination
+# weights are independent over the rationals, so no two distinct points share
+# a combination value and the recursion never runs.
+_GAUSSIAN = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.tuples(_GAUSSIAN, _GAUSSIAN), min_size=1, max_size=7), st.integers(0, 2**32 - 1))
+def test_joint_spectrum_reproduces_gaussian_integer_diagonals(points, seed):
+    lam, mu = zip(*points)
+    u = _unitary(np.random.default_rng(seed), len(points))
+    t, s = _normal(lam, u), _normal(mu, u)
+    with mock.patch.object(jointspec, "_simdiag", wraps=jointspec._simdiag) as simdiag:
+        got = joint_spectrum(check_pair(t, s))
+    assert pairing_gap(got.pairs, points) <= 1e-7
+    assert simdiag.call_count == 0

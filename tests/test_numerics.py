@@ -3,6 +3,8 @@ import pytest
 
 from hcspec.numerics import (
     DEFAULT_TOL,
+    MOMENT_GATE,
+    NoConvergenceError,
     NonFiniteError,
     NotHermitianError,
     SizeOverflowError,
@@ -119,6 +121,49 @@ def test_kronecker_sum_spectrum_is_minkowski_sum():
             x + y for x in hermitian_eig(a).eigenvalues for y in hermitian_eig(b).eigenvalues
         )
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-8
+
+
+def test_values_only_path_passes_fuzzed_psd_kronecker_sums():
+    # the moment gate must pass what eigvalsh returns on the assembled
+    # operators of the sum-operator check, up to 256 x 256
+    rng = np.random.default_rng(31)
+    for n, m in ((1, 1), (2, 3), (5, 8), (9, 12), (16, 16)):
+        bt = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        bs = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        a, b = bt @ bt.conj().T, bs @ bs.conj().T
+        big = kronecker(a, np.eye(m)) + kronecker(np.eye(n), b)
+        dec = hermitian_eig(big, vectors=False)
+        assert dec.vectors is None and dec.residual <= MOMENT_GATE
+        assert not dec.eigenvalues.flags.writeable
+        want = np.sort(np.add.outer(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)).ravel())
+        assert np.max(np.abs(dec.eigenvalues - want)) <= 1e-9 * max(1.0, want[-1])
+
+
+def test_values_only_path_keeps_the_checks(monkeypatch):
+    with pytest.raises(NotHermitianError):
+        hermitian_eig([[0.0, 1.0], [0.0, 0.0]], vectors=False)
+    with pytest.raises(NotHermitianError):
+        hermitian_eig(np.zeros((2, 3)), vectors=False)
+    assert hermitian_eig(np.zeros((0, 0)), vectors=False).eigenvalues.size == 0
+
+    rng = np.random.default_rng(37)
+    b = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    a = b @ b.conj().T
+    assert hermitian_eig(a, vectors=False).residual <= MOMENT_GATE
+    eigvalsh = np.linalg.eigvalsh
+    # one shifted eigenvalue moves the trace; two opposite shifts keep the
+    # trace and move the sum of squares
+    for shift in ({3: 1e-6}, {3: 1e-6, 12: -1e-6}):
+
+        def shifted(m):
+            values = eigvalsh(m).copy()
+            for idx, delta in shift.items():
+                values[idx] += delta
+            return values
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+        with pytest.raises(NoConvergenceError):
+            hermitian_eig(a, vectors=False)
 
 
 def test_range_projection_cases():
