@@ -54,8 +54,11 @@ class FiniteComplex:
     Each object memoizes, keyed by ``(degree, tol)``, the numeric rank of
     each differential and the clipped Laplacian eigenvalues of each degree
     (no eigenvectors), which :func:`cohomology_dim` and
-    :func:`spectrum_multiset` read.  The memo lives with the object, and the
-    object is frozen with read-only matrices, so no entry goes stale.
+    :func:`spectrum_multiset` read, and the pseudo-inverses of
+    :func:`solution_operator` and :func:`laplacian_inverse`, which
+    :func:`check_identities` reads at two adjacent degrees.  The memo lives
+    with the object, and the object is frozen with read-only matrices, so no
+    entry goes stale.
     """
 
     lo: int
@@ -288,7 +291,7 @@ def solution_operator(
     to the kernel and vanishes on the orthogonal complement of the range.
     """
     complex_._require_degree(degree)
-    return pseudo_inverse(complex_.differential(degree - 1), tol)
+    return _pseudo_inverse(complex_, "solution", degree, tol)
 
 
 def laplacian_inverse(
@@ -296,7 +299,21 @@ def laplacian_inverse(
 ) -> np.ndarray:
     """``N_i``, the pseudo-inverse of the Laplacian, zero on the harmonic space."""
     complex_._require_degree(degree)
-    return pseudo_inverse(_laplacian_any(complex_, degree), tol)
+    return _pseudo_inverse(complex_, "laplacian", degree, tol)
+
+
+def _pseudo_inverse(complex_: FiniteComplex, kind: str, degree: int, tol: Tolerance) -> np.ndarray:
+    """The pseudo-inverse of ``d_{degree-1}`` (``"solution"``) or of the
+    Laplacian (``"laplacian"``) at ``degree``, memoized on the complex; an
+    out-of-window degree is a zero space."""
+    key = (kind, degree, tol)
+    if key not in complex_._memo:
+        if kind == "solution":
+            matrix = complex_.differential(degree - 1)
+        else:
+            matrix = _laplacian_any(complex_, degree)
+        complex_._memo[key] = pseudo_inverse(matrix, tol)
+    return complex_._memo[key]
 
 
 @dataclass(frozen=True)
@@ -315,14 +332,18 @@ def check_identities(
     Checks, in max-norm: ``S = d* N``; the projection formula
     ``I - P_ker(d) = d* N d``; the commutation ``d N = N d``; and
     ``N = S* S + S S*`` with the zero-extended solution operators.
-    Adjacent out-of-window degrees are treated as zero spaces.
+    ``degree`` must lie in the window; the adjacent degree above it may not,
+    and is then treated as a zero space.  ``S`` and ``N`` come from the
+    per-complex memo, so the identities at degrees ``i`` and ``i + 1`` share
+    each pseudo-inverse; ``S`` and ``N`` themselves stay separate
+    computations, so every identity still compares two independent sides.
     """
     d_prev = complex_.differential(degree - 1)
     d_here = complex_.differential(degree)
-    n_here = pseudo_inverse(_laplacian_any(complex_, degree), tol)
-    n_up = pseudo_inverse(_laplacian_any(complex_, degree + 1), tol)
-    s_here = pseudo_inverse(d_prev, tol)
-    s_up = pseudo_inverse(d_here, tol)
+    n_here = laplacian_inverse(complex_, degree, tol)
+    n_up = _pseudo_inverse(complex_, "laplacian", degree + 1, tol)
+    s_here = solution_operator(complex_, degree, tol)
+    s_up = _pseudo_inverse(complex_, "solution", degree + 1, tol)
 
     residuals = {
         "solution-from-inverse": max_abs(s_here - d_prev.conj().T @ n_here),

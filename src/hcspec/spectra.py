@@ -18,11 +18,15 @@ records the product of the input annotations as a nominal value.  The
 enumeration oracle compares sums at this class level, and exactly for inputs
 consisting of points only.
 
-:func:`normalize` runs its merge rules on the same kind of lattice: each call
-scales its atoms once, by the lcm of their denominators, to integer keys, and
-maps the keys back to atoms at the end.  The rules are those of the atom view,
-so the result is still not associative on representation (see
-:func:`normalize`); a canonical, order-free form is not built.
+:func:`normalize` and :func:`minkowski_sum` run on the same kind of lattice:
+each call scales its atoms once, by the lcm of their denominators, to integer
+keys; a sum adds the keys of its operands directly.  Both hand the keys to
+one set of merge rules (:func:`_normalize_keys`), which maps them back to
+atoms at the end.  The rules are those of the atom view, so the result is
+still not associative on representation (see :func:`normalize`); a
+canonical, order-free form is not built.  A sum expands each Frobenius gap
+one value at a time, so more than ``GAP_BUDGET`` gap values in one sum is a
+:class:`SymbolicBudgetError`, raised before anything is built.
 
 One kernel enumerates values below a cutoff, for the oracle
 :func:`minkowski_oracle_check`, :func:`enumerate_below` and the fuzz checks:
@@ -35,14 +39,14 @@ More than ``ORACLE_PAIR_CAP`` values of one set, or value pairs, is an
 
 The product formula is written once, in :func:`product_essential` (the
 essential spectrum as a union of parts, one factor's essential spectrum summed
-with the other factors' spectra) and :func:`product_operator`.  Every
-compactness verdict reads those parts: :func:`compactness_verdict` here, and
-the verdicts of :mod:`hcspec.dbar`.
+with the other factors' spectra) and :func:`product_operator`.  Both fold the
+factor spectra left to right through one helper that builds each fold prefix
+once per call.  Every compactness verdict reads those parts:
+:func:`compactness_verdict` here, and the verdicts of :mod:`hcspec.dbar`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -72,9 +76,17 @@ class OracleBudgetError(ToolkitError):
     """The enumeration oracle would exceed its budget; nothing was enumerated."""
 
 
+class SymbolicBudgetError(ToolkitError):
+    """A Minkowski sum would expand too many Frobenius gap values; nothing was built."""
+
+
 #: Most value pairs (values of ``a`` times values of ``b`` below the cutoff)
 #: the enumeration oracle adds up; it also bounds the values of each set.
 ORACLE_PAIR_CAP = 2**20
+
+#: Most Frobenius gap values ``(p - 1)(q - 1)``, summed over its progression
+#: pairs, that one :func:`minkowski_sum` expands into points.
+GAP_BUDGET = 2**16
 
 # Lattice indices stay below this, so a sum of two indices fits in int64.
 _LATTICE_CAP = 2**62
@@ -101,13 +113,6 @@ def _check_mult(mult: Mult) -> Mult:
     if isinstance(mult, int) and not isinstance(mult, bool) and mult >= 1:
         return mult
     raise ValueError(f"multiplicity must be a positive integer or INFINITE, got {mult!r}")
-
-
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(
-        math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-        a.denominator * b.denominator,
-    )
 
 
 @dataclass(frozen=True)
@@ -210,9 +215,13 @@ def normalize(atoms: Iterable[Atom]) -> SpectralSet:
     the input, computed once per call, an atom is the integer tuple
     ``(value or base times L, 0 for a point or 1 for a progression, step
     times L or 0, mult)``.  Keys sort in the order of the values because
-    ``L > 0``, and no rule leaves the lattice ``(1/L)·ℤ``.  An output atom
-    whose key is an input atom's is that input object; merged and extended
-    atoms are built as ``Fraction(k, L)``.
+    ``L > 0``, and no rule leaves the lattice ``(1/L)·ℤ``.  This function is
+    the keying front end; the rules live in :func:`_normalize_keys`, which
+    :func:`minkowski_sum` feeds too.  Order, equality, ``%`` and ``value +
+    step == base`` are homogeneous in ``L``, so any common multiple of the
+    denominators gives the same atoms.  An output atom whose key is an input
+    atom's is that input object; merged and extended atoms are built as
+    ``Fraction(k, L)``.
 
     Absorption into a progression keeps the point set and the per-point
     finite/infinite class exact; nominal finite counts on progression-covered
@@ -222,22 +231,35 @@ def normalize(atoms: Iterable[Atom]) -> SpectralSet:
     while the two points first merge to ``{0:2}``, which does not extend it.
     """
     work: list[Atom] = list(atoms)
+    scale = _lattice_scale(work)
+    keys = [_key(atom, scale) for atom in work]
+    inputs = dict(zip(reversed(keys), reversed(work)))  # the first input atom per key
+    return _normalize_keys(keys, scale, inputs)
+
+
+def _lattice_scale(atoms: Iterable[Atom]) -> int:
+    """``L``, the lcm of every denominator of ``atoms``; 1 for none."""
     denominators: list[int] = []
-    for atom in work:
+    for atom in atoms:
         if isinstance(atom, Point):
             denominators.append(atom.value.denominator)
         elif isinstance(atom, AP):
             denominators += (atom.base.denominator, atom.step.denominator)
         else:
             raise TypeError(f"not a spectral atom: {atom!r}")
-    scale = math.lcm(*denominators)
-    keys = [
-        (_scaled(atom.value, scale), 0, 0, atom.mult)
-        if isinstance(atom, Point)
-        else (_scaled(atom.base, scale), 1, _scaled(atom.step, scale), atom.mult)
-        for atom in work
-    ]
+    return math.lcm(*denominators)
 
+
+def _key(atom: Atom, scale: int) -> tuple:
+    """The lattice key of an atom whose denominators divide ``scale``."""
+    if isinstance(atom, Point):
+        return (_scaled(atom.value, scale), 0, 0, atom.mult)
+    return (_scaled(atom.base, scale), 1, _scaled(atom.step, scale), atom.mult)
+
+
+def _normalize_keys(keys: list[tuple], scale: int, inputs: Mapping[tuple, Atom]) -> SpectralSet:
+    """The merge rules of :func:`normalize` on lattice keys of ``(1/scale)·ℤ``,
+    run to a fixed point; ``inputs`` maps keys to atoms to reuse."""
     # Sorting whole keys also orders equal atoms by mult; a pass merges those
     # whatever their order, so only the order of distinct keys matters.
     current = sorted(keys)
@@ -246,7 +268,6 @@ def normalize(atoms: Iterable[Atom]) -> SpectralSet:
         if merged == current:
             break
         current = merged
-    inputs = dict(zip(reversed(keys), reversed(work)))  # the first input atom per key
     return SpectralSet(tuple(inputs[key] if key in inputs else _atom_at(key, scale) for key in current))
 
 
@@ -311,45 +332,61 @@ def _representable(n: int, p: int, q: int) -> bool:
     return n >= q * (n * pow(q, -1, p) % p)
 
 
-def _atom_minkowski(x: Atom, y: Atom) -> list[Atom]:
-    mult = INFINITE if is_infinite(x.mult) or is_infinite(y.mult) else x.mult * y.mult
-    if isinstance(x, Point) and isinstance(y, Point):
-        return [Point(x.value + y.value, mult)]
-    if isinstance(x, Point):
-        return [AP(x.value + y.base, y.step, mult)]
-    if isinstance(y, Point):
-        return [AP(x.base + y.value, x.step, mult)]
-    g = _frac_gcd(x.step, y.step)
-    p = x.step / g
-    q = y.step / g
-    assert p.denominator == 1 and q.denominator == 1
-    p, q = p.numerator, q.numerator
-    base = x.base + y.base
-    if p == 1 or q == 1:
-        return [AP(base, g, mult)]
-    # Coprime steps p and q: the reachable n form the numerical semigroup
-    # <p, q>, complete past the Frobenius number pq - p - q.  Each reachable n
-    # at or below it has exactly one representation, so the point
-    # multiplicities are exact there.
-    frobenius = p * q - p - q
-    atoms: list[Atom] = [
-        Point(base + g * n, mult)
-        for n in range(frobenius + 1)
-        if _representable(n, p, q)
-    ]
-    atoms.append(AP(base + g * (frobenius + 1), g, mult))
-    return atoms
-
-
 def minkowski_sum(a: SpectralSet, b: SpectralSet) -> SpectralSet:
-    """Exact Minkowski sum ``{x + y}``; empty if either operand is empty."""
+    """Exact Minkowski sum ``{x + y}``; empty if either operand is empty.
+
+    Works on lattice keys from start to finish: with ``L`` the lcm of every
+    denominator of both operands, each pair of keys adds to keys, which go
+    to the merge rules of :func:`normalize` (:func:`_normalize_keys`).  A
+    point plus a point is a point, and a point plus a progression keeps the
+    step.  Two progressions with steps ``g·p`` and ``g·q``, ``p`` and ``q``
+    coprime, give a progression of step ``g`` when ``p`` or ``q`` is 1, and
+    otherwise the representable gap values ``n ≤ pq - p - q`` as points and
+    the tail from ``pq - p - q + 1`` on.  Every output atom is rational, so
+    ``L`` only fixes the lattice the rules run on; they are homogeneous in
+    it.  Raises :class:`SymbolicBudgetError`, before any key is built, when
+    the progression pairs have more than ``GAP_BUDGET`` gap values
+    ``(p - 1)(q - 1)`` in all.
+    """
     if a.is_empty() or b.is_empty():
         return EMPTY
-    atoms: list[Atom] = []
-    for x in a.atoms:
-        for y in b.atoms:
-            atoms.extend(_atom_minkowski(x, y))
-    return normalize(atoms)
+    scale = _lattice_scale(a.atoms + b.atoms)
+    a_keys = [_key(atom, scale) for atom in a.atoms]
+    b_keys = [_key(atom, scale) for atom in b.atoms]
+    gap_values = sum(
+        (s // math.gcd(s, t) - 1) * (t // math.gcd(s, t) - 1)
+        for s in (key[2] for key in a_keys if key[1])
+        for t in (key[2] for key in b_keys if key[1])
+    )
+    if gap_values > GAP_BUDGET:
+        raise SymbolicBudgetError(
+            f"the Minkowski sum would expand {gap_values} Frobenius gap values, "
+            f"above the budget {GAP_BUDGET}"
+        )
+    keys: list[tuple] = []
+    for base, kind, step, mult in a_keys:
+        for other_base, other_kind, other_step, other_mult in b_keys:
+            total = base + other_base
+            infinite = is_infinite(mult) or is_infinite(other_mult)
+            product = INFINITE if infinite else mult * other_mult
+            if not (kind and other_kind):  # a point's step key is 0
+                keys.append((total, kind | other_kind, step + other_step, product))
+                continue
+            g = math.gcd(step, other_step)
+            p, q = step // g, other_step // g
+            if p == 1 or q == 1:
+                keys.append((total, 1, g, product))
+                continue
+            # Coprime p, q >= 2: the reachable n form the numerical semigroup
+            # <p, q>, complete past the Frobenius number pq - p - q.  Each
+            # reachable n at or below it has exactly one representation, so
+            # the point multiplicities are exact there.
+            frobenius = p * q - p - q
+            keys += [
+                (total + g * n, 0, 0, product) for n in range(frobenius + 1) if _representable(n, p, q)
+            ]
+            keys.append((total + g * (frobenius + 1), 1, g, product))
+    return _normalize_keys(keys, scale, {})
 
 
 def essential_part(s: SpectralSet) -> SpectralSet:
@@ -448,12 +485,9 @@ def _on_lattice(sets: Mapping[str, SpectralSet], cutoff: RationalLike):
     of two indices could leave int64.
     """
     bound = as_rational(cutoff)
-    scale = math.lcm(bound.denominator, *(
-        x.denominator
-        for s in sets.values()
-        for atom in s.atoms
-        for x in ((atom.value,) if isinstance(atom, Point) else (atom.base, atom.step))
-    ))
+    scale = math.lcm(
+        bound.denominator, _lattice_scale(atom for s in sets.values() for atom in s.atoms)
+    )
     limit = max(0, _scaled(bound, scale))
     if limit >= _LATTICE_CAP:
         raise OracleBudgetError(
@@ -639,9 +673,22 @@ class OperatorSpectrum:
 EMPTY_OPERATOR_SPECTRUM = OperatorSpectrum(EMPTY)
 
 
-def _fold_spectra(factors: Iterable[OperatorSpectrum]) -> SpectralSet:
-    """Left Minkowski fold of the factor spectra, starting from the first."""
-    return functools.reduce(minkowski_sum, (factor.spectrum for factor in factors))
+def _fold_spectra(factors: Sequence[OperatorSpectrum], folds: dict) -> SpectralSet:
+    """Left Minkowski fold of the factor spectra, starting from the first.
+
+    ``folds`` is a trie of the folds built so far, keyed by the identity of
+    the factor entries in order: a fold whose prefix is already there
+    reuses that prefix's sum, so the folds of one call share their prefixes.
+    The association stays left to right.
+    """
+    total, node = None, folds
+    for factor in factors:
+        entry = node.get(id(factor))
+        if entry is None:
+            total = factor.spectrum if total is None else minkowski_sum(total, factor.spectrum)
+            entry = node[id(factor)] = (total, {})
+        total, node = entry
+    return total
 
 
 def product_essential(
@@ -655,15 +702,19 @@ def product_essential(
     Minkowski sum of the spectra of the term's other factors.  Returns the
     union of the parts and the nonempty parts as ``(t, j, part)``, in term
     order, then factor order.  The union is taken incrementally in that order,
-    since ``normalize`` is not associative on representation.
+    since ``normalize`` is not associative on representation.  The sums of
+    the other factors fold left to right (:func:`_fold_spectra`), and a fold
+    prefix shared by several parts, such as the bit vectors of one weight
+    that agree on their first entries, is summed once per call.
     """
     essential = EMPTY
     parts: list[tuple[int, int, SpectralSet]] = []
+    folds: dict = {}
     for t, term in enumerate(terms):
         for j, own in enumerate(term):
             if own.essential.is_empty():
                 continue
-            others = _fold_spectra(term[:j] + term[j + 1 :])
+            others = _fold_spectra(term[:j] + term[j + 1 :], folds)
             part = minkowski_sum(own.essential, others)
             if not part.is_empty():
                 essential = union(essential, part)
@@ -678,8 +729,9 @@ def product_operator(terms: Sequence[Sequence[OperatorSpectrum]]) -> OperatorSpe
     term's factor spectra; the essential spectrum is :func:`product_essential`.
     """
     spectrum = EMPTY
+    folds: dict = {}
     for term in terms:
-        spectrum = union(spectrum, _fold_spectra(term))
+        spectrum = union(spectrum, _fold_spectra(term, folds))
     return OperatorSpectrum(spectrum, product_essential(terms)[0])
 
 

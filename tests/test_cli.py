@@ -438,6 +438,22 @@ def test_oracle_budget_exits_2(tmp_path, capsys):
     ) in err
 
 
+@pytest.mark.parametrize("cutoff", [None, "1/100"])
+def test_symbolic_gap_budget_exits_2(tmp_path, capsys, cutoff):
+    a = [{"kind": "ap", "base": "0", "step": "1/997", "mult": 1}]
+    b = [{"kind": "ap", "base": "0", "step": "1/991", "mult": 1}]
+    path = _symbolic_scenario(tmp_path, a, b)
+    start = time.perf_counter()
+    code = main(["symbolic", str(path), *(["--oracle-cutoff", cutoff] if cutoff else [])])
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (
+        "SymbolicBudgetError: the Minkowski sum would expand 986040 Frobenius gap values, "
+        "above the budget 65536"
+    ) in err
+
+
 def _factors_scenario(tmp_path, count, q) -> Path:
     path = tmp_path / "factors.json"
     factors = [{"builtin": "infinite-bergman-factor"}] * count

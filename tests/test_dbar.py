@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hcspec import dbar, spectra
 from hcspec.dbar import (
     BadDimensionError,
     BidegreeOutOfRangeError,
@@ -253,6 +254,86 @@ def test_nfactor_witnesses_match_reference_formula():
             elif report.fired_rule == "essential-spectrum-empty":
                 assert not contributors
     assert by_formula >= 10
+
+
+def unshared_product_essential(terms):
+    """``product_essential`` with a fresh left fold per part: no prefix is
+    shared between parts, and the union runs in the same order."""
+    essential, parts = EMPTY, []
+    for t, term in enumerate(terms):
+        for j, own in enumerate(term):
+            if own.essential.is_empty():
+                continue
+            others = [other.spectrum for k, other in enumerate(term) if k != j]
+            fold = others[0]
+            for spectrum in others[1:]:
+                fold = minkowski_sum(fold, spectrum)
+            part = minkowski_sum(own.essential, fold)
+            if not part.is_empty():
+                essential = union(essential, part)
+                parts.append((t, j, part))
+    return essential, parts
+
+
+def _bit_vector_terms(factors, q):
+    return [
+        tuple(factor.box_spectrum[(0, bit)] for factor, bit in zip(factors, bits))
+        for bits in _bit_vectors(len(factors), q)
+    ]
+
+
+def test_shared_fold_sums_each_prefix_once(monkeypatch):
+    rnd = random.Random(7)
+    factors = [random_factor_model(rnd, f"f{j}", infinite_chance=0.1) for j in range(7)]
+    terms = _bit_vector_terms(factors, 3)
+    # one sum per distinct fold prefix of two or more entries (by identity),
+    # and one per part for the factor's own essential spectrum
+    prefixes, parts = set(), 0
+    for term in terms:
+        for j, own in enumerate(term):
+            if not own.essential.is_empty():
+                others = tuple(id(entry) for entry in term[:j] + term[j + 1 :])
+                prefixes.update(others[:k] for k in range(2, len(others) + 1))
+                parts += 1
+    unshared_sums = parts * (len(factors) - 1)
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return minkowski_sum(a, b)
+
+    monkeypatch.setattr(spectra, "minkowski_sum", counting)
+    spectra.product_essential(terms)
+    assert parts >= 20
+    assert len(calls) == len(prefixes) + parts < unshared_sums
+
+
+def test_shared_fold_matches_an_unshared_fold():
+    rnd = random.Random(8)
+    compared = 0
+    for case in range(30):
+        n = rnd.randint(2, 7)
+        factors = [random_factor_model(rnd, f"f{case}-{j}", infinite_chance=0.1) for j in range(n)]
+        q = rnd.randint(0, n)
+        essential, parts = spectra.product_essential(_bit_vector_terms(factors, q))
+        want_essential, want_parts = unshared_product_essential(_bit_vector_terms(factors, q))
+        assert repr(essential) == repr(want_essential), (case, q)
+        assert repr(parts) == repr(want_parts), (case, q)
+        compared += len(parts)
+    assert compared >= 100
+
+
+def test_nfactor_report_unchanged_by_the_shared_fold(monkeypatch):
+    rnd = random.Random(9)
+    tuples = [
+        [random_factor_model(rnd, f"f{case}-{j}", infinite_chance=0.05) for j in range(rnd.randint(2, 6))]
+        for case in range(20)
+    ]
+    shared = [riemann_surface_product_report(f, q) for f in tuples for q in range(len(f) + 1)]
+    monkeypatch.setattr(dbar, "product_essential", unshared_product_essential)
+    unshared = [riemann_surface_product_report(f, q) for f in tuples for q in range(len(f) + 1)]
+    assert [repr(r) for r in shared] == [repr(r) for r in unshared]
+    assert {r.fired_rule for r in shared} >= {"essential-spectrum-nonempty", "essential-spectrum-empty"}
 
 
 def test_uniform_term_rule_matches_the_fold():

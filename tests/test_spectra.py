@@ -39,9 +39,34 @@ from hcspec.spectra import (
     normalize,
     product_spectrum,
     union,
-    _atom_minkowski,
     _representable,
 )
+
+
+def _atom_minkowski(x, y):
+    """The Minkowski sum of two atoms, on ``Fraction`` atoms: the reference
+    for the lattice keys of ``minkowski_sum``, with which it shares no code
+    but ``_representable``."""
+    mult = INFINITE if INFINITE in (x.mult, y.mult) else x.mult * y.mult
+    if isinstance(x, Point) and isinstance(y, Point):
+        return [Point(x.value + y.value, mult)]
+    if isinstance(x, Point):
+        return [AP(x.value + y.base, y.step, mult)]
+    if isinstance(y, Point):
+        return [AP(x.base + y.value, x.step, mult)]
+    g = Fraction(
+        math.gcd(x.step.numerator * y.step.denominator, y.step.numerator * x.step.denominator),
+        x.step.denominator * y.step.denominator,
+    )
+    p, q = x.step / g, y.step / g
+    assert p.denominator == 1 and q.denominator == 1
+    p, q = p.numerator, q.numerator
+    base = x.base + y.base
+    if p == 1 or q == 1:
+        return [AP(base, g, mult)]
+    frobenius = p * q - p - q
+    atoms = [Point(base + g * n, mult) for n in range(frobenius + 1) if _representable(n, p, q)]
+    return atoms + [AP(base + g * (frobenius + 1), g, mult)]
 
 
 def ap(base, step, mult=1):
@@ -477,6 +502,39 @@ def test_representable_matches_the_enumeration_loop():
         if _representable(n, p, q) != by_loop(n, p, q)
     ]
     assert mismatches == []
+
+
+def _summand(rnd, step_den):
+    """A normalized set on denominators 1, 2, 3, 7 and 997, with infinite
+    multiplicities, progression steps over ``step_den`` (so that two of them
+    form a small coprime gap pair) and float-derived points, as
+    ``jointspec.sum_operator_check`` builds them."""
+    den = lambda: rnd.choice((1, 2, 3, 7, 997))
+    mult = lambda: rnd.choice((1, 1, 2, 3, INFINITE))
+    value = lambda: Fraction(rnd.randrange(0, 20 * (d := den())), d)
+    atoms = []
+    for _ in range(rnd.randint(0, 4)):
+        roll = rnd.random()
+        if roll < 0.35:
+            atoms.append(Point(value(), mult()))
+        elif roll < 0.75:
+            atoms.append(AP(value(), Fraction(rnd.choice((1, 2, 3, 4, 5, 7, 9, 11, 13)), step_den), mult()))
+        else:
+            atoms.append(Point(Fraction(rnd.uniform(0, 5)), mult()))
+    return normalize(atoms)
+
+
+def test_minkowski_sum_keeps_the_atom_view():
+    rnd = random.Random(1212)
+    gap_pairs = 0
+    for case in range(1500):
+        step_den = rnd.choice((1, 2, 3, 7, 997))
+        a, b = _summand(rnd, step_den), _summand(rnd, step_den)
+        want = normalize([atom for x in a.atoms for y in b.atoms for atom in _atom_minkowski(x, y)])
+        got = minkowski_sum(a, b)
+        assert got.atoms == want.atoms and repr(got) == repr(want), (case, a, b)
+        gap_pairs += sum(len(_atom_minkowski(x, y)) > 1 for x in a.atoms for y in b.atoms)
+    assert gap_pairs >= 200
 
 
 def test_minkowski_commutative_structurally():
