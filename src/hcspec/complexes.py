@@ -53,10 +53,12 @@ class FiniteComplex:
 
     Each object memoizes, keyed by ``(degree, tol)``, the numeric rank of
     each differential and the clipped Laplacian eigenvalues of each degree
-    (no eigenvectors), which :func:`cohomology_dim` and
-    :func:`spectrum_multiset` read, and the pseudo-inverses of
-    :func:`solution_operator` and :func:`laplacian_inverse`, which
-    :func:`check_identities` reads at two adjacent degrees.  The memo lives
+    (values-only ``eigvalsh`` under the moment gate of :func:`hermitian_eig`,
+    no eigenvectors), which :func:`cohomology_dim`,
+    :func:`basic_estimate_constant` and :func:`spectrum_multiset` read, and
+    the pseudo-inverses of :func:`solution_operator` and
+    :func:`laplacian_inverse`, which :func:`check_identities` reads at two
+    adjacent degrees.  The memo lives
     with the object, and the object is frozen with read-only matrices, so no
     entry goes stale.
     """
@@ -203,12 +205,16 @@ def _kernel_mask(values: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 
 def _laplacian_eigenvalues(complex_: FiniteComplex, degree: int, tol: Tolerance) -> np.ndarray:
-    """Ascending Laplacian eigenvalues clipped at 0, memoized on the complex."""
+    """Ascending Laplacian eigenvalues clipped at 0, memoized on the complex.
+
+    They come from the values-only path of :func:`hermitian_eig`: its moment
+    gate, and ``tol.eigen_residual`` met by the moments or else by the
+    measured residual of the vectors path."""
     key = ("eigenvalues", degree, tol)
     if key not in complex_._memo:
         values = np.zeros(0)
         if complex_.dim(degree):
-            dec = hermitian_eig(_laplacian_any(complex_, degree), tol)
+            dec = hermitian_eig(_laplacian_any(complex_, degree), tol, vectors=False)
             values = np.clip(dec.eigenvalues, 0.0, None)
         values.setflags(write=False)
         complex_._memo[key] = values

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hcspec import complexes
 from hcspec.complexes import (
     DegreeOutOfRangeError,
     FiniteComplex,
@@ -24,12 +25,13 @@ from hcspec.numerics import (
     DEFAULT_TOL,
     NoConvergenceError,
     Tolerance,
+    hermitian_eig,
     max_abs,
     numeric_rank,
     pseudo_inverse,
     range_projection,
 )
-from hcspec.tensorprod import tensor_complex
+from hcspec.tensorprod import kuenneth_check, tensor_complex, verify_product_spectrum
 
 
 def chain(d=1.0):
@@ -160,6 +162,19 @@ def test_memo_is_keyed_by_tolerance():
         spectrum_multiset(r, 1, Tolerance(eigen_residual=1e-300))
 
 
+def test_large_norm_complex_keeps_its_spectrum():
+    # d_0 = [3000]: the Laplacian is [9e6] at both degrees, exactly.  One
+    # unit N * eps * ||A||_F (2e-9) exceeds the default eigen_residual, so
+    # the measured residual of the vectors path (0) lets the values pass
+    c, unit = chain(3000.0), chain(1.0)
+    assert [spectrum_multiset(c, degree) for degree in c.degrees] == [[9e6], [9e6]]
+    assert [cohomology_dim(c, degree) for degree in c.degrees] == [0, 0]
+    assert basic_estimate_constant(c, 0) == basic_estimate_constant(unit, 0) / 9e6
+    product, _ = tensor_complex(c, unit)
+    assert kuenneth_check(c, unit, product).passed
+    assert all(verify_product_spectrum(c, unit, product, i).passed for i in product.degrees)
+
+
 def test_spectrum_multiset_repeats():
     c = random_complex([3, 4, 2], seed=8)
     first = spectrum_multiset(c, 1)
@@ -177,14 +192,75 @@ def _random_complexes():
     ]
 
 
+def _fuzzed_complexes(count):
+    rnd = np.random.default_rng(2026)
+    return [
+        random_complex(list(rnd.integers(0, 7, size=rnd.integers(1, 5))), seed=seed)
+        for seed in range(count)
+    ]
+
+
 def test_hodge_and_cohomology_kernel_counts_agree():
-    # hodge counts eigenvector columns of the Laplacian; cohomology_dim counts
-    # the memoized eigenvalues and checks them against the SVD ranks
+    # hodge counts eigenvector columns of the Laplacian (eigh); cohomology_dim
+    # counts the memoized eigvalsh values and checks them against the SVD ranks
     factors = _random_complexes()
     products = [tensor_complex(a, b)[0] for a, b in zip(factors, factors[1:])]
-    for c in factors + products:
+    for c in factors + products + _fuzzed_complexes(200):
         for degree in c.degrees:
             assert hodge(c, degree).harmonic_dim == cohomology_dim(c, degree)
+    # up to the 358-dimensional degree, against the count hodge takes from
+    # eigh, without its two range projectors
+    a = random_complex([6, 14, 10], seed=3)
+    product, _ = tensor_complex(a, random_complex([8, 16, 9], seed=4))
+    assert max(product.dims) == 358
+    for degree in product.degrees:
+        values = np.clip(hermitian_eig(laplacian(product, degree)).eigenvalues, 0.0, None)
+        kernel = int(np.count_nonzero(complexes._kernel_mask(values, DEFAULT_TOL)))
+        assert cohomology_dim(product, degree) == kernel
+
+
+def test_values_only_spectra_agree_with_the_vectors_path():
+    factors = _fuzzed_complexes(40)
+    products = [tensor_complex(a, b)[0] for a, b in zip(factors[::2], factors[1::2])]
+    for c in factors + products:
+        for degree in c.degrees:
+            if not c.dim(degree):
+                continue
+            got = np.array(spectrum_multiset(c, degree))
+            want = np.clip(hermitian_eig(laplacian(c, degree)).eigenvalues, 0.0, None)
+            assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, want[-1])
+
+
+def test_laplacian_memo_takes_only_the_values_path(monkeypatch):
+    vector_calls = []
+    original = complexes.hermitian_eig
+
+    def counting(a, tol=DEFAULT_TOL, vectors=True):
+        vector_calls.append(vectors)
+        return original(a, tol, vectors)
+
+    monkeypatch.setattr(complexes, "hermitian_eig", counting)
+    c = random_complex([3, 4, 2], seed=11)
+    for degree in c.degrees:
+        cohomology_dim(c, degree)
+        spectrum_multiset(c, degree)
+        basic_estimate_constant(c, degree)
+    assert vector_calls == [False] * len(c.degrees)  # one memoized call per degree
+    hodge(c, 1)  # the Hodge split needs the kernel vectors
+    assert vector_calls[-1] is True
+
+
+def test_shifted_eigenvalue_fails_the_laplacian_memo(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+
+    def shifted(m):
+        values = eigvalsh(m).copy()
+        values[1] += 1e-6
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+    with pytest.raises(NoConvergenceError):
+        spectrum_multiset(random_complex([3, 4, 2], seed=8), 1)
 
 
 def _dilation_reference(d):

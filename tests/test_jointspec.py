@@ -249,6 +249,13 @@ def test_sum_operator_examples():
     assert np.allclose(report.eigenvalues, [1.0, 1.0, 3.0, 3.0])
 
 
+def test_sum_operator_keeps_exact_large_eigenvalues():
+    # one unit N * eps * ||A||_F of the values-only gate exceeds the default
+    # eigen_residual at 5e6; the measured residual of the vectors path is 0
+    report = sum_operator_check(np.diag([5e6]), [[1.0]])
+    assert report.passed and report.eigenvalues == (5000001.0,)
+
+
 def test_sum_operator_symbolic_route_counts_repeated_eigenvalues():
     # exact repeats merge into points of multiplicity > 1, and 1 + 1 = 2 + 0
     report = sum_operator_check(np.diag([1.0, 1.0, 2.0, 2.0]), np.diag([0.0, 1.0, 1.0, 2.0]))

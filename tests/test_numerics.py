@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,115 @@ def test_values_only_path_keeps_the_checks(monkeypatch):
             hermitian_eig(a, vectors=False)
 
 
+def test_values_only_gate_honours_eigen_residual():
+    rng = np.random.default_rng(41)
+    b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    a = b @ b.conj().T
+    assert hermitian_eig(a, Tolerance(eigen_residual=1e-9), vectors=False).residual <= MOMENT_GATE
+    # a tolerance under one unit N * eps * ||A||_F is out of the moments'
+    # reach, and the measured residual of the vectors path fails it
+    for vectors in (True, False):
+        with pytest.raises(NoConvergenceError):
+            hermitian_eig(a, Tolerance(eigen_residual=1e-300), vectors=vectors)
+    # the zero matrix has exact eigenvalues and passes any tolerance
+    zero = hermitian_eig(np.zeros((3, 3)), Tolerance(eigen_residual=1e-300), vectors=False)
+    assert zero.eigenvalues.tolist() == [0.0, 0.0, 0.0] and zero.residual == 0.0
+
+
+def test_values_only_gate_sees_one_shifted_eigenvalue(monkeypatch):
+    # a shift of 8 units passes the moment gate (16 units) but moves the
+    # trace by itself, above a tolerance of half the shift; the vectors path
+    # then decides and returns its own eigenvalues
+    rng = np.random.default_rng(53)
+    b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    a = b @ b.conj().T
+    herm = (a + a.conj().T) / 2.0
+    shift = 8 * 8 * np.finfo(float).eps * np.linalg.norm(herm)
+    eigvalsh = np.linalg.eigvalsh
+
+    def shifted(m):
+        values = eigvalsh(m).copy()
+        values[1] += shift
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+    dec = hermitian_eig(a, Tolerance(eigen_residual=shift / 2), vectors=False)
+    assert dec.vectors is None and dec.residual <= shift / 2
+    assert np.array_equal(dec.eigenvalues, np.linalg.eigh(herm)[0])
+    # above the shift the moments answer, and the shifted values stand
+    dec = hermitian_eig(a, Tolerance(eigen_residual=2 * shift), vectors=False)
+    assert 4 <= dec.residual <= MOMENT_GATE
+    assert np.array_equal(dec.eigenvalues, shifted(herm))
+
+
+@pytest.mark.parametrize(
+    "a", [[[9e6]], np.diag([5e6, 5e6, 1.0]), np.diag([1e200, -3e200])], ids=["9e6", "5e6", "1e200"]
+)
+def test_values_only_path_keeps_exact_large_eigenvalues(a, monkeypatch):
+    # one unit N * eps * ||A||_F exceeds the default eigen_residual of 1e-9
+    # here, so the measured residual of the vectors path (0 on a diagonal)
+    # decides instead of refusing exact eigenvalues
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    dec = hermitian_eig(a, vectors=False)
+    assert dec.vectors is None and dec.residual == 0.0 and len(calls) == 1
+    assert dec.eigenvalues.tolist() == sorted(np.diag(a).tolist())
+    # inside the tolerance the moments answer alone
+    hermitian_eig(np.diag([1.0, 2.0]), vectors=False)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e150, 1e-150])
+def test_values_only_gate_is_overflow_safe(scale, monkeypatch):
+    rng = np.random.default_rng(43)
+    b = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    a = (b @ b.conj().T) * scale
+    want = np.linalg.eigvalsh(a)
+    # near 1e200 the squares overflow and near 1e-200 they underflow, so the
+    # moments are taken on a scaled copy; the eigenvalues themselves pass
+    tol = Tolerance(eigen_residual=1e-6 * scale)
+    dec = hermitian_eig(a, tol, vectors=False)
+    assert dec.residual <= MOMENT_GATE
+    assert np.array_equal(dec.eigenvalues, want)
+    if scale > 1.0:
+        with pytest.raises(NoConvergenceError):  # the measured residual misses 1e-9 too
+            hermitian_eig(a, vectors=False)
+    eigvalsh = np.linalg.eigvalsh
+    for poison in (np.nan, np.inf):
+
+        def poisoned(m):
+            values = eigvalsh(m).copy()
+            values[5] = poison
+            return values
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", poisoned)
+        with pytest.raises(NoConvergenceError):
+            hermitian_eig(a, tol, vectors=False)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_overflowing_hermitian_part_is_refused(vectors):
+    # a + a* overflows to Inf and the solver returns NaN; a NaN residual
+    # fails the gate instead of passing NaN eigenvalues on
+    with pytest.warns(RuntimeWarning), pytest.raises(NoConvergenceError):
+        hermitian_eig(np.full((2, 2), 1e308), vectors=vectors)
+
+
+def test_hermitian_part_is_the_mean_with_the_adjoint():
+    # the gate sees exactly (A + A*)/2, and max|A - A*| decides the refusal
+    rng = np.random.default_rng(47)
+    b = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    a = b @ b.conj().T + 1e-10 * b
+    herm = (a + a.conj().T) / 2.0
+    assert np.array_equal(hermitian_eig(a).eigenvalues, np.linalg.eigh(herm)[0])
+    assert np.array_equal(hermitian_eig(a, vectors=False).eigenvalues, np.linalg.eigvalsh(herm))
+    skew = max_abs(a - a.conj().T)
+    hermitian_eig(a, Tolerance(identity_check=skew))
+    with pytest.raises(NotHermitianError):
+        hermitian_eig(a, Tolerance(identity_check=skew * (1 - 1e-12)))
+
+
 def test_range_projection_cases():
     assert max_abs(range_projection(np.zeros((3, 2)))) == 0.0
     rng = np.random.default_rng(5)
@@ -219,3 +330,14 @@ def test_tolerance_validation():
         Tolerance(rank_threshold=0.0)
     assert Tolerance(rank_threshold=1e-6).rank_cutoff(10, 1.0) == 1e-6
     assert DEFAULT_TOL.rank_cutoff(4, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("field", ["eigen_residual", "identity_check", "rank_threshold"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-9, 0.0])
+def test_tolerance_refuses_values_that_are_not_finite_and_positive(field, value):
+    # a NaN fails every comparison, so it would pass every gate: a NaN rank
+    # threshold made numeric_rank(eye(3)) 0, a NaN identity check made
+    # [[0, 1], [0, 0]] Hermitian
+    with pytest.raises(ValueError, match=field):
+        Tolerance(**{field: value})
+    assert getattr(Tolerance(**{field: 1e-3}), field) == 1e-3
