@@ -16,16 +16,16 @@ Layers, bottom up:
 - :mod:`hcspec.dbar`: compactness of the inverse complex Laplacian on
   products of Hermitian factors, with a built-in model catalogue.
 - :mod:`hcspec.cli`: the ``hcspec`` command.
+
+The names imported below are the public surface.
 """
 
 from .complexes import (
     FiniteComplex,
     HodgeSplit,
-    basic_estimate_constant,
     check_identities,
     cohomology_dim,
     hodge,
-    is_nondegenerate,
     laplacian,
     laplacian_inverse,
     random_complex,
@@ -88,5 +88,4 @@ from .tensorprod import (
     verify_product_spectrum,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -14,16 +14,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import complexes, fuzzing, tensorprod
 from .dbar import neumann_compactness, product_box_spectrum, riemann_surface_product_report
 from .errors import ToolkitError
 from .jointspec import (
     NotPSDError,
+    cartesian_gap,
     check_pair,
     joint_spectrum,
-    pairing_gap,
     sum_operator_check,
     tensor_pair_spectrum,
 )
@@ -253,11 +251,7 @@ def _cmd_joint(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
         "commutator_norm": pair.commutator_norm,
         "joint_points": [[lam, mu] for lam, mu in points.pairs],
     }
-    tensor_points = tensor_pair_spectrum(t, s, tol, args.max_dim)
-    eig_t = sorted(np.linalg.eigvals(t), key=lambda z: (z.real, z.imag))
-    eig_s = sorted(np.linalg.eigvals(s), key=lambda z: (z.real, z.imag))
-    cartesian = [(complex(a), complex(b)) for a in eig_t for b in eig_s]
-    gap = pairing_gap(tensor_points.pairs, cartesian)
+    gap = cartesian_gap(tensor_pair_spectrum(t, s, tol, args.max_dim), t, s)
     results["tensor_pair"] = {"cartesian_gap": gap, "passed": gap <= _MATCH_GAP}
     passed = gap <= _MATCH_GAP
     try:

@@ -54,11 +54,10 @@ class FiniteComplex:
     Each object memoizes, keyed by ``(degree, tol)``, the numeric rank of
     each differential and the clipped Laplacian eigenvalues of each degree
     (values-only ``eigvalsh`` under the moment gate of :func:`hermitian_eig`,
-    no eigenvectors), which :func:`cohomology_dim`,
-    :func:`basic_estimate_constant` and :func:`spectrum_multiset` read, and
-    the pseudo-inverses of :func:`solution_operator` and
-    :func:`laplacian_inverse`, which :func:`check_identities` reads at two
-    adjacent degrees.  The memo lives
+    no eigenvectors), which :func:`cohomology_dim` and
+    :func:`spectrum_multiset` read, and the pseudo-inverses of
+    :func:`solution_operator` and :func:`laplacian_inverse`, which
+    :func:`check_identities` reads at two adjacent degrees.  The memo lives
     with the object, and the object is frozen with read-only matrices, so no
     entry goes stale.
     """
@@ -365,48 +364,8 @@ def check_identities(
     return IdentityReport(residuals, passed)
 
 
-def basic_estimate_constant(
-    complex_: FiniteComplex, degree: int, tol: Tolerance = DEFAULT_TOL
-) -> float:
-    """Best constant C with ``|x|^2 <= C (|d x|^2 + |d* x|^2)`` off the kernel.
-
-    Returns the reciprocal of the smallest positive Laplacian eigenvalue,
-    infinity when the Laplacian vanishes on a nonzero space, and 0 for a zero
-    space.
-    """
-    if complex_.dim(degree) == 0:
-        return 0.0
-    values = _laplacian_eigenvalues(complex_, degree, tol)
-    positive = values[~_kernel_mask(values, tol)]
-    if positive.size == 0:
-        return math.inf
-    return float(1.0 / positive[0])
-
-
 def spectrum_multiset(
     complex_: FiniteComplex, degree: int, tol: Tolerance = DEFAULT_TOL
 ) -> list[float]:
     """Ascending Laplacian eigenvalues at one degree, negatives clamped to 0."""
     return _laplacian_eigenvalues(complex_, degree, tol).tolist()
-
-
-@dataclass(frozen=True)
-class NondegeneracyReport:
-    nondegenerate: bool
-    witnesses: Mapping[int, bool]
-
-
-def is_nondegenerate(
-    complex_: FiniteComplex, tol: Tolerance = DEFAULT_TOL
-) -> NondegeneracyReport:
-    """Every supported degree must touch at least one nonzero differential."""
-    witnesses: dict[int, bool] = {}
-    for degree in complex_.degrees:
-        if complex_.dim(degree) == 0:
-            continue
-        touched = (
-            max_abs(complex_.differential(degree - 1)) > tol.identity_check
-            or max_abs(complex_.differential(degree)) > tol.identity_check
-        )
-        witnesses[degree] = touched
-    return NondegeneracyReport(all(witnesses.values()), witnesses)

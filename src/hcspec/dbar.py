@@ -51,22 +51,6 @@ from .spectra import (
     product_operator,
 )
 
-__all__ = [
-    "DbarFactorModel",
-    "CompactnessReport",
-    "Verdict",
-    "BidegreeOutOfRangeError",
-    "MissingSpectrumDataError",
-    "BadDimensionError",
-    "TooFewFactorsError",
-    "BitVectorBudgetError",
-    "MissingAttestationError",
-    "product_box_spectrum",
-    "neumann_compactness",
-    "riemann_surface_product_report",
-    "builtin_models",
-]
-
 
 class BidegreeOutOfRangeError(ToolkitError):
     """The requested (p, q) lies outside the admissible bidegree range."""
@@ -169,13 +153,6 @@ class DbarFactorModel:
                 f"{self.name}: {label} at {key} is {dim} but the box spectrum "
                 f"has kernel multiplicity {kernel}"
             )
-
-    def entry(self, p: int, q: int) -> OperatorSpectrum | None:
-        if not (0 <= p <= self.complex_dimension and 0 <= q <= self.complex_dimension):
-            raise BidegreeOutOfRangeError(
-                f"bidegree ({p}, {q}) outside the {self.complex_dimension}-dimensional grid"
-            )
-        return self.box_spectrum[(p, q)]
 
     def known_empty(self, p: int, q: int) -> bool:
         entry = self.box_spectrum.get((p, q))

@@ -287,6 +287,18 @@ def pairing_gap(
     return gap
 
 
+def cartesian_gap(points: JointSpectrumPoints, t, s) -> float:
+    """:func:`pairing_gap` of ``points`` against the Cartesian product of the
+    eigenvalues of T and of S.
+
+    The reference side for :func:`tensor_pair_spectrum`: each factor's
+    eigenvalues come from ``np.linalg.eigvals`` of that factor alone, never
+    from the tensored pair or its basis.
+    """
+    eig_t, eig_s = (sorted(np.linalg.eigvals(m), key=lambda z: (z.real, z.imag)) for m in (t, s))
+    return pairing_gap(points.pairs, [(complex(a), complex(b)) for a in eig_t for b in eig_s])
+
+
 @dataclass(frozen=True)
 class SumOperatorReport:
     """Eigenvalues of ``T (x) I + I (x) S`` against pairwise eigenvalue sums."""

@@ -157,7 +157,8 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL, vectors: bool = True) -> Eige
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     Raises ``NotHermitianError`` when the input is not square or deviates
-    from its adjoint by more than ``tol.identity_check`` in max-norm, and
+    from its adjoint by more than ``tol.identity_check`` in max-norm,
+    ``NonFiniteError`` when its Hermitian part overflows, and
     ``NoConvergenceError`` when the residual target cannot be met.
 
     Without ``vectors`` only the eigenvalues are computed.  A backward-stable
@@ -184,37 +185,51 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL, vectors: bool = True) -> Eige
     herm = np.conjugate(a.T, order="C")
     if max_abs(a - herm) > tol.identity_check:
         raise NotHermitianError("matrix deviates from its adjoint beyond tolerance")
-    herm += a
-    herm /= 2.0
+    # entries near the float limit overflow to Inf here (and Inf / 2 is NaN
+    # in complex division); that fails a gate below, and _eig_failure then
+    # names the overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm += a
+        herm /= 2.0
     try:
         if not vectors:
             values = np.linalg.eigvalsh(herm)
             deviation, unit = _moment_deviation(herm, values)
             if not deviation <= MOMENT_GATE:  # NaN fails too
-                raise NoConvergenceError(
+                raise _eig_failure(
+                    herm,
                     f"eigenvalue moments deviate by {deviation:.3e} units of N*eps, "
-                    f"above {MOMENT_GATE:g}"
+                    f"above {MOMENT_GATE:g}",
                 )
             if max(deviation, 1.0) * unit <= tol.eigen_residual:
                 values.setflags(write=False)
                 return EigenDecomposition(values, None, deviation)
         values, basis = np.linalg.eigh(herm)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
+        raise _eig_failure(herm, str(exc)) from exc
     # entries near the float limit overflow here; Inf or NaN fails the gate
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(
             np.max(np.linalg.norm(herm @ basis - basis * values, axis=0), initial=0.0)
         )
     if not residual <= tol.eigen_residual:
-        raise NoConvergenceError(
-            f"eigendecomposition residual {residual:.3e} exceeds {tol.eigen_residual:.3e}"
+        raise _eig_failure(
+            herm, f"eigendecomposition residual {residual:.3e} exceeds {tol.eigen_residual:.3e}"
         )
     values.setflags(write=False)
     if not vectors:
         return EigenDecomposition(values, None, residual)
     basis.setflags(write=False)
     return EigenDecomposition(values, basis, residual)
+
+
+def _eig_failure(herm: np.ndarray, message: str) -> ToolkitError:
+    """The error for a failed eigen gate or solver: ``NonFiniteError`` when
+    the Hermitian part holds Inf or NaN (its entries overflowed), otherwise
+    ``NoConvergenceError`` with ``message``.  Only failures pay this pass."""
+    if not np.isfinite(herm).all():
+        return NonFiniteError("the Hermitian part of the matrix overflows")
+    return NoConvergenceError(message)
 
 
 def _svd(a: np.ndarray, tol: Tolerance, vectors: bool = False):

@@ -168,12 +168,6 @@ def parse_extended_count(value: Any, path: str) -> Mult | None:
     raise _fail(path, f"expected a count, 'inf', 'unknown', or null, got {value!r}")
 
 
-def extended_count_to_json(value: Mult | None) -> Any:
-    if value is None:
-        return None
-    return "inf" if is_infinite(value) else int(value)
-
-
 def parse_spectral_set(value: Any, path: str) -> SpectralSet:
     if not isinstance(value, dict) or "atoms" not in value:
         raise _fail(path, "expected an object with an 'atoms' array")
@@ -288,17 +282,6 @@ def parse_finite_complex(value: Any, path: str) -> FiniteComplex:
         raise _fail(path, str(exc)) from exc
 
 
-def finite_complex_to_json(value: FiniteComplex) -> dict:
-    return {
-        "lo": value.lo,
-        "dims": list(value.dims),
-        "differentials": {
-            str(degree): matrix_to_json(matrix)
-            for degree, matrix in sorted(value.differentials.items())
-        },
-    }
-
-
 # ---------------------------------------------------------------------------
 # Factor models
 
@@ -352,23 +335,6 @@ def _parse_bidegree_key(key: str, path: str) -> tuple[int, int]:
         return int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise _fail(path, f"bidegree keys look like 'p,q'; got {key!r}") from exc
-
-
-def factor_model_to_json(value: DbarFactorModel) -> dict:
-    return {
-        "name": value.name,
-        "complex_dimension": value.complex_dimension,
-        "closed_range": value.closed_range,
-        "bergman_dim": extended_count_to_json(value.bergman_dim),
-        "box_spectrum": {
-            f"{p},{q}": None if entry is None else operator_spectrum_to_json(entry)
-            for (p, q), entry in sorted(value.box_spectrum.items())
-        },
-        "cohomology_dim": {
-            f"{p},{q}": extended_count_to_json(entry)
-            for (p, q), entry in sorted(value.cohomology_dim.items())
-        },
-    }
 
 
 # ---------------------------------------------------------------------------

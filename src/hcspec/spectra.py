@@ -48,7 +48,7 @@ once per call.  Every compactness verdict reads those parts:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -186,12 +186,6 @@ class SpectralSet:
     def contains(self, value: RationalLike) -> bool:
         v = as_rational(value)
         return any(atom.covers(v) for atom in self.atoms)
-
-    def __or__(self, other: "SpectralSet") -> "SpectralSet":
-        return union(self, other)
-
-    def __add__(self, other: "SpectralSet") -> "SpectralSet":
-        return minkowski_sum(self, other)
 
 
 EMPTY = SpectralSet(())
@@ -649,16 +643,17 @@ class OperatorSpectrum:
     annotations of ``spectrum``; passing it explicitly marks it as
     user-asserted (needed to model operators whose essential spectrum arises
     from accumulation, which the atom class cannot express).
+    ``essential_asserted`` records which of the two it was.
     """
 
     spectrum: SpectralSet
     essential: SpectralSet | None = None
-    essential_asserted: bool = True
+    essential_asserted: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "essential_asserted", self.essential is not None)
         if self.essential is None:
             object.__setattr__(self, "essential", essential_part(self.spectrum))
-            object.__setattr__(self, "essential_asserted", False)
         else:
             witness = find_uncovered(self.essential, self.spectrum)
             if witness is not None:
@@ -668,9 +663,6 @@ class OperatorSpectrum:
 
     def is_empty(self) -> bool:
         return self.spectrum.is_empty()
-
-
-EMPTY_OPERATOR_SPECTRUM = OperatorSpectrum(EMPTY)
 
 
 def _fold_spectra(factors: Sequence[OperatorSpectrum], folds: dict) -> SpectralSet:
@@ -796,40 +788,29 @@ class CompactnessReport:
 
 @dataclass(frozen=True)
 class SpectralComplexModel:
-    """Per-degree operator spectra of one Hilbert complex, with attestations.
+    """Per-degree operator spectra of one Hilbert complex.
 
-    ``support`` lists the degrees with a nonzero space; it defaults to the
-    degrees present in ``spectra``.  ``closed_range`` attests that all
-    differentials have closed range, which the compactness criteria require.
+    ``closed_range`` attests that all differentials have closed range, which
+    the compactness criteria require; it is the only attestation taken.  The
+    rest is derived from ``spectra``: ``support`` is the degrees with a
+    nonempty spectrum, and ``nondegenerate`` is
+    :func:`nondegenerate_spectra_check` over it (no supported spectrum is
+    ``{0}`` alone).  So ``{0:∞}`` and ``{0:1}`` at degree 0 are degenerate,
+    and their product is judged by the cross sums (compact, see
+    :func:`compactness_verdict`) whatever the caller believes.
     """
 
     spectra: Mapping[int, OperatorSpectrum]
-    support: frozenset[int] = None  # type: ignore[assignment]
-    nondegenerate: bool = False
     closed_range: bool = False
+    support: frozenset[int] = field(init=False)
+    nondegenerate: bool = field(init=False)
 
     def __post_init__(self) -> None:
         spectra = dict(self.spectra)
+        support = frozenset(d for d, op in spectra.items() if not op.is_empty())
         object.__setattr__(self, "spectra", spectra)
-        if self.support is None:
-            object.__setattr__(
-                self,
-                "support",
-                frozenset(d for d, op in spectra.items() if not op.is_empty()),
-            )
-        else:
-            object.__setattr__(self, "support", frozenset(self.support))
-        for degree in self.support:
-            op = spectra.get(degree)
-            if op is None or op.is_empty():
-                raise ValueError(
-                    f"degree {degree} is in the support but has an empty spectrum"
-                )
-        for degree, op in spectra.items():
-            if degree not in self.support and not op.is_empty():
-                raise ValueError(
-                    f"degree {degree} has a nonempty spectrum but is not in the support"
-                )
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "nondegenerate", nondegenerate_spectra_check(spectra, support))
 
 
 def compactness_verdict(
@@ -839,11 +820,15 @@ def compactness_verdict(
 
     Reads the parts of :func:`product_essential` over the supported splittings
     ``j + k = degree``: in the term ``(left[j], right[k])`` the two parts are
-    the cross sums ``E_j + S_k`` and ``S_j + E_k``.  With nondegeneracy
-    asserted on both factors, compactness holds exactly when no part exists,
-    that is, when every relevant factor essential spectrum is empty (a
-    supported degree has a nonempty spectrum).  Without it, the criterion is
-    that each part stays within ``{0}``.  The witnesses are the splittings
+    the cross sums ``E_j + S_k`` and ``S_j + E_k``.  When both factors are
+    nondegenerate (derived from their spectra, see
+    :class:`SpectralComplexModel`), compactness holds exactly when no part
+    exists, that is, when every relevant factor essential spectrum is empty
+    (a supported degree has a nonempty spectrum).  Otherwise the criterion is
+    that each part stays within ``{0}``: ``{0:∞} ⊗ {0:1}`` at degree 0 is
+    compact by ``essential-cross-sums-within-zero``.  On nondegenerate
+    factors the two criteria agree, since each part ``e + v`` there has some
+    ``v > 0``; only the rule name differs.  The witnesses are the splittings
     that break the criterion.
     """
     if not (left.closed_range and right.closed_range):

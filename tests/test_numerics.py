@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,10 +258,12 @@ def test_values_only_gate_is_overflow_safe(scale, monkeypatch):
 
 @pytest.mark.parametrize("vectors", [True, False])
 def test_overflowing_hermitian_part_is_refused(vectors):
-    # a + a* overflows to Inf and the solver returns NaN; a NaN residual
-    # fails the gate instead of passing NaN eigenvalues on
-    with pytest.warns(RuntimeWarning), pytest.raises(NoConvergenceError):
-        hermitian_eig(np.full((2, 2), 1e308), vectors=vectors)
+    # a + a* overflows to Inf and the solver returns NaN; the failed gate
+    # names the overflow, and no RuntimeWarning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="overflows"):
+            hermitian_eig(np.full((2, 2), 1e308), vectors=vectors)
 
 
 def test_hermitian_part_is_the_mean_with_the_adjoint():

@@ -730,10 +730,8 @@ def test_nondegenerate_spectra_check():
 # Compactness verdicts
 
 
-def _model(spectra, nondegenerate=True):
-    return SpectralComplexModel(
-        spectra, nondegenerate=nondegenerate, closed_range=True
-    )
+def _model(spectra):
+    return SpectralComplexModel(spectra, closed_range=True)
 
 
 def test_verdict_compact_when_essentials_empty():
@@ -768,29 +766,50 @@ def test_verdict_infinite_kernel_forces_noncompact_everywhere():
 
 
 def test_verdict_requires_attestation():
-    left = SpectralComplexModel(
-        {0: OperatorSpectrum(SpectralSet.of(ap(1, 1)))}, nondegenerate=True
-    )
+    left = SpectralComplexModel({0: OperatorSpectrum(SpectralSet.of(ap(1, 1)))})
     right = _model({0: OperatorSpectrum(SpectralSet.of(ap(1, 1)))})
     with pytest.raises(MissingAttestationError):
         compactness_verdict(left, right, 0)
 
 
 def test_verdict_zero_sum_criterion_without_nondegeneracy():
-    left = SpectralComplexModel(
-        {0: OperatorSpectrum(SpectralSet.of(pt(0, INFINITE)))},
-        nondegenerate=False,
-        closed_range=True,
-    )
-    right = SpectralComplexModel(
-        {0: OperatorSpectrum(SpectralSet.of(pt(0, 1)))},
-        nondegenerate=False,
-        closed_range=True,
-    )
+    # {0:inf} (x) {0:1} at degree 0: both spectra are {0} alone, so neither
+    # factor is nondegenerate, and no caller can say otherwise
+    left = _model({0: OperatorSpectrum(SpectralSet.of(pt(0, INFINITE)))})
+    right = _model({0: OperatorSpectrum(SpectralSet.of(pt(0, 1)))})
+    assert not left.nondegenerate and not right.nondegenerate
     report = compactness_verdict(left, right, 0)
     # essential sums stay within {0}: still compact by the cross-sum criterion
     assert report.verdict is Verdict.COMPACT
     assert report.fired_rule == "essential-cross-sums-within-zero"
+    assert report.essential_spectrum == SpectralSet.of(pt(0, INFINITE))
+
+
+def test_nondegenerate_pair_fires_the_factor_essential_rules():
+    # no supported spectrum is {0} alone: the derived flag picks the
+    # factor-essential criterion, which agrees with the cross sums here
+    left = _model(
+        {
+            0: OperatorSpectrum(SpectralSet.of(pt(0, INFINITE), ap(1, 1))),
+            1: OperatorSpectrum(EMPTY),
+        }
+    )
+    right = _model({0: OperatorSpectrum(SpectralSet.of(ap(2, 1)))})
+    assert left.nondegenerate and right.nondegenerate
+    assert left.support == frozenset({0})
+    report = compactness_verdict(left, right, 0)
+    assert report.verdict is Verdict.NONCOMPACT
+    assert report.fired_rule == "factor-essential-spectrum-nonempty"
+    assert report.witnesses == ((0, 0),)
+    compact = compactness_verdict(right, right, 0)
+    assert compact.fired_rule == "factor-essential-spectra-empty"
+
+
+@pytest.mark.parametrize("keyword", ["support", "nondegenerate"])
+def test_spectral_model_derives_support_and_nondegeneracy(keyword):
+    spectra = {0: OperatorSpectrum(SpectralSet.of(pt(1)))}
+    with pytest.raises(TypeError):
+        SpectralComplexModel(spectra, closed_range=True, **{keyword: frozenset({0})})
 
 
 def test_criterion_equivalences_on_fuzzed_models():
@@ -870,7 +889,8 @@ _ZERO_SPECTRA = (
 def _verdict_model(rnd):
     """Degrees 0..2 holding an empty spectrum (outside the support), a
     spectrum equal to {0}, {0:inf} or {0} with {0} asserted essential, or a
-    random one (a quarter with an asserted essential part); either flag."""
+    random one (a quarter with an asserted essential part).  A model is
+    nondegenerate exactly when no supported degree holds a {0} spectrum."""
     spectra = {}
     for degree in range(rnd.randint(1, 3)):
         roll = rnd.random()
@@ -880,9 +900,7 @@ def _verdict_model(rnd):
             spectra[degree] = rnd.choice(_ZERO_SPECTRA)
         else:
             spectra[degree] = random_operator_spectrum(rnd)
-    return SpectralComplexModel(
-        spectra, nondegenerate=rnd.random() < 0.5, closed_range=True
-    )
+    return SpectralComplexModel(spectra, closed_range=True)
 
 
 def test_verdict_matches_reference_criteria():
@@ -903,12 +921,3 @@ def test_verdict_matches_reference_criteria():
     }
     # the cross-sum criterion passes with essential parts equal to {0}
     assert fired["essential-cross-sums-within-zero", False] > 0
-
-
-def test_spectral_model_support_consistency():
-    with pytest.raises(ValueError):
-        SpectralComplexModel({0: OperatorSpectrum(EMPTY)}, support=frozenset({0}))
-    with pytest.raises(ValueError):
-        SpectralComplexModel(
-            {0: OperatorSpectrum(SpectralSet.of(pt(1)))}, support=frozenset()
-        )

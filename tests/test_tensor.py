@@ -160,19 +160,6 @@ def test_shifted_degree_windows():
         assert verify_product_spectrum(a, b, product, degree).passed
 
 
-def test_nondegeneracy_preserved_on_instances():
-    from hcspec.complexes import is_nondegenerate
-
-    assert is_nondegenerate(tensor_complex(chain(), chain())[0]).nondegenerate
-    for seed in range(3):
-        a = random_complex([3, 4, 2], seed=seed)
-        b = random_complex([2, 3], seed=seed + 50)
-        assert is_nondegenerate(a).nondegenerate
-        assert is_nondegenerate(b).nondegenerate
-        product, _ = tensor_complex(a, b)
-        assert is_nondegenerate(product).nondegenerate
-
-
 def test_tensor_command_builds_once_and_ranks_once(tmp_path, monkeypatch, capsys):
     ranked = []
     builds = []
