@@ -9,12 +9,13 @@ Layers, bottom up:
 - :mod:`hcspec.tensorprod`: tensor products of complexes, the blockwise
   product Laplacian, Kuenneth counts, spectrum pairing checks.
 - :mod:`hcspec.spectra`: exact symbolic spectral sets (points and arithmetic
-  progressions over the rationals), Minkowski sums, essential parts, product
-  formulas and compactness verdicts.
+  progressions over the rationals), Minkowski sums, essential parts and the
+  product formula.
 - :mod:`hcspec.jointspec`: joint spectra of commuting normal pairs and the
   sum-operator spectrum checks.
 - :mod:`hcspec.dbar`: compactness of the inverse complex Laplacian on
-  products of Hermitian factors, with a built-in model catalogue.
+  products of Hermitian factors or graded Hilbert complexes, the one
+  verdict convention, and a built-in model catalogue.
 - :mod:`hcspec.cli`: the ``hcspec`` command.
 
 The names imported below are the public surface.
@@ -34,7 +35,9 @@ from .complexes import (
     validate,
 )
 from .dbar import (
+    CompactnessReport,
     DbarFactorModel,
+    Verdict,
     builtin_models,
     neumann_compactness,
     product_box_spectrum,
@@ -63,21 +66,15 @@ from .spectra import (
     AP,
     EMPTY,
     INFINITE,
-    CompactnessReport,
     OperatorSpectrum,
     Point,
-    SpectralComplexModel,
     SpectralSet,
-    Verdict,
-    compactness_verdict,
     enumerate_below,
     essential_part,
     is_subset,
     minkowski_oracle_check,
     minkowski_sum,
-    nondegenerate_spectra_check,
     normalize,
-    product_spectrum,
     union,
 )
 from .tensorprod import (

@@ -3,30 +3,42 @@
 A factor model captures, per bidegree ``(p, q)``, the spectrum and essential
 spectrum of the complex Laplacian (the box operator) of one Hermitian factor,
 together with a closed-range attestation, the Bergman space dimension, and
-cohomology dimensions.  Products use the one product formula of
-:mod:`hcspec.spectra` (:func:`~hcspec.spectra.product_operator` and
-:func:`~hcspec.spectra.product_essential`), with one term per bidegree
-splitting or, for n one-dimensional factors, per bit vector; its unions run
-in term order, then factor order, because ``normalize`` is not associative on
-representation.  The compactness rules read the answer off the parts of
-:func:`~hcspec.spectra.product_essential`: the witnesses are the terms with a
-nonempty part.  Shortcut rules (infinite Bergman space, non-compact factor
-solution operator) can decide the verdict even when parts of the factor data
-are unknown; for n factors they apply when some bit vector of the form degree
-avoids every entry known to be empty.
+cohomology dimensions.  A Hilbert complex graded by one degree is the
+``(0, q)`` row of such a model, as the Cauchy-Riemann complex at fixed ``p``
+is: ``complex_dimension`` is its top degree, and a degree without a space
+holds ``OperatorSpectrum(EMPTY)``, a known zero space.  Products use the one
+product formula of :mod:`hcspec.spectra`, with one term per splitting of the
+bidegree into one bidegree per factor (:func:`_splittings`; for n
+one-dimensional factors at ``(0, q)``, the bit vectors of weight ``q``); its
+unions run in term order, then factor order, because ``normalize`` is not
+associative on representation.
 
-Unknown entries are ``None``; they propagate to an undecidable verdict rather
-than a guess, except where a shortcut rule applies.  Models are presumed to
-describe genuine manifolds, so a spectrum that is not numerically specified is
-treated as nonempty by the shortcut rules; an entry asserted to be the empty
-spectrum disables them.
+Convention: as in the paper, the Neumann operator N is the inverse of the box
+operator on the orthogonal complement of its kernel and 0 on the kernel, so
+with closed range N is compact exactly when the essential spectrum of the
+product box operator lies within ``{0}``.  Every verdict reads this off the
+parts of :func:`~hcspec.spectra.product_essential`: a part is a witness
+exactly when it is not within ``{0}``, and the verdict is compact when no
+part is.  So ``{0:∞} ⊗ {0:1}`` at degree 0, with the essential spectrum
+``{0:∞}`` (a kernel, on which N is 0), is compact, and the rule name
+``essential-spectrum-empty`` means "no essential value outside ``{0}``".
+
+Shortcut rules (infinite Bergman space, non-compact factor solution operator)
+can decide the verdict even when parts of the factor data are unknown.  They
+argue from terms with no entry known to lie within ``{0}`` (the empty
+spectrum included): the infinite kernel summed with such entries leaves
+``{0}``, and summed with an entry within ``{0}`` it may not.  Unknown entries
+are ``None``; they propagate to an undecidable verdict rather than a guess,
+except where a shortcut rule applies.  Models are presumed to describe
+genuine manifolds, so the shortcut rules treat a spectrum that is not
+numerically specified as one that leaves ``{0}``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Callable, Mapping, Sequence
 
 from .errors import ToolkitError
@@ -35,13 +47,10 @@ from .spectra import (
     AP,
     EMPTY,
     INFINITE,
-    CompactnessReport,
     Mult,
     OperatorSpectrum,
     Point,
     SpectralSet,
-    Verdict,
-    MissingAttestationError,
     covered_by_progression,
     is_infinite,
     is_subset_of_zero,
@@ -72,9 +81,38 @@ class BitVectorBudgetError(ToolkitError):
     """An n-factor report would fold more than ``BIT_VECTOR_CAP`` bit vectors."""
 
 
+class MissingAttestationError(ToolkitError):
+    """A compactness question was posed without closed-range attestations."""
+
+
 #: Most weight-q bit vectors (``math.comb(n, q)``) an n-factor report folds:
 #: every degree of up to 12 factors.
 BIT_VECTOR_CAP = 2**10
+
+
+class Verdict(str, Enum):
+    COMPACT = "compact"
+    NONCOMPACT = "non-compact"
+    UNDECIDABLE = "undecidable"
+
+
+@dataclass(frozen=True)
+class CompactnessReport:
+    """Structured compactness verdict with the rule that decided it."""
+
+    verdict: Verdict
+    fired_rule: str
+    witnesses: tuple
+    essential_spectrum: SpectralSet
+    trace: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.verdict is Verdict.NONCOMPACT and not self.witnesses:
+            raise ValueError("a non-compact verdict requires witnesses")
+        if self.verdict is Verdict.COMPACT and not is_subset_of_zero(
+            self.essential_spectrum
+        ):
+            raise ValueError("a compact verdict requires essential spectrum within {0}")
 
 
 @dataclass(frozen=True)
@@ -154,35 +192,57 @@ class DbarFactorModel:
                 f"has kernel multiplicity {kernel}"
             )
 
-    def known_empty(self, p: int, q: int) -> bool:
+    def known_within_zero(self, p: int, q: int) -> bool:
+        """Whether the entry at ``(p, q)`` is known and its spectrum lies
+        within ``{0}`` (the empty spectrum included)."""
         entry = self.box_spectrum.get((p, q))
-        return entry is not None and entry.is_empty()
+        return entry is not None and is_subset_of_zero(entry.spectrum)
 
 
-def _box_terms(
-    x: DbarFactorModel, y: DbarFactorModel, p: int, q: int
-) -> tuple[list[tuple[int, int, int, int]], list[tuple[OperatorSpectrum, OperatorSpectrum]]]:
-    """The splittings ``(p', q', p'', q'')`` of ``(p, q)`` and their factor entries.
+def _splittings(dims: Sequence[int], p: int, q: int) -> list[tuple[tuple[int, int], ...]]:
+    """The splittings of ``(p, q)`` into one bidegree per factor, in
+    lexicographic order; factor ``j``'s bidegree lies in ``{0..dims[j]}^2``.
 
-    Raises when ``(p, q)`` is out of range or a required entry is unknown.
+    Each factor's range is clipped by what the later factors can still hold,
+    so every prefix extends to a splitting; ``(p, q)`` outside the product's
+    grid has none.
     """
+    rooms = [sum(dims[j + 1 :]) for j in range(len(dims))]
+    level = [((), p, q)]
+    for dim, room in zip(dims, rooms):
+        level = [
+            (prefix + ((pj, qj),), p_left - pj, q_left - qj)
+            for prefix, p_left, q_left in level
+            for pj in range(max(0, p_left - room), min(p_left, dim) + 1)
+            for qj in range(max(0, q_left - room), min(q_left, dim) + 1)
+        ]
+    return [prefix for prefix, _, _ in level]
+
+
+def _entries(
+    factors: Sequence[DbarFactorModel], splits: Sequence[tuple[tuple[int, int], ...]]
+) -> list[tuple[OperatorSpectrum, ...]]:
+    """The factor entries of each splitting; raises at the first unknown one."""
+    terms = []
+    for split in splits:
+        term = tuple(factor.box_spectrum[bidegree] for factor, bidegree in zip(factors, split))
+        if any(entry is None for entry in term):
+            raise MissingSpectrumDataError(
+                "unknown factor spectrum at " + " (x) ".join(map(str, split))
+            )
+        terms.append(term)
+    return terms
+
+
+def _pair_terms(
+    x: DbarFactorModel, y: DbarFactorModel, p: int, q: int
+) -> tuple[list[tuple[tuple[int, int], ...]], list[tuple[OperatorSpectrum, ...]]]:
+    """The splittings of ``(p, q)`` over two factors and their entries."""
     total = x.complex_dimension + y.complex_dimension
     if not (0 <= p <= total and 0 <= q <= total):
         raise BidegreeOutOfRangeError(f"bidegree ({p}, {q}) outside [0, {total}]^2")
-    bidegrees = []
-    terms = []
-    for p1 in range(max(0, p - y.complex_dimension), min(p, x.complex_dimension) + 1):
-        for q1 in range(max(0, q - y.complex_dimension), min(q, x.complex_dimension) + 1):
-            p2, q2 = p - p1, q - q1
-            left = x.box_spectrum[(p1, q1)]
-            right = y.box_spectrum[(p2, q2)]
-            if left is None or right is None:
-                raise MissingSpectrumDataError(
-                    f"unknown factor spectrum at {(p1, q1)} (x) {(p2, q2)}"
-                )
-            bidegrees.append((p1, q1, p2, q2))
-            terms.append((left, right))
-    return bidegrees, terms
+    splits = _splittings((x.complex_dimension, y.complex_dimension), p, q)
+    return splits, _entries((x, y), splits)
 
 
 def product_box_spectrum(
@@ -197,7 +257,7 @@ def product_box_spectrum(
     order, then factor order, because ``normalize`` is not associative on
     representation.  Raises when a required factor entry is unknown.
     """
-    return product_operator(_box_terms(x, y, p, q)[1])
+    return product_operator(_pair_terms(x, y, p, q)[1])
 
 
 def _bergman_shortcut(
@@ -211,7 +271,7 @@ def _bergman_shortcut(
         return None
     if p > other.complex_dimension or q > other.complex_dimension:
         return None
-    if other.known_empty(p, q):
+    if other.known_within_zero(p, q):
         return None
     witness = (0, 0, p, q) if order == "left" else (p, q, 0, 0)
     essential = EMPTY
@@ -232,18 +292,21 @@ def neumann_compactness(
 ) -> CompactnessReport:
     """Compactness of the product inverse box operator at bidegree ``(p, q)``.
 
-    Compact exactly when the essential spectrum of the product box operator is
-    empty.  An infinite Bergman space on either factor forces non-compactness
-    for all bidegrees within the other factor's range, even when the rest of
-    the data is unknown.  Otherwise unknown entries make the verdict
-    undecidable.
+    Compact exactly when the essential spectrum of the product box operator
+    lies within ``{0}`` (the module's convention); the witnesses are the
+    splittings ``(p', q', p'', q'')`` with a part outside ``{0}``.  A graded
+    Hilbert complex is judged as the ``(0, q)`` row of a model, at ``p = 0``.
+    An infinite Bergman space on either factor forces non-compactness for all
+    bidegrees within the other factor's range whose entry is not known to lie
+    within ``{0}``, even when the rest of the data is unknown.  Otherwise
+    unknown entries make the verdict undecidable.
     """
     if not (x.closed_range and y.closed_range):
         raise MissingAttestationError(
             "compactness criteria require closed-range attestations on both factors"
         )
     try:
-        bidegrees, terms = _box_terms(x, y, p, q)
+        splits, terms = _pair_terms(x, y, p, q)
     except MissingSpectrumDataError:
         shortcut = _bergman_shortcut(x, y, p, q, "left") or _bergman_shortcut(
             y, x, p, q, "right"
@@ -252,8 +315,10 @@ def neumann_compactness(
             return shortcut
         return CompactnessReport(Verdict.UNDECIDABLE, "unknown-factor-data", (), EMPTY)
 
-    essential, contributors = product_essential(terms)
-    witnesses = tuple(dict.fromkeys(bidegrees[t] for t, _, _ in contributors))
+    essential, parts = product_essential(terms)
+    witnesses = tuple(
+        dict.fromkeys(sum(splits[t], ()) for t, _, part in parts if not is_subset_of_zero(part))
+    )
     if witnesses:
         return CompactnessReport(
             Verdict.NONCOMPACT, "factor-essential-contribution", witnesses, essential
@@ -269,44 +334,27 @@ def _essential_not_within_zero(entry: OperatorSpectrum | None) -> bool:
     return entry is not None and not is_subset_of_zero(entry.essential)
 
 
-def _essential_over(
-    factors: Sequence[DbarFactorModel], vectors: Sequence[tuple[int, ...]]
-) -> tuple[SpectralSet, list[tuple[int, int]]] | None:
-    """:func:`product_essential` over bit vectors; ``None`` if an entry is unknown.
-
-    Term ``t`` takes factor ``j``'s entry at bidegree ``(0, vectors[t][j])``.
-    """
-    terms = [
-        tuple(factor.box_spectrum[(0, bit)] for factor, bit in zip(factors, bits))
-        for bits in vectors
-    ]
-    if any(entry is None for term in terms for entry in term):
-        return None
-    return product_essential(terms)
-
-
 def _uniform_term_noncompact(factors: Sequence[DbarFactorModel], bit: int) -> bool | None:
-    """Whether :func:`_essential_over` of the one vector ``(bit,) * n`` is
-    nonempty, read from emptiness alone; ``None`` if an entry is unknown.
+    """Whether some part of the one bit vector ``(bit,) * n`` leaves ``{0}``,
+    read from emptiness and within-``{0}`` flags alone; ``None`` if an entry
+    is unknown.
 
-    A part is one factor's essential spectrum plus the Minkowski sum of the
-    others' spectra, and sums of nonempty sets are nonempty; an essential
-    spectrum lies in its own factor's spectrum.
+    Part ``j`` is factor ``j``'s essential spectrum plus the Minkowski sum of
+    the others' spectra.  It is empty when any spectrum is empty (an
+    essential spectrum lies in its own factor's spectrum), and otherwise it
+    leaves ``{0}`` exactly when one of its summands does.
     """
     entries = [factor.box_spectrum[(0, bit)] for factor in factors]
     if any(entry is None for entry in entries):
         return None
-    return not any(entry.is_empty() for entry in entries) and any(
-        not entry.essential.is_empty() for entry in entries
+    if any(entry.is_empty() for entry in entries):
+        return False
+    outside = [not is_subset_of_zero(entry.spectrum) for entry in entries]
+    return any(
+        not entry.essential.is_empty()
+        and (not is_subset_of_zero(entry.essential) or sum(outside) > outside[j])
+        for j, entry in enumerate(entries)
     )
-
-
-def _bit_vectors(n: int, q: int) -> list[tuple[int, ...]]:
-    """The bit vectors of length ``n`` and weight ``q``, in lexicographic order."""
-    return [
-        tuple(int(j in ones) for j in range(n))
-        for ones in reversed(list(itertools.combinations(range(n), q)))
-    ]
 
 
 def riemann_surface_product_report(
@@ -317,12 +365,14 @@ def riemann_surface_product_report(
 
     The essential spectrum is the union, over bit vectors K of weight ``q``,
     of each factor's essential spectrum at its bit summed with the spectra of
-    the others at theirs.  Shortcut rules fire first: an infinite Bergman
-    space on any factor forces non-compactness for ``q <= n - 1``, and a
-    factor whose solution operator is non-compact (essential spectrum beyond
-    ``{0}`` at bidegree (0,0) or (0,1)) forces non-compactness for every
-    ``q``.  The trace records which monotonicity rules applied.  More than
-    ``BIT_VECTOR_CAP`` bit vectors of weight ``q`` is a
+    the others at theirs; the witnesses ``(j, *K)`` are the parts outside
+    ``{0}`` (the module's convention).  Shortcut rules fire first: an
+    infinite Bergman space on any factor forces non-compactness for
+    ``q <= n - 1``, and a factor whose solution operator is non-compact
+    (essential spectrum beyond ``{0}`` at bidegree (0,0) or (0,1)) forces
+    non-compactness for every ``q``; both need a bit vector with no entry
+    known to lie within ``{0}``.  The trace records which monotonicity rules
+    applied.  More than ``BIT_VECTOR_CAP`` bit vectors of weight ``q`` is a
     :class:`BitVectorBudgetError`, raised before any fold.
     """
     n = len(factors)
@@ -348,17 +398,20 @@ def riemann_surface_product_report(
 
     trace: list[str] = []
 
-    vectors = _bit_vectors(n, q)
+    splits = _splittings((1,) * n, 0, q)
     feasible = [
-        bits
-        for bits in vectors
-        if not any(factor.known_empty(0, bit) for factor, bit in zip(factors, bits))
+        split
+        for split in splits
+        if not any(factor.known_within_zero(*bidegree) for factor, bidegree in zip(factors, split))
     ]
-    computed = _essential_over(factors, vectors)
+    try:
+        computed = product_essential(_entries(factors, splits))
+    except MissingSpectrumDataError:
+        computed = None
     reported = computed[0] if computed is not None else EMPTY
 
     for j, factor in enumerate(factors):
-        if is_infinite(factor.bergman_dim) and any(bits[j] == 0 for bits in feasible):
+        if is_infinite(factor.bergman_dim) and any(split[j] == (0, 0) for split in feasible):
             trace.append(f"factor {j} has an infinite Bergman space")
             return CompactnessReport(
                 Verdict.NONCOMPACT,
@@ -397,16 +450,17 @@ def riemann_surface_product_report(
     if 1 <= q <= n - 1 and bottom is not None and top is not None:
         trace.append("middle degrees are compact exactly when degrees 0 and n are")
 
-    if essential.is_empty():
+    witnesses = tuple(
+        (j, *(bit for _, bit in splits[t]))
+        for t, j, part in contributors
+        if not is_subset_of_zero(part)
+    )
+    if not witnesses:
         return CompactnessReport(
             Verdict.COMPACT, "essential-spectrum-empty", (), essential, tuple(trace)
         )
     return CompactnessReport(
-        Verdict.NONCOMPACT,
-        "essential-spectrum-nonempty",
-        tuple((j, *vectors[t]) for t, j, _ in contributors),
-        essential,
-        tuple(trace),
+        Verdict.NONCOMPACT, "essential-spectrum-nonempty", witnesses, essential, tuple(trace)
     )
 
 

@@ -13,18 +13,22 @@ from fractions import Fraction
 import numpy as np
 
 from . import complexes, tensorprod
-from .dbar import DbarFactorModel, riemann_surface_product_report
+from .dbar import (
+    DbarFactorModel,
+    Verdict,
+    neumann_compactness,
+    product_box_spectrum,
+    riemann_surface_product_report,
+)
 from .spectra import (
     AP,
+    EMPTY,
     INFINITE,
     OperatorSpectrum,
     Point,
-    SpectralComplexModel,
     SpectralSet,
-    Verdict,
     _lattice,
     _on_lattice,
-    compactness_verdict,
     find_uncovered,
     is_infinite,
     is_subset_of_zero,
@@ -32,7 +36,6 @@ from .spectra import (
     minkowski_sum,
     multiplicity_at,
     normalize,
-    product_spectrum,
 )
 
 
@@ -89,14 +92,22 @@ def random_operator_spectrum(
 
 def random_spectral_model(
     rnd: random.Random, max_degree: int = 2, infinite_chance: float = 0.25
-) -> SpectralComplexModel:
-    """Nondegenerate per-degree spectra over a small contiguous support."""
+) -> DbarFactorModel:
+    """A Hilbert complex graded by ``q`` in ``0..max_degree``, as the ``(0, q)``
+    row of a factor model: spectra with a positive value on degrees
+    ``0..top``, zero spaces above."""
     top = rnd.randint(0, max_degree)
-    spectra = {
-        degree: random_operator_spectrum(rnd, nondegenerate=True, infinite_chance=infinite_chance)
-        for degree in range(top + 1)
+    row = {
+        (0, degree): random_operator_spectrum(
+            rnd, nondegenerate=True, infinite_chance=infinite_chance
+        )
+        if degree <= top
+        else OperatorSpectrum(EMPTY)
+        for degree in range(max_degree + 1)
     }
-    return SpectralComplexModel(spectra, closed_range=True)
+    return DbarFactorModel(
+        name="row", complex_dimension=max_degree, box_spectrum=row, closed_range=True
+    )
 
 
 def random_positive_spectral_set(
@@ -257,7 +268,7 @@ def run_verdict_suite(seed: int, cases: int, cutoff: Fraction = Fraction(100)) -
         left = random_spectral_model(rnd)
         right = random_spectral_model(rnd)
         degree = rnd.randint(0, 4)
-        product = product_spectrum(left.spectra, right.spectra, degree)
+        product = product_box_spectrum(left, right, 0, degree)
         sets = {"essential": product.essential, "spectrum": product.spectrum}
         scale, _, sides = _on_lattice(sets, cutoff)
         essential, spectrum = (_lattice(p)[0] for p, _ in sides)
@@ -265,25 +276,22 @@ def run_verdict_suite(seed: int, cases: int, cutoff: Fraction = Fraction(100)) -
         if outside:
             failures.append(f"case {case}: essential value {outside[0]} not in spectrum")
         pairs = [
-            (j, degree - j)
-            for j in sorted(left.support)
-            if (degree - j) in right.support
+            (left.box_spectrum[(0, j)], right.box_spectrum[(0, degree - j)])
+            for j in range(degree + 1)
+            if (0, j) in left.box_spectrum and (0, degree - j) in right.box_spectrum
         ]
+        # the splittings j + k = degree where both degrees hold a space
+        pairs = [(x, y) for x, y in pairs if not (x.is_empty() or y.is_empty())]
         by_cross_sums = all(
-            is_subset_of_zero(
-                minkowski_sum(left.spectra[j].essential, right.spectra[k].spectrum)
-            )
-            and is_subset_of_zero(
-                minkowski_sum(left.spectra[j].spectrum, right.spectra[k].essential)
-            )
-            for (j, k) in pairs
+            is_subset_of_zero(minkowski_sum(x.essential, y.spectrum))
+            and is_subset_of_zero(minkowski_sum(x.spectrum, y.essential))
+            for x, y in pairs
         )
         by_factor_essentials = all(
-            left.spectra[j].essential.is_empty() and right.spectra[k].essential.is_empty()
-            for (j, k) in pairs
+            x.essential.is_empty() and y.essential.is_empty() for x, y in pairs
         )
         by_product_essential = product.essential.is_empty()
-        verdict = compactness_verdict(left, right, degree)
+        verdict = neumann_compactness(left, right, 0, degree)
         agreed = (
             by_cross_sums
             == by_factor_essentials

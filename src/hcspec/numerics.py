@@ -183,14 +183,16 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL, vectors: bool = True) -> Eige
     # one C-ordered adjoint, turned in place into the Hermitian part (a* + a
     # equals a + a* bit for bit), so only that buffer outlives the check
     herm = np.conjugate(a.T, order="C")
-    if max_abs(a - herm) > tol.identity_check:
-        raise NotHermitianError("matrix deviates from its adjoint beyond tolerance")
     # entries near the float limit overflow to Inf here (and Inf / 2 is NaN
-    # in complex division); that fails a gate below, and _eig_failure then
+    # in complex division): an Inf deviation still exceeds the tolerance, and
+    # an overflowed Hermitian part fails a gate below, where _eig_failure
     # names the overflow
     with np.errstate(over="ignore", invalid="ignore"):
+        deviation = max_abs(a - herm)
         herm += a
         herm /= 2.0
+    if deviation > tol.identity_check:
+        raise NotHermitianError("matrix deviates from its adjoint beyond tolerance")
     try:
         if not vectors:
             values = np.linalg.eigvalsh(herm)

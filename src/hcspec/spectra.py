@@ -41,15 +41,14 @@ The product formula is written once, in :func:`product_essential` (the
 essential spectrum as a union of parts, one factor's essential spectrum summed
 with the other factors' spectra) and :func:`product_operator`.  Both fold the
 factor spectra left to right through one helper that builds each fold prefix
-once per call.  Every compactness verdict reads those parts:
-:func:`compactness_verdict` here, and the verdicts of :mod:`hcspec.dbar`.
+once per call.  This module holds no verdict: the compactness verdicts of
+:mod:`hcspec.dbar` read those parts, under the one convention stated there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -66,10 +65,6 @@ RationalLike = Union[Fraction, int, str]
 
 class EssentialNotContainedError(ToolkitError):
     """An asserted essential spectrum has a point outside the spectrum."""
-
-
-class MissingAttestationError(ToolkitError):
-    """A compactness question was posed without closed-range attestations."""
 
 
 class OracleBudgetError(ToolkitError):
@@ -725,134 +720,3 @@ def product_operator(terms: Sequence[Sequence[OperatorSpectrum]]) -> OperatorSpe
     for term in terms:
         spectrum = union(spectrum, _fold_spectra(term, folds))
     return OperatorSpectrum(spectrum, product_essential(terms)[0])
-
-
-def product_spectrum(
-    left: Mapping[int, OperatorSpectrum],
-    right: Mapping[int, OperatorSpectrum],
-    degree: int,
-) -> OperatorSpectrum:
-    """Spectrum and essential spectrum of the product Laplacian at ``degree``.
-
-    The product formula of :func:`product_operator` over the terms
-    ``j + k = degree``.  Degrees missing from a map are zero spaces and
-    contribute no term.
-    """
-    return product_operator(
-        [(left[j], right[degree - j]) for j in sorted(left) if degree - j in right]
-    )
-
-
-def nondegenerate_spectra_check(
-    spectra: Mapping[int, OperatorSpectrum], support: Iterable[int]
-) -> bool:
-    """True when every supported degree has a spectrum that is neither empty nor {0}."""
-    for degree in support:
-        op = spectra.get(degree)
-        if op is None or op.spectrum.is_empty():
-            return False
-        atoms = op.spectrum.atoms
-        if len(atoms) == 1 and isinstance(atoms[0], Point) and atoms[0].value == 0:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Compactness verdicts
-
-
-class Verdict(str, Enum):
-    COMPACT = "compact"
-    NONCOMPACT = "non-compact"
-    UNDECIDABLE = "undecidable"
-
-
-@dataclass(frozen=True)
-class CompactnessReport:
-    """Structured compactness verdict with the rule that decided it."""
-
-    verdict: Verdict
-    fired_rule: str
-    witnesses: tuple
-    essential_spectrum: SpectralSet
-    trace: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.verdict is Verdict.NONCOMPACT and not self.witnesses:
-            raise ValueError("a non-compact verdict requires witnesses")
-        if self.verdict is Verdict.COMPACT and not is_subset_of_zero(
-            self.essential_spectrum
-        ):
-            raise ValueError("a compact verdict requires essential spectrum within {0}")
-
-
-@dataclass(frozen=True)
-class SpectralComplexModel:
-    """Per-degree operator spectra of one Hilbert complex.
-
-    ``closed_range`` attests that all differentials have closed range, which
-    the compactness criteria require; it is the only attestation taken.  The
-    rest is derived from ``spectra``: ``support`` is the degrees with a
-    nonempty spectrum, and ``nondegenerate`` is
-    :func:`nondegenerate_spectra_check` over it (no supported spectrum is
-    ``{0}`` alone).  So ``{0:∞}`` and ``{0:1}`` at degree 0 are degenerate,
-    and their product is judged by the cross sums (compact, see
-    :func:`compactness_verdict`) whatever the caller believes.
-    """
-
-    spectra: Mapping[int, OperatorSpectrum]
-    closed_range: bool = False
-    support: frozenset[int] = field(init=False)
-    nondegenerate: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        spectra = dict(self.spectra)
-        support = frozenset(d for d, op in spectra.items() if not op.is_empty())
-        object.__setattr__(self, "spectra", spectra)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "nondegenerate", nondegenerate_spectra_check(spectra, support))
-
-
-def compactness_verdict(
-    left: SpectralComplexModel, right: SpectralComplexModel, degree: int
-) -> CompactnessReport:
-    """Decide compactness of the inverse-Laplacian of the product at ``degree``.
-
-    Reads the parts of :func:`product_essential` over the supported splittings
-    ``j + k = degree``: in the term ``(left[j], right[k])`` the two parts are
-    the cross sums ``E_j + S_k`` and ``S_j + E_k``.  When both factors are
-    nondegenerate (derived from their spectra, see
-    :class:`SpectralComplexModel`), compactness holds exactly when no part
-    exists, that is, when every relevant factor essential spectrum is empty
-    (a supported degree has a nonempty spectrum).  Otherwise the criterion is
-    that each part stays within ``{0}``: ``{0:∞} ⊗ {0:1}`` at degree 0 is
-    compact by ``essential-cross-sums-within-zero``.  On nondegenerate
-    factors the two criteria agree, since each part ``e + v`` there has some
-    ``v > 0``; only the rule name differs.  The witnesses are the splittings
-    that break the criterion.
-    """
-    if not (left.closed_range and right.closed_range):
-        raise MissingAttestationError(
-            "compactness criteria require closed-range attestations on both factors"
-        )
-    pairs = [
-        (j, degree - j) for j in sorted(left.support) if (degree - j) in right.support
-    ]
-    essential, parts = product_essential(
-        [(left.spectra[j], right.spectra[k]) for j, k in pairs]
-    )
-    nondegenerate = left.nondegenerate and right.nondegenerate
-    witnesses = tuple(
-        dict.fromkeys(
-            pairs[t]
-            for t, _, part in parts
-            if nondegenerate or not is_subset_of_zero(part)
-        )
-    )
-    if nondegenerate:
-        rules = ("factor-essential-spectrum-nonempty", "factor-essential-spectra-empty")
-    else:
-        rules = ("essential-cross-sum-exceeds-zero", "essential-cross-sums-within-zero")
-    if witnesses:
-        return CompactnessReport(Verdict.NONCOMPACT, rules[0], witnesses, essential)
-    return CompactnessReport(Verdict.COMPACT, rules[1], (), essential)

@@ -313,6 +313,64 @@ def test_dbar_undecidable_with_partial_data(tmp_path, capsys):
     assert report["results"]["spectrum"] is None
 
 
+def _zero_factor(name, mult) -> dict:
+    """A one-dimensional factor that is {0} with ``mult`` at every bidegree."""
+    zero = {"spectrum": {"atoms": [{"kind": "point", "value": "0", "mult": mult}]}}
+    return {
+        "name": name,
+        "complex_dimension": 1,
+        "closed_range": True,
+        "bergman_dim": mult,
+        "box_spectrum": {key: zero for key in ("0,0", "0,1", "1,0", "1,1")},
+    }
+
+
+def _dbar_scenario(tmp_path, factors, **degrees) -> Path:
+    path = tmp_path / "factors.json"
+    payload = {"factors": factors, **degrees}
+    path.write_text(json.dumps({"version": "1", "kind": "dbar-factors", "payload": payload}))
+    return path
+
+
+def test_kernel_only_product_is_compact_in_both_reports(tmp_path, capsys):
+    # {0:inf} (x) {0:1}: the essential spectrum {0:inf} is a kernel, on
+    # which N is 0, so both reports say compact
+    factors = [_zero_factor("heavy-kernel", "inf"), _zero_factor("point-kernel", 1)]
+    kernel = {"atoms": [{"kind": "point", "value": "0", "mult": "inf"}]}
+    code, report = run_cli(capsys, "dbar", _dbar_scenario(tmp_path, factors, p=0, q=0))
+    assert code == 0
+    assert report["results"]["verdict"] == "compact"
+    assert report["results"]["essential"] == kernel
+    assert report["results"]["essential_spectrum"] == kernel
+    code, report = run_cli(capsys, "dbar-n", _dbar_scenario(tmp_path, factors, q=0))
+    assert code == 0
+    assert report["results"]["verdict"] == "compact"
+    assert report["results"]["essential_spectrum"] == kernel
+
+
+@pytest.mark.parametrize(
+    "atom, verdict, rule",
+    [
+        ({"kind": "point", "value": "0", "mult": 1}, "undecidable", "unknown-factor-data"),
+        ({"kind": "ap", "base": "1", "step": "1"}, "non-compact", "infinite-bergman-space"),
+    ],
+    ids=["zero-entry", "positive-entry"],
+)
+def test_bergman_shortcut_skips_entries_within_zero(tmp_path, capsys, atom, verdict, rule):
+    # the shortcut's term pairs the Bergman kernel with the other factor's
+    # (0, 1) entry; an entry within {0} keeps that term within {0}
+    heavy = {"name": "heavy-unknown", "complex_dimension": 1, "closed_range": True, "bergman_dim": "inf"}
+    other = {
+        "name": "other",
+        "complex_dimension": 1,
+        "closed_range": True,
+        "box_spectrum": {"0,1": {"spectrum": {"atoms": [atom]}}},
+    }
+    code, report = run_cli(capsys, "dbar", _dbar_scenario(tmp_path, [heavy, other], p=0, q=1))
+    assert code == 0
+    assert (report["results"]["verdict"], report["results"]["fired_rule"]) == (verdict, rule)
+
+
 def test_module_error_is_surfaced_by_name(tmp_path, capsys):
     noncommuting = {
         "version": "1",

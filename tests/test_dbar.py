@@ -17,8 +17,7 @@ from hcspec.dbar import (
     neumann_compactness,
     product_box_spectrum,
     riemann_surface_product_report,
-    _bit_vectors,
-    _essential_over,
+    _splittings,
     _uniform_term_noncompact,
 )
 from hcspec.fuzzing import random_factor_model, random_operator_spectrum
@@ -31,6 +30,7 @@ from hcspec.spectra import (
     SpectralSet,
     enumerate_below,
     is_subset,
+    is_subset_of_zero,
     minkowski_sum,
     union,
 )
@@ -184,7 +184,8 @@ def reference_essential(terms):
 
     For each term and each factor j: factor j's essential spectrum plus the
     Minkowski sum of the other factors' spectra, folded from ``{0}``.  Returns
-    the union of those parts and the (term, factor) pairs of nonempty parts.
+    the union of those parts and the (term, factor) pairs of the parts
+    outside ``{0}``, the witnesses.
     """
     essential = EMPTY
     contributors = []
@@ -196,7 +197,7 @@ def reference_essential(terms):
                     others = minkowski_sum(others, other.spectrum)
             part = minkowski_sum(own.essential, others)
             essential = union(essential, part)
-            if not part.is_empty():
+            if not is_subset_of_zero(part):
                 contributors.append((t, j))
     return essential, contributors
 
@@ -278,7 +279,8 @@ def unshared_product_essential(terms):
 def _bit_vector_terms(factors, q):
     return [
         tuple(factor.box_spectrum[(0, bit)] for factor, bit in zip(factors, bits))
-        for bits in _bit_vectors(len(factors), q)
+        for bits in itertools.product((0, 1), repeat=len(factors))
+        if sum(bits) == q
     ]
 
 
@@ -336,31 +338,47 @@ def test_nfactor_report_unchanged_by_the_shared_fold(monkeypatch):
     assert {r.fired_rule for r in shared} >= {"essential-spectrum-nonempty", "essential-spectrum-empty"}
 
 
+_ZERO_ENTRIES = (op(Point(0, 1)), op(Point(0, INFINITE)))
+
+
 def test_uniform_term_rule_matches_the_fold():
-    # the degree-0 and degree-n trace lines read emptiness only; folding the
-    # one bit vector (bit,) * n must give the same answer, unknowns included
+    # the degree-0 and degree-n trace lines read emptiness and within-{0}
+    # flags only; folding the one bit vector (bit,) * n must give the same
+    # answer, "some part leaves {0}", unknowns included
     rnd = random.Random(6)
     outcomes = Counter()
+    within_zero = 0
     for case in range(400):
         n = rnd.randint(2, 5)
+        zero_chance = rnd.choice((0.0, 0.5, 0.9))
         factors = [
             DbarFactorModel(
                 name=f"f{case}-{j}",
                 complex_dimension=1,
                 closed_range=True,
                 box_spectrum={
-                    (0, bit): None if rnd.random() < 0.05 else random_operator_spectrum(rnd)
+                    (0, bit): None
+                    if rnd.random() < 0.05
+                    else rnd.choice(_ZERO_ENTRIES)
+                    if rnd.random() < zero_chance
+                    else random_operator_spectrum(rnd)
                     for bit in (0, 1)
                 },
             )
             for j in range(n)
         ]
         for bit in (0, 1):
-            folded = _essential_over(factors, [(bit,) * n])
-            want = None if folded is None else not folded[0].is_empty()
+            term = [factor.box_spectrum[(0, bit)] for factor in factors]
+            want = None
+            if all(entry is not None for entry in term):
+                parts = [part for _, _, part in spectra.product_essential([term])[1]]
+                want = any(not is_subset_of_zero(part) for part in parts)
+                within_zero += any(is_subset_of_zero(part) for part in parts)
             assert _uniform_term_noncompact(factors, bit) is want, (case, bit)
             outcomes[want] += 1
     assert min(outcomes[True], outcomes[False], outcomes[None]) >= 50, outcomes
+    # nonempty parts within {0}, which an emptiness-only rule counts as leaving
+    assert within_zero >= 50, within_zero
 
 
 def test_compact_pairing():
@@ -458,20 +476,41 @@ def test_noncompact_solution_operator_spreads_everywhere():
         assert report.verdict is Verdict.NONCOMPACT
 
 
+def zero_factor(name, mult):
+    """One-dimensional factor whose every entry is ``{0}`` with ``mult``."""
+    zero = op(Point(0, mult))
+    return DbarFactorModel(
+        name=name,
+        complex_dimension=1,
+        box_spectrum={(p, q): zero for p in range(2) for q in range(2)},
+        closed_range=True,
+        bergman_dim=mult,
+    )
+
+
 def test_two_factor_report_agrees_with_pairwise_formula():
+    # dbar-n on two factors is the pairwise verdict at (0, q), with the same
+    # witness bidegrees; a third of the factors are {0} at every bidegree
     rnd = random.Random(11)
-    for case in range(20):
-        x = random_factor_model(rnd, f"x{case}")
-        y = random_factor_model(rnd, f"y{case}")
+    zero_cases = by_formula = 0
+    for case in range(40):
+        x, y = (
+            zero_factor(name, rnd.choice((1, INFINITE)))
+            if rnd.random() < 0.3
+            else random_factor_model(rnd, name)
+            for name in (f"x{case}", f"y{case}")
+        )
+        zero_cases += x.known_within_zero(0, 0) or y.known_within_zero(0, 0)
         for q in range(3):
-            pairwise = product_box_spectrum(x, y, 0, q)
+            pairwise = neumann_compactness(x, y, 0, q)
             report = riemann_surface_product_report([x, y], q)
-            if report.fired_rule in (
-                "essential-spectrum-empty",
-                "essential-spectrum-nonempty",
-            ):
-                assert report.essential_spectrum == pairwise.essential
-            assert (report.verdict is Verdict.COMPACT) == pairwise.essential.is_empty()
+            assert report.verdict is pairwise.verdict, (case, q)
+            if report.fired_rule in ("essential-spectrum-empty", "essential-spectrum-nonempty"):
+                assert report.essential_spectrum == pairwise.essential_spectrum
+                bidegrees = tuple(dict.fromkeys((0, q1, 0, q2) for _, q1, q2 in report.witnesses))
+                assert bidegrees == pairwise.witnesses, (case, q)
+                by_formula += 1
+    assert zero_cases >= 10 and by_formula >= 30, (zero_cases, by_formula)
 
 
 def test_monotonicity_trace_is_recorded():
@@ -485,10 +524,35 @@ def test_monotonicity_trace_is_recorded():
 
 
 def test_bit_vectors_match_the_filtered_product():
+    # the splittings of (0, q) over n one-dimensional factors are the
+    # weight-q bit vectors, in lexicographic order
     for n in range(11):
         for q in range(n + 1):
             want = [bits for bits in itertools.product((0, 1), repeat=n) if sum(bits) == q]
-            assert _bit_vectors(n, q) == want, (n, q)
+            splits = _splittings((1,) * n, 0, q)
+            assert [tuple(bit for _, bit in split) for split in splits] == want, (n, q)
+            assert all(p == 0 for split in splits for p, _ in split)
+
+
+def test_splittings_match_the_pairwise_double_loop():
+    for dx, dy in itertools.product((1, 2, 3), repeat=2):
+        for p, q in itertools.product(range(-1, dx + dy + 2), repeat=2):
+            want = [
+                ((p1, q1), (p - p1, q - q1))
+                for p1 in range(max(0, p - dy), min(p, dx) + 1)
+                for q1 in range(max(0, q - dy), min(q, dx) + 1)
+            ]
+            assert _splittings((dx, dy), p, q) == want, (dx, dy, p, q)
+    # three factors of mixed dimension against the filtered product of grids
+    for dims in ((1, 2, 1), (2, 1, 3), (3, 3, 2)):
+        grids = [list(itertools.product(range(d + 1), repeat=2)) for d in dims]
+        for p, q in itertools.product(range(sum(dims) + 1), repeat=2):
+            want = [
+                split
+                for split in itertools.product(*grids)
+                if sum(b[0] for b in split) == p and sum(b[1] for b in split) == q
+            ]
+            assert _splittings(dims, p, q) == want, (dims, p, q)
 
 
 def test_product_report_input_validation():

@@ -266,6 +266,16 @@ def test_overflowing_hermitian_part_is_refused(vectors):
             hermitian_eig(np.full((2, 2), 1e308), vectors=vectors)
 
 
+@pytest.mark.parametrize("vectors", [True, False])
+def test_overflowing_adjoint_deviation_is_refused(vectors):
+    # a - a* overflows to Inf, which still exceeds the tolerance; the refusal
+    # is the NotHermitianError, and no RuntimeWarning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitianError):
+            hermitian_eig(np.array([[0, 1e308], [-1e308, 0]]), vectors=vectors)
+
+
 def test_hermitian_part_is_the_mean_with_the_adjoint():
     # the gate sees exactly (A + A*)/2, and max|A - A*| decides the refusal
     rng = np.random.default_rng(47)

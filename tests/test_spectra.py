@@ -6,6 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from hcspec.dbar import (
+    CompactnessReport,
+    DbarFactorModel,
+    MissingAttestationError,
+    Verdict,
+    neumann_compactness,
+    product_box_spectrum,
+)
 from hcspec.fuzzing import (
     random_atom,
     random_operator_spectrum,
@@ -17,16 +25,11 @@ from hcspec.spectra import (
     AP,
     EMPTY,
     INFINITE,
-    CompactnessReport,
     EssentialNotContainedError,
-    MissingAttestationError,
     OperatorSpectrum,
     OracleBudgetError,
     Point,
-    SpectralComplexModel,
     SpectralSet,
-    Verdict,
-    compactness_verdict,
     enumerate_below,
     essential_part,
     find_uncovered,
@@ -35,9 +38,7 @@ from hcspec.spectra import (
     minkowski_oracle_check,
     minkowski_sum,
     multiplicity_at,
-    nondegenerate_spectra_check,
     normalize,
-    product_spectrum,
     union,
     _representable,
 )
@@ -694,122 +695,104 @@ def test_operator_spectrum_rejects_stray_essential():
         OperatorSpectrum(SpectralSet.of(ap(0, 2)), SpectralSet.of(pt(1)))
 
 
+# ---------------------------------------------------------------------------
+# Products and verdicts of graded complexes
+#
+# A Hilbert complex graded by q is the (0, q) row of a ``DbarFactorModel``;
+# its products and verdicts are those of ``hcspec.dbar``.
+
+
+def _row(spectra, top=None):
+    """The complex with ``spectra`` on degrees 0..top (default: the highest
+    given, at least 1) as a model row; a degree without an entry holds a zero
+    space."""
+    top = max(max(spectra, default=0), 1) if top is None else top
+    box = {(0, degree): spectra.get(degree, OperatorSpectrum(EMPTY)) for degree in range(top + 1)}
+    return DbarFactorModel(name="row", complex_dimension=top, box_spectrum=box, closed_range=True)
+
+
 def test_product_spectrum_worked_example():
-    left = {0: OperatorSpectrum(SpectralSet.of(pt(0, INFINITE), ap(1, 1)))}
-    right = {0: OperatorSpectrum(SpectralSet.of(ap(0, 2)))}
-    got = product_spectrum(left, right, 0)
+    left = _row({0: OperatorSpectrum(SpectralSet.of(pt(0, INFINITE), ap(1, 1)))})
+    right = _row({0: OperatorSpectrum(SpectralSet.of(ap(0, 2)))})
+    got = product_box_spectrum(left, right, 0, 0)
     spectrum_values = [v for v, _ in enumerate_below(got.spectrum, 30)]
     assert spectrum_values == [Fraction(k) for k in range(30)]
     assert got.essential == SpectralSet.of(ap(0, 2, INFINITE))
 
 
 def test_product_spectrum_empty_when_degrees_miss():
-    left = {0: OperatorSpectrum(SpectralSet.of(pt(1)))}
-    right = {0: OperatorSpectrum(SpectralSet.of(pt(1)))}
-    assert product_spectrum(left, right, 3).is_empty()
+    # degree 3 splits as 1 + 2 or 2 + 1, and degrees 1 and 2 are zero spaces
+    left = _row({0: OperatorSpectrum(SpectralSet.of(pt(1)))}, top=2)
+    right = _row({0: OperatorSpectrum(SpectralSet.of(pt(1)))}, top=2)
+    assert product_box_spectrum(left, right, 0, 3).is_empty()
 
 
 def test_product_spectrum_point_case():
-    left = {0: OperatorSpectrum(SpectralSet.of(pt(0, 1)))}
-    right = {0: OperatorSpectrum(SpectralSet.of(pt(0, 1)))}
-    got = product_spectrum(left, right, 0)
+    left = _row({0: OperatorSpectrum(SpectralSet.of(pt(0, 1)))})
+    right = _row({0: OperatorSpectrum(SpectralSet.of(pt(0, 1)))})
+    got = product_box_spectrum(left, right, 0, 0)
     assert got.spectrum == SpectralSet.of(pt(0, 1))
     assert got.essential == EMPTY
 
 
-def test_nondegenerate_spectra_check():
-    zero_only = {0: OperatorSpectrum(SpectralSet.of(pt(0)))}
-    assert not nondegenerate_spectra_check(zero_only, {0})
-    progression = {0: OperatorSpectrum(SpectralSet.of(ap(0, 2)))}
-    assert nondegenerate_spectra_check(progression, {0})
-    assert nondegenerate_spectra_check({}, set())
-    assert not nondegenerate_spectra_check({}, {1})
-
-
-# ---------------------------------------------------------------------------
-# Compactness verdicts
-
-
-def _model(spectra):
-    return SpectralComplexModel(spectra, closed_range=True)
-
-
 def test_verdict_compact_when_essentials_empty():
-    left = _model({0: OperatorSpectrum(SpectralSet.of(pt(0), ap(1, 1)))})
-    right = _model({0: OperatorSpectrum(SpectralSet.of(ap(2, 1)))})
-    report = compactness_verdict(left, right, 0)
+    left = _row({0: OperatorSpectrum(SpectralSet.of(pt(0), ap(1, 1)))})
+    right = _row({0: OperatorSpectrum(SpectralSet.of(ap(2, 1)))})
+    report = neumann_compactness(left, right, 0, 0)
     assert report.verdict is Verdict.COMPACT
-    assert report.fired_rule == "factor-essential-spectra-empty"
+    assert report.fired_rule == "essential-spectrum-empty"
     assert report.essential_spectrum.is_empty()
 
 
 def test_verdict_noncompact_with_witness():
-    left = _model({1: OperatorSpectrum(SpectralSet.of(pt(2, INFINITE), ap(3, 1)))})
-    right = _model({2: OperatorSpectrum(SpectralSet.of(ap(1, 1)))})
-    report = compactness_verdict(left, right, 3)
+    left = _row({1: OperatorSpectrum(SpectralSet.of(pt(2, INFINITE), ap(3, 1)))})
+    right = _row({2: OperatorSpectrum(SpectralSet.of(ap(1, 1)))})
+    report = neumann_compactness(left, right, 0, 3)
     assert report.verdict is Verdict.NONCOMPACT
-    assert report.witnesses == ((1, 2),)
+    assert report.witnesses == ((0, 1, 0, 2),)
 
 
 def test_verdict_infinite_kernel_forces_noncompact_everywhere():
     # infinite-dimensional harmonic space at degree 0 on the left
-    left = _model({0: OperatorSpectrum(SpectralSet.of(pt(0, INFINITE), ap(1, 1)))})
-    right = _model(
+    left = _row({0: OperatorSpectrum(SpectralSet.of(pt(0, INFINITE), ap(1, 1)))})
+    right = _row(
         {
             0: OperatorSpectrum(SpectralSet.of(ap(1, 1))),
             1: OperatorSpectrum(SpectralSet.of(ap(2, 1))),
         }
     )
     for degree in (0, 1):
-        report = compactness_verdict(left, right, degree)
+        report = neumann_compactness(left, right, 0, degree)
         assert report.verdict is Verdict.NONCOMPACT
 
 
 def test_verdict_requires_attestation():
-    left = SpectralComplexModel({0: OperatorSpectrum(SpectralSet.of(ap(1, 1)))})
-    right = _model({0: OperatorSpectrum(SpectralSet.of(ap(1, 1)))})
+    left = dataclasses.replace(
+        _row({0: OperatorSpectrum(SpectralSet.of(ap(1, 1)))}), closed_range=False
+    )
+    right = _row({0: OperatorSpectrum(SpectralSet.of(ap(1, 1)))})
     with pytest.raises(MissingAttestationError):
-        compactness_verdict(left, right, 0)
+        neumann_compactness(left, right, 0, 0)
 
 
 def test_verdict_zero_sum_criterion_without_nondegeneracy():
-    # {0:inf} (x) {0:1} at degree 0: both spectra are {0} alone, so neither
-    # factor is nondegenerate, and no caller can say otherwise
-    left = _model({0: OperatorSpectrum(SpectralSet.of(pt(0, INFINITE)))})
-    right = _model({0: OperatorSpectrum(SpectralSet.of(pt(0, 1)))})
-    assert not left.nondegenerate and not right.nondegenerate
-    report = compactness_verdict(left, right, 0)
-    # essential sums stay within {0}: still compact by the cross-sum criterion
+    # {0:inf} (x) {0:1} at degree 0: the essential spectrum {0:inf} is a
+    # kernel, on which N is 0, so the product is compact
+    left = _row({0: OperatorSpectrum(SpectralSet.of(pt(0, INFINITE)))})
+    right = _row({0: OperatorSpectrum(SpectralSet.of(pt(0, 1)))})
+    report = neumann_compactness(left, right, 0, 0)
     assert report.verdict is Verdict.COMPACT
-    assert report.fired_rule == "essential-cross-sums-within-zero"
+    assert report.fired_rule == "essential-spectrum-empty"
     assert report.essential_spectrum == SpectralSet.of(pt(0, INFINITE))
 
 
-def test_nondegenerate_pair_fires_the_factor_essential_rules():
-    # no supported spectrum is {0} alone: the derived flag picks the
-    # factor-essential criterion, which agrees with the cross sums here
-    left = _model(
-        {
-            0: OperatorSpectrum(SpectralSet.of(pt(0, INFINITE), ap(1, 1))),
-            1: OperatorSpectrum(EMPTY),
-        }
-    )
-    right = _model({0: OperatorSpectrum(SpectralSet.of(ap(2, 1)))})
-    assert left.nondegenerate and right.nondegenerate
-    assert left.support == frozenset({0})
-    report = compactness_verdict(left, right, 0)
-    assert report.verdict is Verdict.NONCOMPACT
-    assert report.fired_rule == "factor-essential-spectrum-nonempty"
-    assert report.witnesses == ((0, 0),)
-    compact = compactness_verdict(right, right, 0)
-    assert compact.fired_rule == "factor-essential-spectra-empty"
-
-
-@pytest.mark.parametrize("keyword", ["support", "nondegenerate"])
-def test_spectral_model_derives_support_and_nondegeneracy(keyword):
-    spectra = {0: OperatorSpectrum(SpectralSet.of(pt(1)))}
-    with pytest.raises(TypeError):
-        SpectralComplexModel(spectra, closed_range=True, **{keyword: frozenset({0})})
+def _degree_pairs(left, right, degree):
+    """The splittings ``j + k = degree`` within both rows."""
+    return [
+        (j, degree - j)
+        for j in range(degree + 1)
+        if (0, j) in left.box_spectrum and (0, degree - j) in right.box_spectrum
+    ]
 
 
 def test_criterion_equivalences_on_fuzzed_models():
@@ -818,65 +801,50 @@ def test_criterion_equivalences_on_fuzzed_models():
         left = random_spectral_model(rnd)
         right = random_spectral_model(rnd)
         degree = rnd.randint(0, 4)
-        product = product_spectrum(left.spectra, right.spectra, degree)
+        product = product_box_spectrum(left, right, 0, degree)
         pairs = [
-            (j, degree - j) for j in sorted(left.support) if (degree - j) in right.support
+            (left.box_spectrum[(0, j)], right.box_spectrum[(0, k)])
+            for j, k in _degree_pairs(left, right, degree)
         ]
+        pairs = [(x, y) for x, y in pairs if not (x.is_empty() or y.is_empty())]
         by_cross = all(
-            is_subset_of_zero(
-                minkowski_sum(left.spectra[j].essential, right.spectra[k].spectrum)
-            )
-            and is_subset_of_zero(
-                minkowski_sum(left.spectra[j].spectrum, right.spectra[k].essential)
-            )
-            for (j, k) in pairs
+            is_subset_of_zero(minkowski_sum(x.essential, y.spectrum))
+            and is_subset_of_zero(minkowski_sum(x.spectrum, y.essential))
+            for x, y in pairs
         )
-        by_factors = all(
-            left.spectra[j].essential.is_empty()
-            and right.spectra[k].essential.is_empty()
-            for (j, k) in pairs
-        )
+        by_factors = all(x.essential.is_empty() and y.essential.is_empty() for x, y in pairs)
         by_product = product.essential.is_empty()
-        verdict = compactness_verdict(left, right, degree)
+        verdict = neumann_compactness(left, right, 0, degree)
         assert by_cross == by_factors == by_product == (
             verdict.verdict is Verdict.COMPACT
         )
 
 
 def _reference_verdict(left, right, degree):
-    """Both criteria as their own loops over the cross sums ``E_j + S_k`` and
-    ``S_j + E_k``, with the essential spectrum of the full product spectrum."""
-    pairs = [
-        (j, degree - j) for j in sorted(left.support) if (degree - j) in right.support
-    ]
-    essential = product_spectrum(left.spectra, right.spectra, degree).essential
-    if left.nondegenerate and right.nondegenerate:
-        rules = ("factor-essential-spectrum-nonempty", "factor-essential-spectra-empty")
-        witnesses = tuple(
-            (j, k)
-            for (j, k) in pairs
-            if not (
-                left.spectra[j].essential.is_empty()
-                and right.spectra[k].essential.is_empty()
-            )
-        )
-    else:
-        rules = ("essential-cross-sum-exceeds-zero", "essential-cross-sums-within-zero")
-        witnesses = tuple(
-            (j, k)
-            for (j, k) in pairs
-            if not (
-                is_subset_of_zero(
-                    minkowski_sum(left.spectra[j].essential, right.spectra[k].spectrum)
+    """The one witness rule as its own loop over the cross sums ``E_j + S_k``
+    and ``S_j + E_k``, with the essential spectrum of the full product."""
+    witnesses = tuple(
+        (0, j, 0, k)
+        for j, k in _degree_pairs(left, right, degree)
+        if not (
+            is_subset_of_zero(
+                minkowski_sum(
+                    left.box_spectrum[(0, j)].essential, right.box_spectrum[(0, k)].spectrum
                 )
-                and is_subset_of_zero(
-                    minkowski_sum(left.spectra[j].spectrum, right.spectra[k].essential)
+            )
+            and is_subset_of_zero(
+                minkowski_sum(
+                    left.box_spectrum[(0, j)].spectrum, right.box_spectrum[(0, k)].essential
                 )
             )
         )
+    )
+    essential = product_box_spectrum(left, right, 0, degree).essential
     if witnesses:
-        return CompactnessReport(Verdict.NONCOMPACT, rules[0], witnesses, essential)
-    return CompactnessReport(Verdict.COMPACT, rules[1], (), essential)
+        return CompactnessReport(
+            Verdict.NONCOMPACT, "factor-essential-contribution", witnesses, essential
+        )
+    return CompactnessReport(Verdict.COMPACT, "essential-spectrum-empty", (), essential)
 
 
 _ZERO_SPECTRA = (
@@ -887,10 +855,9 @@ _ZERO_SPECTRA = (
 
 
 def _verdict_model(rnd):
-    """Degrees 0..2 holding an empty spectrum (outside the support), a
-    spectrum equal to {0}, {0:inf} or {0} with {0} asserted essential, or a
-    random one (a quarter with an asserted essential part).  A model is
-    nondegenerate exactly when no supported degree holds a {0} spectrum."""
+    """Degrees 0..2, the drawn ones holding an empty spectrum, a spectrum
+    equal to {0}, {0:inf} or {0} with {0} asserted essential, or a random one
+    (a quarter with an asserted essential part); the rest are zero spaces."""
     spectra = {}
     for degree in range(rnd.randint(1, 3)):
         roll = rnd.random()
@@ -900,7 +867,7 @@ def _verdict_model(rnd):
             spectra[degree] = rnd.choice(_ZERO_SPECTRA)
         else:
             spectra[degree] = random_operator_spectrum(rnd)
-    return SpectralComplexModel(spectra, closed_range=True)
+    return _row(spectra, top=2)
 
 
 def test_verdict_matches_reference_criteria():
@@ -911,13 +878,11 @@ def test_verdict_matches_reference_criteria():
         right = _verdict_model(rnd)
         degree = rnd.randint(0, 4)
         expected = _reference_verdict(left, right, degree)
-        assert compactness_verdict(left, right, degree) == expected, case
+        assert neumann_compactness(left, right, 0, degree) == expected, case
         fired[expected.fired_rule, expected.essential_spectrum.is_empty()] += 1
     assert {rule for rule, _ in fired} == {
-        "factor-essential-spectrum-nonempty",
-        "factor-essential-spectra-empty",
-        "essential-cross-sum-exceeds-zero",
-        "essential-cross-sums-within-zero",
+        "factor-essential-contribution",
+        "essential-spectrum-empty",
     }
-    # the cross-sum criterion passes with essential parts equal to {0}
-    assert fired["essential-cross-sums-within-zero", False] > 0
+    # compact with essential parts equal to {0}: the decided {0} cases
+    assert fired["essential-spectrum-empty", False] > 0
