@@ -40,7 +40,6 @@ from .dbar import (
     Verdict,
     builtin_models,
     neumann_compactness,
-    product_box_spectrum,
     riemann_surface_product_report,
 )
 from .errors import ToolkitError

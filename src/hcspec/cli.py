@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import complexes, fuzzing, tensorprod
-from .dbar import neumann_compactness, product_box_spectrum, riemann_surface_product_report
+from .dbar import neumann_compactness, riemann_surface_product_report
 from .errors import ToolkitError
 from .jointspec import (
     NotPSDError,
@@ -208,21 +208,17 @@ def _cmd_dbar(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
     p = _require_int(scenario.payload, "p", "dbar")
     q = _require_int(scenario.payload, "q", "dbar")
     report = neumann_compactness(x, y, p, q)
-    results: dict = {
+    known = report.spectrum is not None
+    results = {
         "p": p,
         "q": q,
         "verdict": report.verdict.value,
         "fired_rule": report.fired_rule,
         "witnesses": [list(w) for w in report.witnesses],
         "essential_spectrum": report.essential_spectrum,
+        "spectrum": report.spectrum,
+        "essential": report.essential_spectrum if known else None,
     }
-    try:
-        product = product_box_spectrum(x, y, p, q)
-        results["spectrum"] = product.spectrum
-        results["essential"] = product.essential
-    except ToolkitError:
-        results["spectrum"] = None
-        results["essential"] = None
     return results, True
 
 

@@ -16,12 +16,17 @@ associative on representation.
 Convention: as in the paper, the Neumann operator N is the inverse of the box
 operator on the orthogonal complement of its kernel and 0 on the kernel, so
 with closed range N is compact exactly when the essential spectrum of the
-product box operator lies within ``{0}``.  Every verdict reads this off the
-parts of :func:`~hcspec.spectra.product_essential`: a part is a witness
-exactly when it is not within ``{0}``, and the verdict is compact when no
-part is.  So ``{0:∞} ⊗ {0:1}`` at degree 0, with the essential spectrum
-``{0:∞}`` (a kernel, on which N is 0), is compact, and the rule name
-``essential-spectrum-empty`` means "no essential value outside ``{0}``".
+product box operator lies within ``{0}``.  The essential spectrum is the
+union of the parts ``E_j + Σ_{i≠j} S_i`` of each term, and a part is a
+witness exactly when it leaves ``{0}``.  Every verdict decides this from
+flags of the entries, with no Minkowski sum (:func:`_leaving`): a part is
+empty when any entry is empty, since an essential spectrum lies within its
+own spectrum; otherwise every summand is nonempty and all values are
+nonnegative, so the part leaves ``{0}`` exactly when one summand does.  The
+verdict is compact when no part leaves ``{0}``.  So ``{0:∞} ⊗ {0:1}`` at
+degree 0, with the essential spectrum ``{0:∞}`` (a kernel, on which N is 0),
+is compact, and the rule name ``essential-spectrum-empty`` means "no
+essential value outside ``{0}``".
 
 Shortcut rules (infinite Bergman space, non-compact factor solution operator)
 can decide the verdict even when parts of the factor data are unknown.  They
@@ -65,10 +70,6 @@ class BidegreeOutOfRangeError(ToolkitError):
     """The requested (p, q) lies outside the admissible bidegree range."""
 
 
-class MissingSpectrumDataError(ToolkitError):
-    """A spectrum computation needs a factor entry that is unknown."""
-
-
 class BadDimensionError(ToolkitError):
     """A factor has the wrong complex dimension for the requested report."""
 
@@ -105,6 +106,8 @@ class CompactnessReport:
     witnesses: tuple
     essential_spectrum: SpectralSet
     trace: tuple[str, ...] = ()
+    #: The product spectrum, when the pairwise report knew every entry.
+    spectrum: SpectralSet | None = None
 
     def __post_init__(self) -> None:
         if self.verdict is Verdict.NONCOMPACT and not self.witnesses:
@@ -221,43 +224,33 @@ def _splittings(dims: Sequence[int], p: int, q: int) -> list[tuple[tuple[int, in
 
 def _entries(
     factors: Sequence[DbarFactorModel], splits: Sequence[tuple[tuple[int, int], ...]]
-) -> list[tuple[OperatorSpectrum, ...]]:
-    """The factor entries of each splitting; raises at the first unknown one."""
+) -> list[tuple[OperatorSpectrum, ...]] | None:
+    """The factor entries of each splitting, or ``None`` if one is unknown."""
     terms = []
     for split in splits:
         term = tuple(factor.box_spectrum[bidegree] for factor, bidegree in zip(factors, split))
         if any(entry is None for entry in term):
-            raise MissingSpectrumDataError(
-                "unknown factor spectrum at " + " (x) ".join(map(str, split))
-            )
+            return None
         terms.append(term)
     return terms
 
 
-def _pair_terms(
-    x: DbarFactorModel, y: DbarFactorModel, p: int, q: int
-) -> tuple[list[tuple[tuple[int, int], ...]], list[tuple[OperatorSpectrum, ...]]]:
-    """The splittings of ``(p, q)`` over two factors and their entries."""
-    total = x.complex_dimension + y.complex_dimension
-    if not (0 <= p <= total and 0 <= q <= total):
-        raise BidegreeOutOfRangeError(f"bidegree ({p}, {q}) outside [0, {total}]^2")
-    splits = _splittings((x.complex_dimension, y.complex_dimension), p, q)
-    return splits, _entries((x, y), splits)
+def _leaving(term: Sequence[OperatorSpectrum]) -> list[int]:
+    """The factors ``j`` whose part ``E_j + Σ_{i≠j} S_i`` leaves ``{0}``.
 
-
-def product_box_spectrum(
-    x: DbarFactorModel, y: DbarFactorModel, p: int, q: int
-) -> OperatorSpectrum:
-    """Spectrum and essential spectrum of the product box operator at ``(p, q)``.
-
-    The product formula of :func:`hcspec.spectra.product_operator` over all
-    splittings ``p = p' + p''`` and ``q = q' + q''``: the union of the
-    Minkowski sums of the factor spectra, with one factor's essential spectrum
-    swapped in at a time for the essential part.  Unions run in splitting
-    order, then factor order, because ``normalize`` is not associative on
-    representation.  Raises when a required factor entry is unknown.
+    The part is empty if any entry is empty.  Otherwise all its summands are
+    nonempty sets of nonnegative values, so it leaves ``{0}`` exactly when
+    some summand does.
     """
-    return product_operator(_pair_terms(x, y, p, q)[1])
+    if any(entry.is_empty() for entry in term):
+        return []
+    outside = [not is_subset_of_zero(entry.spectrum) for entry in term]
+    return [
+        j
+        for j, entry in enumerate(term)
+        if not entry.essential.is_empty()
+        and (not is_subset_of_zero(entry.essential) or sum(outside) > outside[j])
+    ]
 
 
 def _bergman_shortcut(
@@ -294,36 +287,42 @@ def neumann_compactness(
 
     Compact exactly when the essential spectrum of the product box operator
     lies within ``{0}`` (the module's convention); the witnesses are the
-    splittings ``(p', q', p'', q'')`` with a part outside ``{0}``.  A graded
-    Hilbert complex is judged as the ``(0, q)`` row of a model, at ``p = 0``.
-    An infinite Bergman space on either factor forces non-compactness for all
-    bidegrees within the other factor's range whose entry is not known to lie
-    within ``{0}``, even when the rest of the data is unknown.  Otherwise
-    unknown entries make the verdict undecidable.
+    splittings ``(p', q', p'', q'')`` with a part outside ``{0}``.  With every
+    entry known, the report also carries the product spectrum: one fold of
+    :func:`hcspec.spectra.product_operator` over all splittings
+    ``p = p' + p''`` and ``q = q' + q''``.  A graded Hilbert complex is
+    judged as the ``(0, q)`` row of a model, at ``p = 0``.  An infinite
+    Bergman space on either factor forces non-compactness for all bidegrees
+    within the other factor's range whose entry is not known to lie within
+    ``{0}``, even when the rest of the data is unknown.  Otherwise unknown
+    entries make the verdict undecidable.
     """
     if not (x.closed_range and y.closed_range):
         raise MissingAttestationError(
             "compactness criteria require closed-range attestations on both factors"
         )
-    try:
-        splits, terms = _pair_terms(x, y, p, q)
-    except MissingSpectrumDataError:
-        shortcut = _bergman_shortcut(x, y, p, q, "left") or _bergman_shortcut(
-            y, x, p, q, "right"
+    total = x.complex_dimension + y.complex_dimension
+    if not (0 <= p <= total and 0 <= q <= total):
+        raise BidegreeOutOfRangeError(f"bidegree ({p}, {q}) outside [0, {total}]^2")
+    splits = _splittings((x.complex_dimension, y.complex_dimension), p, q)
+    terms = _entries((x, y), splits)
+    if terms is None:
+        return (
+            _bergman_shortcut(x, y, p, q, "left")
+            or _bergman_shortcut(y, x, p, q, "right")
+            or CompactnessReport(Verdict.UNDECIDABLE, "unknown-factor-data", (), EMPTY)
         )
-        if shortcut is not None:
-            return shortcut
-        return CompactnessReport(Verdict.UNDECIDABLE, "unknown-factor-data", (), EMPTY)
 
-    essential, parts = product_essential(terms)
+    product = product_operator(terms)
     witnesses = tuple(
-        dict.fromkeys(sum(splits[t], ()) for t, _, part in parts if not is_subset_of_zero(part))
+        dict.fromkeys(sum(split, ()) for split, term in zip(splits, terms) if _leaving(term))
     )
-    if witnesses:
-        return CompactnessReport(
-            Verdict.NONCOMPACT, "factor-essential-contribution", witnesses, essential
-        )
-    return CompactnessReport(Verdict.COMPACT, "essential-spectrum-empty", (), essential)
+    verdict, rule = (
+        (Verdict.NONCOMPACT, "factor-essential-contribution")
+        if witnesses
+        else (Verdict.COMPACT, "essential-spectrum-empty")
+    )
+    return CompactnessReport(verdict, rule, witnesses, product.essential, spectrum=product.spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -335,26 +334,12 @@ def _essential_not_within_zero(entry: OperatorSpectrum | None) -> bool:
 
 
 def _uniform_term_noncompact(factors: Sequence[DbarFactorModel], bit: int) -> bool | None:
-    """Whether some part of the one bit vector ``(bit,) * n`` leaves ``{0}``,
-    read from emptiness and within-``{0}`` flags alone; ``None`` if an entry
-    is unknown.
-
-    Part ``j`` is factor ``j``'s essential spectrum plus the Minkowski sum of
-    the others' spectra.  It is empty when any spectrum is empty (an
-    essential spectrum lies in its own factor's spectrum), and otherwise it
-    leaves ``{0}`` exactly when one of its summands does.
-    """
+    """Whether some part of the one bit vector ``(bit,) * n`` leaves ``{0}``;
+    ``None`` if an entry is unknown."""
     entries = [factor.box_spectrum[(0, bit)] for factor in factors]
     if any(entry is None for entry in entries):
         return None
-    if any(entry.is_empty() for entry in entries):
-        return False
-    outside = [not is_subset_of_zero(entry.spectrum) for entry in entries]
-    return any(
-        not entry.essential.is_empty()
-        and (not is_subset_of_zero(entry.essential) or sum(outside) > outside[j])
-        for j, entry in enumerate(entries)
-    )
+    return bool(_leaving(entries))
 
 
 def riemann_surface_product_report(
@@ -367,12 +352,16 @@ def riemann_surface_product_report(
     of each factor's essential spectrum at its bit summed with the spectra of
     the others at theirs; the witnesses ``(j, *K)`` are the parts outside
     ``{0}`` (the module's convention).  Shortcut rules fire first: an
-    infinite Bergman space on any factor forces non-compactness for
-    ``q <= n - 1``, and a factor whose solution operator is non-compact
-    (essential spectrum beyond ``{0}`` at bidegree (0,0) or (0,1)) forces
-    non-compactness for every ``q``; both need a bit vector with no entry
-    known to lie within ``{0}``.  The trace records which monotonicity rules
-    applied.  More than ``BIT_VECTOR_CAP`` bit vectors of weight ``q`` is a
+    infinite Bergman space on factor ``j`` forces non-compactness for
+    ``q <= n - 1``, and a non-compact solution operator on factor ``j``
+    (essential spectrum beyond ``{0}`` at its bit) forces non-compactness for
+    every ``q``.  Each fires through a bit vector with no entry known to lie
+    within ``{0}`` whose entry at factor ``j`` is the one argued from: bit 0
+    for the Bergman space, an entry with essential spectrum beyond ``{0}``
+    for the solution operator.  With every entry known, such a vector's part
+    ``j`` leaves ``{0}``, so a shortcut never contradicts the direct rule.
+    The trace records which monotonicity rules applied.  More than
+    ``BIT_VECTOR_CAP`` bit vectors of weight ``q`` is a
     :class:`BitVectorBudgetError`, raised before any fold.
     """
     n = len(factors)
@@ -404,11 +393,8 @@ def riemann_surface_product_report(
         for split in splits
         if not any(factor.known_within_zero(*bidegree) for factor, bidegree in zip(factors, split))
     ]
-    try:
-        computed = product_essential(_entries(factors, splits))
-    except MissingSpectrumDataError:
-        computed = None
-    reported = computed[0] if computed is not None else EMPTY
+    terms = _entries(factors, splits)
+    essential = product_essential(terms) if terms is not None else EMPTY
 
     for j, factor in enumerate(factors):
         if is_infinite(factor.bergman_dim) and any(split[j] == (0, 0) for split in feasible):
@@ -417,29 +403,25 @@ def riemann_surface_product_report(
                 Verdict.NONCOMPACT,
                 "infinite-bergman-space",
                 ((j,) + (0,) * n,),
-                reported,
+                essential,
                 tuple(trace),
             )
 
     for j, factor in enumerate(factors):
-        noncompact_solution = _essential_not_within_zero(
-            factor.box_spectrum[(0, 0)]
-        ) or _essential_not_within_zero(factor.box_spectrum[(0, 1)])
-        if noncompact_solution and feasible:
+        if any(_essential_not_within_zero(factor.box_spectrum[split[j]]) for split in feasible):
             trace.append(f"factor {j} has a non-compact solution operator")
             return CompactnessReport(
                 Verdict.NONCOMPACT,
                 "noncompact-factor-solution-operator",
                 ((j,) + (0,) * n,),
-                reported,
+                essential,
                 tuple(trace),
             )
 
-    if computed is None:
+    if terms is None:
         return CompactnessReport(
             Verdict.UNDECIDABLE, "unknown-factor-data", (), EMPTY, tuple(trace)
         )
-    essential, contributors = computed
 
     bottom = _uniform_term_noncompact(factors, 0)
     top = _uniform_term_noncompact(factors, 1)
@@ -451,9 +433,9 @@ def riemann_surface_product_report(
         trace.append("middle degrees are compact exactly when degrees 0 and n are")
 
     witnesses = tuple(
-        (j, *(bit for _, bit in splits[t]))
-        for t, j, part in contributors
-        if not is_subset_of_zero(part)
+        (j, *(bit for _, bit in split))
+        for split, term in zip(splits, terms)
+        for j in _leaving(term)
     )
     if not witnesses:
         return CompactnessReport(

@@ -6,6 +6,7 @@ so a suite run is reproducible from a single integer seed.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,6 @@ from .dbar import (
     DbarFactorModel,
     Verdict,
     neumann_compactness,
-    product_box_spectrum,
     riemann_surface_product_report,
 )
 from .spectra import (
@@ -161,6 +161,37 @@ def random_factor_model(
     )
 
 
+_KERNEL_ONLY = (
+    OperatorSpectrum(EMPTY),
+    OperatorSpectrum(SpectralSet.of(Point(0, 1))),
+    OperatorSpectrum(SpectralSet.of(Point(0, INFINITE))),
+)
+
+
+def _loose_factor_model(rnd: random.Random, name: str) -> DbarFactorModel:
+    """A one-dimensional factor whose function and form entries are drawn
+    independently, so unlike a genuine factor they need not share their
+    positive spectrum; empty spectra and spectra within ``{0}`` are common.
+    The Bergman dimension is the kernel multiplicity of the function entry,
+    or unknown where an asserted essential spectrum leaves out an infinite
+    kernel."""
+
+    def draw() -> OperatorSpectrum:
+        if rnd.random() < 0.3:
+            return rnd.choice(_KERNEL_ONLY)
+        return random_operator_spectrum(rnd)
+
+    functions, forms = draw(), draw()
+    kernel = multiplicity_at(functions.spectrum, 0)
+    return DbarFactorModel(
+        name=name,
+        complex_dimension=1,
+        box_spectrum={(0, 0): functions, (0, 1): forms, (1, 0): functions, (1, 1): forms},
+        closed_range=True,
+        bergman_dim=None if is_infinite(kernel) and not functions.essential.contains(0) else kernel,
+    )
+
+
 def sets_semantically_equal(a: SpectralSet, b: SpectralSet, cutoff: Fraction) -> bool:
     """Same point set (exactly, both directions) and same finite/infinite
     classes below the cutoff.
@@ -268,8 +299,8 @@ def run_verdict_suite(seed: int, cases: int, cutoff: Fraction = Fraction(100)) -
         left = random_spectral_model(rnd)
         right = random_spectral_model(rnd)
         degree = rnd.randint(0, 4)
-        product = product_box_spectrum(left, right, 0, degree)
-        sets = {"essential": product.essential, "spectrum": product.spectrum}
+        verdict = neumann_compactness(left, right, 0, degree)
+        sets = {"essential": verdict.essential_spectrum, "spectrum": verdict.spectrum}
         scale, _, sides = _on_lattice(sets, cutoff)
         essential, spectrum = (_lattice(p)[0] for p, _ in sides)
         outside = [Fraction(int(i), scale) for i in np.setdiff1d(essential, spectrum)]
@@ -290,8 +321,7 @@ def run_verdict_suite(seed: int, cases: int, cutoff: Fraction = Fraction(100)) -
         by_factor_essentials = all(
             x.essential.is_empty() and y.essential.is_empty() for x, y in pairs
         )
-        by_product_essential = product.essential.is_empty()
-        verdict = neumann_compactness(left, right, 0, degree)
+        by_product_essential = verdict.essential_spectrum.is_empty()
         agreed = (
             by_cross_sums
             == by_factor_essentials
@@ -307,16 +337,59 @@ def run_verdict_suite(seed: int, cases: int, cutoff: Fraction = Fraction(100)) -
     return SuiteResult("verdicts", cases, tuple(failures))
 
 
+def _direct_witnesses(factors: list[DbarFactorModel], q: int) -> tuple:
+    """The witnesses ``(j, *K)`` of the product formula, from this module's
+    own loops: over the weight-``q`` bit vectors K in lexicographic order and
+    each factor j, the part ``E_j + Σ_{i≠j} S_i`` summed out and tested
+    against ``{0}``."""
+    witnesses = []
+    for bits in itertools.product((0, 1), repeat=len(factors)):
+        if sum(bits) != q:
+            continue
+        entries = [factor.box_spectrum[(0, bit)] for factor, bit in zip(factors, bits)]
+        for j, own in enumerate(entries):
+            part = own.essential
+            for i, other in enumerate(entries):
+                if i != j and not part.is_empty():
+                    part = minkowski_sum(part, other.spectrum)
+            if not is_subset_of_zero(part):
+                witnesses.append((j, *bits))
+    return tuple(witnesses)
+
+
+def _direct_disagreements(label: str, factors: list[DbarFactorModel], reports: dict) -> list[str]:
+    """Where a complete-data report disagrees with the direct evaluation: in
+    its verdict, or in its witnesses when the direct rule decided it."""
+    failures = []
+    for q, report in reports.items():
+        witnesses = _direct_witnesses(factors, q)
+        want = Verdict.NONCOMPACT if witnesses else Verdict.COMPACT
+        if report.verdict is not want:
+            failures.append(
+                f"{label}: degree {q} is {report.verdict.value} by "
+                f"{report.fired_rule}, the direct formula says {want.value}"
+            )
+        elif report.fired_rule.startswith("essential-spectrum") and report.witnesses != witnesses:
+            failures.append(f"{label}: degree {q} witnesses differ from the direct formula")
+    return failures
+
+
 def run_surface_product_suite(seed: int, cases: int) -> SuiteResult:
-    """Monotonicity and shortcut logic for products of one-dimensional factors."""
+    """Monotonicity and shortcut logic for products of one-dimensional
+    factors, and every verdict against a direct evaluation of the formula.
+
+    The monotonicity implications are theorems about genuine factors, so
+    they are checked on those alone; a separately seeded draw of factors
+    whose entries are drawn independently, empty spectra included, is
+    checked against the direct evaluation only."""
     rnd = random.Random(seed)
     failures = []
     for case in range(cases):
         n = rnd.randint(2, 4)
         factors = [random_factor_model(rnd, f"factor-{case}-{j}") for j in range(n)]
-        verdicts = {
-            q: riemann_surface_product_report(factors, q).verdict for q in range(n + 1)
-        }
+        reports = {q: riemann_surface_product_report(factors, q) for q in range(n + 1)}
+        failures += _direct_disagreements(f"case {case}", factors, reports)
+        verdicts = {q: report.verdict for q, report in reports.items()}
         if any(v is Verdict.UNDECIDABLE for v in verdicts.values()):
             failures.append(f"case {case}: unexpected undecidable verdict")
             continue
@@ -347,6 +420,16 @@ def run_surface_product_suite(seed: int, cases: int) -> SuiteResult:
             failures.append(
                 f"case {case}: non-compact factor solution operator did not spread to all degrees"
             )
+    loose = random.Random(f"{seed}/non-genuine")
+    for case in range(cases):
+        factors = [
+            _loose_factor_model(loose, f"loose-{case}-{j}")
+            for j in range(loose.randint(2, 4))
+        ]
+        reports = {
+            q: riemann_surface_product_report(factors, q) for q in range(len(factors) + 1)
+        }
+        failures += _direct_disagreements(f"non-genuine case {case}", factors, reports)
     return SuiteResult("surface-products", cases, tuple(failures))
 
 

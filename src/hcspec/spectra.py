@@ -40,9 +40,10 @@ More than ``ORACLE_PAIR_CAP`` values of one set, or value pairs, is an
 The product formula is written once, in :func:`product_essential` (the
 essential spectrum as a union of parts, one factor's essential spectrum summed
 with the other factors' spectra) and :func:`product_operator`.  Both fold the
-factor spectra left to right through one helper that builds each fold prefix
-once per call.  This module holds no verdict: the compactness verdicts of
-:mod:`hcspec.dbar` read those parts, under the one convention stated there.
+factor spectra left to right through one prefix trie that builds each fold
+prefix once per call; :func:`product_operator` folds the spectrum and the
+essential parts through the same trie.  This module holds no verdict: those
+are in :mod:`hcspec.dbar`.
 """
 
 from __future__ import annotations
@@ -678,35 +679,36 @@ def _fold_spectra(factors: Sequence[OperatorSpectrum], folds: dict) -> SpectralS
     return total
 
 
-def product_essential(
-    terms: Sequence[Sequence[OperatorSpectrum]],
-) -> tuple[SpectralSet, list[tuple[int, int, SpectralSet]]]:
-    """Essential spectrum of a product operator, with the parts that build it.
+def _essential_union(
+    terms: Sequence[Sequence[OperatorSpectrum]], folds: dict
+) -> SpectralSet:
+    """The union of the nonempty parts of every term, in term order, then
+    factor order; the others' sums fold through the trie ``folds``."""
+    essential = EMPTY
+    for term in terms:
+        for j, own in enumerate(term):
+            if own.essential.is_empty():
+                continue
+            part = minkowski_sum(own.essential, _fold_spectra(term[:j] + term[j + 1 :], folds))
+            if not part.is_empty():
+                essential = union(essential, part)
+    return essential
+
+
+def product_essential(terms: Sequence[Sequence[OperatorSpectrum]]) -> SpectralSet:
+    """Essential spectrum of a product operator.
 
     Each term lists the factor spectra of one summand of the product (a degree
     or bidegree splitting, or a bit vector), at least two of them.  Part
     ``(t, j)`` is the essential spectrum of factor ``j`` of term ``t`` plus the
     Minkowski sum of the spectra of the term's other factors.  Returns the
-    union of the parts and the nonempty parts as ``(t, j, part)``, in term
-    order, then factor order.  The union is taken incrementally in that order,
+    union of the parts, taken incrementally in term order, then factor order,
     since ``normalize`` is not associative on representation.  The sums of
     the other factors fold left to right (:func:`_fold_spectra`), and a fold
     prefix shared by several parts, such as the bit vectors of one weight
     that agree on their first entries, is summed once per call.
     """
-    essential = EMPTY
-    parts: list[tuple[int, int, SpectralSet]] = []
-    folds: dict = {}
-    for t, term in enumerate(terms):
-        for j, own in enumerate(term):
-            if own.essential.is_empty():
-                continue
-            others = _fold_spectra(term[:j] + term[j + 1 :], folds)
-            part = minkowski_sum(own.essential, others)
-            if not part.is_empty():
-                essential = union(essential, part)
-                parts.append((t, j, part))
-    return essential, parts
+    return _essential_union(terms, {})
 
 
 def product_operator(terms: Sequence[Sequence[OperatorSpectrum]]) -> OperatorSpectrum:
@@ -714,9 +716,11 @@ def product_operator(terms: Sequence[Sequence[OperatorSpectrum]]) -> OperatorSpe
 
     The spectrum is the union, in term order, of the Minkowski sums of each
     term's factor spectra; the essential spectrum is :func:`product_essential`.
+    Both fold through one trie, so the others' sum of a term's last factor is
+    the prefix its full sum already built.
     """
     spectrum = EMPTY
     folds: dict = {}
     for term in terms:
         spectrum = union(spectrum, _fold_spectra(term, folds))
-    return OperatorSpectrum(spectrum, product_essential(terms)[0])
+    return OperatorSpectrum(spectrum, _essential_union(terms, folds))

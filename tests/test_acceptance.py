@@ -105,7 +105,8 @@ def test_criterion_6_surface_product_logic():
         6,
         passed,
         "monotonicity and shortcut implications on 500 fuzzed factor tuples "
-        "(n in 2..4); bidisc-style pairing non-compact at (0,1)",
+        "(n in 2..4), every verdict against the direct formula on those and on "
+        "500 non-genuine tuples; bidisc-style pairing non-compact at (0,1)",
     )
     assert bidisc.verdict is Verdict.NONCOMPACT
     assert result.passed, result.failures[:3]

@@ -1,13 +1,16 @@
 import argparse
 import json
+import random
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hcspec import cli, spectra
+from hcspec import cli, dbar, spectra
 from hcspec.cli import main
+from hcspec.fuzzing import random_factor_model
+from hcspec.scenario import json_ready, parse_factor_model
 from hcspec.spectra import minkowski_sum
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -570,6 +573,98 @@ def test_symbolic_builds_each_sum_once(tmp_path, monkeypatch, capsys):
         code, report = run_cli(capsys, "symbolic", path, "--oracle-cutoff", "100")
         assert code == 0 and report["results"]["oracle"]["passed"]
         assert len(calls) == 1
+
+
+def _random_pair_scenario(tmp_path, p, q) -> Path:
+    rnd = random.Random(12)
+    factors = [
+        {
+            "name": name,
+            "complex_dimension": 1,
+            "closed_range": True,
+            "bergman_dim": json_ready(model.bergman_dim),
+            "box_spectrum": {
+                f"{a},{b}": json_ready(entry) for (a, b), entry in model.box_spectrum.items()
+            },
+        }
+        for name, model in ((name, random_factor_model(rnd, name)) for name in ("x", "y"))
+    ]
+    directory = tmp_path / f"p{p}q{q}"
+    directory.mkdir()
+    return _dbar_scenario(directory, factors, p=p, q=q)
+
+
+def test_dbar_folds_once(tmp_path, monkeypatch, capsys):
+    # the verdict, the spectrum and the essential spectrum of one dbar report
+    # come from one product_operator fold over the splittings
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return minkowski_sum(a, b)
+
+    monkeypatch.setattr(spectra, "minkowski_sum", counting)
+    monkeypatch.setattr(dbar, "minkowski_sum", counting)
+    paths = [SCENARIOS / "bidisc.json"]
+    paths += [_random_pair_scenario(tmp_path, p, q) for p in range(3) for q in range(3)]
+    for path in paths:
+        payload = json.loads(path.read_text())["payload"]
+        x, y = (parse_factor_model(f, "factor") for f in payload["factors"])
+        splits = dbar._splittings((1, 1), payload["p"], payload["q"])
+        terms = [(x.box_spectrum[a], y.box_spectrum[b]) for a, b in splits]
+        calls.clear()
+        spectra.product_operator(terms)
+        once = len(calls)
+        calls.clear()
+        code, report = run_cli(capsys, "dbar", path)
+        assert code == 0 and report["results"]["spectrum"] is not None
+        assert len(calls) == once, path
+
+
+def test_dbar_spectrum_over_the_gap_budget_exits_2(tmp_path, capsys):
+    # no essential spectrum, so the verdict needs no sum, but the product
+    # spectrum does: the report is refused rather than written without it
+    def factor(name, step):
+        entry = {"spectrum": {"atoms": [{"kind": "ap", "base": "0", "step": step, "mult": 1}]}}
+        box = dict.fromkeys(("0,0", "0,1", "1,0", "1,1"), entry)
+        return {"name": name, "complex_dimension": 1, "closed_range": True, "box_spectrum": box}
+
+    path = _dbar_scenario(tmp_path, [factor("a", "1/997"), factor("b", "1/991")], p=0, q=0)
+    code = main(["dbar", str(path)])
+    assert code == 2
+    assert "SymbolicBudgetError: the Minkowski sum would expand 986040" in capsys.readouterr().err
+
+
+def test_solution_operator_shortcut_needs_the_bad_bit(tmp_path, capsys):
+    # factor 0 has essential spectrum only at bit 0, and the one vector that
+    # puts it there pairs it with factor 1's empty (0, 1) entry: the parts
+    # are empty or within {0}, so both reports are compact at q = 1
+    def entry(atom):
+        return {"spectrum": {"atoms": [atom] if atom else []}}
+
+    ap = {"kind": "ap", "base": "1", "step": "1", "mult": 1}
+    factors = [
+        {
+            "name": "f0",
+            "complex_dimension": 1,
+            "closed_range": True,
+            "box_spectrum": {"0,0": entry({**ap, "mult": "inf"}), "0,1": entry(ap)},
+        },
+        {
+            "name": "f1",
+            "complex_dimension": 1,
+            "closed_range": True,
+            "box_spectrum": {"0,0": entry(ap), "0,1": entry(None)},
+        },
+    ]
+    code, report = run_cli(capsys, "dbar-n", _dbar_scenario(tmp_path, factors, q=1))
+    assert code == 0
+    assert (report["results"]["verdict"], report["results"]["fired_rule"]) == (
+        "compact",
+        "essential-spectrum-empty",
+    )
+    code, report = run_cli(capsys, "dbar", _dbar_scenario(tmp_path, factors, p=0, q=1))
+    assert code == 0 and report["results"]["verdict"] == "compact"
 
 
 @pytest.mark.parametrize(

@@ -11,12 +11,11 @@ from hcspec.dbar import (
     BidegreeOutOfRangeError,
     DbarFactorModel,
     MissingAttestationError,
-    MissingSpectrumDataError,
     Verdict,
     builtin_models,
     neumann_compactness,
-    product_box_spectrum,
     riemann_surface_product_report,
+    _leaving,
     _splittings,
     _uniform_term_noncompact,
 )
@@ -109,7 +108,7 @@ def test_cohomology_consistency_enforced():
 def test_product_at_origin_is_single_minkowski_sum():
     x = simple_factor("x")
     y = simple_factor("y")
-    got = product_box_spectrum(x, y, 0, 0)
+    got = neumann_compactness(x, y, 0, 0)
     want = minkowski_sum(
         x.box_spectrum[(0, 0)].spectrum, y.box_spectrum[(0, 0)].spectrum
     )
@@ -125,10 +124,10 @@ def test_product_spectrum_worked_example():
         closed_range=True,
         bergman_dim=INFINITE,
     )
-    got = product_box_spectrum(factor, factor, 0, 0)
+    got = neumann_compactness(factor, factor, 0, 0)
     want_values = [Fraction(2 * k) for k in range(15)]
     assert [v for v, _ in enumerate_below(got.spectrum, 29)] == want_values
-    assert [v for v, _ in enumerate_below(got.essential, 29)] == want_values
+    assert [v for v, _ in enumerate_below(got.essential_spectrum, 29)] == want_values
 
 
 def test_product_spectrum_symmetric_in_factors():
@@ -138,10 +137,10 @@ def test_product_spectrum_symmetric_in_factors():
         y = random_factor_model(rnd, f"y{case}")
         for p in range(3):
             for q in range(3):
-                xy = product_box_spectrum(x, y, p, q)
-                yx = product_box_spectrum(y, x, p, q)
+                xy = neumann_compactness(x, y, p, q)
+                yx = neumann_compactness(y, x, p, q)
                 assert xy.spectrum == yx.spectrum
-                assert xy.essential == yx.essential
+                assert xy.essential_spectrum == yx.essential_spectrum
 
 
 def test_product_with_asserted_zero_space_is_empty():
@@ -154,16 +153,16 @@ def test_product_with_asserted_zero_space_is_empty():
         box_spectrum={(p, q): empty_op for p in range(2) for q in range(2)},
         closed_range=True,
     )
-    got = product_box_spectrum(hollow, simple_factor(), 0, 0)
-    assert got.spectrum.is_empty() and got.essential.is_empty()
+    got = neumann_compactness(hollow, simple_factor(), 0, 0)
+    assert got.spectrum.is_empty() and got.essential_spectrum.is_empty()
 
 
 def test_product_spectrum_needs_known_entries():
     x = DbarFactorModel(name="unknown", complex_dimension=1, closed_range=True)
-    with pytest.raises(MissingSpectrumDataError):
-        product_box_spectrum(x, simple_factor(), 0, 0)
+    report = neumann_compactness(x, simple_factor(), 0, 0)
+    assert report.verdict is Verdict.UNDECIDABLE and report.spectrum is None
     with pytest.raises(BidegreeOutOfRangeError):
-        product_box_spectrum(simple_factor(), simple_factor(), 5, 0)
+        neumann_compactness(simple_factor(), simple_factor(), 5, 0)
 
 
 def test_product_essential_contained_in_spectrum_fuzzed():
@@ -171,8 +170,8 @@ def test_product_essential_contained_in_spectrum_fuzzed():
     for case in range(25):
         x = random_factor_model(rnd, f"x{case}")
         y = random_factor_model(rnd, f"y{case}")
-        got = product_box_spectrum(x, y, rnd.randint(0, 2), rnd.randint(0, 2))
-        assert is_subset(got.essential, got.spectrum)
+        got = neumann_compactness(x, y, rnd.randint(0, 2), rnd.randint(0, 2))
+        assert is_subset(got.essential_spectrum, got.spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -284,19 +283,28 @@ def _bit_vector_terms(factors, q):
     ]
 
 
+def _prefixes(folds):
+    """The fold prefixes of two or more entries (by identity) of ``folds``."""
+    return {
+        ids[:k]
+        for ids in (tuple(id(entry) for entry in fold) for fold in folds)
+        for k in range(2, len(ids) + 1)
+    }
+
+
 def test_shared_fold_sums_each_prefix_once(monkeypatch):
     rnd = random.Random(7)
     factors = [random_factor_model(rnd, f"f{j}", infinite_chance=0.1) for j in range(7)]
     terms = _bit_vector_terms(factors, 3)
-    # one sum per distinct fold prefix of two or more entries (by identity),
-    # and one per part for the factor's own essential spectrum
-    prefixes, parts = set(), 0
-    for term in terms:
-        for j, own in enumerate(term):
-            if not own.essential.is_empty():
-                others = tuple(id(entry) for entry in term[:j] + term[j + 1 :])
-                prefixes.update(others[:k] for k in range(2, len(others) + 1))
-                parts += 1
+    # one sum per distinct fold prefix, and one per part for the factor's
+    # own essential spectrum
+    others = [
+        term[:j] + term[j + 1 :]
+        for term in terms
+        for j, own in enumerate(term)
+        if not own.essential.is_empty()
+    ]
+    parts = len(others)
     unshared_sums = parts * (len(factors) - 1)
     calls = []
 
@@ -307,7 +315,14 @@ def test_shared_fold_sums_each_prefix_once(monkeypatch):
     monkeypatch.setattr(spectra, "minkowski_sum", counting)
     spectra.product_essential(terms)
     assert parts >= 20
-    assert len(calls) == len(prefixes) + parts < unshared_sums
+    assert len(calls) == len(_prefixes(others)) + parts < unshared_sums
+    # product_operator folds the full terms and the others' sums through one
+    # trie: the others' sum of a term's last factor is a full-term prefix
+    calls.clear()
+    spectra.product_operator(terms)
+    shared = _prefixes([*terms, *others])
+    assert len(shared) < len(_prefixes(terms)) + len(_prefixes(others))
+    assert len(calls) == len(shared) + parts
 
 
 def test_shared_fold_matches_an_unshared_fold():
@@ -317,11 +332,11 @@ def test_shared_fold_matches_an_unshared_fold():
         n = rnd.randint(2, 7)
         factors = [random_factor_model(rnd, f"f{case}-{j}", infinite_chance=0.1) for j in range(n)]
         q = rnd.randint(0, n)
-        essential, parts = spectra.product_essential(_bit_vector_terms(factors, q))
-        want_essential, want_parts = unshared_product_essential(_bit_vector_terms(factors, q))
-        assert repr(essential) == repr(want_essential), (case, q)
-        assert repr(parts) == repr(want_parts), (case, q)
-        compared += len(parts)
+        terms = _bit_vector_terms(factors, q)
+        want_essential, want_parts = unshared_product_essential(terms)
+        assert repr(spectra.product_essential(terms)) == repr(want_essential), (case, q)
+        assert repr(spectra.product_operator(terms).essential) == repr(want_essential), (case, q)
+        compared += len(want_parts)
     assert compared >= 100
 
 
@@ -332,23 +347,25 @@ def test_nfactor_report_unchanged_by_the_shared_fold(monkeypatch):
         for case in range(20)
     ]
     shared = [riemann_surface_product_report(f, q) for f in tuples for q in range(len(f) + 1)]
-    monkeypatch.setattr(dbar, "product_essential", unshared_product_essential)
+    monkeypatch.setattr(
+        dbar, "product_essential", lambda terms: unshared_product_essential(terms)[0]
+    )
     unshared = [riemann_surface_product_report(f, q) for f in tuples for q in range(len(f) + 1)]
     assert [repr(r) for r in shared] == [repr(r) for r in unshared]
     assert {r.fired_rule for r in shared} >= {"essential-spectrum-nonempty", "essential-spectrum-empty"}
 
 
-_ZERO_ENTRIES = (op(Point(0, 1)), op(Point(0, INFINITE)))
+_FLAG_ENTRIES = (op(Point(0, 1)), op(Point(0, INFINITE)), OperatorSpectrum(EMPTY))
 
 
-def test_uniform_term_rule_matches_the_fold():
-    # the degree-0 and degree-n trace lines read emptiness and within-{0}
-    # flags only; folding the one bit vector (bit,) * n must give the same
-    # answer, "some part leaves {0}", unknowns included
+def test_leaving_matches_the_unshared_parts():
+    # _leaving reads emptiness and within-{0} flags only; on every bit vector
+    # it must name the factors whose unshared part leaves {0}, and on the
+    # uniform vectors the trace rule must agree, unknown entries included
     rnd = random.Random(6)
     outcomes = Counter()
     within_zero = 0
-    for case in range(400):
+    for case in range(150):
         n = rnd.randint(2, 5)
         zero_chance = rnd.choice((0.0, 0.5, 0.9))
         factors = [
@@ -359,7 +376,7 @@ def test_uniform_term_rule_matches_the_fold():
                 box_spectrum={
                     (0, bit): None
                     if rnd.random() < 0.05
-                    else rnd.choice(_ZERO_ENTRIES)
+                    else rnd.choice(_FLAG_ENTRIES)
                     if rnd.random() < zero_chance
                     else random_operator_spectrum(rnd)
                     for bit in (0, 1)
@@ -367,14 +384,17 @@ def test_uniform_term_rule_matches_the_fold():
             )
             for j in range(n)
         ]
-        for bit in (0, 1):
-            term = [factor.box_spectrum[(0, bit)] for factor in factors]
+        for bits in itertools.product((0, 1), repeat=n):
+            term = [factor.box_spectrum[(0, bit)] for factor, bit in zip(factors, bits)]
             want = None
             if all(entry is not None for entry in term):
-                parts = [part for _, _, part in spectra.product_essential([term])[1]]
-                want = any(not is_subset_of_zero(part) for part in parts)
-                within_zero += any(is_subset_of_zero(part) for part in parts)
-            assert _uniform_term_noncompact(factors, bit) is want, (case, bit)
+                parts = unshared_product_essential([term])[1]
+                leaving = [j for _, j, part in parts if not is_subset_of_zero(part)]
+                assert _leaving(term) == leaving, (case, bits)
+                want = bool(leaving)
+                within_zero += any(is_subset_of_zero(part) for _, _, part in parts)
+            if len(set(bits)) == 1:
+                assert _uniform_term_noncompact(factors, bits[0]) is want, (case, bits)
             outcomes[want] += 1
     assert min(outcomes[True], outcomes[False], outcomes[None]) >= 50, outcomes
     # nonempty parts within {0}, which an emptiness-only rule counts as leaving

@@ -12,7 +12,6 @@ from hcspec.dbar import (
     MissingAttestationError,
     Verdict,
     neumann_compactness,
-    product_box_spectrum,
 )
 from hcspec.fuzzing import (
     random_atom,
@@ -714,25 +713,25 @@ def _row(spectra, top=None):
 def test_product_spectrum_worked_example():
     left = _row({0: OperatorSpectrum(SpectralSet.of(pt(0, INFINITE), ap(1, 1)))})
     right = _row({0: OperatorSpectrum(SpectralSet.of(ap(0, 2)))})
-    got = product_box_spectrum(left, right, 0, 0)
+    got = neumann_compactness(left, right, 0, 0)
     spectrum_values = [v for v, _ in enumerate_below(got.spectrum, 30)]
     assert spectrum_values == [Fraction(k) for k in range(30)]
-    assert got.essential == SpectralSet.of(ap(0, 2, INFINITE))
+    assert got.essential_spectrum == SpectralSet.of(ap(0, 2, INFINITE))
 
 
 def test_product_spectrum_empty_when_degrees_miss():
     # degree 3 splits as 1 + 2 or 2 + 1, and degrees 1 and 2 are zero spaces
     left = _row({0: OperatorSpectrum(SpectralSet.of(pt(1)))}, top=2)
     right = _row({0: OperatorSpectrum(SpectralSet.of(pt(1)))}, top=2)
-    assert product_box_spectrum(left, right, 0, 3).is_empty()
+    assert neumann_compactness(left, right, 0, 3).spectrum.is_empty()
 
 
 def test_product_spectrum_point_case():
     left = _row({0: OperatorSpectrum(SpectralSet.of(pt(0, 1)))})
     right = _row({0: OperatorSpectrum(SpectralSet.of(pt(0, 1)))})
-    got = product_box_spectrum(left, right, 0, 0)
+    got = neumann_compactness(left, right, 0, 0)
     assert got.spectrum == SpectralSet.of(pt(0, 1))
-    assert got.essential == EMPTY
+    assert got.essential_spectrum == EMPTY
 
 
 def test_verdict_compact_when_essentials_empty():
@@ -801,7 +800,7 @@ def test_criterion_equivalences_on_fuzzed_models():
         left = random_spectral_model(rnd)
         right = random_spectral_model(rnd)
         degree = rnd.randint(0, 4)
-        product = product_box_spectrum(left, right, 0, degree)
+        verdict = neumann_compactness(left, right, 0, degree)
         pairs = [
             (left.box_spectrum[(0, j)], right.box_spectrum[(0, k)])
             for j, k in _degree_pairs(left, right, degree)
@@ -813,8 +812,7 @@ def test_criterion_equivalences_on_fuzzed_models():
             for x, y in pairs
         )
         by_factors = all(x.essential.is_empty() and y.essential.is_empty() for x, y in pairs)
-        by_product = product.essential.is_empty()
-        verdict = neumann_compactness(left, right, 0, degree)
+        by_product = verdict.essential_spectrum.is_empty()
         assert by_cross == by_factors == by_product == (
             verdict.verdict is Verdict.COMPACT
         )
@@ -822,29 +820,30 @@ def test_criterion_equivalences_on_fuzzed_models():
 
 def _reference_verdict(left, right, degree):
     """The one witness rule as its own loop over the cross sums ``E_j + S_k``
-    and ``S_j + E_k``, with the essential spectrum of the full product."""
-    witnesses = tuple(
-        (0, j, 0, k)
-        for j, k in _degree_pairs(left, right, degree)
-        if not (
-            is_subset_of_zero(
-                minkowski_sum(
-                    left.box_spectrum[(0, j)].essential, right.box_spectrum[(0, k)].spectrum
-                )
-            )
-            and is_subset_of_zero(
-                minkowski_sum(
-                    left.box_spectrum[(0, j)].spectrum, right.box_spectrum[(0, k)].essential
-                )
-            )
-        )
-    )
-    essential = product_box_spectrum(left, right, 0, degree).essential
+    and ``S_j + E_k``, with the spectrum and essential spectrum of the full
+    product folded here: unions in splitting order, then factor order, with
+    empty parts skipped, as ``product_operator`` takes them."""
+    witnesses, spectrum, essential = [], EMPTY, EMPTY
+    for j, k in _degree_pairs(left, right, degree):
+        x, y = left.box_spectrum[(0, j)], right.box_spectrum[(0, k)]
+        spectrum = union(spectrum, minkowski_sum(x.spectrum, y.spectrum))
+        cross = [minkowski_sum(x.essential, y.spectrum), minkowski_sum(x.spectrum, y.essential)]
+        for part in cross:
+            if not part.is_empty():
+                essential = union(essential, part)
+        if not all(is_subset_of_zero(part) for part in cross):
+            witnesses.append((0, j, 0, k))
     if witnesses:
         return CompactnessReport(
-            Verdict.NONCOMPACT, "factor-essential-contribution", witnesses, essential
+            Verdict.NONCOMPACT,
+            "factor-essential-contribution",
+            tuple(witnesses),
+            essential,
+            spectrum=spectrum,
         )
-    return CompactnessReport(Verdict.COMPACT, "essential-spectrum-empty", (), essential)
+    return CompactnessReport(
+        Verdict.COMPACT, "essential-spectrum-empty", (), essential, spectrum=spectrum
+    )
 
 
 _ZERO_SPECTRA = (
