@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -22,14 +23,12 @@ from .dbar import BUILTIN_BUILDERS, DbarFactorModel
 from .errors import ToolkitError
 from .numerics import KRONECKER_DIM_CAP
 from .spectra import (
-    AP,
     INFINITE,
     Mult,
     OperatorSpectrum,
-    Point,
     SpectralSet,
     is_infinite,
-    normalize,
+    normalize_ratios,
 )
 
 SCENARIO_KINDS = ("finite-complex", "finite-pair", "spectral-model", "dbar-factors")
@@ -130,19 +129,58 @@ def matrix_to_json(matrix: np.ndarray) -> list[list[list[float]]]:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
 
 
-def parse_rational(value: Any, path: str) -> Fraction:
+#: Most digits of a numerator or denominator: ``str`` refuses longer ints
+#: (CPython's default ``int_max_str_digits``), so no report could print them.
+PRINTABLE_DIGITS = 4300
+_PRINTABLE_BOUND = 10**PRINTABLE_DIGITS
+
+# The strings ``Fraction`` reads: "3/2", "0.5", "1e6", "1_000", spaces around.
+_RATIONAL_TEXT = re.compile(
+    r"\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)(?:/(?P<denom>\d+(_\d+)*)"
+    r"|(?:\.(?P<decimal>\d*|\d+(_\d+)*))?(?:[eE](?P<exp>[-+]?\d+(_\d+)*))?)\s*"
+)
+
+
+def parse_ratio(value: Any, path: str) -> tuple[int, int]:
+    """A JSON integer, or a string in a form ``Fraction`` reads, as a reduced
+    ``(numerator, denominator)``; no ``Fraction`` is built.  A numerator or
+    denominator of more than ``PRINTABLE_DIGITS`` digits is refused, and an
+    exponent that would give one before its power of ten is built."""
     if is_json_int(value):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _fail(path, f"bad rational {value!r}") from exc
-    raise _fail(path, f"expected an integer or 'p/q' string, got {value!r}")
+        return value, 1
+    if not isinstance(value, str):
+        raise _fail(path, f"expected an integer or 'p/q' string, got {value!r}")
+    match = _RATIONAL_TEXT.fullmatch(value)
+    try:  # int() refuses more than PRINTABLE_DIGITS digits too
+        if match is None or match["denom"] and not int(match["denom"]):
+            raise ValueError(value)
+        decimal = (match["decimal"] or "").replace("_", "")
+        numerator = int(match["num"] or "0") * 10 ** len(decimal) + int(decimal or "0")
+        denominator = int(match["denom"] or "1")
+        exponent = int(match["exp"] or "0") - len(decimal) if numerator else 0
+    except ValueError as exc:
+        raise _fail(path, f"bad rational {value!r}") from exc
+    digits = len(match["num"]) + len(decimal)  # numerator < 10**digits bounds what a gcd cancels
+    if exponent > PRINTABLE_DIGITS or -exponent - digits >= PRINTABLE_DIGITS:
+        raise _fail(path, f"rational beyond {PRINTABLE_DIGITS} digits: {value!r}")
+    numerator, denominator = numerator * 10 ** max(exponent, 0), denominator * 10 ** max(-exponent, 0)
+    common = math.gcd(numerator, denominator)
+    numerator, denominator = numerator // common, denominator // common
+    if max(numerator, denominator) >= _PRINTABLE_BOUND:
+        raise _fail(path, f"rational beyond {PRINTABLE_DIGITS} digits: {value!r}")
+    return (-numerator if match["sign"] == "-" else numerator), denominator
 
 
-def rational_to_json(value: Fraction) -> str:
-    return str(value)
+def parse_rational(value: Any, path: str) -> Fraction:
+    return Fraction(*parse_ratio(value, path))
+
+
+def _ratio_to_json(numerator: int, denominator: int) -> str:
+    """``str(Fraction(numerator, denominator))`` for ``denominator >= 1``."""
+    common = math.gcd(numerator, denominator)
+    if common == denominator:
+        return str(numerator // common)
+    return f"{numerator // common}/{denominator // common}"
 
 
 def parse_mult(value: Any, path: str) -> Mult:
@@ -174,47 +212,40 @@ def parse_spectral_set(value: Any, path: str) -> SpectralSet:
     atoms = value["atoms"]
     if not isinstance(atoms, list):
         raise _fail(f"{path}.atoms", "expected an array")
-    parsed = []
+    ratios = []
     for idx, atom in enumerate(atoms):
         apath = f"{path}.atoms[{idx}]"
         if not isinstance(atom, dict):
             raise _fail(apath, "expected an object")
         kind = atom.get("kind")
         mult = parse_mult(atom.get("mult", 1), f"{apath}.mult")
-        try:
-            if kind == "point":
-                parsed.append(Point(parse_rational(atom.get("value"), f"{apath}.value"), mult))
-            elif kind == "ap":
-                parsed.append(
-                    AP(
-                        parse_rational(atom.get("base"), f"{apath}.base"),
-                        parse_rational(atom.get("step"), f"{apath}.step"),
-                        mult,
-                    )
-                )
-            else:
-                raise _fail(f"{apath}.kind", f"expected 'point' or 'ap', got {kind!r}")
-        except ValueError as exc:
-            raise _fail(apath, str(exc)) from exc
-    return normalize(parsed)
+        if kind == "point":
+            value = parse_ratio(atom.get("value"), f"{apath}.value")
+            if value[0] < 0:
+                raise _fail(apath, "spectral values must be nonnegative")
+            ratios.append((*value, 0, 1, mult))
+        elif kind == "ap":
+            base = parse_ratio(atom.get("base"), f"{apath}.base")
+            step = parse_ratio(atom.get("step"), f"{apath}.step")
+            if base[0] < 0:
+                raise _fail(apath, "progression base must be nonnegative")
+            if step[0] <= 0:
+                raise _fail(apath, "progression step must be positive")
+            ratios.append((*base, *step, mult))
+        else:
+            raise _fail(f"{apath}.kind", f"expected 'point' or 'ap', got {kind!r}")
+    return normalize_ratios(ratios)
 
 
 def spectral_set_to_json(value: SpectralSet) -> dict:
+    scale = value.scale
     atoms = []
-    for atom in value.atoms:
-        if isinstance(atom, Point):
-            atoms.append(
-                {"kind": "point", "value": rational_to_json(atom.value), "mult": mult_to_json(atom.mult)}
-            )
+    for number, kind, step, mult in value.keys:
+        if kind:
+            atom = {"kind": "ap", "base": _ratio_to_json(number, scale), "step": _ratio_to_json(step, scale)}
         else:
-            atoms.append(
-                {
-                    "kind": "ap",
-                    "base": rational_to_json(atom.base),
-                    "step": rational_to_json(atom.step),
-                    "mult": mult_to_json(atom.mult),
-                }
-            )
+            atom = {"kind": "point", "value": _ratio_to_json(number, scale)}
+        atoms.append({**atom, "mult": mult_to_json(mult)})
     return {"atoms": atoms}
 
 
@@ -348,7 +379,7 @@ def json_ready(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [json_ready(v) for v in value]
     if isinstance(value, Fraction):
-        return rational_to_json(value)
+        return str(value)
     if isinstance(value, SpectralSet):
         return spectral_set_to_json(value)
     if isinstance(value, OperatorSpectrum):

@@ -18,15 +18,15 @@ records the product of the input annotations as a nominal value.  The
 enumeration oracle compares sums at this class level, and exactly for inputs
 consisting of points only.
 
-:func:`normalize` and :func:`minkowski_sum` run on the same kind of lattice:
-each call scales its atoms once, by the lcm of their denominators, to integer
-keys; a sum adds the keys of its operands directly.  Both hand the keys to
-one set of merge rules (:func:`_normalize_keys`), which maps them back to
-atoms at the end.  The rules are those of the atom view, so the result is
-still not associative on representation (see :func:`normalize`); a
-canonical, order-free form is not built.  A sum expands each Frobenius gap
-one value at a time, so more than ``GAP_BUDGET`` gap values in one sum is a
-:class:`SymbolicBudgetError`, raised before anything is built.
+A :class:`SpectralSet` is its lattice: the least ``L`` with every value on
+``(1/L)·ℤ``, and one integer key per atom.  ``Fraction`` appears only at the
+boundary: atoms are keyed once, the parser keys text (:func:`normalize_ratios`),
+reports print ``k/L`` reduced, and ``atoms`` is a view built on first use.
+Operations on sets rescale keys to a common ``L`` by integer multiplication and
+hand them to one set of merge rules (:func:`_normalize_keys`).  The result is
+still not associative on representation (see :func:`normalize`).  A sum expands
+each Frobenius gap one value at a time, so more than ``GAP_BUDGET`` gap values
+in one sum is a :class:`SymbolicBudgetError`, raised before anything is built.
 
 One kernel enumerates values below a cutoff, for the oracle
 :func:`minkowski_oracle_check`, :func:`enumerate_below` and the fuzz checks:
@@ -124,9 +124,6 @@ class Point:
         if self.value < 0:
             raise ValueError("spectral values must be nonnegative")
 
-    def covers(self, v: Fraction) -> bool:
-        return self.value == v
-
 
 @dataclass(frozen=True)
 class AP:
@@ -145,46 +142,67 @@ class AP:
         if self.step <= 0:
             raise ValueError("progression step must be positive")
 
-    def covers(self, v: Fraction) -> bool:
-        if v < self.base:
-            return False
-        q = (v - self.base) / self.step
-        return q.denominator == 1
-
-    def contains_ap(self, other: "AP") -> bool:
-        if other.base < self.base:
-            return False
-        if (other.step / self.step).denominator != 1:
-            return False
-        return ((other.base - self.base) / self.step).denominator == 1
-
 
 Atom = Union[Point, AP]
 
 
-@dataclass(frozen=True)
 class SpectralSet:
     """A normalized finite union of spectral atoms; ``()`` is the empty spectrum.
 
-    Build instances through :func:`normalize` (or the convenience classmethod
-    :meth:`of`); the constructor trusts its argument.
+    ``scale`` is ``L``, the lcm of the atoms' denominators, and ``keys``
+    holds each atom as ``(value or base times L, 0 for a point or 1 for a
+    progression, step times L or 0, mult)``; sets compare and hash by both.
+    ``atoms`` views the keys as :class:`Point` and :class:`AP`, built on first
+    use.  Build sets through :func:`normalize` (or :meth:`of`); the
+    constructor trusts its atoms and keeps them, in order, as the view.
     """
 
-    atoms: tuple[Atom, ...] = ()
+    __slots__ = ("scale", "keys", "_atoms")
+
+    def __init__(self, atoms: Iterable[Atom] = ()) -> None:
+        self._atoms = tuple(atoms)
+        self.scale, self.keys = _ratio_keys(map(_ratio, self._atoms))
+
+    @classmethod
+    def _on_keys(cls, scale: int, keys: tuple[tuple, ...]) -> "SpectralSet":
+        new = cls.__new__(cls)
+        new.scale, new.keys, new._atoms = scale, keys, None
+        return new
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        if self._atoms is None:
+            scale = self.scale
+            self._atoms = tuple(
+                AP(Fraction(value, scale), Fraction(step, scale), mult)
+                if kind
+                else Point(Fraction(value, scale), mult)
+                for value, kind, step, mult in self.keys
+            )
+        return self._atoms
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SpectralSet) and (self.scale, self.keys) == (other.scale, other.keys)
+
+    def __hash__(self) -> int:
+        return hash((self.scale, self.keys))
+
+    def __repr__(self) -> str:
+        return f"SpectralSet(atoms={self.atoms!r})"
 
     @classmethod
     def of(cls, *atoms: Atom) -> "SpectralSet":
         return normalize(atoms)
 
     def is_empty(self) -> bool:
-        return not self.atoms
+        return not self.keys
 
     def contains(self, value: RationalLike) -> bool:
-        v = as_rational(value)
-        return any(atom.covers(v) for atom in self.atoms)
+        index = _index(self, value)
+        return index is not None and any(_covers(key, index) for key in self.keys)
 
 
-EMPTY = SpectralSet(())
+EMPTY = SpectralSet._on_keys(1, ())
 
 
 def normalize(atoms: Iterable[Atom]) -> SpectralSet:
@@ -201,17 +219,13 @@ def normalize(atoms: Iterable[Atom]) -> SpectralSet:
     - a point sitting one step below a progression with the same multiplicity
       extends that progression downward.
 
-    The rules run on lattice keys: with ``L`` the lcm of every denominator of
-    the input, computed once per call, an atom is the integer tuple
-    ``(value or base times L, 0 for a point or 1 for a progression, step
-    times L or 0, mult)``.  Keys sort in the order of the values because
-    ``L > 0``, and no rule leaves the lattice ``(1/L)·ℤ``.  This function is
-    the keying front end; the rules live in :func:`_normalize_keys`, which
-    :func:`minkowski_sum` feeds too.  Order, equality, ``%`` and ``value +
-    step == base`` are homogeneous in ``L``, so any common multiple of the
-    denominators gives the same atoms.  An output atom whose key is an input
-    atom's is that input object; merged and extended atoms are built as
-    ``Fraction(k, L)``.
+    The rules run on lattice keys (see :class:`SpectralSet`), which sort in
+    the order of the values; no rule leaves the lattice.  This function keys
+    atoms; the rules live in :func:`_normalize_keys`, which every other
+    operation feeds with keys it has rescaled or built.  They are homogeneous
+    in ``L``, so any common multiple of the denominators gives the same
+    result, kept on the least one.  Its atoms are a view of its keys, never
+    the input objects.
 
     Absorption into a progression keeps the point set and the per-point
     finite/infinite class exact; nominal finite counts on progression-covered
@@ -220,56 +234,71 @@ def normalize(atoms: Iterable[Atom]) -> SpectralSet:
     progression to ``AP(0, 1, 1)``, which then absorbs a second ``{0:1}``,
     while the two points first merge to ``{0:2}``, which does not extend it.
     """
-    work: list[Atom] = list(atoms)
-    scale = _lattice_scale(work)
-    keys = [_key(atom, scale) for atom in work]
-    inputs = dict(zip(reversed(keys), reversed(work)))  # the first input atom per key
-    return _normalize_keys(keys, scale, inputs)
+    return _normalize_keys(*_ratio_keys(map(_ratio, atoms)))
 
 
-def _lattice_scale(atoms: Iterable[Atom]) -> int:
-    """``L``, the lcm of every denominator of ``atoms``; 1 for none."""
-    denominators: list[int] = []
-    for atom in atoms:
-        if isinstance(atom, Point):
-            denominators.append(atom.value.denominator)
-        elif isinstance(atom, AP):
-            denominators += (atom.base.denominator, atom.step.denominator)
-        else:
-            raise TypeError(f"not a spectral atom: {atom!r}")
-    return math.lcm(*denominators)
-
-
-def _key(atom: Atom, scale: int) -> tuple:
-    """The lattice key of an atom whose denominators divide ``scale``."""
+def _ratio(atom: Atom) -> tuple[int, int, int, int, Mult]:
+    """An atom as ``(value or base numerator, its denominator, step numerator,
+    its denominator, mult)``, a point with the step ``0/1``."""
     if isinstance(atom, Point):
-        return (_scaled(atom.value, scale), 0, 0, atom.mult)
-    return (_scaled(atom.base, scale), 1, _scaled(atom.step, scale), atom.mult)
+        return atom.value.numerator, atom.value.denominator, 0, 1, atom.mult
+    if isinstance(atom, AP):
+        base, step = atom.base, atom.step
+        return base.numerator, base.denominator, step.numerator, step.denominator, atom.mult
+    raise TypeError(f"not a spectral atom: {atom!r}")
 
 
-def _normalize_keys(keys: list[tuple], scale: int, inputs: Mapping[tuple, Atom]) -> SpectralSet:
+def _ratio_keys(ratios: Iterable[tuple[int, int, int, int, Mult]]) -> tuple[int, tuple[tuple, ...]]:
+    """``L``, the lcm of every denominator of ``ratios`` (1 for none), and
+    their keys on ``(1/L)·ℤ``, in order."""
+    ratios = tuple(ratios)
+    scale = math.lcm(*(den for _, den, _, step_den, _ in ratios for den in (den, step_den)))
+    return scale, tuple(
+        (num * (scale // den), 1 if step else 0, step * (scale // step_den), mult)
+        for num, den, step, step_den, mult in ratios
+    )
+
+
+def normalize_ratios(ratios: Iterable[tuple[int, int, int, int, Mult]]) -> SpectralSet:
+    """:func:`normalize` on atoms given as checked ratios (see :func:`_ratio`):
+    the parse front end, which builds no atom and no ``Fraction``."""
+    return _normalize_keys(*_ratio_keys(ratios))
+
+
+def _normalize_keys(scale: int, keys: Iterable[tuple]) -> SpectralSet:
     """The merge rules of :func:`normalize` on lattice keys of ``(1/scale)·ℤ``,
-    run to a fixed point; ``inputs`` maps keys to atoms to reuse."""
+    run to a fixed point; the result is on the least lattice of its keys."""
     # Sorting whole keys also orders equal atoms by mult; a pass merges those
     # whatever their order, so only the order of distinct keys matters.
-    current = sorted(keys)
-    while True:
-        merged = sorted(_normalize_pass(current))
-        if merged == current:
-            break
-        current = merged
-    return SpectralSet(tuple(inputs[key] if key in inputs else _atom_at(key, scale) for key in current))
+    current, extended = _normalize_pass(sorted(keys))
+    while extended:
+        current, extended = _normalize_pass(sorted(current))
+    current.sort()
+    if scale > 1:  # move to the least lattice of the result
+        common = math.gcd(scale, *(key[0] for key in current), *(key[2] for key in current))
+        if common > 1:
+            scale //= common
+            current = [(value // common, kind, step // common, mult) for value, kind, step, mult in current]
+    return SpectralSet._on_keys(scale, tuple(current))
 
 
-def _atom_at(key: tuple, scale: int) -> Atom:
-    value, kind, step, mult = key
-    if kind:
-        return AP(Fraction(value, scale), Fraction(step, scale), mult)
-    return Point(Fraction(value, scale), mult)
+def _common_lattice(a: SpectralSet, b: SpectralSet) -> tuple[int, list[tuple], list[tuple]]:
+    """The lcm ``L`` of both scales, and the keys of each set on ``(1/L)·ℤ``."""
+    scale = math.lcm(a.scale, b.scale)
+    return scale, _rescaled(a, scale // a.scale), _rescaled(b, scale // b.scale)
 
 
-def _normalize_pass(work: list[tuple]) -> list[tuple]:
-    """One round of the merge rules of :func:`normalize` on lattice keys."""
+def _rescaled(s: SpectralSet, factor: int) -> list[tuple]:
+    if factor == 1:
+        return list(s.keys)
+    return [(value * factor, kind, step * factor, mult) for value, kind, step, mult in s.keys]
+
+
+def _normalize_pass(work: list[tuple]) -> tuple[list[tuple], bool]:
+    """One round of the merge rules of :func:`normalize` on sorted lattice
+    keys, and whether it extended a progression.  A round that extends none
+    ends at the fixed point: the next would test the same atoms the same way.
+    """
     points: dict[int, Mult] = {}
     aps: dict[tuple[int, int], Mult] = {}
     for value, kind, step, mult in work:
@@ -279,38 +308,45 @@ def _normalize_pass(work: list[tuple]) -> list[tuple]:
             points[value] = points.get(value, 0) + mult
 
     ap_list = [(base, step, mult) for (base, step), mult in aps.items()]
-    infinite_aps = [ap for ap in ap_list if is_infinite(ap[2])]
-    kept_aps = [
-        ap
-        for ap in ap_list
-        if not any(
-            other is not ap
-            and ap[0] >= other[0]
-            and ap[1] % other[1] == 0
-            and (ap[0] - other[0]) % other[1] == 0
-            for other in infinite_aps
-        )
-    ]
+    infinite_aps = [ap for ap in ap_list if ap[2] == INFINITE]
+    kept_aps = ap_list
+    if infinite_aps:
+        kept_aps = [
+            ap
+            for ap in ap_list
+            if not any(
+                other is not ap
+                and ap[0] >= other[0]
+                and ap[1] % other[1] == 0
+                and (ap[0] - other[0]) % other[1] == 0
+                for other in infinite_aps
+            )
+        ]
+    if not kept_aps:
+        return [(value, 0, 0, mult) for value, mult in points.items()], False
 
     kept_points: list[tuple] = []
+    extended = False
     for value in sorted(points, reverse=True):
         mult = points[value]
         for idx, (base, step, ap_mult) in enumerate(kept_aps):
             if value >= base and (value - base) % step == 0:
-                if is_infinite(ap_mult) or mult == ap_mult:
+                if ap_mult == INFINITE or mult == ap_mult:
                     break
             elif value + step == base and mult == ap_mult:
                 kept_aps[idx] = (value, step, ap_mult)
+                extended = True
                 break
         else:
             kept_points.append((value, 0, 0, mult))
 
-    return [*kept_points, *((base, 1, step, mult) for base, step, mult in kept_aps)]
+    return [*kept_points, *((base, 1, step, mult) for base, step, mult in kept_aps)], extended
 
 
 def union(a: SpectralSet, b: SpectralSet) -> SpectralSet:
     """Set union with pointwise multiplicity addition (infinite absorbs)."""
-    return normalize(a.atoms + b.atoms)
+    scale, a_keys, b_keys = _common_lattice(a, b)
+    return _normalize_keys(scale, a_keys + b_keys)
 
 
 def _representable(n: int, p: int, q: int) -> bool:
@@ -325,8 +361,8 @@ def _representable(n: int, p: int, q: int) -> bool:
 def minkowski_sum(a: SpectralSet, b: SpectralSet) -> SpectralSet:
     """Exact Minkowski sum ``{x + y}``; empty if either operand is empty.
 
-    Works on lattice keys from start to finish: with ``L`` the lcm of every
-    denominator of both operands, each pair of keys adds to keys, which go
+    Works on lattice keys from start to finish: with ``L`` the lcm of the
+    scales of both operands, each pair of keys adds to keys, which go
     to the merge rules of :func:`normalize` (:func:`_normalize_keys`).  A
     point plus a point is a point, and a point plus a progression keeps the
     step.  Two progressions with steps ``g·p`` and ``g·q``, ``p`` and ``q``
@@ -340,9 +376,7 @@ def minkowski_sum(a: SpectralSet, b: SpectralSet) -> SpectralSet:
     """
     if a.is_empty() or b.is_empty():
         return EMPTY
-    scale = _lattice_scale(a.atoms + b.atoms)
-    a_keys = [_key(atom, scale) for atom in a.atoms]
-    b_keys = [_key(atom, scale) for atom in b.atoms]
+    scale, a_keys, b_keys = _common_lattice(a, b)
     gap_values = sum(
         (s // math.gcd(s, t) - 1) * (t // math.gcd(s, t) - 1)
         for s in (key[2] for key in a_keys if key[1])
@@ -357,7 +391,7 @@ def minkowski_sum(a: SpectralSet, b: SpectralSet) -> SpectralSet:
     for base, kind, step, mult in a_keys:
         for other_base, other_kind, other_step, other_mult in b_keys:
             total = base + other_base
-            infinite = is_infinite(mult) or is_infinite(other_mult)
+            infinite = mult == INFINITE or other_mult == INFINITE
             product = INFINITE if infinite else mult * other_mult
             if not (kind and other_kind):  # a point's step key is 0
                 keys.append((total, kind | other_kind, step + other_step, product))
@@ -376,7 +410,7 @@ def minkowski_sum(a: SpectralSet, b: SpectralSet) -> SpectralSet:
                 (total + g * n, 0, 0, product) for n in range(frobenius + 1) if _representable(n, p, q)
             ]
             keys.append((total + g * (frobenius + 1), 1, g, product))
-    return _normalize_keys(keys, scale, {})
+    return _normalize_keys(scale, keys)
 
 
 def essential_part(s: SpectralSet) -> SpectralSet:
@@ -385,7 +419,7 @@ def essential_part(s: SpectralSet) -> SpectralSet:
     Progression atoms diverge, so they contribute no finite accumulation
     points; only infinite-multiplicity annotations survive.
     """
-    return normalize(atom for atom in s.atoms if is_infinite(atom.mult))
+    return _normalize_keys(s.scale, (key for key in s.keys if is_infinite(key[3])))
 
 
 def multiplicity_at(s: SpectralSet, value: RationalLike) -> Mult:
@@ -393,19 +427,36 @@ def multiplicity_at(s: SpectralSet, value: RationalLike) -> Mult:
 
     Exact for values not covered by progression atoms; class-level otherwise.
     """
-    v = as_rational(value)
+    index = _index(s, value)
+    if index is None:
+        return 0
     total: Mult = 0
-    for atom in s.atoms:
-        if atom.covers(v):
-            total = INFINITE if is_infinite(atom.mult) else total + atom.mult
-            if is_infinite(total):
+    for key in s.keys:
+        if _covers(key, index):
+            if is_infinite(key[3]):
                 return INFINITE
+            total += key[3]
     return total
 
 
 def covered_by_progression(s: SpectralSet, value: RationalLike) -> bool:
+    index = _index(s, value)
+    return index is not None and any(key[1] and _covers(key, index) for key in s.keys)
+
+
+def _index(s: SpectralSet, value: RationalLike) -> int | None:
+    """``value`` as an index of the lattice ``(1/L)·ℤ`` of ``s``; ``None``
+    off it, where no value of ``s`` lies."""
     v = as_rational(value)
-    return any(isinstance(atom, AP) and atom.covers(v) for atom in s.atoms)
+    index, rest = divmod(v.numerator * s.scale, v.denominator)
+    return None if rest else index
+
+
+def _covers(key: tuple, index: int) -> bool:
+    value, kind, step, _ = key
+    if kind:
+        return index >= value and (index - value) % step == 0
+    return index == value
 
 
 def enumerate_below(s: SpectralSet, cutoff: RationalLike) -> list[tuple[Fraction, Mult]]:
@@ -419,10 +470,6 @@ def enumerate_below(s: SpectralSet, cutoff: RationalLike) -> list[tuple[Fraction
     ]
 
 
-def _scaled(x: Fraction, scale: int) -> int:
-    return x.numerator * (scale // x.denominator)
-
-
 def _progressions(s: SpectralSet, scale: int, limit: int):
     """The atoms of ``s`` on the lattice ``(1/scale)·ℤ``, clipped at ``limit``.
 
@@ -432,18 +479,11 @@ def _progressions(s: SpectralSet, scale: int, limit: int):
     so it has one term below it.  Starts are clipped to ``limit`` and strides
     to ``limit + 1``, which keeps the term counts and every entry in int64.
     """
-    starts = np.array([
-        min(_scaled(atom.value if isinstance(atom, Point) else atom.base, scale), limit)
-        for atom in s.atoms
-    ], dtype=np.int64)
-    strides = np.array([
-        limit + 1 if isinstance(atom, Point) else min(_scaled(atom.step, scale), limit + 1)
-        for atom in s.atoms
-    ], dtype=np.int64)
-    infinite = np.array([is_infinite(atom.mult) for atom in s.atoms], dtype=bool)
-    counts = np.array(
-        [0 if inf else atom.mult for atom, inf in zip(s.atoms, infinite)], dtype=object
-    )
+    keys = _rescaled(s, scale // s.scale)
+    starts = np.array([min(key[0], limit) for key in keys], dtype=np.int64)
+    strides = np.array([min(key[2], limit + 1) if key[1] else limit + 1 for key in keys], dtype=np.int64)
+    infinite = np.array([is_infinite(key[3]) for key in keys], dtype=bool)
+    counts = np.array([0 if inf else key[3] for key, inf in zip(keys, infinite)], dtype=object)
     lengths = (limit - starts + strides - 1) // strides
     return starts, strides, lengths, counts, infinite
 
@@ -475,10 +515,8 @@ def _on_lattice(sets: Mapping[str, SpectralSet], cutoff: RationalLike):
     of two indices could leave int64.
     """
     bound = as_rational(cutoff)
-    scale = math.lcm(
-        bound.denominator, _lattice_scale(atom for s in sets.values() for atom in s.atoms)
-    )
-    limit = max(0, _scaled(bound, scale))
+    scale = math.lcm(bound.denominator, *(s.scale for s in sets.values()))
+    limit = max(0, bound.numerator * (scale // bound.denominator))
     if limit >= _LATTICE_CAP:
         raise OracleBudgetError(
             f"the oracle lattice below the cutoff has {limit} steps of 1/{scale}, "
@@ -533,7 +571,7 @@ def minkowski_oracle_check(
     total_index, total_counts, total_infinite = _lattice(total_prog)
     if not (np.array_equal(index, total_index) and np.array_equal(infinite, total_infinite)):
         return False
-    points_only = all(isinstance(atom, Point) for atom in (*a.atoms, *b.atoms))
+    points_only = not any(key[1] for key in (*a.keys, *b.keys))
     finite = ~infinite
     return not points_only or counts[finite].tolist() == total_counts[finite].tolist()
 
@@ -545,20 +583,20 @@ def minkowski_oracle_check(
 def find_uncovered(a: SpectralSet, b: SpectralSet) -> Fraction | None:
     """A witness value in ``a`` that is not in ``b``, or ``None`` if a is a subset.
 
-    Decides containment exactly: progression tails are reduced to congruence
-    coverage, which is periodic, so one period past all thresholds settles the
-    answer.
+    Decides containment exactly, on the common lattice of both sets:
+    progression tails are reduced to congruence coverage, which is periodic,
+    so one period past all thresholds settles the answer.
     """
-    b_points = [t for t in b.atoms if isinstance(t, Point)]
-    b_aps = [t for t in b.atoms if isinstance(t, AP)]
-    for atom in a.atoms:
-        if isinstance(atom, Point):
-            if not b.contains(atom.value):
-                return atom.value
-            continue
-        witness = _find_uncovered_ap(atom, b_points, b_aps)
+    scale, a_keys, b_keys = _common_lattice(a, b)
+    b_points = {value for value, kind, _, _ in b_keys if not kind}
+    b_aps = [(base, step) for base, kind, step, _ in b_keys if kind]
+    for value, kind, step, _ in a_keys:
+        if kind:
+            witness = _find_uncovered_ap(value, step, b_points, b_aps)
+        else:
+            witness = None if any(_covers(key, value) for key in b_keys) else value
         if witness is not None:
-            return witness
+            return Fraction(witness, scale)
     return None
 
 
@@ -568,35 +606,24 @@ def is_subset(a: SpectralSet, b: SpectralSet) -> bool:
 
 def is_subset_of_zero(s: SpectralSet) -> bool:
     """True when the point set is contained in ``{0}`` (possibly empty)."""
-    return all(isinstance(atom, Point) and atom.value == 0 for atom in s.atoms)
+    return all(not kind and value == 0 for value, kind, _, _ in s.keys)
 
 
 def _find_uncovered_ap(
-    ap: AP, b_points: list[Point], b_aps: list[AP]
-) -> Fraction | None:
-    a0, s = ap.base, ap.step
+    a0: int, s: int, b_points: set[int], b_aps: list[tuple[int, int]]
+) -> int | None:
+    """An index of the progression ``a0 + n*s`` that nothing covers, or ``None``."""
     congruences: list[tuple[int, int, int]] = []  # (residue, modulus, n_min)
-    for other in b_aps:
-        den = math.lcm(
-            a0.denominator, s.denominator, other.base.denominator, other.step.denominator
-        )
-        big_a0 = a0.numerator * (den // a0.denominator)
-        big_s = s.numerator * (den // s.denominator)
-        big_b0 = other.base.numerator * (den // other.base.denominator)
-        big_t = other.step.numerator * (den // other.step.denominator)
-        g = math.gcd(big_s, big_t)
-        if (big_b0 - big_a0) % g:
+    for b0, t in b_aps:
+        g = math.gcd(s, t)
+        if (b0 - a0) % g:
             continue
-        modulus = big_t // g
-        reduced_s = (big_s // g) % modulus if modulus > 1 else 0
-        rhs = ((big_b0 - big_a0) // g) % modulus if modulus > 1 else 0
+        modulus = t // g
+        reduced_s = (s // g) % modulus if modulus > 1 else 0
+        rhs = ((b0 - a0) // g) % modulus if modulus > 1 else 0
         residue = (rhs * pow(reduced_s, -1, modulus)) % modulus if modulus > 1 else 0
-        diff = (other.base - a0) / s
-        n_min = 0 if diff <= 0 else math.ceil(diff)
+        n_min = max(0, -((a0 - b0) // s))  # ceil((b0 - a0) / s), at least 0
         congruences.append((residue, modulus, n_min))
-
-    def point_covered(v: Fraction) -> bool:
-        return any(pt.value == v for pt in b_points)
 
     def congruence_covered(n: int) -> bool:
         return any(n >= n_min and (n - r) % m == 0 for (r, m, n_min) in congruences)
@@ -604,17 +631,15 @@ def _find_uncovered_ap(
     if not congruences:
         # Only finitely many values can be covered by points.
         for n in range(len(b_points) + 1):
-            v = a0 + n * s
-            if not point_covered(v):
-                return v
+            if a0 + n * s not in b_points:
+                return a0 + n * s
         return None  # pragma: no cover - pigeonhole guarantees a witness above
 
     period = math.lcm(*(m for _, m, _ in congruences))
     start = max([0, *(n_min for _, _, n_min in congruences)])
     for n in range(start):
-        v = a0 + n * s
-        if not (congruence_covered(n) or point_covered(v)):
-            return v
+        if not (congruence_covered(n) or a0 + n * s in b_points):
+            return a0 + n * s
     for r in range(start, start + period):
         if congruence_covered(r):
             continue
@@ -622,7 +647,7 @@ def _find_uncovered_ap(
         # cover finitely many of its members.
         for k in range(len(b_points) + 1):
             v = a0 + (r + k * period) * s
-            if not point_covered(v):
+            if v not in b_points:
                 return v
     return None
 

@@ -295,6 +295,108 @@ def test_malformed_matrices_exit_2(tmp_path, capsys, command, scenario, keys, ba
     assert error in err
 
 
+def _union_with_empty(tmp_path, atoms) -> Path:
+    """A ``symbolic`` union scenario of a set with these atoms and the empty set."""
+    doc = {
+        "version": "1",
+        "kind": "spectral-model",
+        "payload": {"operation": "union", "a": {"atoms": atoms}, "b": {"atoms": []}},
+    }
+    path = tmp_path / "union.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "atom, error",
+    [
+        pytest.param(
+            {"kind": "point", "value": "-1/2"},
+            "$.payload.a.atoms[1]: spectral values must be nonnegative", id="negative-value",
+        ),
+        pytest.param(
+            {"kind": "ap", "base": "-1", "step": "1"},
+            "$.payload.a.atoms[1]: progression base must be nonnegative", id="negative-base",
+        ),
+        pytest.param(
+            {"kind": "ap", "base": "0", "step": "0"},
+            "$.payload.a.atoms[1]: progression step must be positive", id="zero-step",
+        ),
+        pytest.param(
+            {"kind": "ap", "base": "0", "step": "-3/2"},
+            "$.payload.a.atoms[1]: progression step must be positive", id="negative-step",
+        ),
+        pytest.param(
+            {"kind": "ap", "base": "-1", "step": "x"},
+            "$.payload.a.atoms[1].step: bad rational 'x'", id="bad-step-before-base",
+        ),
+        pytest.param(
+            {"kind": "blob"},
+            "$.payload.a.atoms[1].kind: expected 'point' or 'ap', got 'blob'", id="unknown-kind",
+        ),
+        pytest.param(
+            {"kind": "point", "value": "1/0"},
+            "$.payload.a.atoms[1].value: bad rational '1/0'", id="zero-denominator",
+        ),
+        pytest.param(
+            {"kind": "point", "value": "1", "mult": 0},
+            "$.payload.a.atoms[1].mult: expected a positive integer or 'inf', got 0", id="zero-mult",
+        ),
+        pytest.param(
+            {"kind": "blob", "mult": "2"},
+            "$.payload.a.atoms[1].mult: expected a positive integer or 'inf', got '2'",
+            id="mult-before-kind",
+        ),
+        pytest.param(
+            {"kind": "point"},
+            "$.payload.a.atoms[1].value: expected an integer or 'p/q' string, got None",
+            id="missing-value",
+        ),
+    ],
+)
+def test_malformed_atoms_name_their_path(tmp_path, capsys, atom, error):
+    # the atom checks run in the parser, so each keeps its JSON path and text
+    path = _union_with_empty(tmp_path, [{"kind": "point", "value": "0"}, atom])
+    code = main(["symbolic", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"ParseError: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "text", ["1e-5000", "1e3000000", "1e-3000000", "9" * 4301 + "e0", "1/1" + "0" * 4300]
+)
+def test_rationals_beyond_the_printable_digits_exit_2(tmp_path, capsys, text):
+    path = _union_with_empty(tmp_path, [{"kind": "ap", "base": text, "step": "1"}])
+    start = time.process_time()
+    code = main(["symbolic", str(path)])
+    elapsed = time.process_time() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("ParseError: $.payload.a.atoms[0].base: ")
+    assert elapsed < 0.5  # the exponent is checked before the number is built
+
+
+@pytest.mark.parametrize(
+    "text, shown",
+    [
+        ("0.5", "1/2"),
+        (" 3/2 ", "3/2"),
+        ("1_000", "1000"),
+        ("1e6", "1000000"),
+        ("25e-2", "1/4"),
+        ("-0", "0"),
+        ("1e4000", "1" + "0" * 4000),
+        ("0e3000000", "0"),
+    ],
+)
+def test_accepted_rational_forms(tmp_path, capsys, text, shown):
+    path = _union_with_empty(tmp_path, [{"kind": "point", "value": text}])
+    code, report = run_cli(capsys, "symbolic", path)
+    assert code == 0
+    assert report["results"]["result"]["atoms"] == [{"kind": "point", "value": shown, "mult": 1}]
+
+
 def test_dbar_undecidable_with_partial_data(tmp_path, capsys):
     scenario = {
         "version": "1",

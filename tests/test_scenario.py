@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcspec.dbar import BUILTIN_BUILDERS, builtin_models
 from hcspec.scenario import (
@@ -16,6 +18,7 @@ from hcspec.scenario import (
     parse_finite_complex,
     parse_matrix,
     parse_operator_spectrum,
+    parse_ratio,
     parse_rational,
     parse_spectral_set,
     scenario_from_dict,
@@ -59,6 +62,29 @@ def test_rational_parsing():
         parse_rational(1.5, "$")
 
 
+# Short strings over the characters of every form ``Fraction`` reads; an
+# exponent stays short, since ``Fraction`` itself builds its power of ten.
+_RATIONAL_STRINGS = st.text(alphabet="0123456789/._eE+- \t\u0663", max_size=9).filter(
+    lambda text: not re.search(r"[eE][-+]?[\d_]{5}", text)
+)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(_RATIONAL_STRINGS)
+def test_parse_ratio_reads_what_fraction_reads(text):
+    try:
+        number = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError, match="bad rational"):
+            parse_ratio(text, "$")
+        return
+    if max(abs(number.numerator), number.denominator) >= 10**4300:
+        with pytest.raises(ParseError, match="beyond 4300 digits"):
+            parse_ratio(text, "$")
+    else:
+        assert parse_ratio(text, "$") == (number.numerator, number.denominator)
+
+
 def test_spectral_set_roundtrip():
     s = SpectralSet.of(Point(Fraction(1, 2), 2), AP(0, 3, INFINITE))
     again = parse_spectral_set(spectral_set_to_json(s), "$")
@@ -67,6 +93,17 @@ def test_spectral_set_roundtrip():
         parse_spectral_set({"atoms": [{"kind": "blob"}]}, "$")
     with pytest.raises(ParseError):
         parse_spectral_set({"atoms": [{"kind": "point", "value": "-1", "mult": 1}]}, "$")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 10**30), st.integers(1, 10**12), st.booleans())
+def test_dumped_values_are_the_fraction_strings(k, scale, integral):
+    k *= scale if integral else 1
+    s = SpectralSet((Point(Fraction(k, scale)), AP(Fraction(1, scale), Fraction(k + scale, scale))))
+    point, progression = spectral_set_to_json(s)["atoms"]
+    assert point["value"] == str(Fraction(k, scale))
+    assert progression["base"] == str(Fraction(1, scale))
+    assert progression["step"] == str(Fraction(k + scale, scale))
 
 
 def test_operator_spectrum_roundtrip():

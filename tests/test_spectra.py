@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcspec.dbar import (
     CompactnessReport,
@@ -137,6 +139,12 @@ def _normalize_by_fractions(atoms):
             return (atom.value, 0, Fraction(0))
         return (atom.base, 1, atom.step)
 
+    def covers(x, v):
+        return v >= x.base and ((v - x.base) / x.step).denominator == 1
+
+    def contains_ap(x, other):
+        return covers(x, other.base) and (other.step / x.step).denominator == 1
+
     def one_pass(work):
         points, aps = {}, {}
         for atom in work:
@@ -147,13 +155,13 @@ def _normalize_by_fractions(atoms):
         ap_list = [AP(b, s, m) for (b, s), m in aps.items()]
         infinite_aps = [x for x in ap_list if x.mult == INFINITE]
         kept_aps = [
-            x for x in ap_list if not any(o is not x and o.contains_ap(x) for o in infinite_aps)
+            x for x in ap_list if not any(o is not x and contains_ap(o, x) for o in infinite_aps)
         ]
         kept_points = []
         for value in sorted(points, reverse=True):
             p = Point(value, points[value])
             for idx, x in enumerate(kept_aps):
-                if x.covers(p.value):
+                if covers(x, p.value):
                     if x.mult == INFINITE or p.mult == x.mult:
                         break
                 elif p.value + x.step == x.base and p.mult == x.mult:
@@ -244,6 +252,79 @@ def test_normalize_is_not_associative_on_representation():
     assert union(union(zero, zero), line).atoms == (pt(0, 2), ap(1, 1))
     for atoms in ([pt(0), ap(1, 1), pt(0)], [pt(0), pt(0), ap(1, 1)]):
         assert normalize(atoms).atoms == _normalize_by_fractions(atoms)
+
+
+# ---------------------------------------------------------------------------
+# The canonical lattice form
+#
+# A set stores L and integer keys; the operations rescale keys to a common L
+# and never go through atoms.  These properties hold them to ``normalize``
+# over the same atoms, for operands drawn on different lattices.
+
+_PROPERTY_SETTINGS = settings(max_examples=200, derandomize=True, deadline=None, database=None)
+_MULTS = st.sampled_from((1, 1, 2, 3, INFINITE))
+
+
+@st.composite
+def _atoms_on(draw, denominators):
+    den = draw(st.sampled_from(denominators))
+    value = Fraction(draw(st.integers(0, 12 * den)), den)
+    if draw(st.booleans()):
+        return Point(value, draw(_MULTS))
+    step = Fraction(draw(st.integers(1, 6)), draw(st.sampled_from(denominators)))
+    return AP(value, step, draw(_MULTS))
+
+
+_LATTICES = ((1,), (2,), (3,), (1, 2, 4), (3, 6), (7,), (2, 997))
+_ATOM_LISTS = st.sampled_from(_LATTICES).flatmap(lambda dens: st.lists(_atoms_on(dens), max_size=5))
+# Without 997, whose steps against the others expand tens of thousands of
+# Frobenius gap points in the Fraction reference.
+_SUMMAND_LISTS = st.sampled_from(_LATTICES[:-1]).flatmap(
+    lambda dens: st.lists(_atoms_on(dens), max_size=4)
+)
+
+
+def _same_set(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert got.atoms == want.atoms and repr(got) == repr(want)
+
+
+@_PROPERTY_SETTINGS
+@given(_ATOM_LISTS, _ATOM_LISTS)
+def test_union_is_normalize_over_both_atom_lists(xs, ys):
+    a, b = normalize(xs), normalize(ys)
+    _same_set(union(a, b), normalize(a.atoms + b.atoms))
+
+
+@_PROPERTY_SETTINGS
+@given(_SUMMAND_LISTS, _SUMMAND_LISTS)
+def test_minkowski_sum_is_normalize_over_the_atom_sums(xs, ys):
+    a, b = normalize(xs), normalize(ys)
+    want = normalize([atom for x in a.atoms for y in b.atoms for atom in _atom_minkowski(x, y)])
+    _same_set(minkowski_sum(a, b), want)
+
+
+@_PROPERTY_SETTINGS
+@given(_ATOM_LISTS)
+def test_essential_part_is_normalize_over_the_infinite_atoms(xs):
+    s = normalize(xs)
+    _same_set(essential_part(s), normalize([x for x in s.atoms if x.mult == INFINITE]))
+
+
+@_PROPERTY_SETTINGS
+@given(_ATOM_LISTS)
+def test_the_trusted_constructor_keeps_its_atoms_in_order(xs):
+    s = SpectralSet(tuple(xs))
+    assert len(s.atoms) == len(xs) and all(got is want for got, want in zip(s.atoms, xs))
+    assert SpectralSet(reversed(xs)).atoms == tuple(reversed(xs))
+
+
+def test_equal_sets_share_their_lattice():
+    # 1/2 + 1/2 leaves the lattice of halves: the sum is on the integers
+    half = SpectralSet.of(pt("1/2"))
+    total = minkowski_sum(half, half)
+    assert total == SpectralSet.of(pt(1)) and total.scale == 1 and total.keys == ((1, 0, 0, 1),)
+    assert hash(union(half, EMPTY)) == hash(SpectralSet((pt("1/2"),)))
 
 
 # ---------------------------------------------------------------------------
