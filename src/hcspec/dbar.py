@@ -28,15 +28,17 @@ degree 0, with the essential spectrum ``{0:∞}`` (a kernel, on which N is 0),
 is compact, and the rule name ``essential-spectrum-empty`` means "no
 essential value outside ``{0}``".
 
-Shortcut rules (infinite Bergman space, non-compact factor solution operator)
-can decide the verdict even when parts of the factor data are unknown.  They
-argue from terms with no entry known to lie within ``{0}`` (the empty
-spectrum included): the infinite kernel summed with such entries leaves
-``{0}``, and summed with an entry within ``{0}`` it may not.  Unknown entries
-are ``None``; they propagate to an undecidable verdict rather than a guess,
-except where a shortcut rule applies.  Models are presumed to describe
-genuine manifolds, so the shortcut rules treat a spectrum that is not
-numerically specified as one that leaves ``{0}``.
+Two shortcut rules (:func:`_shortcut`) decide a non-compact verdict even
+where parts of the factor data are unknown: an infinite Bergman space on
+factor ``j``, and a non-compact solution operator on factor ``j``.  Each
+argues from a splitting in which no entry of another factor is known to lie
+within ``{0}`` (the empty spectrum included); factor ``j``'s own entry is not
+tested.  ``dbar-n`` consults them first, ``dbar`` only when an entry is
+unknown, and with every entry known part ``j`` of that splitting leaves
+``{0}``, so a shortcut never contradicts the direct rule.  Unknown entries are
+``None``; without a shortcut they make the verdict undecidable.  Models are
+presumed to describe genuine manifolds, so the rules treat an unknown entry as
+one that leaves ``{0}``.
 """
 
 from __future__ import annotations
@@ -90,6 +92,11 @@ class MissingAttestationError(ToolkitError):
 #: every degree of up to 12 factors.
 BIT_VECTOR_CAP = 2**10
 
+#: Largest complex dimension of a factor model, checked before its grids are
+#: built: two factors then have at most 32² = ``BIT_VECTOR_CAP`` splittings of
+#: one bidegree.
+MAX_COMPLEX_DIMENSION = 31
+
 
 class Verdict(str, Enum):
     COMPACT = "compact"
@@ -140,8 +147,11 @@ class DbarFactorModel:
     cohomology_dim: Mapping[tuple[int, int], Mult | None] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.complex_dimension < 1:
-            raise BadDimensionError("complex dimension must be at least 1")
+        if not 1 <= self.complex_dimension <= MAX_COMPLEX_DIMENSION:
+            raise BadDimensionError(
+                f"complex dimension must lie in [1, {MAX_COMPLEX_DIMENSION}], "
+                f"got {self.complex_dimension}"
+            )
         grid = self._fill_grid(self.box_spectrum)
         object.__setattr__(self, "box_spectrum", grid)
         cohom = self._fill_grid(self.cohomology_dim)
@@ -235,6 +245,20 @@ def _entries(
     return terms
 
 
+def _terms(factors: Sequence[DbarFactorModel], p: int, q: int):
+    """The splittings of ``(p, q)`` over ``factors`` and their entries
+    (``None`` if one is unknown), after the checks every report makes."""
+    if not all(factor.closed_range for factor in factors):
+        raise MissingAttestationError(
+            "compactness criteria require closed-range attestations on all factors"
+        )
+    total = sum(factor.complex_dimension for factor in factors)
+    if not (0 <= p <= total and 0 <= q <= total):
+        raise BidegreeOutOfRangeError(f"bidegree ({p}, {q}) outside [0, {total}]^2")
+    splits = _splittings([factor.complex_dimension for factor in factors], p, q)
+    return splits, _entries(factors, splits)
+
+
 def _leaving(term: Sequence[OperatorSpectrum]) -> list[int]:
     """The factors ``j`` whose part ``E_j + Σ_{i≠j} S_i`` leaves ``{0}``.
 
@@ -253,31 +277,39 @@ def _leaving(term: Sequence[OperatorSpectrum]) -> list[int]:
     ]
 
 
-def _bergman_shortcut(
-    infinite_side: DbarFactorModel,
-    other: DbarFactorModel,
-    p: int,
-    q: int,
-    order: str,
-) -> CompactnessReport | None:
-    if infinite_side.bergman_dim is None or not is_infinite(infinite_side.bergman_dim):
-        return None
-    if p > other.complex_dimension or q > other.complex_dimension:
-        return None
-    if other.known_within_zero(p, q):
-        return None
-    witness = (0, 0, p, q) if order == "left" else (p, q, 0, 0)
-    essential = EMPTY
-    entry = other.box_spectrum.get((p, q))
-    if entry is not None:
-        kernel = SpectralSet.of(Point(0, INFINITE))
-        essential = minkowski_sum(kernel, entry.spectrum)
-    return CompactnessReport(
-        Verdict.NONCOMPACT,
-        "infinite-bergman-space",
-        (witness,),
-        essential,
-    )
+_KERNEL = SpectralSet.of(Point(0, INFINITE))
+
+
+def _shortcut(factors: Sequence[DbarFactorModel], splits: Sequence[tuple[tuple[int, int], ...]]):
+    """The first shortcut rule that fires, as ``(rule, j, split, argued set)``,
+    or ``None``.
+
+    The Bergman rule argues ``{0:∞}`` from factor ``j``'s bidegree ``(0, 0)``,
+    for every factor with an infinite Bergman space; then the solution-operator
+    rule argues the essential spectrum of every known entry whose essential
+    spectrum leaves ``{0}``.  Each fires through the first splitting that puts
+    factor ``j`` at that bidegree and no other factor at an entry known to lie
+    within ``{0}``.
+    """
+    argued = [
+        ("infinite-bergman-space", j, (0, 0), _KERNEL)
+        for j, factor in enumerate(factors)
+        if is_infinite(factor.bergman_dim)
+    ] + [
+        ("noncompact-factor-solution-operator", j, bidegree, entry.essential)
+        for j, factor in enumerate(factors)
+        for bidegree, entry in factor.box_spectrum.items()
+        if entry is not None and not is_subset_of_zero(entry.essential)
+    ]
+    for rule, j, bidegree, argued_set in argued:
+        for split in splits:
+            if split[j] == bidegree and not any(
+                other.known_within_zero(*other_bidegree)
+                for i, (other, other_bidegree) in enumerate(zip(factors, split))
+                if i != j
+            ):
+                return rule, j, split, argued_set
+    return None
 
 
 def neumann_compactness(
@@ -291,27 +323,22 @@ def neumann_compactness(
     entry known, the report also carries the product spectrum: one fold of
     :func:`hcspec.spectra.product_operator` over all splittings
     ``p = p' + p''`` and ``q = q' + q''``.  A graded Hilbert complex is
-    judged as the ``(0, q)`` row of a model, at ``p = 0``.  An infinite
-    Bergman space on either factor forces non-compactness for all bidegrees
-    within the other factor's range whose entry is not known to lie within
-    ``{0}``, even when the rest of the data is unknown.  Otherwise unknown
-    entries make the verdict undecidable.
+    judged as the ``(0, q)`` row of a model, at ``p = 0``.  Only when an
+    entry is unknown are the shortcut rules consulted: a rule that fires
+    gives a non-compact verdict witnessed by the splitting it argued from,
+    whose essential spectrum is the argued set plus the other entry's
+    spectrum, or empty when that entry is unknown.  Otherwise unknown entries
+    make the verdict undecidable.
     """
-    if not (x.closed_range and y.closed_range):
-        raise MissingAttestationError(
-            "compactness criteria require closed-range attestations on both factors"
-        )
-    total = x.complex_dimension + y.complex_dimension
-    if not (0 <= p <= total and 0 <= q <= total):
-        raise BidegreeOutOfRangeError(f"bidegree ({p}, {q}) outside [0, {total}]^2")
-    splits = _splittings((x.complex_dimension, y.complex_dimension), p, q)
-    terms = _entries((x, y), splits)
+    splits, terms = _terms((x, y), p, q)
     if terms is None:
-        return (
-            _bergman_shortcut(x, y, p, q, "left")
-            or _bergman_shortcut(y, x, p, q, "right")
-            or CompactnessReport(Verdict.UNDECIDABLE, "unknown-factor-data", (), EMPTY)
-        )
+        fired = _shortcut((x, y), splits)
+        if fired is None:
+            return CompactnessReport(Verdict.UNDECIDABLE, "unknown-factor-data", (), EMPTY)
+        rule, j, split, argued = fired
+        other = (x, y)[1 - j].box_spectrum[split[1 - j]]
+        essential = EMPTY if other is None else minkowski_sum(argued, other.spectrum)
+        return CompactnessReport(Verdict.NONCOMPACT, rule, (sum(split, ()),), essential)
 
     product = product_operator(terms)
     witnesses = tuple(
@@ -329,10 +356,6 @@ def neumann_compactness(
 # Products of several one-dimensional factors
 
 
-def _essential_not_within_zero(entry: OperatorSpectrum | None) -> bool:
-    return entry is not None and not is_subset_of_zero(entry.essential)
-
-
 def _uniform_term_noncompact(factors: Sequence[DbarFactorModel], bit: int) -> bool | None:
     """Whether some part of the one bit vector ``(bit,) * n`` leaves ``{0}``;
     ``None`` if an entry is unknown."""
@@ -340,6 +363,12 @@ def _uniform_term_noncompact(factors: Sequence[DbarFactorModel], bit: int) -> bo
     if any(entry is None for entry in entries):
         return None
     return bool(_leaving(entries))
+
+
+_SHORTCUT_TRACE = {
+    "infinite-bergman-space": "an infinite Bergman space",
+    "noncompact-factor-solution-operator": "a non-compact solution operator",
+}
 
 
 def riemann_surface_product_report(
@@ -351,18 +380,14 @@ def riemann_surface_product_report(
     The essential spectrum is the union, over bit vectors K of weight ``q``,
     of each factor's essential spectrum at its bit summed with the spectra of
     the others at theirs; the witnesses ``(j, *K)`` are the parts outside
-    ``{0}`` (the module's convention).  Shortcut rules fire first: an
-    infinite Bergman space on factor ``j`` forces non-compactness for
-    ``q <= n - 1``, and a non-compact solution operator on factor ``j``
-    (essential spectrum beyond ``{0}`` at its bit) forces non-compactness for
-    every ``q``.  Each fires through a bit vector with no entry known to lie
-    within ``{0}`` whose entry at factor ``j`` is the one argued from: bit 0
-    for the Bergman space, an entry with essential spectrum beyond ``{0}``
-    for the solution operator.  With every entry known, such a vector's part
-    ``j`` leaves ``{0}``, so a shortcut never contradicts the direct rule.
-    The trace records which monotonicity rules applied.  More than
-    ``BIT_VECTOR_CAP`` bit vectors of weight ``q`` is a
-    :class:`BitVectorBudgetError`, raised before any fold.
+    ``{0}`` (the module's convention).  The shortcut rules are consulted
+    first, on complete data too: a rule that fires for factor ``j`` gives a
+    non-compact verdict witnessed by ``(j, 0, …, 0)``, with a trace line
+    naming the rule.  So an infinite Bergman space on factor ``j`` decides
+    every ``q <= n - 1``, and a non-compact solution operator every ``q``
+    whose bit vectors reach the bad entry.  The trace records which
+    monotonicity rules applied.  More than ``BIT_VECTOR_CAP`` bit vectors of
+    weight ``q`` is a :class:`BitVectorBudgetError`, raised before any fold.
     """
     n = len(factors)
     if n < 2:
@@ -373,56 +398,23 @@ def riemann_surface_product_report(
                 f"factor {factor.name!r} has complex dimension "
                 f"{factor.complex_dimension}, expected 1"
             )
-    if not all(factor.closed_range for factor in factors):
-        raise MissingAttestationError(
-            "compactness criteria require closed-range attestations on all factors"
-        )
-    if not 0 <= q <= n:
-        raise BidegreeOutOfRangeError(f"form degree {q} outside [0, {n}]")
-    if math.comb(n, q) > BIT_VECTOR_CAP:
+    if q >= 0 and math.comb(n, q) > BIT_VECTOR_CAP:  # _terms refuses a negative q
         raise BitVectorBudgetError(
             f"{n} factors have {math.comb(n, q)} bit vectors of weight {q}, "
             f"above the cap {BIT_VECTOR_CAP}"
         )
 
-    trace: list[str] = []
-
-    splits = _splittings((1,) * n, 0, q)
-    feasible = [
-        split
-        for split in splits
-        if not any(factor.known_within_zero(*bidegree) for factor, bidegree in zip(factors, split))
-    ]
-    terms = _entries(factors, splits)
+    splits, terms = _terms(factors, 0, q)
     essential = product_essential(terms) if terms is not None else EMPTY
-
-    for j, factor in enumerate(factors):
-        if is_infinite(factor.bergman_dim) and any(split[j] == (0, 0) for split in feasible):
-            trace.append(f"factor {j} has an infinite Bergman space")
-            return CompactnessReport(
-                Verdict.NONCOMPACT,
-                "infinite-bergman-space",
-                ((j,) + (0,) * n,),
-                essential,
-                tuple(trace),
-            )
-
-    for j, factor in enumerate(factors):
-        if any(_essential_not_within_zero(factor.box_spectrum[split[j]]) for split in feasible):
-            trace.append(f"factor {j} has a non-compact solution operator")
-            return CompactnessReport(
-                Verdict.NONCOMPACT,
-                "noncompact-factor-solution-operator",
-                ((j,) + (0,) * n,),
-                essential,
-                tuple(trace),
-            )
-
+    fired = _shortcut(factors, splits)
+    if fired is not None:
+        rule, j, _, _ = fired
+        line = f"factor {j} has {_SHORTCUT_TRACE[rule]}"
+        return CompactnessReport(Verdict.NONCOMPACT, rule, ((j,) + (0,) * n,), essential, (line,))
     if terms is None:
-        return CompactnessReport(
-            Verdict.UNDECIDABLE, "unknown-factor-data", (), EMPTY, tuple(trace)
-        )
+        return CompactnessReport(Verdict.UNDECIDABLE, "unknown-factor-data", (), EMPTY)
 
+    trace: list[str] = []
     bottom = _uniform_term_noncompact(factors, 0)
     top = _uniform_term_noncompact(factors, 1)
     if bottom and q <= n - 1:

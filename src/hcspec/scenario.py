@@ -39,6 +39,11 @@ class ParseError(ToolkitError):
     """A scenario file is malformed; the message carries the JSON path."""
 
 
+class UnprintableResultError(ToolkitError):
+    """A result holds a rational beyond ``PRINTABLE_DIGITS`` digits, so no
+    report can print it; raised before any report text is written."""
+
+
 def _fail(path: str, message: str) -> ParseError:
     return ParseError(f"{path}: {message}")
 
@@ -178,9 +183,10 @@ def parse_rational(value: Any, path: str) -> Fraction:
 def _ratio_to_json(numerator: int, denominator: int) -> str:
     """``str(Fraction(numerator, denominator))`` for ``denominator >= 1``."""
     common = math.gcd(numerator, denominator)
-    if common == denominator:
-        return str(numerator // common)
-    return f"{numerator // common}/{denominator // common}"
+    numerator, denominator = numerator // common, denominator // common
+    if max(abs(numerator), denominator) >= _PRINTABLE_BOUND:
+        raise UnprintableResultError(f"a result has a rational beyond {PRINTABLE_DIGITS} digits")
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
 
 
 def parse_mult(value: Any, path: str) -> Mult:
@@ -268,6 +274,16 @@ def operator_spectrum_to_json(value: OperatorSpectrum) -> dict:
     return doc
 
 
+def _object_field(value: dict, name: str, path: str) -> dict:
+    """The optional object field ``name`` of ``value``; missing or null is empty."""
+    field = value.get(name)
+    if field is None:
+        return {}
+    if not isinstance(field, dict):
+        raise _fail(f"{path}.{name}", "expected an object")
+    return field
+
+
 # ---------------------------------------------------------------------------
 # Complexes
 
@@ -301,7 +317,7 @@ def parse_finite_complex(value: Any, path: str) -> FiniteComplex:
     if not is_json_int(lo):
         raise _fail(f"{path}.lo", "expected an integer")
     differentials = {}
-    for key, matrix in (value.get("differentials") or {}).items():
+    for key, matrix in _object_field(value, "differentials", path).items():
         try:
             degree = int(key)
         except ValueError as exc:
@@ -335,13 +351,13 @@ def parse_factor_model(value: Any, path: str) -> DbarFactorModel:
     if not isinstance(closed_range, bool):
         raise _fail(f"{path}.closed_range", "expected true or false")
     box: dict[tuple[int, int], OperatorSpectrum | None] = {}
-    for key, entry in (value.get("box_spectrum") or {}).items():
+    for key, entry in _object_field(value, "box_spectrum", path).items():
         bidegree = _parse_bidegree_key(key, f"{path}.box_spectrum")
         box[bidegree] = (
             None if entry is None else parse_operator_spectrum(entry, f"{path}.box_spectrum['{key}']")
         )
     cohom: dict[tuple[int, int], Mult | None] = {}
-    for key, entry in (value.get("cohomology_dim") or {}).items():
+    for key, entry in _object_field(value, "cohomology_dim", path).items():
         bidegree = _parse_bidegree_key(key, f"{path}.cohomology_dim")
         cohom[bidegree] = parse_extended_count(entry, f"{path}.cohomology_dim['{key}']")
     bergman = parse_extended_count(value.get("bergman_dim"), f"{path}.bergman_dim")
@@ -379,7 +395,7 @@ def json_ready(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [json_ready(v) for v in value]
     if isinstance(value, Fraction):
-        return str(value)
+        return _ratio_to_json(value.numerator, value.denominator)
     if isinstance(value, SpectralSet):
         return spectral_set_to_json(value)
     if isinstance(value, OperatorSpectrum):

@@ -295,6 +295,48 @@ def test_malformed_matrices_exit_2(tmp_path, capsys, command, scenario, keys, ba
     assert error in err
 
 
+@pytest.mark.parametrize("bad", [[["0,0"]], "0,0"], ids=["array", "string"])
+@pytest.mark.parametrize(
+    "command, scenario, keys, base, field, json_path",
+    [
+        pytest.param(
+            "dbar", "bidisc.json", ["payload", "factors", 0], _MYSTERY_FACTOR, "box_spectrum",
+            "$.payload.factors[0].box_spectrum", id="box-spectrum",
+        ),
+        pytest.param(
+            "dbar", "bidisc.json", ["payload", "factors", 0], _MYSTERY_FACTOR, "cohomology_dim",
+            "$.payload.factors[0].cohomology_dim", id="cohomology-dim",
+        ),
+        pytest.param(
+            "validate", "chain.json", ["payload"], {"lo": 0, "dims": [1, 1]}, "differentials",
+            "$.payload.differentials", id="differentials",
+        ),
+    ],
+)
+def test_non_object_fields_exit_2(tmp_path, capsys, command, scenario, keys, base, field, json_path, bad):
+    path = _edited_scenario(tmp_path, scenario, keys, {**base, field: bad})
+    code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"ParseError: {json_path}: expected an object" in err
+
+
+def test_complex_dimension_above_the_cap_exits_2_before_any_grid(tmp_path, capsys):
+    factor = {**_MYSTERY_FACTOR, "complex_dimension": dbar.MAX_COMPLEX_DIMENSION + 1}
+    code = main(["dbar", str(_edited_scenario(tmp_path, "bidisc.json", ["payload", "factors", 0], factor))])
+    assert code == 2
+    assert "ParseError: $.payload.factors[0]: complex dimension must lie in [1, 31]" in capsys.readouterr().err
+    start = time.perf_counter()
+    with pytest.raises(dbar.BadDimensionError):
+        dbar.DbarFactorModel(name="huge", complex_dimension=10**9)
+    assert time.perf_counter() - start < 0.1
+    # the cap itself is accepted: two such factors have 32^2 splittings
+    at_cap = {**_MYSTERY_FACTOR, "complex_dimension": dbar.MAX_COMPLEX_DIMENSION}
+    path = _dbar_scenario(tmp_path, [at_cap, at_cap], p=31, q=31)
+    code, report = run_cli(capsys, "dbar", path)
+    assert code == 0 and report["results"]["verdict"] == "undecidable"
+
+
 def _union_with_empty(tmp_path, atoms) -> Path:
     """A ``symbolic`` union scenario of a set with these atoms and the empty set."""
     doc = {
@@ -587,6 +629,25 @@ def _symbolic_scenario(tmp_path, a_atoms, b_atoms) -> Path:
     payload = {"operation": "minkowski", "a": {"atoms": a_atoms}, "b": {"atoms": b_atoms}}
     path.write_text(json.dumps({"version": "1", "kind": "spectral-model", "payload": payload}))
     return path
+
+
+@pytest.mark.parametrize("csv", [False, True], ids=["json", "csv"])
+@pytest.mark.parametrize(
+    "a, b",
+    [("9" * 4300, "9" * 4300), ("1/" + "9" * 4300, "1/" + "9" * 4299 + "7")],
+    ids=["numerator", "denominator"],
+)
+def test_unprintable_result_exits_2_before_writing(tmp_path, capsys, a, b, csv):
+    # both operands parse, but their sum has a 4,301-digit numerator or an
+    # 8,600-digit denominator, which no report can print
+    path = _symbolic_scenario(
+        tmp_path, [{"kind": "point", "value": a}], [{"kind": "point", "value": b}]
+    )
+    out = tmp_path / "report.txt"
+    code = main(["symbolic", str(path), "--out", str(out)] + ["--csv"] * csv)
+    assert code == 2
+    assert "UnprintableResultError: a result has a rational beyond 4300 digits" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_oracle_budget_exits_2(tmp_path, capsys):

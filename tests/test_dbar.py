@@ -508,18 +508,28 @@ def zero_factor(name, mult):
     )
 
 
+def _blurred(model, rnd):
+    """``model`` with each entry made unknown at chance 0.3."""
+    box = {key: None if rnd.random() < 0.3 else entry for key, entry in model.box_spectrum.items()}
+    return DbarFactorModel(model.name, 1, box, True, model.bergman_dim)
+
+
 def test_two_factor_report_agrees_with_pairwise_formula():
     # dbar-n on two factors is the pairwise verdict at (0, q), with the same
-    # witness bidegrees; a third of the factors are {0} at every bidegree
+    # witness bidegrees; a third of the factors are {0} at every bidegree, and
+    # in every other case each entry is unknown at chance 0.3, where both
+    # reports consult the same shortcut rules
     rnd = random.Random(11)
-    zero_cases = by_formula = 0
-    for case in range(40):
+    zero_cases = by_formula = by_shortcut = 0
+    for case in range(160):
         x, y = (
             zero_factor(name, rnd.choice((1, INFINITE)))
             if rnd.random() < 0.3
             else random_factor_model(rnd, name)
             for name in (f"x{case}", f"y{case}")
         )
+        if case % 2:
+            x, y = _blurred(x, rnd), _blurred(y, rnd)
         zero_cases += x.known_within_zero(0, 0) or y.known_within_zero(0, 0)
         for q in range(3):
             pairwise = neumann_compactness(x, y, 0, q)
@@ -530,7 +540,36 @@ def test_two_factor_report_agrees_with_pairwise_formula():
                 bidegrees = tuple(dict.fromkeys((0, q1, 0, q2) for _, q1, q2 in report.witnesses))
                 assert bidegrees == pairwise.witnesses, (case, q)
                 by_formula += 1
-    assert zero_cases >= 10 and by_formula >= 30, (zero_cases, by_formula)
+            elif pairwise.fired_rule != "factor-essential-contribution":
+                # dbar asked the shortcut rules, so both name the same one
+                assert report.fired_rule == pairwise.fired_rule, (case, q)
+                by_shortcut += pairwise.verdict is Verdict.NONCOMPACT
+    assert zero_cases >= 30 and by_formula >= 100 and by_shortcut >= 40, (
+        zero_cases,
+        by_formula,
+        by_shortcut,
+    )
+
+
+@pytest.mark.parametrize(
+    "entry, bergman, rule, essential",
+    [
+        (op(AP(1, 1, INFINITE)), 0, "noncompact-factor-solution-operator", AP(2, 1, INFINITE)),
+        (op(Point(0, INFINITE)), INFINITE, "infinite-bergman-space", AP(1, 1, INFINITE)),
+    ],
+    ids=["loud", "kernel"],
+)
+def test_both_reports_fire_the_same_shortcut(entry, bergman, rule, essential):
+    # a factor known only at (0, 0), paired with a fully known one at (0, 1):
+    # the rule argues from the splitting (0,0) x (0,1) in both reports
+    factor = DbarFactorModel("partial", 1, {(0, 0): entry}, True, bergman)
+    pairwise = neumann_compactness(factor, simple_factor(), 0, 1)
+    assert (pairwise.verdict, pairwise.fired_rule) == (Verdict.NONCOMPACT, rule)
+    assert pairwise.witnesses == ((0, 0, 0, 1),)
+    assert pairwise.essential_spectrum == SpectralSet.of(essential)
+    report = riemann_surface_product_report([factor, simple_factor()], 1)
+    assert (report.verdict, report.fired_rule) == (Verdict.NONCOMPACT, rule)
+    assert report.witnesses == ((0, 0, 0),)
 
 
 def test_monotonicity_trace_is_recorded():
