@@ -13,12 +13,17 @@ eigenvalues that holds a column above the residual gate, where two joint
 points (nearly) collide in the combination, is split by the recursive
 ``_simdiag``: eigendecompose one part restricted to the cluster, cluster its
 eigenvalues, and recurse on the remaining parts.
+
+The tensored pair ``(T (x) I, I (x) S)`` runs the same core without forming
+either Kronecker factor: its head combination is the Kronecker sum of the
+factors' combination parts, and every product with the pair, the head's
+residual included, is one product with the ``n x n`` or ``m x m`` factor on
+the basis reshaped to ``(n, m, k)`` (``(A (x) B) vec X = vec(B X A^T)``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,14 +32,15 @@ from .errors import ToolkitError
 from .numerics import (
     DEFAULT_TOL,
     KRONECKER_DIM_CAP,
+    EigenDecomposition,
     Tolerance,
+    _gated_eigh,
     as_complex_matrix,
     hermitian_eig,
-    kronecker,
+    kronecker_sum,
     max_abs,
-    zero_matrix,
 )
-from .spectra import Point, SpectralSet, minkowski_sum
+from .spectra import minkowski_sum, normalize_ratios
 
 # Relative gap below which eigenvalues are treated as one eigenspace.
 CLUSTER_GAP_FACTOR = 1e-6
@@ -42,6 +48,9 @@ CLUSTER_GAP_FACTOR = 1e-6
 # Weights of Re T, Im T, Re S, Im S in the head combination: linearly
 # independent over the rationals, so rational joint points stay apart.
 COMBINATION_WEIGHTS = np.sqrt([1.0, 2.0, 3.0, 5.0]) / np.sqrt(11.0)
+
+# ``V -> M V`` for a fixed operator M and a block V of basis columns.
+Apply = Callable[[np.ndarray], np.ndarray]
 
 
 class NotNormalError(ToolkitError):
@@ -123,6 +132,14 @@ def _hermitian_parts(t: np.ndarray, s: np.ndarray) -> list[np.ndarray]:
     ]
 
 
+def _head_parts(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian parts of ``(c_0 - i c_1) T`` and ``(c_2 - i c_3) S``, whose
+    sum is the head combination ``sum c_i H_i`` of the four parts."""
+    c = COMBINATION_WEIGHTS
+    mixed_t, mixed_s = (c[0] - 1j * c[1]) * t, (c[2] - 1j * c[3]) * s
+    return (mixed_t + mixed_t.conj().T) / 2.0, (mixed_s + mixed_s.conj().T) / 2.0
+
+
 def _simdiag(mats: Sequence[np.ndarray], tol: Tolerance) -> np.ndarray:
     """Unitary basis simultaneously diagonalizing commuting Hermitian matrices:
     eigendecompose the first, then recurse on the rest restricted to each
@@ -191,15 +208,20 @@ def joint_spectrum(pair: CommutingPair, tol: Tolerance = DEFAULT_TOL) -> JointSp
     the gap threshold can separate.
     """
     t, s = pair.t, pair.s
-    n = t.shape[0]
-    if n == 0:
-        return JointSpectrumPoints((), zero_matrix(0, 0))
-    c = COMBINATION_WEIGHTS
-    mixed = (c[0] - 1j * c[1]) * t + (c[2] - 1j * c[3]) * s
-    head = hermitian_eig((mixed + mixed.conj().T) / 2.0, tol)
+    head_t, head_s = _head_parts(t, s)
+    head = hermitian_eig(head_t + head_s, tol)
+    return _joint_points(head, lambda v: t @ v, lambda v: s @ v, tol)
+
+
+def _joint_points(
+    head: EigenDecomposition, apply_t: Apply, apply_s: Apply, tol: Tolerance
+) -> JointSpectrumPoints:
+    """The joint points of a commuting normal pair from the eigendecomposition
+    of its head combination, with ``apply_t(V) = T V`` and ``apply_s(V) = S V``
+    (see :func:`joint_spectrum`)."""
     basis = np.array(head.vectors, copy=True)
-    t_basis = t @ basis
-    s_basis = s @ basis
+    t_basis = apply_t(basis)
+    s_basis = apply_s(basis)
     lams, mus, residual = _quotients(basis, t_basis, s_basis)
     bound = 10.0 * tol.eigen_residual
     redone = False
@@ -211,25 +233,33 @@ def joint_spectrum(pair: CommutingPair, tol: Tolerance = DEFAULT_TOL) -> JointSp
             block.conj().T @ t_basis[:, start:stop], block.conj().T @ s_basis[:, start:stop]
         )
         basis[:, start:stop] = block @ _simdiag(parts, tol)
-        t_basis[:, start:stop] = t @ basis[:, start:stop]
-        s_basis[:, start:stop] = s @ basis[:, start:stop]
+        t_basis[:, start:stop] = apply_t(basis[:, start:stop])
+        s_basis[:, start:stop] = apply_s(basis[:, start:stop])
         redone = True
     if redone:
         lams, mus, residual = _quotients(basis, t_basis, s_basis)
-    worst = float(residual.max())
+    worst = float(residual.max(initial=0.0))
     if worst > bound:
         raise EigenspaceSplitFailureError(
             f"joint eigenvector residual {worst:.3e} exceeds "
             f"{bound:.3e}; eigenvalues too clustered"
         )
-    order = sorted(
-        range(n),
-        key=lambda idx: (lams[idx].real, lams[idx].imag, mus[idx].real, mus[idx].imag),
-    )
-    pairs = tuple((complex(lams[idx]), complex(mus[idx])) for idx in order)
+    order = np.lexsort((mus.imag, mus.real, lams.imag, lams.real))
+    pairs = tuple(zip(lams[order].tolist(), mus[order].tolist()))
     sorted_basis = basis[:, order]
     sorted_basis.setflags(write=False)
     return JointSpectrumPoints(pairs, sorted_basis)
+
+
+def _tensor_products(a: np.ndarray, b: np.ndarray) -> tuple[Apply, Apply]:
+    """``V -> (A (x) I_m) V`` and ``V -> (I_n (x) B) V`` for ``n x n`` A and
+    ``m x m`` B: one product with A on V reshaped to ``(n, m k)``, and B on
+    each ``(m, k)`` slice of V reshaped to ``(n, m, k)``."""
+    n, m = a.shape[0], b.shape[0]
+    return (
+        lambda v: (a @ v.reshape(n, m * v.shape[1])).reshape(n * m, v.shape[1]),
+        lambda v: np.matmul(b, v.reshape(n, m, v.shape[1])).reshape(n * m, v.shape[1]),
+    )
 
 
 def tensor_pair_spectrum(
@@ -241,13 +271,22 @@ def tensor_pair_spectrum(
     ``T (x) I`` is normal exactly when T is, so T and S are checked in place
     of the Kronecker pair, which commutes exactly: every entry of both
     products is the one product ``t_ae * s_bf``.
+
+    The pair is never formed.  The head combination of the pair is the
+    Kronecker sum ``A (x) I + I (x) B`` of the factors' parts (see
+    :func:`joint_spectrum`), built by ``kronecker_sum`` (which holds the
+    ``dim_cap`` guard) and decomposed by one ``N x N`` ``eigh``, ``N = n m``;
+    its residual gate at ``tol.eigen_residual`` and every product of the
+    joint core with ``T (x) I`` or ``I (x) S`` are factor products on the
+    reshaped basis.
     """
     t = as_complex_matrix(t)
     s = as_complex_matrix(s)
     _check_normal(t, s, tol)
-    big_t = kronecker(t, np.eye(s.shape[0]), dim_cap)
-    big_s = kronecker(np.eye(t.shape[0]), s, dim_cap)
-    return joint_spectrum(CommutingPair(big_t, big_s, 0.0), tol)
+    head_t, head_s = _head_parts(t, s)
+    left, right = _tensor_products(head_t, head_s)
+    head = _gated_eigh(kronecker_sum(head_t, head_s, dim_cap), lambda v: left(v) + right(v), tol)
+    return _joint_points(head, *_tensor_products(t, s), tol)
 
 
 def spectral_mapping(
@@ -258,33 +297,25 @@ def spectral_mapping(
     return tuple(sorted(values, key=lambda z: (z.real, z.imag)))
 
 
-def pairing_gap(
-    left: Sequence[tuple[complex, complex]],
-    right: Sequence[tuple[complex, complex]],
-    decimals: int = 8,
-) -> float:
+def pairing_gap(left, right, decimals: int = 8) -> float:
     """Largest componentwise distance between two pair multisets.
 
-    Both sides are sorted lexicographically (rounded to stabilize ties), so
-    the gap is meaningful for multisets that agree up to small perturbations.
-    Returns infinity on a length mismatch.
+    Both sides (sequences or ``(k, 2)`` arrays of complex pairs) are sorted
+    lexicographically by the rounded (Re, Im) of the first then second
+    component, stably, so the gap is meaningful for multisets that agree up
+    to small perturbations.  Returns infinity on a length mismatch.
     """
     if len(left) != len(right):
         return float("inf")
 
-    def key(pair: tuple[complex, complex]):
-        lam, mu = pair
-        return (
-            round(lam.real, decimals),
-            round(lam.imag, decimals),
-            round(mu.real, decimals),
-            round(mu.imag, decimals),
-        )
+    def ordered(pairs) -> np.ndarray:
+        z = np.asarray(pairs, dtype=np.complex128).reshape(-1, 2)
+        keys = np.round([z[:, 1].imag, z[:, 1].real, z[:, 0].imag, z[:, 0].real], decimals)
+        return z[np.lexsort(keys)]
 
-    gap = 0.0
-    for (a, b), (c, d) in zip(sorted(left, key=key), sorted(right, key=key)):
-        gap = max(gap, abs(a - c), abs(b - d))
-    return gap
+    diff = ordered(left) - ordered(right)
+    # np.hypot rounds as Python's abs(complex) does; np.abs may differ by an ulp
+    return float(np.max(np.hypot(diff.real, diff.imag), initial=0.0))
 
 
 def cartesian_gap(points: JointSpectrumPoints, t, s) -> float:
@@ -295,8 +326,9 @@ def cartesian_gap(points: JointSpectrumPoints, t, s) -> float:
     eigenvalues come from ``np.linalg.eigvals`` of that factor alone, never
     from the tensored pair or its basis.
     """
-    eig_t, eig_s = (sorted(np.linalg.eigvals(m), key=lambda z: (z.real, z.imag)) for m in (t, s))
-    return pairing_gap(points.pairs, [(complex(a), complex(b)) for a in eig_t for b in eig_s])
+    eig_t, eig_s = np.linalg.eigvals(t), np.linalg.eigvals(s)
+    cartesian = np.stack(np.broadcast_arrays(eig_t[:, None], eig_s[None, :]), axis=-1)
+    return pairing_gap(points.pairs, cartesian.reshape(-1, 2))
 
 
 @dataclass(frozen=True)
@@ -331,10 +363,7 @@ def sum_operator_check(
     for name, values in (("first", eig_t), ("second", eig_s)):
         if values.size and float(values[0]) < -1e-9:
             raise NotPSDError(f"{name} matrix has eigenvalue {values[0]:.3e} < -1e-9")
-    assembled = kronecker(t, np.eye(s.shape[0]), dim_cap) + kronecker(
-        np.eye(t.shape[0]), s, dim_cap
-    )
-    eigenvalues = hermitian_eig(assembled, tol, vectors=False).eigenvalues
+    eigenvalues = hermitian_eig(kronecker_sum(t, s, dim_cap), tol, vectors=False).eigenvalues
     expected = sorted(float(a + b) for a in eig_t for b in eig_s)
     if len(expected) != eigenvalues.size:
         raise AssertionError("dimension bookkeeping is broken")
@@ -342,14 +371,14 @@ def sum_operator_check(
         (abs(float(x) - y) for x, y in zip(eigenvalues, expected)), default=0.0
     )
 
+    # each eigenvalue as the exact ratio of its float, a point of mult 1
     lhs, rhs = (
-        SpectralSet.of(*(Point(Fraction(max(float(v), 0.0)), 1) for v in values))
+        normalize_ratios((*max(float(v), 0.0).as_integer_ratio(), 0, 1, 1) for v in values)
         for values in (eig_t, eig_s)
     )
-    # a sum of point sets normalizes to points only
-    listed = sorted(
-        float(atom.value) for atom in minkowski_sum(lhs, rhs).atoms for _ in range(atom.mult)
-    )
+    # a sum of point sets normalizes to points only: keys (k, 0, 0, mult) of k / L
+    total = minkowski_sum(lhs, rhs)
+    listed = sorted(value / total.scale for value, _, _, mult in total.keys for _ in range(mult))
     if len(listed) != eigenvalues.size:
         symbolic_gap = float("inf")
     else:

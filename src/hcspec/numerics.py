@@ -1,10 +1,10 @@
 """Dense complex-matrix kernels.
 
 Everything else in the package reduces to the operations here: Hermitian
-eigendecomposition, Moore-Penrose pseudo-inverse, Kronecker products, range
-projections and numeric rank.  The last three of those are read off one
-singular value decomposition, which also fixes the rank cutoff (dimension
-``rows + cols``) for all of them.  All functions are pure; matrices are plain
+eigendecomposition, Moore-Penrose pseudo-inverse, Kronecker products and
+sums, range projections and numeric rank.  The last three of those are read
+off one singular value decomposition, which also fixes the rank cutoff
+(dimension ``rows + cols``) for all of them.  All functions are pure; matrices are plain
 ``numpy.ndarray`` values with dtype complex128 and are never mutated.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -193,34 +194,46 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL, vectors: bool = True) -> Eige
         herm /= 2.0
     if deviation > tol.identity_check:
         raise NotHermitianError("matrix deviates from its adjoint beyond tolerance")
-    try:
-        if not vectors:
+    if not vectors:
+        try:
             values = np.linalg.eigvalsh(herm)
-            deviation, unit = _moment_deviation(herm, values)
-            if not deviation <= MOMENT_GATE:  # NaN fails too
-                raise _eig_failure(
-                    herm,
-                    f"eigenvalue moments deviate by {deviation:.3e} units of N*eps, "
-                    f"above {MOMENT_GATE:g}",
-                )
-            if max(deviation, 1.0) * unit <= tol.eigen_residual:
-                values.setflags(write=False)
-                return EigenDecomposition(values, None, deviation)
+        except np.linalg.LinAlgError as exc:
+            raise _eig_failure(herm, str(exc)) from exc
+        deviation, unit = _moment_deviation(herm, values)
+        if not deviation <= MOMENT_GATE:  # NaN fails too
+            raise _eig_failure(
+                herm,
+                f"eigenvalue moments deviate by {deviation:.3e} units of N*eps, "
+                f"above {MOMENT_GATE:g}",
+            )
+        if max(deviation, 1.0) * unit <= tol.eigen_residual:
+            values.setflags(write=False)
+            return EigenDecomposition(values, None, deviation)
+    dec = _gated_eigh(herm, lambda basis: herm @ basis, tol)
+    return dec if vectors else EigenDecomposition(dec.eigenvalues, None, dec.residual)
+
+
+def _gated_eigh(
+    herm: np.ndarray, apply: Callable[[np.ndarray], np.ndarray], tol: Tolerance
+) -> EigenDecomposition:
+    """The vectors path of :func:`hermitian_eig` on its Hermitian part
+    ``herm``: one ``eigh``, then the gate ``max_j |A v_j - lam_j v_j| <=
+    tol.eigen_residual`` with ``A V`` read from ``apply(V)``, which must equal
+    ``herm @ V`` but may form it from factors of ``herm``."""
+    try:
         values, basis = np.linalg.eigh(herm)
     except np.linalg.LinAlgError as exc:
         raise _eig_failure(herm, str(exc)) from exc
     # entries near the float limit overflow here; Inf or NaN fails the gate
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(
-            np.max(np.linalg.norm(herm @ basis - basis * values, axis=0), initial=0.0)
+            np.max(np.linalg.norm(apply(basis) - basis * values, axis=0), initial=0.0)
         )
     if not residual <= tol.eigen_residual:
         raise _eig_failure(
             herm, f"eigendecomposition residual {residual:.3e} exceeds {tol.eigen_residual:.3e}"
         )
     values.setflags(write=False)
-    if not vectors:
-        return EigenDecomposition(values, None, residual)
     basis.setflags(write=False)
     return EigenDecomposition(values, basis, residual)
 
@@ -275,17 +288,39 @@ def pseudo_inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return result
 
 
-def kronecker(a, b, dim_cap: int = KRONECKER_DIM_CAP) -> np.ndarray:
-    """Kronecker product with a guard on the output dimensions."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
+def _check_kronecker_cap(rows: int, cols: int, dim_cap: int) -> None:
     if rows > dim_cap or cols > dim_cap:
         raise SizeOverflowError(
             f"kronecker output {rows}x{cols} exceeds dimension cap {dim_cap}"
         )
+
+
+def kronecker(a, b, dim_cap: int = KRONECKER_DIM_CAP) -> np.ndarray:
+    """Kronecker product with a guard on the output dimensions."""
+    a = as_complex_matrix(a)
+    b = as_complex_matrix(b)
+    _check_kronecker_cap(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1], dim_cap)
     out = np.kron(a, b)
+    out.setflags(write=False)
+    return out
+
+
+def kronecker_sum(a, b, dim_cap: int = KRONECKER_DIM_CAP) -> np.ndarray:
+    """Kronecker sum ``A (x) I_m + I_n (x) B`` of a square ``n x n`` A and
+    ``m x m`` B, with the output guard of :func:`kronecker`.
+
+    Written into one ``(n, m, n, m)`` buffer: A on the ``(i, k, j, k)``
+    entries, then B added on the ``(i, k, i, l)`` ones, so no Kronecker
+    factor is formed; equal to ``kron(A, I) + kron(I, B)`` entry for entry.
+    """
+    a = as_complex_matrix(a)
+    b = as_complex_matrix(b)
+    n, m = a.shape[0], b.shape[0]
+    _check_kronecker_cap(n * m, n * m, dim_cap)
+    out = np.zeros((n, m, n, m), dtype=np.complex128)
+    out[:, np.arange(m), :, np.arange(m)] = a
+    out[np.arange(n), :, np.arange(n), :] += b
+    out = out.reshape(n * m, n * m)
     out.setflags(write=False)
     return out
 

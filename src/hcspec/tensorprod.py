@@ -26,6 +26,7 @@ from .numerics import (
     SizeOverflowError,
     Tolerance,
     kronecker,
+    kronecker_sum,
 )
 
 
@@ -118,11 +119,9 @@ def product_laplacian_blocks(
     index = _block_index(a, b, degree)
     blocks: dict[tuple[int, int], np.ndarray] = {}
     for block in index.blocks:
-        delta_a = laplacian(a, block.j)
-        delta_b = laplacian(b, block.k)
-        blocks[(block.j, block.k)] = kronecker(
-            delta_a, np.eye(b.dim(block.k)), dim_cap
-        ) + kronecker(np.eye(a.dim(block.j)), delta_b, dim_cap)
+        blocks[(block.j, block.k)] = kronecker_sum(
+            laplacian(a, block.j), laplacian(b, block.k), dim_cap
+        )
     return blocks
 
 

@@ -134,6 +134,14 @@ def test_max_dim_guard(capsys):
     assert "SizeOverflowError" in err
 
 
+def test_joint_max_dim_guard(capsys):
+    # the tensored pair of the two 2 x 2 factors is 4 x 4
+    code = main(["joint", str(SCENARIOS / "joint-pair.json"), "--max-dim", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "SizeOverflowError" in err
+
+
 @pytest.mark.parametrize(
     "command, entry",
     [

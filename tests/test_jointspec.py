@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcspec import jointspec
+from hcspec import jointspec, numerics
 from hcspec.jointspec import (
     EigenspaceSplitFailureError,
     NotCommutingError,
@@ -19,7 +20,8 @@ from hcspec.jointspec import (
     sum_operator_check,
     tensor_pair_spectrum,
 )
-from hcspec.numerics import Tolerance
+from hcspec.numerics import NoConvergenceError, Tolerance, hermitian_eig
+from hcspec.spectra import Point, SpectralSet, minkowski_sum
 
 
 def test_check_pair_diagonal():
@@ -173,6 +175,43 @@ def test_combination_collision_falls_back_to_simdiag(monkeypatch):
     assert _quotient_gaps(points, t, s) <= 1e-10
 
 
+def test_tensor_pair_collision_splits_through_factor_products(monkeypatch):
+    # T has the points 0 and c1 - i c0, and S the point 0: the joint points
+    # (0, 0) and (c1 - i c0, 0) of the tensored pair collide in the head
+    # combination, and so do (0, 2) and (c1 - i c0, 2)
+    c = jointspec.COMBINATION_WEIGHTS
+    lam, mu = [0.0, complex(c[1], -c[0]), 1.0], [0.0, 2.0]
+    rng = np.random.default_rng(42)
+    t, s = _normal(lam, _unitary(rng, 3)), _normal(mu, _unitary(rng, 2))
+    big_t, big_s = np.kron(t, np.eye(2)), np.kron(np.eye(3), s)
+    calls = []
+    simdiag = jointspec._simdiag
+
+    def counting(mats, tol):
+        calls.append(len(mats))
+        return simdiag(mats, tol)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Kronecker factor was formed")
+
+    monkeypatch.setattr(jointspec, "_simdiag", counting)
+    monkeypatch.setattr(numerics, "kronecker", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
+    points = tensor_pair_spectrum(t, s)
+    monkeypatch.undo()
+    assert calls and calls[0] == 4
+    assert pairing_gap(points.pairs, [(a, b) for a in lam for b in mu]) <= 1e-9
+    assert _quotient_gaps(points, big_t, big_s) <= 1e-10
+
+
+def test_tensor_pair_head_gate_raises_no_convergence():
+    rng = np.random.default_rng(44)
+    t = _normal(rng.standard_normal(3) + 1j * rng.standard_normal(3), _unitary(rng, 3))
+    s = _normal(rng.standard_normal(4), _unitary(rng, 4))
+    with pytest.raises(NoConvergenceError):
+        tensor_pair_spectrum(t, s, Tolerance(eigen_residual=1e-300))
+
+
 def test_combination_weights_separate_small_integer_points():
     # No integer vector z != 0 with |z_i| <= 8 (coordinate differences of the
     # Gaussian-integer palettes the tests and benchmark draw from) has c . z
@@ -199,16 +238,29 @@ def test_tensor_pair_spectrum_makes_one_eigendecomposition(monkeypatch, psd):
     lam = heads[np.arange(n) % 2]
     u = _unitary(rng, n)
     t, s = _normal(lam, u), _normal(mu, u)
-    vector_calls = []
-    hermitian_eig = jointspec.hermitian_eig
+    # count at the LAPACK entry points, whichever wrapper calls them, and
+    # refuse any Kronecker product: the pair is applied by factor products
+    vector_sizes, value_sizes = [], []
 
-    def counting(a, tol, vectors=True):
-        vector_calls.append(vectors)
-        return hermitian_eig(a, tol, vectors)
+    def counting(record, solver):
+        def call(a, *args, **kwargs):
+            record.append(np.shape(a)[0])
+            return solver(a, *args, **kwargs)
 
-    monkeypatch.setattr(jointspec, "hermitian_eig", counting)
+        return call
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Kronecker factor was formed")
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(vector_sizes, np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eig", counting(vector_sizes, np.linalg.eig))
+    for name in ("eigvalsh", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, counting(value_sizes, getattr(np.linalg, name)))
+    monkeypatch.setattr(numerics, "kronecker", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
     points = tensor_pair_spectrum(t, s)
-    assert vector_calls == [True]
+    assert vector_sizes == [n * n] and value_sizes == []
+    monkeypatch.undo()
     cartesian = [(complex(a), complex(b)) for a in lam for b in mu]
     assert pairing_gap(points.pairs, cartesian) <= 1e-7
 
@@ -230,6 +282,53 @@ def test_tensor_pair_with_repeated_eigenvalues(psd):
         cartesian = [(complex(a), complex(b)) for a in lam for b in mu]
         assert pairing_gap(points.pairs, cartesian) <= 1e-7
         assert _quotient_gaps(points, np.kron(t, np.eye(m)), np.kron(np.eye(n), s)) <= 1e-10
+
+
+def _loop_pairing_gap(left, right, decimals=8):
+    """``pairing_gap`` as a per-pair loop: Python ``round`` keys, ``sorted``."""
+    if len(left) != len(right):
+        return float("inf")
+
+    def key(pair):
+        lam, mu = pair
+        return tuple(round(x, decimals) for x in (lam.real, lam.imag, mu.real, mu.imag))
+
+    gap = 0.0
+    for (a, b), (c, d) in zip(sorted(left, key=key), sorted(right, key=key)):
+        gap = max(gap, abs(a - c), abs(b - d))
+    return gap
+
+
+def test_pairing_gap_matches_the_loop():
+    rng = np.random.default_rng(23)
+    for case in range(60):
+        k = int(rng.integers(0, 40))
+        if case % 3 == 0:  # continuous coordinates: no two keys tie
+            z, other = rng.standard_normal((2, k, 4))
+        else:  # a small palette: many exact repeats, which sort stably
+            z, other = rng.integers(-2, 3, (2, k, 4)) / 4.0
+        left = [(complex(a, b), complex(c, d)) for a, b, c, d in z]
+        noise = rng.standard_normal((k, 4)) * 1e-12
+        right = [(complex(a, b), complex(c, d)) for a, b, c, d in z + noise]
+        right = [right[i] for i in rng.permutation(k)]
+        assert pairing_gap(left, right) == _loop_pairing_gap(left, right)
+        # unrelated multisets: the gap depends on the order of every key
+        other = [(complex(a, b), complex(c, d)) for a, b, c, d in other]
+        assert pairing_gap(left, other) == _loop_pairing_gap(left, other)
+        assert pairing_gap(left, right[:-1] if k else [(0j, 0j)]) == float("inf")
+
+
+def test_cartesian_gap_matches_the_loop():
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        n, m = (int(k) for k in rng.integers(1, 6, 2))
+        t = _normal(rng.standard_normal(n) + 1j * rng.standard_normal(n), _unitary(rng, n))
+        s = _normal(rng.standard_normal(m) + 1j * rng.standard_normal(m), _unitary(rng, m))
+        points = tensor_pair_spectrum(t, s)
+        eig_t, eig_s = np.linalg.eigvals(t), np.linalg.eigvals(s)
+        cartesian = [(complex(a), complex(b)) for a in eig_t for b in eig_s]
+        assert jointspec.cartesian_gap(points, t, s) == _loop_pairing_gap(points.pairs, cartesian)
+        assert jointspec.cartesian_gap(points, t, s[:-1, :-1]) == float("inf")
 
 
 def test_spectral_mapping():
@@ -261,6 +360,33 @@ def test_sum_operator_symbolic_route_counts_repeated_eigenvalues():
     report = sum_operator_check(np.diag([1.0, 1.0, 2.0, 2.0]), np.diag([0.0, 1.0, 1.0, 2.0]))
     assert len(report.eigenvalues) == len(report.expected) == 16
     assert report.passed and report.symbolic_max_gap <= 1e-7
+
+
+def _fraction_symbolic_gap(report, t, s):
+    """The symbolic side as built before lattice keys: ``Point(Fraction(v))``
+    atoms, listed from the ``atoms`` view of their Minkowski sum.  The factor
+    eigenvalues are those the check computes (the same call on the same input)."""
+    lhs, rhs = (
+        SpectralSet.of(*(Point(Fraction(max(float(v), 0.0)), 1) for v in values))
+        for values in (hermitian_eig(m, vectors=False).eigenvalues for m in (t, s))
+    )
+    total = minkowski_sum(lhs, rhs)
+    listed = sorted(float(atom.value) for atom in total.atoms for _ in range(atom.mult))
+    return max(abs(x - y) for x, y in zip(report.eigenvalues, listed))
+
+
+def test_sum_operator_symbolic_gap_matches_the_fraction_route():
+    rng = np.random.default_rng(19)
+    for case in range(12):
+        n, m = (int(k) for k in rng.integers(1, 7, 2))
+        if case % 2:  # exact repeats merge into points of mult > 1
+            t, s = np.diag(rng.integers(0, 3, n) * 1.0), np.diag(rng.integers(0, 3, m) * 1.0)
+        else:
+            bt = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            bs = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            t, s = bt @ bt.conj().T, bs @ bs.conj().T
+        report = sum_operator_check(t, s)
+        assert report.symbolic_max_gap == _fraction_symbolic_gap(report, t, s)
 
 
 def test_sum_operator_rejects_indefinite():

@@ -14,6 +14,7 @@ from hcspec.numerics import (
     Tolerance,
     hermitian_eig,
     kronecker,
+    kronecker_sum,
     max_abs,
     numeric_rank,
     pseudo_inverse,
@@ -106,6 +107,25 @@ def test_kronecker_eigenvalues_multiply():
 def test_kronecker_dimension_cap():
     with pytest.raises(SizeOverflowError):
         kronecker(np.eye(3), np.eye(3), dim_cap=8)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (3, 1), (2, 5), (4, 3), (6, 6), (0, 3), (2, 0), (0, 0)])
+def test_kronecker_sum_equals_the_two_products(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    out = kronecker_sum(a, b)
+    want = np.kron(a, np.eye(m)) + np.kron(np.eye(n), b)
+    # equal entry for entry (array_equal holds 0.0 and -0.0 equal)
+    assert out.shape == want.shape == (n * m, n * m)
+    assert out.dtype == np.complex128 and np.array_equal(out, want)
+    assert not out.flags.writeable
+
+
+def test_kronecker_sum_dimension_cap():
+    assert kronecker_sum(np.eye(2), np.eye(4), dim_cap=8).shape == (8, 8)
+    with pytest.raises(SizeOverflowError, match="kronecker output 9x9 exceeds dimension cap 8"):
+        kronecker_sum(np.eye(3), np.eye(3), dim_cap=8)
 
 
 def test_kronecker_sum_spectrum_is_minkowski_sum():
