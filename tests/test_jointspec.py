@@ -152,6 +152,17 @@ def _quotient_gaps(points, t, s):
     return max(np.max(np.abs(got[:, 0] - want_t)), np.max(np.abs(got[:, 1] - want_s)))
 
 
+def _refuse_kronecker(monkeypatch):
+    """Make ``numerics.kronecker`` and ``np.kron`` raise, so a tensored pair
+    must be applied by factor products."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Kronecker factor was formed")
+
+    monkeypatch.setattr(numerics, "kronecker", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
+
+
 def test_combination_collision_falls_back_to_simdiag(monkeypatch):
     # (0, 0) and (c1 - i c0, 0) have the same combination value c0 c1 - c1 c0
     # = 0, so the head eigendecomposition leaves their columns mixed and the
@@ -191,12 +202,8 @@ def test_tensor_pair_collision_splits_through_factor_products(monkeypatch):
         calls.append(len(mats))
         return simdiag(mats, tol)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a Kronecker factor was formed")
-
     monkeypatch.setattr(jointspec, "_simdiag", counting)
-    monkeypatch.setattr(numerics, "kronecker", refuse)
-    monkeypatch.setattr(np, "kron", refuse)
+    _refuse_kronecker(monkeypatch)
     points = tensor_pair_spectrum(t, s)
     monkeypatch.undo()
     assert calls and calls[0] == 4
@@ -238,8 +245,7 @@ def test_tensor_pair_spectrum_makes_one_eigendecomposition(monkeypatch, psd):
     lam = heads[np.arange(n) % 2]
     u = _unitary(rng, n)
     t, s = _normal(lam, u), _normal(mu, u)
-    # count at the LAPACK entry points, whichever wrapper calls them, and
-    # refuse any Kronecker product: the pair is applied by factor products
+    # count at the LAPACK entry points, whichever wrapper calls them
     vector_sizes, value_sizes = [], []
 
     def counting(record, solver):
@@ -249,15 +255,11 @@ def test_tensor_pair_spectrum_makes_one_eigendecomposition(monkeypatch, psd):
 
         return call
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a Kronecker factor was formed")
-
     monkeypatch.setattr(np.linalg, "eigh", counting(vector_sizes, np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eig", counting(vector_sizes, np.linalg.eig))
     for name in ("eigvalsh", "eigvals"):
         monkeypatch.setattr(np.linalg, name, counting(value_sizes, getattr(np.linalg, name)))
-    monkeypatch.setattr(numerics, "kronecker", refuse)
-    monkeypatch.setattr(np, "kron", refuse)
+    _refuse_kronecker(monkeypatch)
     points = tensor_pair_spectrum(t, s)
     assert vector_sizes == [n * n] and value_sizes == []
     monkeypatch.undo()
