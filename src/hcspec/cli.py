@@ -7,7 +7,9 @@ parser is built from it once, at import, and ``run`` checks the kind once.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -346,9 +348,11 @@ def run(command: str, scenario_path: str | Path, out_path: str | Path | None, ar
         "pass": passed,
     }
     if args.csv:
-        rows: list[tuple[str, str]] = []
+        rows: list[tuple[str, str]] = [("key", "value")]
         _flatten_csv(json_ready(report["results"]), "", rows)
-        text = "key,value\n" + "".join(f"{key},{value}\n" for key, value in rows)
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
+        text = buffer.getvalue()
     else:
         text = dump_report(report)
     if out_path is not None:

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ToolkitError
 from .numerics import (
     DEFAULT_TOL,
+    NonFiniteError,
     Tolerance,
     _svd,
     as_complex_matrix,
@@ -125,12 +126,20 @@ class ValidationReport:
 
 
 def validate(complex_: FiniteComplex, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
-    """Check the cochain condition ``d o d = 0`` within ``tol.identity_check``."""
+    """Check the cochain condition ``d o d = 0`` within ``tol.identity_check``.
+
+    Raises ``NonFiniteError`` when a composite overflows, since no residual
+    can then be measured.
+    """
     residuals: dict[int, float] = {}
     for degree in range(complex_.lo, complex_.hi):
         lower = complex_.differential(degree)
         upper = complex_.differential(degree + 1)
-        residuals[degree] = max_abs(upper @ lower)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = max_abs(upper @ lower)
+        if not math.isfinite(residual):
+            raise NonFiniteError(f"d o d overflows at degree {degree}")
+        residuals[degree] = residual
     passed = all(r <= tol.identity_check for r in residuals.values())
     return ValidationReport(residuals, passed)
 

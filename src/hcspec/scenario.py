@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Any
 
@@ -40,8 +41,8 @@ class ParseError(ToolkitError):
 
 
 class UnprintableResultError(ToolkitError):
-    """A result holds a rational beyond ``PRINTABLE_DIGITS`` digits, so no
-    report can print it; raised before any report text is written."""
+    """A result holds a NaN or a rational beyond ``PRINTABLE_DIGITS`` digits,
+    so no report can print it; raised before any report text is written."""
 
 
 def _fail(path: str, message: str) -> ParseError:
@@ -182,9 +183,10 @@ def parse_rational(value: Any, path: str) -> Fraction:
 
 def _ratio_to_json(numerator: int, denominator: int) -> str:
     """``str(Fraction(numerator, denominator))`` for ``denominator >= 1``."""
-    common = math.gcd(numerator, denominator)
-    numerator, denominator = numerator // common, denominator // common
-    if max(abs(numerator), denominator) >= _PRINTABLE_BOUND:
+    if denominator != 1:
+        common = math.gcd(numerator, denominator)
+        numerator, denominator = numerator // common, denominator // common
+    if abs(numerator) >= _PRINTABLE_BOUND or denominator >= _PRINTABLE_BOUND:
         raise UnprintableResultError(f"a result has a rational beyond {PRINTABLE_DIGITS} digits")
     return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
 
@@ -243,16 +245,42 @@ def parse_spectral_set(value: Any, path: str) -> SpectralSet:
     return normalize_ratios(ratios)
 
 
+#: The JSON fields of one atom by key kind (0 a point, 1 a progression), in
+#: the sorted order reports write them; ``_atom_fields`` gives their values.
+_ATOM_LAYOUT = (("kind", "mult", "value"), ("base", "kind", "mult", "step"))
+
+
+def _atom_fields(key: tuple, scale: int, mult_json=mult_to_json) -> tuple:
+    number, kind, step, mult = key
+    if kind:
+        return _ratio_to_json(number, scale), "ap", mult_json(mult), _ratio_to_json(step, scale)
+    return "point", mult_json(mult), _ratio_to_json(number, scale)
+
+
 def spectral_set_to_json(value: SpectralSet) -> dict:
+    return {"atoms": [dict(zip(_ATOM_LAYOUT[key[1]], _atom_fields(key, value.scale))) for key in value.keys]}
+
+
+def _mult_text(mult: Mult) -> str:
+    return '"inf"' if is_infinite(mult) else str(mult)
+
+
+def _write_spectral_set(value: SpectralSet, out: list[str], newline: str) -> None:
+    """The report text of ``spectral_set_to_json(value)`` at ``newline``, one
+    formatted string per atom: every field but ``mult`` is a string that
+    needs no escape (a kind, or digits with ``-`` and ``/``)."""
+    inner = newline + "  "
+    if not value.keys:
+        out.append(f'{{{inner}"atoms": []{newline}}}')
+        return
+    atom, field = inner + "  ", inner + "    "
+    templates = [
+        "{" + field + ("," + field).join(f'"{n}": %s' if n == "mult" else f'"{n}": "%s"' for n in names) + atom + "}"
+        for names in _ATOM_LAYOUT
+    ]
     scale = value.scale
-    atoms = []
-    for number, kind, step, mult in value.keys:
-        if kind:
-            atom = {"kind": "ap", "base": _ratio_to_json(number, scale), "step": _ratio_to_json(step, scale)}
-        else:
-            atom = {"kind": "point", "value": _ratio_to_json(number, scale)}
-        atoms.append({**atom, "mult": mult_to_json(mult)})
-    return {"atoms": atoms}
+    texts = [templates[key[1]] % _atom_fields(key, scale, _mult_text) for key in value.keys]
+    out.append(f'{{{inner}"atoms": [{atom}' + ("," + atom).join(texts) + f"{inner}]{newline}}}")
 
 
 def parse_operator_spectrum(value: Any, path: str) -> OperatorSpectrum:
@@ -389,7 +417,8 @@ def _parse_bidegree_key(key: str, path: str) -> tuple[int, int]:
 
 
 def json_ready(value: Any) -> Any:
-    """Recursively convert report values into JSON-serializable data."""
+    """Recursively convert report values into JSON-serializable data; an
+    infinite float, also a complex or matrix part, becomes ``"inf"``."""
     if isinstance(value, dict):
         return {str(k): json_ready(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -401,18 +430,78 @@ def json_ready(value: Any) -> Any:
     if isinstance(value, OperatorSpectrum):
         return operator_spectrum_to_json(value)
     if isinstance(value, np.ndarray):
-        return matrix_to_json(value)
+        return json_ready(matrix_to_json(value))
     if isinstance(value, complex):
-        return [value.real, value.imag]
+        return [json_ready(value.real), json_ready(value.imag)]
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        value = float(value)
     if isinstance(value, float) and math.isinf(value):
         return "inf"
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
     return value
 
 
 def dump_report(report: dict) -> str:
-    """Canonical JSON text for a report; byte-stable for identical inputs."""
-    return json.dumps(json_ready(report), sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text for a report; byte-stable for identical inputs.
+
+    The text is ``json.dumps(json_ready(report), sort_keys=True, indent=2)``
+    and a newline, written in one pass over the report: keys are converted
+    by ``str`` and sorted, strings ASCII-escaped, an infinite float is
+    ``"inf"``, and spectral sets are written straight from their keys.
+    Leaves the pass does not know go through ``json_ready``.  A NaN, or a
+    rational no report can print, raises ``UnprintableResultError`` before
+    any text is returned.
+    """
+    out: list[str] = []
+    _write(report, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value: Any, out: list[str], newline: str) -> None:
+    """Append the JSON text of ``value``, nested at ``newline`` (a line
+    break and the current indent), to ``out``."""
+    if isinstance(value, str):
+        out.append(_json_string(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            raise UnprintableResultError("a result is NaN")
+        out.append('"inf"' if math.isinf(value) else float.__repr__(value))
+    elif isinstance(value, dict):
+        _write_items(sorted({str(k): v for k, v in value.items()}.items()), "{}", out, newline)
+    elif isinstance(value, (list, tuple)):
+        _write_items(value, "[]", out, newline)
+    elif isinstance(value, SpectralSet):
+        _write_spectral_set(value, out, newline)
+    else:
+        converted = json_ready(value)
+        if converted is value:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        _write(converted, out, newline)
+
+
+def _write_items(items: Any, brackets: str, out: list[str], newline: str) -> None:
+    """An array of ``items``, or with ``brackets`` ``"{}"`` an object of
+    ``(key, value)`` pairs, one member per line."""
+    if not items:
+        out.append(brackets)
+        return
+    inner = newline + "  "
+    separator = brackets[0] + inner
+    for item in items:
+        out.append(separator)
+        if brackets == "{}":
+            key, item = item
+            out.append(_json_string(key) + ": ")
+        _write(item, out, inner)
+        separator = "," + inner
+    out.append(newline + brackets[1])

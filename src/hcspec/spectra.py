@@ -447,6 +447,8 @@ def covered_by_progression(s: SpectralSet, value: RationalLike) -> bool:
 def _index(s: SpectralSet, value: RationalLike) -> int | None:
     """``value`` as an index of the lattice ``(1/L)·ℤ`` of ``s``; ``None``
     off it, where no value of ``s`` lies."""
+    if isinstance(value, int):
+        return value * s.scale
     v = as_rational(value)
     index, rest = divmod(v.numerator * s.scale, v.denominator)
     return None if rest else index

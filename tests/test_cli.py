@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import random
 import time
@@ -118,6 +120,54 @@ def test_csv_output(tmp_path):
     assert any(line.startswith("degrees.0[0],") for line in lines)
 
 
+def test_csv_quotes_a_name_with_a_comma_and_a_newline(tmp_path):
+    doc = json.loads((SCENARIOS / "riemann-triple.json").read_text())
+    doc["payload"]["factors"][0] = {**_MYSTERY_FACTOR, "name": "a,b\nc"}
+    path, out = tmp_path / "named.json", tmp_path / "report.csv"
+    path.write_text(json.dumps(doc))
+    assert main(["dbar-n", str(path), "--csv", "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert 'factors[0],"a,b\nc"\nfactors[1],infinite-bergman-factor\n' in text
+    rows = list(csv.reader(io.StringIO(text)))
+    assert ["factors[0]", "a,b\nc"] in rows and all(len(row) == 2 for row in rows)
+
+
+def _naive_csv_rows(value, prefix, rows):
+    """The key/value rows of a JSON report's results, as ``--csv`` flattens them."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            _naive_csv_rows(value[key], f"{prefix}.{key}" if prefix else key, rows)
+    elif isinstance(value, list):
+        for idx, item in enumerate(value):
+            _naive_csv_rows(item, f"{prefix}[{idx}]", rows)
+    else:
+        rows.append(f"{prefix},{'' if value is None else value}\n")
+    return rows
+
+
+_SHIPPED_RUNS = [
+    *((command, scenario) for command in ("validate", "spectrum", "hodge", "identities")
+      for scenario in ("chain.json", "random-complex.json")),
+    ("tensor", "chain-product.json"),
+    ("joint", "joint-pair.json"),
+    ("symbolic", "symbolic-ap-pair.json"),
+    ("dbar", "bidisc.json"),
+    ("dbar-n", "bidisc.json"),
+    ("dbar-n", "riemann-triple.json"),
+]
+
+
+@pytest.mark.parametrize("command, scenario", _SHIPPED_RUNS)
+def test_csv_of_shipped_scenarios_keeps_its_bytes(tmp_path, command, scenario):
+    # no shipped field needs quoting, so each row is still "key,value"
+    report, table = tmp_path / "report.json", tmp_path / "report.csv"
+    assert main([command, str(SCENARIOS / scenario), "--out", str(report)]) in (0, 1)
+    assert main([command, str(SCENARIOS / scenario), "--csv", "--out", str(table)]) in (0, 1)
+    results = json.loads(report.read_text(encoding="utf-8"))["results"]
+    expected = "key,value\n" + "".join(_naive_csv_rows(results, "", []))
+    assert table.read_text(encoding="utf-8") == expected
+
+
 def test_tol_flag_changes_outcome(capsys):
     # with an absurdly tight tolerance the tiny cochain residuals of a random
     # complex are flagged
@@ -165,6 +215,32 @@ def test_non_finite_intermediates_exit_2(tmp_path, capsys, command, entry):
     err = capsys.readouterr().err
     assert code == 2
     assert "NonFiniteError" in err
+
+
+_OVERFLOWING = {
+    # d o d of these entries overflows: to NaN where Inf meets -Inf, else to Inf
+    "nan": {"dims": [2, 2, 1], "differentials": {"0": [[1e300, 1e300], [1e300, 1e300]], "1": [[1e300, -1e300]]}},
+    "inf": {"dims": [1, 2, 1], "differentials": {"0": [[1e300], [1e300]], "1": [[1e300, 1e300]]}},
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        pytest.param("validate", _OVERFLOWING["nan"], id="validate-nan"),
+        pytest.param("validate", _OVERFLOWING["inf"], id="validate-inf"),
+        pytest.param("tensor", {"left": _OVERFLOWING["nan"], "right": _OVERFLOWING["inf"]}, id="tensor"),
+    ],
+)
+def test_overflowing_cochain_composite_exits_2(tmp_path, capsys, command, payload):
+    # no RuntimeWarning (an error under the suite's filter) and no report
+    kind = "finite-pair" if command == "tensor" else "finite-complex"
+    path, out = tmp_path / "huge.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"version": "1", "kind": kind, "payload": payload}))
+    code = main([command, str(path), "--out", str(out)])
+    assert code == 2
+    assert "NonFiniteError: d o d overflows at degree 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

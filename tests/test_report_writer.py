@@ -1,0 +1,178 @@
+"""The report writer: ``dump_report`` is the canonical ``json.dumps`` text.
+
+``dump_report`` writes a report in one pass, spectral sets straight from
+their keys.  Its text must be exactly ``json.dumps(json_ready(report),
+sort_keys=True, indent=2)`` and a newline; that expression lives only here.
+The exact-arithmetic reports of the shipped scenarios are pinned by hash, so
+a format drift fails even where two runs of the same code would agree.
+"""
+
+import hashlib
+import json
+import math
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hcspec import cli
+from hcspec.cli import main
+from hcspec.scenario import UnprintableResultError, dump_report, json_ready
+from hcspec.spectra import AP, EMPTY, INFINITE, OperatorSpectrum, Point, essential_part, normalize
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import golden  # noqa: E402
+import workloads  # noqa: E402
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def reference(report) -> str:
+    return json.dumps(json_ready(report), sort_keys=True, indent=2) + "\n"
+
+
+_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['say "hi"', "back\\slash", "tab\tline\nend\r\x00\x1f\x7f", "é ü 日本 \U0001f600", "\ud800"]),
+)
+# 2 against "2" collide once keys are strings; "10" sorts before "2"
+_KEYS = st.one_of(st.integers(-12, 12), _TEXT, st.sampled_from([2, 10, "2", "10"]), st.tuples(st.integers(0, 3)))
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e308, -1e308, math.inf, -math.inf, 0.1]),
+)
+_NUMPY = st.one_of(
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    _FLOATS.map(np.float64),
+    st.floats(allow_nan=False, width=32).map(np.float32),
+)
+_COMPLEX = st.complex_numbers(allow_nan=False)
+_MATRICES = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda shape: st.lists(_COMPLEX, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]).map(
+        lambda entries: np.array(entries, dtype=np.complex128).reshape(shape)
+    )
+)
+_RATIONALS = st.builds(Fraction, st.integers(0, 5000), st.integers(1, 60))
+_MULTS = st.sampled_from((1, 2, 7, INFINITE))
+_ATOMS = st.one_of(
+    st.builds(Point, _RATIONALS, _MULTS),
+    st.builds(AP, _RATIONALS, _RATIONALS.filter(bool), _MULTS),
+)
+_SETS = st.one_of(st.just(EMPTY), st.lists(_ATOMS, max_size=5).map(normalize))
+_OPERATOR_SPECTRA = _SETS.flatmap(
+    lambda s: st.sampled_from([OperatorSpectrum(s), OperatorSpectrum(s, essential_part(s))])
+)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, -(10**40), 10**300]),
+    _TEXT,
+    _FLOATS,
+    _NUMPY,
+    _COMPLEX,
+    _MATRICES,
+    st.fractions(),
+    _SETS,
+    _OPERATOR_SPECTRA,
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.dictionaries(_KEYS, _VALUES, max_size=5))
+def test_dump_report_is_the_reference_text(report):
+    assert dump_report(report) == reference(report)
+
+
+def test_spectral_sets_write_every_atom_field():
+    s = normalize([Point(Fraction(1, 3), INFINITE), AP(Fraction(2, 3), 2, 1)])
+    report = {"10": [s, EMPTY], 2: OperatorSpectrum(s, essential_part(s))}
+    text = dump_report(report)
+    assert text == reference(report)
+    assert '"kind": "point",\n          "mult": "inf",\n          "value": "1/3"' in text
+    assert text.index('"10"') < text.index('"2"')
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        float("nan"),
+        np.float64("nan"),
+        complex(0.0, float("nan")),
+        np.array([[1.0, float("nan")]]),
+        {"deep": [1, {"x": float("nan")}]},
+    ],
+    ids=["float", "numpy", "complex", "matrix", "nested"],
+)
+def test_nan_is_refused_by_name(value):
+    with pytest.raises(UnprintableResultError, match="NaN"):
+        dump_report({"results": value})
+
+
+def test_an_unknown_leaf_is_refused_as_json_does():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dump_report({"results": object()})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        reference({"results": object()})
+
+
+# sha256 of each exact-arithmetic report, recorded before the one-pass writer
+PINNED = {
+    ("symbolic", "symbolic-ap-pair.json"): "1409467b9b47b4c40f9c50186b7b7ac359ce7eeb7af0e671aabb58db572fae88",
+    ("symbolic", "symbolic-ap-pair.json", "--oracle-cutoff", "100"): (
+        "fd9fb91c1f597353d74089c6b58cfcbea76826f4fcfc63a3476b99457ebd9395"
+    ),
+    ("dbar", "bidisc.json"): "6d7bc3d9450779819beb4dd5b1c9e6e907fe9ff9a0a31e7c70003123e0d9a1f2",
+    ("dbar-n", "riemann-triple.json"): "686bd522174f321df828d41ee5b0aeeed4ea554941d18f9c99d7359ff346c764",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED), ids=" ".join)
+def test_exact_reports_keep_their_bytes(tmp_path, argv):
+    command, scenario, *flags = argv
+    out = tmp_path / "report.json"
+    assert main([command, str(SCENARIOS / scenario), *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED[argv]
+
+
+#: Members replayed at every position of ``symbolic-sums``: 88 of its 2,816
+#: cases, every band and operation among them.
+MEMBERS = range(2)
+
+
+def test_symbolic_sums_replay_writes_the_reference_bytes(tmp_path, monkeypatch):
+    reports, write = [], cli.dump_report
+
+    def capture(report):
+        reports.append(report)
+        return write(report)
+
+    monkeypatch.setattr(cli, "dump_report", capture)
+    expected = golden.load_golden("symbolic-sums")
+    scenario, out = tmp_path / "scenario.json", tmp_path / "report.json"
+    replayed = 0
+    for position, (_, _, members) in enumerate(workloads.positions("symbolic-sums")):
+        for member in MEMBERS[:members]:
+            (case,) = workloads.member_cases("symbolic-sums", position, member)
+            scenario.write_bytes(case.scenario_bytes())
+            code = main([case.command, str(scenario), *case.flags, "--out", str(out)])
+            text = out.read_text(encoding="utf-8")
+            assert text == reference(reports.pop()), case.key
+            fields = golden.exact_fields(case.command, code, json.loads(text))
+            assert golden.field_mismatches(expected[case.key]["fields"], fields) == [], case.key
+            replayed += 1
+    assert replayed == 88 and not reports

@@ -31,6 +31,7 @@ from hcspec.spectra import (
     OracleBudgetError,
     Point,
     SpectralSet,
+    covered_by_progression,
     enumerate_below,
     essential_part,
     find_uncovered,
@@ -317,6 +318,14 @@ def test_the_trusted_constructor_keeps_its_atoms_in_order(xs):
     s = SpectralSet(tuple(xs))
     assert len(s.atoms) == len(xs) and all(got is want for got, want in zip(s.atoms, xs))
     assert SpectralSet(reversed(xs)).atoms == tuple(reversed(xs))
+
+
+@_PROPERTY_SETTINGS
+@given(_ATOM_LISTS, st.integers(-3, 40))
+def test_an_int_query_answers_as_its_fraction(xs, value):
+    s = normalize(xs)
+    for query in (multiplicity_at, covered_by_progression, SpectralSet.contains):
+        assert query(s, value) == query(s, Fraction(value)), query.__name__
 
 
 def test_equal_sets_share_their_lattice():
