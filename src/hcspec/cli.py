@@ -30,6 +30,7 @@ from .jointspec import (
 from .numerics import (
     DEFAULT_TOL,
     KRONECKER_DIM_CAP,
+    MATCH_GAP,
     NotHermitianError,
     Tolerance,
 )
@@ -53,8 +54,6 @@ from .spectra import (
     minkowski_sum,
     union,
 )
-
-_MATCH_GAP = 1e-7
 
 
 def _require(payload: dict, field: str, command: str):
@@ -104,17 +103,11 @@ def _cmd_hodge(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
     complex_ = parse_finite_complex(scenario.payload, "$.payload")
     ok = complexes.validate(complex_, tol).passed
     per_degree = {}
+    passed = ok
     for degree in complex_.degrees:
         split = complexes.hodge(complex_, degree, tol)
-        per_degree[str(degree)] = {
-            "harmonic_dim": split.harmonic_dim,
-            "residuals": complexes.hodge_residuals(split),
-        }
-    passed = ok and all(
-        r <= tol.identity_check
-        for entry in per_degree.values()
-        for r in entry["residuals"].values()
-    )
+        per_degree[str(degree)] = {"harmonic_dim": split.harmonic_dim, "residuals": split.report.residuals}
+        passed = passed and split.report.passed
     return {"degrees": per_degree, "validated": ok}, passed
 
 
@@ -122,15 +115,12 @@ def _cmd_identities(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, boo
     complex_ = parse_finite_complex(scenario.payload, "$.payload")
     ok = complexes.validate(complex_, tol).passed
     per_degree = {}
-    all_passed = ok
+    passed = ok
     for degree in complex_.degrees:
         report = complexes.check_identities(complex_, degree, tol)
-        per_degree[str(degree)] = {
-            "residuals": dict(report.residuals),
-            "passed": report.passed,
-        }
-        all_passed = all_passed and report.passed
-    return {"degrees": per_degree, "validated": ok}, all_passed
+        per_degree[str(degree)] = {"residuals": report.residuals, "passed": report.passed}
+        passed = passed and report.passed
+    return {"degrees": per_degree, "validated": ok}, passed
 
 
 def _cmd_tensor(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
@@ -143,7 +133,7 @@ def _cmd_tensor(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
     worst_gap = 0.0
     matches_ok = True
     for degree in product.degrees:
-        match = tensorprod.verify_product_spectrum(left, right, product, degree, tol, _MATCH_GAP)
+        match = tensorprod.verify_product_spectrum(left, right, product, degree, tol)
         matches[str(degree)] = {"max_gap": match.max_gap, "passed": match.passed}
         worst_gap = max(worst_gap, match.max_gap)
         matches_ok = matches_ok and match.passed
@@ -250,10 +240,10 @@ def _cmd_joint(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
         "joint_points": [[lam, mu] for lam, mu in points.pairs],
     }
     gap = cartesian_gap(tensor_pair_spectrum(t, s, tol, args.max_dim), t, s)
-    results["tensor_pair"] = {"cartesian_gap": gap, "passed": gap <= _MATCH_GAP}
-    passed = gap <= _MATCH_GAP
+    passed = gap <= MATCH_GAP
+    results["tensor_pair"] = {"cartesian_gap": gap, "passed": passed}
     try:
-        sum_report = sum_operator_check(t, s, tol, _MATCH_GAP, args.max_dim)
+        sum_report = sum_operator_check(t, s, tol, args.max_dim)
         results["sum_operator"] = {
             "max_gap": sum_report.max_gap,
             "symbolic_max_gap": sum_report.symbolic_max_gap,

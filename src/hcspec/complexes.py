@@ -6,6 +6,10 @@ outside the window are zero spaces.  On top of that this module provides the
 Laplacians, the Hodge decomposition, cohomology dimensions, the norm-minimal
 solution operator, the inverse-of-Laplacian, and the operator identities that
 tie them together, all as checkable dense-matrix statements.
+
+One residual report, :class:`ResidualReport`, judges the cochain condition,
+the operator identities and the Hodge projector algebra: each passes when
+every max-norm residual is within ``tol.identity_check``, and a NaN fails.
 """
 
 from __future__ import annotations
@@ -118,14 +122,21 @@ class FiniteComplex:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    """Max-norm residuals of ``d_{i+1} d_i`` per degree."""
+class ResidualReport:
+    """Max-norm residuals of a set of identities, by name or degree, and
+    whether all of them hold within tolerance."""
 
-    residuals: Mapping[int, float]
+    residuals: Mapping
     passed: bool
 
+    @classmethod
+    def judge(cls, residuals: Mapping, tol: Tolerance) -> "ResidualReport":
+        """The report whose ``passed`` says every residual is at most
+        ``tol.identity_check``; a NaN residual fails."""
+        return cls(residuals, all(r <= tol.identity_check for r in residuals.values()))
 
-def validate(complex_: FiniteComplex, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
+
+def validate(complex_: FiniteComplex, tol: Tolerance = DEFAULT_TOL) -> ResidualReport:
     """Check the cochain condition ``d o d = 0`` within ``tol.identity_check``.
 
     Raises ``NonFiniteError`` when a composite overflows, since no residual
@@ -140,16 +151,10 @@ def validate(complex_: FiniteComplex, tol: Tolerance = DEFAULT_TOL) -> Validatio
         if not math.isfinite(residual):
             raise NonFiniteError(f"d o d overflows at degree {degree}")
         residuals[degree] = residual
-    passed = all(r <= tol.identity_check for r in residuals.values())
-    return ValidationReport(residuals, passed)
+    return ResidualReport.judge(residuals, tol)
 
 
-def random_complex(
-    dims: tuple[int, ...] | list[int],
-    seed: int,
-    lo: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-) -> FiniteComplex:
+def random_complex(dims: tuple[int, ...] | list[int], seed: int, lo: int = 0) -> FiniteComplex:
     """Deterministic random complex with ``d o d = 0`` enforced by construction.
 
     Each differential is a complex Gaussian draw composed with the projection
@@ -158,7 +163,7 @@ def random_complex(
     factored form, through an orthonormal basis of the complement (the left
     singular vectors of the previous differential past its rank), so the
     constructed matrix has no stray singular values straddling the rank
-    cutoff.
+    cutoff at the default tolerance.
     """
     dims = tuple(int(d) for d in dims)
     rng = np.random.default_rng(seed)
@@ -167,7 +172,7 @@ def random_complex(
     for offset in range(len(dims) - 1):
         rows, cols = dims[offset + 1], dims[offset]
         if previous is not None and previous.size:
-            _, rank, u, _ = _svd(previous, tol, vectors=True)
+            _, rank, u, _ = _svd(previous, DEFAULT_TOL, vectors=True)
             complement = u[:, rank:]
         else:
             complement = np.eye(cols, dtype=np.complex128)
@@ -196,13 +201,15 @@ def _laplacian_any(complex_: FiniteComplex, degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HodgeSplit:
-    """The three orthogonal projectors of the Hodge decomposition at one degree."""
+    """The three orthogonal projectors of the Hodge decomposition at one
+    degree, and the report on their algebra (see :func:`hodge`)."""
 
     degree: int
     p_harmonic: np.ndarray
     p_range_d: np.ndarray
     p_range_dstar: np.ndarray
     harmonic_dim: int
+    report: ResidualReport
 
 
 def _kernel_mask(values: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -238,35 +245,35 @@ def _rank(complex_: FiniteComplex, degree: int, tol: Tolerance) -> int:
 
 
 def hodge(complex_: FiniteComplex, degree: int, tol: Tolerance = DEFAULT_TOL) -> HodgeSplit:
-    """Split ``H_i`` into harmonic space, range of d, and range of d-star."""
+    """Split ``H_i`` into harmonic space, range of d, and range of d-star.
+
+    The split's ``report`` judges the projector algebra at ``tol``: its
+    residuals ``sum_minus_identity`` (``P_harm + P_d + P_d* - I``) and
+    ``pairwise_products`` (the largest product of two different
+    projectors), both 0 on a zero space.
+    """
     complex_._require_degree(degree)
     delta = _laplacian_any(complex_, degree)
-    n = delta.shape[0]
-    if n == 0:
-        empty = zero_matrix(0, 0)
-        return HodgeSplit(degree, empty, empty, empty, 0)
-    dec = hermitian_eig(delta, tol)
-    kernel = dec.vectors[:, _kernel_mask(np.clip(dec.eigenvalues, 0.0, None), tol)]
-    p_harm = kernel @ kernel.conj().T
-    p_range_d = range_projection(complex_.differential(degree - 1), tol)
-    p_range_dstar = range_projection(complex_.differential(degree).conj().T, tol)
-    return HodgeSplit(degree, p_harm, p_range_d, p_range_dstar, kernel.shape[1])
+    p_harm = p_range_d = p_range_dstar = zero_matrix(0, 0)  # on a zero space
+    harmonic_dim = 0
+    if delta.shape[0]:
+        dec = hermitian_eig(delta, tol)
+        kernel = dec.vectors[:, _kernel_mask(np.clip(dec.eigenvalues, 0.0, None), tol)]
+        p_harm = kernel @ kernel.conj().T
+        harmonic_dim = kernel.shape[1]
+        p_range_d = range_projection(complex_.differential(degree - 1), tol)
+        p_range_dstar = range_projection(complex_.differential(degree).conj().T, tol)
+    report = ResidualReport.judge(_projector_residuals(p_harm, p_range_d, p_range_dstar), tol)
+    return HodgeSplit(degree, p_harm, p_range_d, p_range_dstar, harmonic_dim, report)
 
 
-def hodge_residuals(split: HodgeSplit) -> dict[str, float]:
-    """Max-norm residuals of the projector algebra of one Hodge split.
-
-    ``sum_minus_identity`` measures ``P_harm + P_d + P_d* - I``, and
-    ``pairwise_products`` the largest product of two different projectors.
-    Both are 0 on a zero space.
-    """
-    total = split.p_harmonic + split.p_range_d + split.p_range_dstar
+def _projector_residuals(p_harm: np.ndarray, p_d: np.ndarray, p_dstar: np.ndarray) -> dict[str, float]:
+    """The residuals of the projector algebra reported by :func:`hodge`."""
+    total = p_harm + p_d + p_dstar
     return {
         "sum_minus_identity": max_abs(total - np.eye(total.shape[0])),
         "pairwise_products": max(
-            max_abs(split.p_harmonic @ split.p_range_d),
-            max_abs(split.p_harmonic @ split.p_range_dstar),
-            max_abs(split.p_range_d @ split.p_range_dstar),
+            max_abs(p_harm @ p_d), max_abs(p_harm @ p_dstar), max_abs(p_d @ p_dstar)
         ),
     }
 
@@ -330,17 +337,9 @@ def _pseudo_inverse(complex_: FiniteComplex, kind: str, degree: int, tol: Tolera
     return complex_._memo[key]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Max-norm residuals of the operator identities linking S, N, and d."""
-
-    residuals: Mapping[str, float]
-    passed: bool
-
-
 def check_identities(
     complex_: FiniteComplex, degree: int, tol: Tolerance = DEFAULT_TOL
-) -> IdentityReport:
+) -> ResidualReport:
     """Residuals of the standard identities at one degree.
 
     Checks, in max-norm: ``S = d* N``; the projection formula
@@ -351,6 +350,7 @@ def check_identities(
     per-complex memo, so the identities at degrees ``i`` and ``i + 1`` share
     each pseudo-inverse; ``S`` and ``N`` themselves stay separate
     computations, so every identity still compares two independent sides.
+    The report judges the four residuals at ``tol``.
     """
     d_prev = complex_.differential(degree - 1)
     d_here = complex_.differential(degree)
@@ -369,8 +369,7 @@ def check_identities(
             n_here - (s_here.conj().T @ s_here + s_up @ s_up.conj().T)
         ),
     }
-    passed = all(r <= tol.identity_check for r in residuals.values())
-    return IdentityReport(residuals, passed)
+    return ResidualReport.judge(residuals, tol)
 
 
 def spectrum_multiset(

@@ -20,6 +20,7 @@ from .dbar import (
     neumann_compactness,
     riemann_surface_product_report,
 )
+from .numerics import MATCH_GAP
 from .spectra import (
     AP,
     EMPTY,
@@ -27,10 +28,9 @@ from .spectra import (
     OperatorSpectrum,
     Point,
     SpectralSet,
-    _lattice,
-    _on_lattice,
-    find_uncovered,
+    enumerate_below,
     is_infinite,
+    is_subset,
     is_subset_of_zero,
     minkowski_oracle_check,
     minkowski_sum,
@@ -39,8 +39,9 @@ from .spectra import (
 )
 
 
-def random_rational(rnd: random.Random, max_numerator: int = 10) -> Fraction:
-    return Fraction(rnd.randrange(0, max_numerator + 1), rnd.choice((1, 1, 2, 3)))
+def random_rational(rnd: random.Random) -> Fraction:
+    """``k / d`` with ``k`` in ``0..10`` and ``d`` in ``1..3``."""
+    return Fraction(rnd.randrange(0, 11), rnd.choice((1, 1, 2, 3)))
 
 
 def random_step(rnd: random.Random) -> Fraction:
@@ -53,34 +54,27 @@ def random_mult(rnd: random.Random, infinite_chance: float = 0.25):
     return rnd.randint(1, 3)
 
 
-def random_atom(rnd: random.Random, infinite_chance: float = 0.25):
+def random_atom(rnd: random.Random):
+    """A point or a progression of :func:`random_mult` multiplicity."""
     if rnd.random() < 0.5:
-        return Point(random_rational(rnd), random_mult(rnd, infinite_chance))
-    return AP(random_rational(rnd), random_step(rnd), random_mult(rnd, infinite_chance))
+        return Point(random_rational(rnd), random_mult(rnd))
+    return AP(random_rational(rnd), random_step(rnd), random_mult(rnd))
 
 
-def random_spectral_set(
-    rnd: random.Random,
-    max_atoms: int = 3,
-    allow_empty: bool = True,
-    infinite_chance: float = 0.25,
-) -> SpectralSet:
-    count = rnd.randint(0 if allow_empty else 1, max_atoms)
-    return normalize(random_atom(rnd, infinite_chance) for _ in range(count))
+def random_spectral_set(rnd: random.Random, allow_empty: bool = True) -> SpectralSet:
+    """The normalized set of at most three :func:`random_atom` draws."""
+    count = rnd.randint(0 if allow_empty else 1, 3)
+    return normalize(random_atom(rnd) for _ in range(count))
 
 
-def random_operator_spectrum(
-    rnd: random.Random,
-    nondegenerate: bool = False,
-    infinite_chance: float = 0.25,
-) -> OperatorSpectrum:
-    spectrum = random_spectral_set(
-        rnd, allow_empty=not nondegenerate, infinite_chance=infinite_chance
-    )
+def random_operator_spectrum(rnd: random.Random, nondegenerate: bool = False) -> OperatorSpectrum:
+    """A random spectral set, with a nonzero value when ``nondegenerate``,
+    and at chance 0.25 an asserted essential part."""
+    spectrum = random_spectral_set(rnd, allow_empty=not nondegenerate)
     if nondegenerate:
         # Guarantee a value other than 0.
         spectrum = normalize(
-            (*spectrum.atoms, AP(random_rational(rnd), random_step(rnd), random_mult(rnd, infinite_chance)))
+            (*spectrum.atoms, AP(random_rational(rnd), random_step(rnd), random_mult(rnd)))
         )
     if rnd.random() < 0.25 and not spectrum.is_empty():
         asserted = normalize(
@@ -90,32 +84,25 @@ def random_operator_spectrum(
     return OperatorSpectrum(spectrum)
 
 
-def random_spectral_model(
-    rnd: random.Random, max_degree: int = 2, infinite_chance: float = 0.25
-) -> DbarFactorModel:
-    """A Hilbert complex graded by ``q`` in ``0..max_degree``, as the ``(0, q)``
-    row of a factor model: spectra with a positive value on degrees
-    ``0..top``, zero spaces above."""
-    top = rnd.randint(0, max_degree)
+def random_spectral_model(rnd: random.Random) -> DbarFactorModel:
+    """A Hilbert complex graded by ``q`` in ``0..2``, as the ``(0, q)`` row of
+    a factor model: spectra with a positive value on degrees ``0..top``,
+    zero spaces above."""
+    top = rnd.randint(0, 2)
     row = {
-        (0, degree): random_operator_spectrum(
-            rnd, nondegenerate=True, infinite_chance=infinite_chance
-        )
+        (0, degree): random_operator_spectrum(rnd, nondegenerate=True)
         if degree <= top
         else OperatorSpectrum(EMPTY)
-        for degree in range(max_degree + 1)
+        for degree in range(3)
     }
-    return DbarFactorModel(
-        name="row", complex_dimension=max_degree, box_spectrum=row, closed_range=True
-    )
+    return DbarFactorModel(name="row", complex_dimension=2, box_spectrum=row, closed_range=True)
 
 
-def random_positive_spectral_set(
-    rnd: random.Random, max_atoms: int = 2, infinite_chance: float = 0.2
-) -> SpectralSet:
-    """Nonempty set of strictly positive values (no kernel contamination)."""
+def random_positive_spectral_set(rnd: random.Random, infinite_chance: float = 0.2) -> SpectralSet:
+    """Nonempty set of strictly positive values (no kernel contamination),
+    from one or two atoms."""
     atoms = []
-    for _ in range(rnd.randint(1, max_atoms)):
+    for _ in range(rnd.randint(1, 2)):
         value = Fraction(rnd.randrange(1, 11), rnd.choice((1, 1, 2)))
         if rnd.random() < 0.5:
             atoms.append(Point(value, random_mult(rnd, infinite_chance)))
@@ -201,11 +188,12 @@ def sets_semantically_equal(a: SpectralSet, b: SpectralSet, cutoff: Fraction) ->
     incomparable ways.  Mutual containment plus class agreement is the honest
     equality for such sets.
     """
-    if find_uncovered(a, b) is not None or find_uncovered(b, a) is not None:
+    if not (is_subset(a, b) and is_subset(b, a)):
         return False
-    _, _, sides = _on_lattice({"lhs": a, "rhs": b}, cutoff)
-    (a_index, _, a_infinite), (b_index, _, b_infinite) = (_lattice(p) for p, _ in sides)
-    return np.array_equal(a_index, b_index) and np.array_equal(a_infinite, b_infinite)
+    a_classes, b_classes = (
+        [(value, is_infinite(mult)) for value, mult in enumerate_below(s, cutoff)] for s in (a, b)
+    )
+    return a_classes == b_classes
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +211,10 @@ class SuiteResult:
         return not self.failures
 
 
-def run_complex_suite(seed: int, cases: int, bound: float = 1e-8) -> SuiteResult:
-    """Cochain validity, Hodge projector algebra, and operator identities."""
+def run_complex_suite(seed: int, cases: int) -> SuiteResult:
+    """Cochain validity, Hodge projector algebra, and operator identities,
+    each as judged by its report from :mod:`complexes` at the default
+    tolerance."""
     rnd = random.Random(seed)
     failures = []
     for case in range(cases):
@@ -234,18 +224,14 @@ def run_complex_suite(seed: int, cases: int, bound: float = 1e-8) -> SuiteResult
             failures.append(f"case {case}: cochain validation failed for dims {dims}")
             continue
         for degree in complex_.degrees:
-            report = complexes.check_identities(complex_, degree)
-            if any(r > bound for r in report.residuals.values()):
-                failures.append(
-                    f"case {case}: identity residuals {report.residuals} at degree {degree}"
-                )
-            split = complexes.hodge(complex_, degree)
-            hodge_residual = max(complexes.hodge_residuals(split).values())
-            if hodge_residual > bound:
-                failures.append(
-                    f"case {case}: Hodge projector residual {hodge_residual:.2e} "
-                    f"at degree {degree}"
-                )
+            for what, report in (
+                ("identity", complexes.check_identities(complex_, degree)),
+                ("Hodge projector", complexes.hodge(complex_, degree).report),
+            ):
+                if not report.passed:
+                    failures.append(
+                        f"case {case}: {what} residuals {report.residuals} at degree {degree}"
+                    )
     return SuiteResult("complexes", cases, tuple(failures))
 
 
@@ -300,10 +286,9 @@ def run_verdict_suite(seed: int, cases: int, cutoff: Fraction = Fraction(100)) -
         right = random_spectral_model(rnd)
         degree = rnd.randint(0, 4)
         verdict = neumann_compactness(left, right, 0, degree)
-        sets = {"essential": verdict.essential_spectrum, "spectrum": verdict.spectrum}
-        scale, _, sides = _on_lattice(sets, cutoff)
-        essential, spectrum = (_lattice(p)[0] for p, _ in sides)
-        outside = [Fraction(int(i), scale) for i in np.setdiff1d(essential, spectrum)]
+        inside = {value for value, _ in enumerate_below(verdict.spectrum, cutoff)}
+        essential = enumerate_below(verdict.essential_spectrum, cutoff)
+        outside = [value for value, _ in essential if value not in inside]
         if outside:
             failures.append(f"case {case}: essential value {outside[0]} not in spectrum")
         pairs = [
@@ -433,8 +418,9 @@ def run_surface_product_suite(seed: int, cases: int) -> SuiteResult:
     return SuiteResult("surface-products", cases, tuple(failures))
 
 
-def run_joint_suite(seed: int, cases: int, gap: float = 1e-7) -> SuiteResult:
-    """Joint spectra of tensored pairs and the sum-operator identity."""
+def run_joint_suite(seed: int, cases: int) -> SuiteResult:
+    """Joint spectra of tensored pairs and the sum-operator identity, every
+    gap held to ``MATCH_GAP``."""
     from .jointspec import (
         cartesian_gap,
         pairing_gap,
@@ -461,7 +447,7 @@ def run_joint_suite(seed: int, cases: int, gap: float = 1e-7) -> SuiteResult:
         t = random_normal_matrix(nt)
         s = random_normal_matrix(ns)
         cart_gap = cartesian_gap(tensor_pair_spectrum(t, s), t, s)
-        if cart_gap > gap:
+        if not cart_gap <= MATCH_GAP:
             failures.append(f"case {case}: Cartesian pairing gap {cart_gap:.2e}")
 
         nt = int(rng.integers(1, 9))
@@ -481,7 +467,7 @@ def run_joint_suite(seed: int, cases: int, gap: float = 1e-7) -> SuiteResult:
         map_gap = pairing_gap(
             [(z, 0j) for z in mapped], [(z, 0j) for z in assembled]
         )
-        if map_gap > gap:
+        if not map_gap <= MATCH_GAP:
             failures.append(f"case {case}: mapping vs assembly gap {map_gap:.2e}")
     return SuiteResult("joint", cases, tuple(failures))
 

@@ -60,14 +60,14 @@ class LadderSpectrum:
     level_counts: dict[int, int]
 
 
-def _group_levels(eigenvalues: np.ndarray, atol: float = 1e-8) -> dict[int, int]:
+def _group_levels(eigenvalues: np.ndarray) -> dict[int, int]:
+    """Eigenvalue counts per integer level; each eigenvalue must lie within
+    1e-8 of its level."""
     counts: dict[int, int] = {}
     for value in eigenvalues:
         level = round(float(value))
-        if abs(float(value) - level) > atol:
-            raise ArithmeticError(
-                f"eigenvalue {value!r} is not within {atol} of an integer level"
-            )
+        if not abs(float(value) - level) <= 1e-8:
+            raise ArithmeticError(f"eigenvalue {value!r} is not within 1e-08 of an integer level")
         counts[level] = counts.get(level, 0) + 1
     return counts
 

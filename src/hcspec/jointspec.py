@@ -32,7 +32,9 @@ from .errors import ToolkitError
 from .numerics import (
     DEFAULT_TOL,
     KRONECKER_DIM_CAP,
+    MATCH_GAP,
     EigenDecomposition,
+    NonFiniteError,
     Tolerance,
     _gated_eigh,
     as_complex_matrix,
@@ -82,24 +84,36 @@ class CommutingPair:
     commutator_norm: float
 
 
+def _commutator_norm(x: np.ndarray, y: np.ndarray, what: str) -> float:
+    """Max-norm of ``x y - y x``, formed without overflow warnings; raises
+    ``NonFiniteError`` naming ``what`` when it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = max_abs(x @ y - y @ x)
+    if not np.isfinite(norm):
+        raise NonFiniteError(f"the {what} overflows")
+    return norm
+
+
 def _check_normal(t: np.ndarray, s: np.ndarray, tol: Tolerance) -> None:
     """Both matrices square and normal within tolerance."""
     if t.shape[0] != t.shape[1] or s.shape[0] != s.shape[1]:
         raise PairShapeError(f"both matrices must be square: {t.shape} and {s.shape}")
     for name, m in (("first", t), ("second", s)):
-        if max_abs(m @ m.conj().T - m.conj().T @ m) > tol.identity_check:
+        residual = _commutator_norm(m, m.conj().T, f"normality residual of the {name} matrix")
+        if not residual <= tol.identity_check:
             raise NotNormalError(f"{name} matrix is not normal within tolerance")
 
 
 def check_pair(t, s, tol: Tolerance = DEFAULT_TOL) -> CommutingPair:
-    """Validate normality of both matrices and their commutation."""
+    """Validate normality of both matrices and their commutation; a residual
+    that overflows is a ``NonFiniteError``."""
     t = as_complex_matrix(t)
     s = as_complex_matrix(s)
     _check_normal(t, s, tol)
     if t.shape != s.shape:
         raise PairShapeError(f"size mismatch: {t.shape} vs {s.shape}")
-    commutator = max_abs(t @ s - s @ t)
-    if commutator > tol.identity_check:
+    commutator = _commutator_norm(t, s, "commutator")
+    if not commutator <= tol.identity_check:
         raise NotCommutingError(
             f"commutator max-norm {commutator:.3e} exceeds {tol.identity_check:.3e}"
         )
@@ -297,20 +311,20 @@ def spectral_mapping(
     return tuple(sorted(values, key=lambda z: (z.real, z.imag)))
 
 
-def pairing_gap(left, right, decimals: int = 8) -> float:
+def pairing_gap(left, right) -> float:
     """Largest componentwise distance between two pair multisets.
 
     Both sides (sequences or ``(k, 2)`` arrays of complex pairs) are sorted
-    lexicographically by the rounded (Re, Im) of the first then second
-    component, stably, so the gap is meaningful for multisets that agree up
-    to small perturbations.  Returns infinity on a length mismatch.
+    lexicographically by the (Re, Im) of the first then second component,
+    rounded to 8 decimals, stably, so the gap is meaningful for multisets
+    that agree up to small perturbations.  Returns infinity on a length mismatch.
     """
     if len(left) != len(right):
         return float("inf")
 
     def ordered(pairs) -> np.ndarray:
         z = np.asarray(pairs, dtype=np.complex128).reshape(-1, 2)
-        keys = np.round([z[:, 1].imag, z[:, 1].real, z[:, 0].imag, z[:, 0].real], decimals)
+        keys = np.round([z[:, 1].imag, z[:, 1].real, z[:, 0].imag, z[:, 0].real], 8)
         return z[np.lexsort(keys)]
 
     diff = ordered(left) - ordered(right)
@@ -346,7 +360,6 @@ def sum_operator_check(
     t,
     s,
     tol: Tolerance = DEFAULT_TOL,
-    gap: float = 1e-7,
     dim_cap: int = KRONECKER_DIM_CAP,
 ) -> SumOperatorReport:
     """Verify the sum-operator spectrum two ways for Hermitian PSD inputs.
@@ -354,7 +367,8 @@ def sum_operator_check(
     Numerically: the assembled operator's eigenvalues must match all pairwise
     sums of factor eigenvalues after sorting.  Symbolically: spectral sets
     built from the factor eigenvalue multisets must reproduce the same values
-    through the exact Minkowski sum.
+    through the exact Minkowski sum.  Both gaps must be at most
+    ``MATCH_GAP``.
     """
     t = as_complex_matrix(t)
     s = as_complex_matrix(s)
@@ -385,7 +399,7 @@ def sum_operator_check(
         symbolic_gap = max(
             (abs(float(x) - y) for x, y in zip(eigenvalues, listed)), default=0.0
         )
-    passed = max_gap <= gap and symbolic_gap <= gap
+    passed = max_gap <= MATCH_GAP and symbolic_gap <= MATCH_GAP
     return SumOperatorReport(
         tuple(float(v) for v in eigenvalues),
         tuple(expected),

@@ -21,6 +21,11 @@ from .errors import ToolkitError
 # Kronecker outputs larger than this (rows or columns) are refused.
 KRONECKER_DIM_CAP = 4096
 
+# Largest gap at which two eigenvalue multisets, paired in sorted order, count
+# as one: every product, sum-operator and joint spectrum comparison passes on
+# ``gap <= MATCH_GAP``, which a NaN fails.
+MATCH_GAP = 1e-7
+
 _EPS = float(np.finfo(np.float64).eps)
 
 # Bound of the values-only eigen gate, in units of N * eps * ||A||_F (trace)

@@ -418,7 +418,8 @@ def _parse_bidegree_key(key: str, path: str) -> tuple[int, int]:
 
 def json_ready(value: Any) -> Any:
     """Recursively convert report values into JSON-serializable data; an
-    infinite float, also a complex or matrix part, becomes ``"inf"``."""
+    infinite float, also a complex or matrix part, becomes ``"inf"`` or
+    ``"-inf"``."""
     if isinstance(value, dict):
         return {str(k): json_ready(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -438,7 +439,7 @@ def json_ready(value: Any) -> Any:
     if isinstance(value, np.floating):
         value = float(value)
     if isinstance(value, float) and math.isinf(value):
-        return "inf"
+        return float.__repr__(value)
     return value
 
 
@@ -448,8 +449,8 @@ def dump_report(report: dict) -> str:
     The text is ``json.dumps(json_ready(report), sort_keys=True, indent=2)``
     and a newline, written in one pass over the report: keys are converted
     by ``str`` and sorted, strings ASCII-escaped, an infinite float is
-    ``"inf"``, and spectral sets are written straight from their keys.
-    Leaves the pass does not know go through ``json_ready``.  A NaN, or a
+    ``"inf"`` or ``"-inf"``, and spectral sets are written straight from
+    their keys.  Leaves the pass does not know go through ``json_ready``.  A NaN, or a
     rational no report can print, raises ``UnprintableResultError`` before
     any text is returned.
     """
@@ -475,7 +476,8 @@ def _write(value: Any, out: list[str], newline: str) -> None:
     elif isinstance(value, float):
         if value != value:
             raise UnprintableResultError("a result is NaN")
-        out.append('"inf"' if math.isinf(value) else float.__repr__(value))
+        text = float.__repr__(value)
+        out.append(f'"{text}"' if math.isinf(value) else text)
     elif isinstance(value, dict):
         _write_items(sorted({str(k): v for k, v in value.items()}.items()), "{}", out, newline)
     elif isinstance(value, (list, tuple)):

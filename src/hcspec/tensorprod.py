@@ -23,6 +23,7 @@ from .complexes import (
 from .numerics import (
     DEFAULT_TOL,
     KRONECKER_DIM_CAP,
+    MATCH_GAP,
     SizeOverflowError,
     Tolerance,
     kronecker,
@@ -108,20 +109,17 @@ def tensor_complex(
     return FiniteComplex(lo, dims, differentials), indexes
 
 
-def product_laplacian_blocks(
-    a: FiniteComplex, b: FiniteComplex, degree: int, dim_cap: int = KRONECKER_DIM_CAP
-) -> dict[tuple[int, int], np.ndarray]:
+def product_laplacian_blocks(a: FiniteComplex, b: FiniteComplex, degree: int) -> dict[tuple[int, int], np.ndarray]:
     """Per-block product Laplacians ``Delta_j (x) I + I (x) Delta'_k``.
 
     Assembling these along the diagonal in the recorded block order equals the
     Laplacian of the assembled product complex; the cross terms cancel.
+    Blocks are held to ``KRONECKER_DIM_CAP``.
     """
     index = _block_index(a, b, degree)
     blocks: dict[tuple[int, int], np.ndarray] = {}
     for block in index.blocks:
-        blocks[(block.j, block.k)] = kronecker_sum(
-            laplacian(a, block.j), laplacian(b, block.k), dim_cap
-        )
+        blocks[(block.j, block.k)] = kronecker_sum(laplacian(a, block.j), laplacian(b, block.k))
     return blocks
 
 
@@ -171,12 +169,12 @@ def verify_product_spectrum(
     product: FiniteComplex,
     degree: int,
     tol: Tolerance = DEFAULT_TOL,
-    gap: float = 1e-7,
 ) -> SpectrumMatchReport:
     """Check that the product Laplacian's eigenvalue multiset at ``degree``
     equals the multiset union over ``j + k = degree`` of pairwise sums of
-    factor eigenvalues, by greedy matching after sorting.  ``product`` is
-    the complex :func:`tensor_complex` built from ``a`` and ``b``."""
+    factor eigenvalues, by greedy matching after sorting: it passes when the
+    largest gap is at most ``MATCH_GAP``.  ``product`` is the complex
+    :func:`tensor_complex` built from ``a`` and ``b``."""
     if product.lo <= degree <= product.hi:
         lhs = spectrum_multiset(product, degree, tol)
     else:
@@ -193,5 +191,5 @@ def verify_product_spectrum(
     if len(lhs) != len(rhs):
         return SpectrumMatchReport(degree, tuple(lhs), tuple(rhs), float("inf"), False)
     max_gap = max((abs(x - y) for x, y in zip(lhs, rhs)), default=0.0)
-    return SpectrumMatchReport(degree, tuple(lhs), tuple(rhs), max_gap, max_gap <= gap)
+    return SpectrumMatchReport(degree, tuple(lhs), tuple(rhs), max_gap, max_gap <= MATCH_GAP)
 

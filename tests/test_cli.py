@@ -2,14 +2,16 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hcspec import cli, dbar, spectra
+from hcspec import cli, complexes, dbar, spectra
 from hcspec.cli import main
 from hcspec.fuzzing import random_factor_model
 from hcspec.scenario import json_ready, parse_factor_model
@@ -241,6 +243,36 @@ def test_overflowing_cochain_composite_exits_2(tmp_path, capsys, command, payloa
     assert code == 2
     assert "NonFiniteError: d o d overflows at degree 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_overflowing_joint_pair_exits_2(tmp_path, capsys):
+    # the normality residual of t is Inf - Inf: NonFiniteError, no warning
+    t = [[1e300, 1e300], [1e300, 1e300]]
+    s = [[1e300, -1e300], [-1e300, 1e300]]
+    path, out = tmp_path / "huge.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"version": "1", "kind": "finite-pair", "payload": {"t": t, "s": s}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["joint", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "NonFiniteError: the normality residual of the first matrix overflows\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, expected", [((), 2), (("--csv",), 1)], ids=["json", "csv"])
+def test_hodge_with_nan_residuals_does_not_pass(monkeypatch, tmp_path, capsys, flags, expected):
+    # JSON refuses to print the NaN (exit 2); CSV prints it and fails (exit 1)
+    monkeypatch.setattr(
+        complexes, "_projector_residuals", lambda *projectors: {"sum_minus_identity": math.nan, "pairwise_products": 0.0}
+    )
+    out = tmp_path / "report"
+    code = main(["hodge", str(SCENARIOS / "chain.json"), "--out", str(out), *flags])
+    assert code == expected
+    if flags:
+        assert "degrees.0.residuals.sum_minus_identity,nan\n" in out.read_text()
+    else:
+        assert "UnprintableResultError" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

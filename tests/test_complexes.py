@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from hcspec import complexes
+from hcspec import complexes, fuzzing
 from hcspec.complexes import (
     DegreeOutOfRangeError,
     FiniteComplex,
@@ -347,3 +349,37 @@ def test_nondegenerate_spectra_exceed_zero():
                 continue
             values = spectrum_multiset(c, degree)
             assert values and max(values) > 1e-8
+
+
+def test_complex_suite_fails_nan_identity_residuals(monkeypatch):
+    # the suite reads the library's decision, and a NaN residual fails it
+    real = complexes.check_identities
+
+    def nan_residuals(complex_, degree, tol=DEFAULT_TOL):
+        names = real(complex_, degree, tol).residuals
+        return complexes.ResidualReport.judge({name: math.nan for name in names}, tol)
+
+    assert fuzzing.run_complex_suite(0, 3).passed
+    monkeypatch.setattr(complexes, "check_identities", nan_residuals)
+    result = fuzzing.run_complex_suite(0, 3)
+    assert not result.passed and all("identity residuals" in f for f in result.failures)
+
+
+def test_hodge_report_fails_nan_residuals(monkeypatch):
+    monkeypatch.setattr(
+        complexes, "_projector_residuals", lambda *projectors: {"sum_minus_identity": math.nan, "pairwise_products": 0.0}
+    )
+    assert not hodge(chain(), 0).report.passed
+    result = fuzzing.run_complex_suite(0, 3)
+    assert not result.passed and all("Hodge projector residuals" in f for f in result.failures)
+
+
+def test_one_report_type_judges_every_residual():
+    c = random_complex([2, 3, 2], seed=4)
+    reports = [validate(c), check_identities(c, 1), hodge(c, 1).report]
+    assert {type(report) for report in reports} == {complexes.ResidualReport}
+    assert all(report.passed for report in reports)
+    judge = complexes.ResidualReport.judge
+    assert judge({"at": 1e-8, "below": 0.0}, DEFAULT_TOL).passed
+    assert not judge({"above": 2e-8}, DEFAULT_TOL).passed
+    assert not judge({"nan": math.nan, "below": 0.0}, DEFAULT_TOL).passed

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcspec import jointspec, numerics
+from hcspec import fuzzing, jointspec, numerics
 from hcspec.jointspec import (
     EigenspaceSplitFailureError,
     NotCommutingError,
@@ -20,7 +21,7 @@ from hcspec.jointspec import (
     sum_operator_check,
     tensor_pair_spectrum,
 )
-from hcspec.numerics import NoConvergenceError, Tolerance, hermitian_eig
+from hcspec.numerics import NoConvergenceError, NonFiniteError, Tolerance, hermitian_eig
 from hcspec.spectra import Point, SpectralSet, minkowski_sum
 
 
@@ -424,3 +425,27 @@ def test_joint_spectrum_reproduces_gaussian_integer_diagonals(points, seed):
         got = joint_spectrum(check_pair(t, s))
     assert pairing_gap(got.pairs, points) <= 1e-7
     assert simdiag.call_count == 0
+
+
+@pytest.mark.parametrize("check", [check_pair, tensor_pair_spectrum])
+def test_overflowing_normality_residual_is_non_finite(check):
+    # t t* - t* t is Inf - Inf, a NaN that no tolerance test may pass
+    t = np.full((2, 2), 1e300)
+    s = np.array([[1e300, -1e300], [-1e300, 1e300]])
+    with pytest.raises(NonFiniteError, match="normality residual of the first matrix"):
+        check(t, s)
+
+
+def test_overflowing_commutator_is_non_finite():
+    # both normal with finite residuals, but t s - s t = diag(-2xy, 2xy) overflows
+    t = np.array([[0.0, 1.2e154], [1.2e154, 0.0]])
+    s = np.array([[0.0, 1.2e154], [-1.2e154, 0.0]])
+    with pytest.raises(NonFiniteError, match="commutator"):
+        check_pair(t, s)
+
+
+def test_joint_suite_fails_a_nan_cartesian_gap(monkeypatch):
+    assert fuzzing.run_joint_suite(0, 3).passed
+    monkeypatch.setattr(jointspec, "cartesian_gap", lambda points, t, s: math.nan)
+    result = fuzzing.run_joint_suite(0, 3)
+    assert not result.passed and all("Cartesian pairing gap" in f for f in result.failures)

@@ -123,6 +123,15 @@ def test_nan_is_refused_by_name(value):
         dump_report({"results": value})
 
 
+def test_negative_infinity_keeps_its_sign():
+    report = {"x": -math.inf, "y": math.inf, "z": complex(-math.inf, 1), "m": np.array([[complex(1, -math.inf)]])}
+    ready = json_ready(report)
+    assert ready == {"x": "-inf", "y": "inf", "z": ["-inf", 1.0], "m": [[[1.0, "-inf"]]]}
+    text = dump_report(report)
+    assert text == reference(report)
+    assert json.loads(text)["z"] == ["-inf", 1.0]
+
+
 def test_an_unknown_leaf_is_refused_as_json_does():
     with pytest.raises(TypeError, match="not JSON serializable"):
         dump_report({"results": object()})

@@ -7,6 +7,11 @@ walk is syntactic: a name counts as referenced when it is read as a bare
 name, read as an attribute, or imported by name anywhere in such a module.
 ``REFERENCE_TOOLS`` lists the exceptions, reference tools that the tests
 compare the package against.
+
+Likewise every defaulted parameter of a module-level function of the
+package must be passed, by position or by keyword, at some call site in the
+package, so that no option lives on that no caller sets; ``UNSET_DEFAULTS``
+lists the exceptions.
 """
 
 import ast
@@ -18,11 +23,20 @@ PACKAGE = Path(hcspec.__file__).parent
 
 #: Public names that only tests reach, with the reason each stays.
 REFERENCE_TOOLS = {
-    "enumerate_below": "lists a spectral set's values below a cutoff, the exact view tests compare sums and products with",
-    "is_subset": "exact containment, which tests use to check essential spectra against spectra",
     "product_laplacian_blocks": "the blockwise product Laplacian, the independent side of the tensor-build tests",
     "derive_catalogue_values": "regenerates the Gaussian catalogue constants from the ladder-operator oracle",
     "builtin_models": "the whole model catalogue, which criterion 6 and the README use",
+}
+
+
+#: ``module.function(parameter)`` defaults that no package call site passes,
+#: with the reason each stays.
+UNSET_DEFAULTS = {
+    "cli.main(argv)": "the entry point, which the console script calls without arguments",
+    "fuzzing.random_factor_model(infinite_chance)": "tests vary the chance of infinite multiplicities",
+    "gaussian_oracle.derive_catalogue_values(truncation)": "tests vary the truncation",
+    "fuzzing.run_spectra_suite(cutoff)": "run_kind_suites passes it through a variable",
+    "fuzzing.run_verdict_suite(cutoff)": "run_kind_suites passes it through a variable",
 }
 
 
@@ -74,3 +88,49 @@ def test_reference_tools_are_public_and_otherwise_unreached():
     # an entry that the package reaches, or that is gone, no longer needs
     # its exemption
     assert set(REFERENCE_TOOLS) <= set(_unreached())
+
+
+def _unset_defaults() -> set[str]:
+    """``module.function(parameter)`` for every defaulted parameter of a
+    module-level function that no call in the package passes.  Calls are
+    matched to functions by name, as ``f(...)`` or ``x.f(...)``."""
+    defaults: dict[str, list[tuple[str, str, int | None]]] = {}
+    passed: dict[str, list[tuple[int, set[str]]]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                entries = [(path.stem, arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+                entries += [
+                    (path.stem, arg.arg, None)
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None
+                ]
+                defaults.setdefault(node.name, []).extend(entries)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                keywords = {keyword.arg for keyword in node.keywords}
+                passed.setdefault(name, []).append((len(node.args), keywords))
+    return {
+        f"{module}.{function}({parameter})"
+        for function, entries in defaults.items()
+        for module, parameter, position in entries
+        if not any(
+            (position is not None and count > position) or parameter in keywords
+            for count, keywords in passed.get(function, [])
+        )
+    }
+
+
+def test_every_default_is_passed_somewhere_in_the_package():
+    unset = _unset_defaults() - set(UNSET_DEFAULTS)
+    assert not unset, f"defaulted parameters no package call site passes: {sorted(unset)}"
+
+
+def test_unset_default_exemptions_are_still_needed():
+    assert set(UNSET_DEFAULTS) <= _unset_defaults()
