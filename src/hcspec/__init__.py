@@ -3,11 +3,13 @@
 Layers, bottom up:
 
 - :mod:`hcspec.numerics`: dense complex-matrix kernels (Hermitian eig,
-  pseudo-inverse, Kronecker, projections, rank).
-- :mod:`hcspec.complexes`: finite Hilbert complexes, Laplacians, Hodge
-  splitting, solution operators, operator identities.
+  pseudo-inverse, Kronecker sums, projections, rank).
+- :mod:`hcspec.complexes`: finite Hilbert complexes (with an optional
+  product block layout), Laplacians, Hodge splitting, solution operators,
+  operator identities.
 - :mod:`hcspec.tensorprod`: tensor products of complexes, the blockwise
-  product Laplacian, Kuenneth counts, spectrum pairing checks.
+  product Laplacian and its block structure check, Kuenneth counts,
+  spectrum pairing checks.
 - :mod:`hcspec.spectra`: exact symbolic spectral sets (points and arithmetic
   progressions over the rationals), Minkowski sums, essential parts and the
   product formula.
@@ -29,6 +31,7 @@ from .complexes import (
     hodge,
     laplacian,
     laplacian_inverse,
+    off_block_residual,
     random_complex,
     solution_operator,
     spectrum_multiset,
@@ -56,7 +59,6 @@ from .numerics import (
     EigenDecomposition,
     Tolerance,
     hermitian_eig,
-    kronecker,
     numeric_rank,
     pseudo_inverse,
     range_projection,
@@ -78,6 +80,7 @@ from .spectra import (
 )
 from .tensorprod import (
     ProductBlockIndex,
+    block_structure_check,
     kuenneth_check,
     product_laplacian_blocks,
     tensor_complex,

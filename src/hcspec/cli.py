@@ -33,6 +33,7 @@ from .numerics import (
     MATCH_GAP,
     NotHermitianError,
     Tolerance,
+    nan_max,
 )
 from .scenario import (
     ParseError,
@@ -130,14 +131,15 @@ def _cmd_tensor(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
     validation = complexes.validate(product, tol)
     kuenneth = tensorprod.kuenneth_check(left, right, product, tol)
     matches = {}
-    worst_gap = 0.0
     matches_ok = True
     for degree in product.degrees:
         match = tensorprod.verify_product_spectrum(left, right, product, degree, tol)
         matches[str(degree)] = {"max_gap": match.max_gap, "passed": match.passed}
-        worst_gap = max(worst_gap, match.max_gap)
         matches_ok = matches_ok and match.passed
-    passed = validation.passed and kuenneth.passed and matches_ok
+    off_block = complexes.ResidualReport.judge(
+        {str(d): complexes.off_block_residual(product, d) for d in product.degrees}, tol
+    )
+    passed = validation.passed and kuenneth.passed and matches_ok and off_block.passed
     results = {
         "product_dims": list(product.dims),
         "product_lo": product.lo,
@@ -152,7 +154,8 @@ def _cmd_tensor(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
         },
         "kuenneth_passed": kuenneth.passed,
         "spectrum_match": matches,
-        "max_pairing_gap": worst_gap,
+        "max_pairing_gap": nan_max([m["max_gap"] for m in matches.values()]),
+        "off_block_residual": off_block.residuals,
     }
     return results, passed
 

@@ -10,6 +10,12 @@ tie them together, all as checkable dense-matrix statements.
 One residual report, :class:`ResidualReport`, judges the cochain condition,
 the operator identities and the Hodge projector algebra: each passes when
 every max-norm residual is within ``tol.identity_check``, and a NaN fails.
+
+A complex may carry a block layout (:class:`ProductBlockIndex` per degree),
+the grading of a tensor product: degree ``i`` is the direct sum over
+``j + k = i`` of blocks ``(j, k)``, and each differential sends block ``j``
+into blocks ``j`` and ``j + 1`` only.  Then the Laplacian of a degree can
+vanish off its diagonal blocks, and its spectrum is read block by block.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .numerics import (
     as_complex_matrix,
     hermitian_eig,
     max_abs,
+    nan_max,
     numeric_rank,
     pseudo_inverse,
     range_projection,
@@ -48,6 +55,37 @@ class InconsistentRankError(ToolkitError):
     """Kernel and rank-nullity cohomology counts disagree (tolerance trouble)."""
 
 
+@dataclass(frozen=True)
+class BlockSlot:
+    """One ``H_j (x) H'_k`` block inside a product degree."""
+
+    j: int
+    k: int
+    offset: int
+    size: int
+
+
+@dataclass(frozen=True)
+class ProductBlockIndex:
+    """Ordered block layout of one degree of the product complex: nonempty
+    blocks in ascending ``j``, each starting where the one before ends."""
+
+    degree: int
+    blocks: tuple[BlockSlot, ...]
+
+    def span(self, first: int, last: int) -> slice:
+        """The coordinates of the blocks with ``first <= j <= last``, which
+        are contiguous; empty when there are none."""
+        inside = [block for block in self.blocks if first <= block.j <= last]
+        if not inside:
+            return slice(0, 0)
+        return slice(inside[0].offset, inside[-1].offset + inside[-1].size)
+
+    @property
+    def total(self) -> int:
+        return sum(block.size for block in self.blocks)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteComplex:
     """Graded dimensions plus differentials ``d_i: H_i -> H_{i+1}``.
@@ -56,10 +94,16 @@ class FiniteComplex:
     is the zero map.  Shapes are validated on construction; the cochain
     condition ``d_{i+1} d_i = 0`` is checked by :func:`validate`.
 
+    ``layout``, when given, holds a :class:`ProductBlockIndex` for every
+    degree of the window.  Construction refuses a layout whose blocks do not
+    tile a degree, or that a differential does not respect: each column of
+    block ``j`` must vanish outside the rows of blocks ``j`` and ``j + 1``.
+
     Each object memoizes, keyed by ``(degree, tol)``, the numeric rank of
     each differential and the clipped Laplacian eigenvalues of each degree
     (values-only ``eigvalsh`` under the moment gate of :func:`hermitian_eig`,
-    no eigenvectors), which :func:`cohomology_dim` and
+    no eigenvectors; block by block under a layout, see
+    :func:`off_block_residual`), which :func:`cohomology_dim` and
     :func:`spectrum_multiset` read, and the pseudo-inverses of
     :func:`solution_operator` and :func:`laplacian_inverse`, which
     :func:`check_identities` reads at two adjacent degrees.  The memo lives
@@ -70,6 +114,7 @@ class FiniteComplex:
     lo: int
     dims: tuple[int, ...]
     differentials: Mapping[int, np.ndarray] = field(default_factory=dict)
+    layout: Mapping[int, ProductBlockIndex] | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -90,6 +135,34 @@ class FiniteComplex:
                 )
             cleaned[degree] = matrix
         object.__setattr__(self, "differentials", cleaned)
+        if self.layout is not None:
+            object.__setattr__(self, "layout", dict(self.layout))
+            self._check_layout()
+
+    def _check_layout(self) -> None:
+        if set(self.layout) != set(self.degrees):
+            raise ShapeMismatchError("a layout needs one block index per degree of the window")
+        for degree in self.degrees:
+            blocks = self.layout[degree].blocks
+            ends = [0, *(block.offset + block.size for block in blocks)]
+            if (
+                ends[-1] != self.dim(degree)
+                or any(block.offset != end or block.size <= 0 for block, end in zip(blocks, ends))
+                or any(block.j + block.k != degree for block in blocks)
+                or any(x.j >= y.j for x, y in zip(blocks, blocks[1:]))
+            ):
+                raise ShapeMismatchError(f"the layout does not tile degree {degree}")
+        for degree, matrix in self.differentials.items():
+            if not self.lo <= degree < self.hi:
+                continue  # a zero-size map
+            target = self.layout[degree + 1]
+            for block in self.layout[degree].blocks:
+                rows = target.span(block.j, block.j + 1)
+                cols = matrix[:, block.offset : block.offset + block.size]
+                if cols[: rows.start].any() or cols[rows.stop :].any():
+                    raise ShapeMismatchError(
+                        f"differential at degree {degree} leaves the blocks of its layout"
+                    )
 
     @property
     def hi(self) -> int:
@@ -224,15 +297,69 @@ def _laplacian_eigenvalues(complex_: FiniteComplex, degree: int, tol: Tolerance)
 
     They come from the values-only path of :func:`hermitian_eig`: its moment
     gate, and ``tol.eigen_residual`` met by the moments or else by the
-    measured residual of the vectors path."""
+    measured residual of the vectors path.  Under a layout that path runs on
+    each diagonal block, unless an off-block entry exceeds
+    ``tol.identity_check`` (a NaN does); then on the whole Laplacian."""
     key = ("eigenvalues", degree, tol)
     if key not in complex_._memo:
         values = np.zeros(0)
         if complex_.dim(degree):
-            dec = hermitian_eig(_laplacian_any(complex_, degree), tol, vectors=False)
-            values = np.clip(dec.eigenvalues, 0.0, None)
+            blocks = _diagonal_blocks(complex_, degree)
+            if not off_block_residual(complex_, degree) <= tol.identity_check:
+                blocks = [_laplacian_any(complex_, degree)]
+            values = [hermitian_eig(block, tol, vectors=False).eigenvalues for block in blocks]
+            values = np.clip(np.sort(np.concatenate(values)), 0.0, None)
         values.setflags(write=False)
         complex_._memo[key] = values
+    return complex_._memo[key]
+
+
+def _diagonal_blocks(complex_: FiniteComplex, degree: int) -> list[np.ndarray]:
+    """The diagonal blocks of the Laplacian at ``degree``, memoizing its
+    largest off-block entry for :func:`off_block_residual`; without a layout,
+    the whole Laplacian as one block.
+
+    Block ``j`` is ``u* u + v v*``, with ``u`` its columns of ``d_i`` on the
+    rows of blocks ``j`` and ``j + 1`` above and ``v`` its rows of
+    ``d_{i-1}`` on the columns of blocks ``j - 1`` and ``j`` below: the
+    only nonzero blocks of the two differentials there.  Blocks ``j`` and
+    ``j + 1`` share block ``j + 1`` above and block ``j`` below, and the
+    off-diagonal block between them sums the products through those two,
+    the cross terms that a tensor product's sign cancels; blocks further
+    apart share neither, and their off-diagonal block is 0."""
+    key = ("off_block", degree)
+    if complex_.layout is None:
+        complex_._memo[key] = 0.0
+        return [_laplacian_any(complex_, degree)]
+    slots = complex_.layout[degree].blocks
+    above = complex_.layout.get(degree + 1, ProductBlockIndex(degree + 1, ()))
+    below = complex_.layout.get(degree - 1, ProductBlockIndex(degree - 1, ()))
+    up, down = complex_.differential(degree), complex_.differential(degree - 1)
+    blocks = []
+    for block in slots:
+        cols = slice(block.offset, block.offset + block.size)
+        u = up[above.span(block.j, block.j + 1), cols]
+        v = down[cols, below.span(block.j - 1, block.j)]
+        blocks.append(u.conj().T @ u + v @ v.conj().T)
+    cross = []
+    for x, y in zip(slots, slots[1:]):
+        if y.j == x.j + 1:
+            xs, ys = slice(x.offset, x.offset + x.size), slice(y.offset, y.offset + y.size)
+            rows, cols = above.span(y.j, y.j), below.span(x.j, x.j)
+            through_above = up[rows, xs].conj().T @ up[rows, ys]
+            cross.append(max_abs(through_above + down[xs, cols] @ down[ys, cols].conj().T))
+    complex_._memo[key] = nan_max(cross)
+    return blocks
+
+
+def off_block_residual(complex_: FiniteComplex, degree: int) -> float:
+    """The largest entry of the Laplacian at ``degree`` outside the diagonal
+    blocks of the complex's layout, memoized on the complex; 0 without a
+    layout, where the degree is one block."""
+    complex_._require_degree(degree)
+    key = ("off_block", degree)
+    if key not in complex_._memo:
+        _diagonal_blocks(complex_, degree)
     return complex_._memo[key]
 
 
@@ -272,8 +399,8 @@ def _projector_residuals(p_harm: np.ndarray, p_d: np.ndarray, p_dstar: np.ndarra
     total = p_harm + p_d + p_dstar
     return {
         "sum_minus_identity": max_abs(total - np.eye(total.shape[0])),
-        "pairwise_products": max(
-            max_abs(p_harm @ p_d), max_abs(p_harm @ p_dstar), max_abs(p_d @ p_dstar)
+        "pairwise_products": nan_max(
+            [max_abs(p_harm @ p_d), max_abs(p_harm @ p_dstar), max_abs(p_d @ p_dstar)]
         ),
     }
 

@@ -236,7 +236,9 @@ def run_complex_suite(seed: int, cases: int) -> SuiteResult:
 
 
 def run_tensor_suite(seed: int, cases: int) -> SuiteResult:
-    """Product spectrum pairing and Kuenneth convolution on random pairs."""
+    """Product spectrum pairing, Kuenneth convolution and the block
+    structure of the product Laplacian on random pairs, each product built
+    once."""
     rnd = random.Random(seed)
     failures = []
     for case in range(cases):
@@ -254,6 +256,9 @@ def run_tensor_suite(seed: int, cases: int) -> SuiteResult:
         kuenneth = tensorprod.kuenneth_check(a, b, product)
         if not kuenneth.passed:
             failures.append(f"case {case}: Kuenneth mismatch {dict(kuenneth.pairs)}")
+        blocks = tensorprod.block_structure_check(a, b, product)
+        if not blocks.passed:
+            failures.append(f"case {case}: block structure residuals {dict(blocks.residuals)}")
     return SuiteResult("tensor", cases, tuple(failures))
 
 

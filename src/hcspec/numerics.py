@@ -1,8 +1,8 @@
 """Dense complex-matrix kernels.
 
 Everything else in the package reduces to the operations here: Hermitian
-eigendecomposition, Moore-Penrose pseudo-inverse, Kronecker products and
-sums, range projections and numeric rank.  The last three of those are read
+eigendecomposition, Kronecker sums, Moore-Penrose pseudo-inverse, range
+projections and numeric rank.  The last three of those are read
 off one singular value decomposition, which also fixes the rank cutoff
 (dimension ``rows + cols``) for all of them.  All functions are pure; matrices are plain
 ``numpy.ndarray`` values with dtype complex128 and are never mutated.
@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ToolkitError
 
-# Kronecker outputs larger than this (rows or columns) are refused.
+# Kronecker sums and tensor products larger than this (rows or columns) are
+# refused.
 KRONECKER_DIM_CAP = 4096
 
 # Largest gap at which two eigenvalue multisets, paired in sorted order, count
@@ -104,7 +105,14 @@ def zero_matrix(rows: int, cols: int) -> np.ndarray:
 
 def max_abs(a: np.ndarray) -> float:
     """Max-norm of a matrix; zero for empty matrices."""
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
+
+
+def nan_max(values) -> float:
+    """The largest of a sequence or array of nonnegative gaps or residuals, 0
+    for none and NaN when any is NaN, which fails every gate: Python's
+    ``max`` keeps a NaN only when it comes first."""
+    return float(np.max(np.asarray(values, dtype=np.float64), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -131,25 +139,23 @@ class EigenDecomposition:
 _SQUARES_RANGE = (2.0**-900, 2.0**900)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _moment_deviation(herm: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     """The larger of ``|sum lam - tr A|`` over ``N eps ||A||_F`` and
     ``|sum lam^2 - ||A||_F^2|`` over ``N eps ||A||_F^2``, and the unit
     ``N eps ||A||_F`` itself.
 
-    ``herm`` must be C-contiguous.  The squares are summed without a copy,
-    as one dot product of its real view; only when that sum leaves
-    ``_SQUARES_RANGE`` (overflow, underflow, Inf or NaN) are the moments
-    taken again on ``A`` and ``lam`` scaled to max-norm 1.  Overflow is
-    expected there, and a NaN fails the caller's gate, so neither warns."""
+    The squares are summed without a copy, as one ``vdot`` of ``herm`` with
+    itself; only when that sum leaves ``_SQUARES_RANGE`` (overflow,
+    underflow, Inf or NaN) are the moments taken again on ``A`` and ``lam``
+    scaled to max-norm 1.  Overflow is expected there, and a NaN fails the
+    caller's gate, so the caller runs this with over- and invalid-operation
+    warnings off."""
     scale = 1.0
-    flat = herm.reshape(-1).view(np.float64)
-    squares = float(flat @ flat)
+    squares = float(np.vdot(herm, herm).real)
     if not _SQUARES_RANGE[0] <= squares <= _SQUARES_RANGE[1]:
         scale = max_abs(herm) or 1.0
         herm, values = herm / scale, values / scale
-        flat = herm.reshape(-1).view(np.float64)
-        squares = float(flat @ flat)
+        squares = float(np.vdot(herm, herm).real)
     frob = math.sqrt(squares)
     unit = max(herm.shape[0], 1) * _EPS * frob
     if unit == 0.0:
@@ -187,33 +193,35 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL, vectors: bool = True) -> Eige
     if n != m:
         raise NotHermitianError(f"matrix is {n}x{m}, not square")
     # one C-ordered adjoint, turned in place into the Hermitian part (a* + a
-    # equals a + a* bit for bit), so only that buffer outlives the check
+    # equals a + a* bit for bit, and halving the real and imaginary parts
+    # equals the complex division by 2 on finite entries), so only that
+    # buffer outlives the check
     herm = np.conjugate(a.T, order="C")
-    # entries near the float limit overflow to Inf here (and Inf / 2 is NaN
-    # in complex division): an Inf deviation still exceeds the tolerance, and
-    # an overflowed Hermitian part fails a gate below, where _eig_failure
-    # names the overflow
+    # entries near the float limit overflow to Inf here: an Inf deviation
+    # still exceeds the tolerance, and an overflowed Hermitian part fails a
+    # gate below, where _eig_failure names the overflow; one errstate covers
+    # the values path too
     with np.errstate(over="ignore", invalid="ignore"):
         deviation = max_abs(a - herm)
         herm += a
-        herm /= 2.0
-    if deviation > tol.identity_check:
-        raise NotHermitianError("matrix deviates from its adjoint beyond tolerance")
-    if not vectors:
-        try:
-            values = np.linalg.eigvalsh(herm)
-        except np.linalg.LinAlgError as exc:
-            raise _eig_failure(herm, str(exc)) from exc
-        deviation, unit = _moment_deviation(herm, values)
-        if not deviation <= MOMENT_GATE:  # NaN fails too
-            raise _eig_failure(
-                herm,
-                f"eigenvalue moments deviate by {deviation:.3e} units of N*eps, "
-                f"above {MOMENT_GATE:g}",
-            )
-        if max(deviation, 1.0) * unit <= tol.eigen_residual:
-            values.setflags(write=False)
-            return EigenDecomposition(values, None, deviation)
+        herm.view(np.float64)[...] *= 0.5
+        if deviation > tol.identity_check:
+            raise NotHermitianError("matrix deviates from its adjoint beyond tolerance")
+        if not vectors:
+            try:
+                values = np.linalg.eigvalsh(herm)
+            except np.linalg.LinAlgError as exc:
+                raise _eig_failure(herm, str(exc)) from exc
+            deviation, unit = _moment_deviation(herm, values)
+            if not deviation <= MOMENT_GATE:  # NaN fails too
+                raise _eig_failure(
+                    herm,
+                    f"eigenvalue moments deviate by {deviation:.3e} units of N*eps, "
+                    f"above {MOMENT_GATE:g}",
+                )
+            if max(deviation, 1.0) * unit <= tol.eigen_residual:
+                values.setflags(write=False)
+                return EigenDecomposition(values, None, deviation)
     dec = _gated_eigh(herm, lambda basis: herm @ basis, tol)
     return dec if vectors else EigenDecomposition(dec.eigenvalues, None, dec.residual)
 
@@ -293,26 +301,9 @@ def pseudo_inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return result
 
 
-def _check_kronecker_cap(rows: int, cols: int, dim_cap: int) -> None:
-    if rows > dim_cap or cols > dim_cap:
-        raise SizeOverflowError(
-            f"kronecker output {rows}x{cols} exceeds dimension cap {dim_cap}"
-        )
-
-
-def kronecker(a, b, dim_cap: int = KRONECKER_DIM_CAP) -> np.ndarray:
-    """Kronecker product with a guard on the output dimensions."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    _check_kronecker_cap(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1], dim_cap)
-    out = np.kron(a, b)
-    out.setflags(write=False)
-    return out
-
-
 def kronecker_sum(a, b, dim_cap: int = KRONECKER_DIM_CAP) -> np.ndarray:
     """Kronecker sum ``A (x) I_m + I_n (x) B`` of a square ``n x n`` A and
-    ``m x m`` B, with the output guard of :func:`kronecker`.
+    ``m x m`` B; an output of more than ``dim_cap`` rows is refused.
 
     Written into one ``(n, m, n, m)`` buffer: A on the ``(i, k, j, k)``
     entries, then B added on the ``(i, k, i, l)`` ones, so no Kronecker
@@ -321,7 +312,10 @@ def kronecker_sum(a, b, dim_cap: int = KRONECKER_DIM_CAP) -> np.ndarray:
     a = as_complex_matrix(a)
     b = as_complex_matrix(b)
     n, m = a.shape[0], b.shape[0]
-    _check_kronecker_cap(n * m, n * m, dim_cap)
+    if n * m > dim_cap:
+        raise SizeOverflowError(
+            f"kronecker output {n * m}x{n * m} exceeds dimension cap {dim_cap}"
+        )
     out = np.zeros((n, m, n, m), dtype=np.complex128)
     out[:, np.arange(m), :, np.arange(m)] = a
     out[np.arange(n), :, np.arange(n), :] += b

@@ -69,6 +69,18 @@ def test_criterion_3_kuenneth_convolution(tensor_suite):
     assert not kuenneth_failures, kuenneth_failures[:3]
 
 
+def test_criterion_9_product_laplacian_block_structure(tensor_suite):
+    result, _ = tensor_suite
+    block_failures = [f for f in result.failures if "block structure" in f]
+    _report(
+        9,
+        not block_failures,
+        "dense product Laplacian vanishes off its diagonal blocks and matches "
+        "Delta_j (x) I + I (x) Delta'_k on each, within 1e-8, on the same 200 pairs",
+    )
+    assert not block_failures, block_failures[:3]
+
+
 def test_criterion_4_minkowski_oracle():
     result = fuzzing.run_spectra_suite(SEED, 1000, Fraction(100))
     worked = minkowski_sum(

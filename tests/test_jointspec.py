@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcspec import fuzzing, jointspec, numerics
+from hcspec import fuzzing, jointspec
 from hcspec.jointspec import (
     EigenspaceSplitFailureError,
     NotCommutingError,
@@ -154,13 +154,12 @@ def _quotient_gaps(points, t, s):
 
 
 def _refuse_kronecker(monkeypatch):
-    """Make ``numerics.kronecker`` and ``np.kron`` raise, so a tensored pair
-    must be applied by factor products."""
+    """Make ``np.kron`` raise, so a tensored pair must be applied by factor
+    products."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Kronecker factor was formed")
 
-    monkeypatch.setattr(numerics, "kronecker", refuse)
     monkeypatch.setattr(np, "kron", refuse)
 
 

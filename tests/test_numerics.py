@@ -13,7 +13,6 @@ from hcspec.numerics import (
     SizeOverflowError,
     Tolerance,
     hermitian_eig,
-    kronecker,
     kronecker_sum,
     max_abs,
     numeric_rank,
@@ -93,22 +92,6 @@ def test_penrose_identities_on_random_ranks():
         assert numeric_rank(a) == r
 
 
-def test_kronecker_identity_and_scaling():
-    assert np.allclose(kronecker(np.eye(2), np.eye(3)), np.eye(6))
-    swap = [[0.0, 1.0], [1.0, 0.0]]
-    assert np.allclose(kronecker([[2.0]], swap), [[0.0, 2.0], [2.0, 0.0]])
-
-
-def test_kronecker_eigenvalues_multiply():
-    out = kronecker(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-    assert sorted(np.diag(out).real) == [3.0, 4.0, 6.0, 8.0]
-
-
-def test_kronecker_dimension_cap():
-    with pytest.raises(SizeOverflowError):
-        kronecker(np.eye(3), np.eye(3), dim_cap=8)
-
-
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (3, 1), (2, 5), (4, 3), (6, 6), (0, 3), (2, 0), (0, 0)])
 def test_kronecker_sum_equals_the_two_products(n, m):
     rng = np.random.default_rng(10 * n + m)
@@ -138,7 +121,7 @@ def test_kronecker_sum_spectrum_is_minkowski_sum():
         a = (a + a.conj().T) / 2
         b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         b = (b + b.conj().T) / 2
-        big = kronecker(a, np.eye(m)) + kronecker(np.eye(n), b)
+        big = np.kron(a, np.eye(m)) + np.kron(np.eye(n), b)
         got = hermitian_eig(big).eigenvalues
         want = sorted(
             x + y for x in hermitian_eig(a).eigenvalues for y in hermitian_eig(b).eigenvalues
@@ -154,7 +137,7 @@ def test_values_only_path_passes_fuzzed_psd_kronecker_sums():
         bt = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         bs = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         a, b = bt @ bt.conj().T, bs @ bs.conj().T
-        big = kronecker(a, np.eye(m)) + kronecker(np.eye(n), b)
+        big = np.kron(a, np.eye(m)) + np.kron(np.eye(n), b)
         dec = hermitian_eig(big, vectors=False)
         assert dec.vectors is None and dec.residual <= MOMENT_GATE
         assert not dec.eigenvalues.flags.writeable

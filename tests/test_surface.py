@@ -23,7 +23,6 @@ PACKAGE = Path(hcspec.__file__).parent
 
 #: Public names that only tests reach, with the reason each stays.
 REFERENCE_TOOLS = {
-    "product_laplacian_blocks": "the blockwise product Laplacian, the independent side of the tensor-build tests",
     "derive_catalogue_values": "regenerates the Gaussian catalogue constants from the ladder-operator oracle",
     "builtin_models": "the whole model catalogue, which criterion 6 and the README use",
 }

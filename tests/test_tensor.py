@@ -1,13 +1,22 @@
 import json
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from hcspec import cli, complexes, tensorprod
-from hcspec.complexes import FiniteComplex, random_complex, validate
-from hcspec.numerics import SizeOverflowError, kronecker, max_abs
+from hcspec.complexes import (
+    BlockSlot,
+    FiniteComplex,
+    ProductBlockIndex,
+    ShapeMismatchError,
+    random_complex,
+    validate,
+)
+from hcspec.numerics import DEFAULT_TOL, MATCH_GAP, SizeOverflowError, max_abs
 from hcspec.tensorprod import (
+    block_structure_check,
     kuenneth_check,
     product_laplacian_blocks,
     tensor_complex,
@@ -33,9 +42,9 @@ def test_sign_rule_is_load_bearing():
     # Rebuilding the product differentials without the degree sign must break
     # the cochain condition.
     a = b = chain()
-    d0 = np.vstack([kronecker(np.eye(1), b.differential(0)), kronecker(a.differential(0), np.eye(1))])
+    d0 = np.vstack([np.kron(np.eye(1), b.differential(0)), np.kron(a.differential(0), np.eye(1))])
     d1_unsigned = np.hstack(
-        [kronecker(a.differential(0), np.eye(1)), kronecker(np.eye(1), b.differential(0))]
+        [np.kron(a.differential(0), np.eye(1)), np.kron(np.eye(1), b.differential(0))]
     )
     mutated = FiniteComplex(0, (1, 2, 1), {0: d0, 1: d1_unsigned})
     assert not validate(mutated).passed
@@ -189,3 +198,198 @@ def test_tensor_command_builds_once_and_ranks_once(tmp_path, monkeypatch, capsys
     nonempty = Counter((a.shape, a.tobytes()) for a in ranked if a.size)
     assert max(nonempty.values()) == 1
     assert len(ranked) <= 4 + 4 + 6
+
+
+def _kron_product(a, b, signed=True):
+    """The product of ``a`` and ``b`` assembled from ``np.kron`` pieces on the
+    layout of :func:`tensor_complex`, with the sign ``(-1)^j`` on the
+    ``I (x) d'_k`` pieces unless ``signed`` is false."""
+    product, layout = tensor_complex(a, b)
+    differentials = {}
+    for i in range(product.lo, product.hi):
+        matrix = np.zeros((product.dim(i + 1), product.dim(i)), dtype=complex)
+        for block in layout[i].blocks:
+            j, k = block.j, block.k
+            cols = slice(block.offset, block.offset + block.size)
+            if a.dim(j + 1):
+                rows = layout[i + 1].span(j + 1, j + 1)
+                matrix[rows, cols] = np.kron(a.differential(j), np.eye(b.dim(k)))
+            if b.dim(k + 1):
+                sign = -1.0 if signed and j % 2 else 1.0
+                rows = layout[i + 1].span(j, j)
+                matrix[rows, cols] = sign * np.kron(np.eye(a.dim(j)), b.differential(k))
+        differentials[i] = matrix
+    return FiniteComplex(product.lo, product.dims, differentials, layout)
+
+
+# (dims, lo) of each factor: one-block end degrees (all pairs), a factor of
+# one degree (every product degree one block), zero-dimension degrees whose
+# blocks the layout leaves out, shifted windows, and three-block degrees
+_PAIRS = [
+    (([2, 3], 0), ([3, 2], 0)),
+    (([2, 0, 3], 0), ([1, 2], 0)),
+    (([3, 4, 2], -1), ([2, 0, 3, 1], 2)),
+    (([1], 0), ([4, 3, 2], 0)),
+    (([5, 6, 3], 0), ([4, 5, 2], 0)),
+]
+
+
+def _pair(index):
+    (dims_a, lo_a), (dims_b, lo_b) = _PAIRS[index]
+    a = random_complex(dims_a, seed=index, lo=lo_a)
+    return a, random_complex(dims_b, seed=index + 50, lo=lo_b)
+
+
+def _eig_sizes(monkeypatch):
+    """The sizes of the matrices that ``complexes`` hands to
+    ``hermitian_eig`` from now on, in call order."""
+    sizes = []
+    eig = complexes.hermitian_eig
+
+    def recording(matrix, *args, **kwargs):
+        sizes.append(len(matrix))
+        return eig(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(complexes, "hermitian_eig", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("index", range(len(_PAIRS)))
+def test_tensor_build_equals_the_kron_build(index):
+    a, b = _pair(index)
+    product, layout = tensor_complex(a, b)
+    want = _kron_product(a, b)
+    assert product.layout == layout
+    for degree in range(product.lo, product.hi):
+        got = product.differential(degree)
+        assert got.dtype == np.complex128 and np.array_equal(got, want.differential(degree))
+
+
+@pytest.mark.parametrize("index", range(len(_PAIRS)))
+def test_block_eigenvalues_match_the_whole_laplacian(index):
+    a, b = _pair(index)
+    product, _ = tensor_complex(a, b)
+    for degree in product.degrees:
+        got = np.array(complexes.spectrum_multiset(product, degree))
+        whole = np.clip(np.linalg.eigvalsh(complexes.laplacian(product, degree)), 0.0, None)
+        assert got.shape == whole.shape
+        assert np.max(np.abs(got - whole), initial=0.0) <= MATCH_GAP
+        cutoff = DEFAULT_TOL.rank_cutoff(whole.size, whole[-1] if whole.size else 0.0)
+        assert complexes.cohomology_dim(product, degree) == np.count_nonzero(whole <= cutoff)
+        assert complexes.off_block_residual(product, degree) <= 1e-12
+
+
+def test_no_eigendecomposition_of_a_product_exceeds_its_largest_block(monkeypatch):
+    a, b = _pair(4)
+    product, layout = tensor_complex(a, b)
+    sizes = _eig_sizes(monkeypatch)
+    for degree in product.degrees:
+        complexes.spectrum_multiset(product, degree)
+    largest = max(block.size for index in layout.values() for block in index.blocks)
+    assert max(sizes) == largest < max(product.dims)
+    assert len(sizes) == sum(len(index.blocks) for index in layout.values())
+
+
+def test_a_complex_without_layout_takes_the_whole_laplacian(monkeypatch):
+    a, b = _pair(4)
+    product, _ = tensor_complex(a, b)
+    blockwise = [complexes.spectrum_multiset(product, degree) for degree in product.degrees]
+    plain = FiniteComplex(product.lo, product.dims, product.differentials)
+    assert plain.layout is None
+    sizes = _eig_sizes(monkeypatch)
+    for degree, want in zip(plain.degrees, blockwise):
+        got = complexes.spectrum_multiset(plain, degree)
+        assert np.max(np.abs(np.subtract(got, want))) <= MATCH_GAP
+        assert complexes.off_block_residual(plain, degree) == 0.0
+    assert sizes == list(product.dims)
+
+
+def test_block_structure_holds_and_the_sign_mutant_fails_it():
+    a, b = _pair(4)
+    product, _ = tensor_complex(a, b)
+    report = block_structure_check(a, b, product)
+    assert report.passed and set(report.residuals) == {
+        (degree, kind) for degree in product.degrees for kind in ("off-block", "diagonal")
+    }
+    mutant = _kron_product(a, b, signed=False)
+    report = block_structure_check(a, b, mutant)
+    assert not report.passed
+    # the diagonal blocks do not see the sign; the cross terms do
+    assert all(report.residuals[(d, "diagonal")] <= 1e-8 for d in mutant.degrees)
+    assert max(report.residuals[(d, "off-block")] for d in mutant.degrees) > 1e-2
+    for degree in mutant.degrees:
+        residual = complexes.off_block_residual(mutant, degree)
+        assert residual == pytest.approx(report.residuals[(degree, "off-block")], abs=1e-10)
+
+
+def test_an_off_block_residual_sends_the_spectrum_down_the_whole_path(monkeypatch):
+    a, b = _pair(4)
+    mutant = _kron_product(a, b, signed=False)
+    sizes = _eig_sizes(monkeypatch)
+    for degree in mutant.degrees:
+        whole = np.clip(np.linalg.eigvalsh(complexes.laplacian(mutant, degree)), 0.0, None)
+        got = complexes.spectrum_multiset(mutant, degree)
+        assert np.max(np.abs(got - whole)) <= MATCH_GAP
+        if complexes.off_block_residual(mutant, degree) > 1e-8:
+            assert sizes[-1] == mutant.dim(degree)
+
+
+def test_tensor_reports_the_off_block_residual_and_fails_the_sign_mutant(
+    tmp_path, monkeypatch, capsys
+):
+    payload = {
+        "left": {"random": {"dims": [2, 3, 2], "seed": 1}},
+        "right": {"random": {"dims": [2, 2, 1], "seed": 2}},
+    }
+    path, out = tmp_path / "pair.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"version": "1", "kind": "finite-pair", "payload": payload}))
+    assert cli.main(["tensor", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    residuals = report["results"]["off_block_residual"]
+    assert report["pass"] and set(residuals) == {str(d) for d in range(5)}
+    assert all(0.0 <= r <= 1e-8 for r in residuals.values())
+
+    def unsigned(a, b, dim_cap):
+        mutant = _kron_product(a, b, signed=False)
+        return mutant, mutant.layout
+
+    monkeypatch.setattr(tensorprod, "tensor_complex", unsigned)
+    assert cli.main(["tensor", str(path), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert not report["pass"]
+    assert max(report["results"]["off_block_residual"].values()) > 1e-8
+    capsys.readouterr()
+
+
+def test_layout_is_checked_against_dims_and_differentials():
+    a, b = _pair(4)
+    product, layout = tensor_complex(a, b)
+    lo, dims, differentials = product.lo, product.dims, product.differentials
+    FiniteComplex(lo, dims, differentials, layout)
+    with pytest.raises(ShapeMismatchError, match="one block index per degree"):
+        FiniteComplex(lo, dims, differentials, {d: layout[d] for d in list(layout)[1:]})
+    shifted = dict(layout)
+    first = layout[1].blocks[0]
+    moved = BlockSlot(first.j, first.k, 1, first.size)
+    shifted[1] = ProductBlockIndex(1, (moved, *layout[1].blocks[1:]))
+    with pytest.raises(ShapeMismatchError, match="does not tile degree 1"):
+        FiniteComplex(lo, dims, differentials, shifted)
+    # a differential entry between blocks two apart
+    stray = {d: np.array(m) for d, m in differentials.items()}
+    stray[1][layout[2].span(2, 2).start, layout[1].span(0, 0).start] = 1.0
+    with pytest.raises(ShapeMismatchError, match="leaves the blocks of its layout"):
+        FiniteComplex(lo, dims, stray, layout)
+
+
+def test_product_spectrum_pairing_fails_on_a_nan(monkeypatch):
+    a, b = _pair(0)
+    product, _ = tensor_complex(a, b)
+    spectrum = tensorprod.spectrum_multiset
+
+    def poisoned(complex_, degree, tol):
+        values = spectrum(complex_, degree, tol)
+        return values[:-1] + [float("nan")] if complex_ is product and len(values) > 1 else values
+
+    monkeypatch.setattr(tensorprod, "spectrum_multiset", poisoned)
+    match = verify_product_spectrum(a, b, product, 1)
+    assert math.isnan(match.max_gap) and not match.passed
