@@ -267,9 +267,12 @@ def laplacian(complex_: FiniteComplex, degree: int) -> np.ndarray:
 
 
 def _laplacian_any(complex_: FiniteComplex, degree: int) -> np.ndarray:
+    """The Laplacian; an overflow leaves Inf or NaN entries, with no warning,
+    for the eigen gate to refuse as ``NonFiniteError``."""
     down = complex_.differential(degree - 1)
     up = complex_.differential(degree)
-    return up.conj().T @ up + down @ down.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return up.conj().T @ up + down @ down.conj().T
 
 
 @dataclass(frozen=True)
@@ -336,18 +339,20 @@ def _diagonal_blocks(complex_: FiniteComplex, degree: int) -> list[np.ndarray]:
     below = complex_.layout.get(degree - 1, ProductBlockIndex(degree - 1, ()))
     up, down = complex_.differential(degree), complex_.differential(degree - 1)
     blocks = []
-    for block in slots:
-        cols = slice(block.offset, block.offset + block.size)
-        u = up[above.span(block.j, block.j + 1), cols]
-        v = down[cols, below.span(block.j - 1, block.j)]
-        blocks.append(u.conj().T @ u + v @ v.conj().T)
     cross = []
-    for x, y in zip(slots, slots[1:]):
-        if y.j == x.j + 1:
-            xs, ys = slice(x.offset, x.offset + x.size), slice(y.offset, y.offset + y.size)
-            rows, cols = above.span(y.j, y.j), below.span(x.j, x.j)
-            through_above = up[rows, xs].conj().T @ up[rows, ys]
-            cross.append(max_abs(through_above + down[xs, cols] @ down[ys, cols].conj().T))
+    # An overflow leaves Inf or NaN, as in _laplacian_any, with no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in slots:
+            cols = slice(block.offset, block.offset + block.size)
+            u = up[above.span(block.j, block.j + 1), cols]
+            v = down[cols, below.span(block.j - 1, block.j)]
+            blocks.append(u.conj().T @ u + v @ v.conj().T)
+        for x, y in zip(slots, slots[1:]):
+            if y.j == x.j + 1:
+                xs, ys = slice(x.offset, x.offset + x.size), slice(y.offset, y.offset + y.size)
+                rows, cols = above.span(y.j, y.j), below.span(x.j, x.j)
+                through_above = up[rows, xs].conj().T @ up[rows, ys]
+                cross.append(max_abs(through_above + down[xs, cols] @ down[ys, cols].conj().T))
     complex_._memo[key] = nan_max(cross)
     return blocks
 

@@ -379,11 +379,18 @@ def parse_factor_model(value: Any, path: str) -> DbarFactorModel:
     if not isinstance(closed_range, bool):
         raise _fail(f"{path}.closed_range", "expected true or false")
     box: dict[tuple[int, int], OperatorSpectrum | None] = {}
+    # Each distinct entry is parsed once and shared by its bidegrees, keyed by
+    # its repr: ``==`` would equate 1, 1.0 and true, which parse differently.
+    parsed: dict[str, OperatorSpectrum] = {}
     for key, entry in _object_field(value, "box_spectrum", path).items():
         bidegree = _parse_bidegree_key(key, f"{path}.box_spectrum")
-        box[bidegree] = (
-            None if entry is None else parse_operator_spectrum(entry, f"{path}.box_spectrum['{key}']")
-        )
+        if entry is None:
+            box[bidegree] = None
+            continue
+        text = repr(entry)
+        if text not in parsed:
+            parsed[text] = parse_operator_spectrum(entry, f"{path}.box_spectrum['{key}']")
+        box[bidegree] = parsed[text]
     cohom: dict[tuple[int, int], Mult | None] = {}
     for key, entry in _object_field(value, "cohomology_dim", path).items():
         bidegree = _parse_bidegree_key(key, f"{path}.cohomology_dim")

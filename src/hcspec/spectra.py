@@ -33,17 +33,18 @@ One kernel enumerates values below a cutoff, for the oracle
 on the integer lattice ``(1/L)·ℤ``, ``L`` the lcm of every denominator
 involved, each set becomes sorted int64 indices with exact counts and
 infinite flags.  The oracle adds every pair of summand indices at once; it
-never calls :func:`minkowski_sum`, its per-atom sums or the semigroup test.
+never calls :func:`minkowski_sum`, its per-atom sums or its gap points.
 More than ``ORACLE_PAIR_CAP`` values of one set, or value pairs, is an
 :class:`OracleBudgetError`, raised before anything is enumerated.
 
 The product formula is written once, in :func:`product_essential` (the
 essential spectrum as a union of parts, one factor's essential spectrum summed
 with the other factors' spectra) and :func:`product_operator`.  Both fold the
-factor spectra left to right through one prefix trie that builds each fold
-prefix once per call; :func:`product_operator` folds the spectrum and the
-essential parts through the same trie.  This module holds no verdict: those
-are in :mod:`hcspec.dbar`.
+factor spectra left to right through one prefix trie keyed by spectrum values,
+which builds each distinct fold prefix once per call, and sum each distinct
+part (a value pair of essential spectrum and others' sum) once per call;
+:func:`product_operator` folds the spectrum and the essential parts through
+the same trie.  This module holds no verdict: those are in :mod:`hcspec.dbar`.
 """
 
 from __future__ import annotations
@@ -298,6 +299,7 @@ def _normalize_pass(work: list[tuple]) -> tuple[list[tuple], bool]:
     """One round of the merge rules of :func:`normalize` on sorted lattice
     keys, and whether it extended a progression.  A round that extends none
     ends at the fixed point: the next would test the same atoms the same way.
+    Absorption by infinite progressions is indexed (:func:`_unabsorbed`).
     """
     points: dict[int, Mult] = {}
     aps: dict[tuple[int, int], Mult] = {}
@@ -307,21 +309,7 @@ def _normalize_pass(work: list[tuple]) -> tuple[list[tuple], bool]:
         else:
             points[value] = points.get(value, 0) + mult
 
-    ap_list = [(base, step, mult) for (base, step), mult in aps.items()]
-    infinite_aps = [ap for ap in ap_list if ap[2] == INFINITE]
-    kept_aps = ap_list
-    if infinite_aps:
-        kept_aps = [
-            ap
-            for ap in ap_list
-            if not any(
-                other is not ap
-                and ap[0] >= other[0]
-                and ap[1] % other[1] == 0
-                and (ap[0] - other[0]) % other[1] == 0
-                for other in infinite_aps
-            )
-        ]
+    kept_aps = _unabsorbed([(base, step, mult) for (base, step), mult in aps.items()])
     if not kept_aps:
         return [(value, 0, 0, mult) for value, mult in points.items()], False
 
@@ -343,19 +331,42 @@ def _normalize_pass(work: list[tuple]) -> tuple[list[tuple], bool]:
     return [*kept_points, *((base, 1, step, mult) for base, step, mult in kept_aps)], extended
 
 
+def _unabsorbed(aps: list[tuple[int, int, Mult]]) -> list[tuple[int, int, Mult]]:
+    """The progressions ``(base, step, mult)`` of ``aps``, distinct in
+    ``(base, step)``, that no other infinite progression absorbs, in order.
+
+    Another one of step ``t`` and base ``b`` absorbs ``(base, step)`` when
+    ``t`` divides ``step``, ``b <= base`` and ``b = base mod t``.  The test is
+    indexed: per distinct infinite step ``t``, the least base of each residue
+    mod ``t``, so a progression costs one lookup per distinct infinite step,
+    not one test per infinite progression.  With distinct keys, a least base
+    equal to ``base`` absorbs when ``t < step`` and is the progression itself
+    when ``t = step``.
+    """
+    least: dict[int, dict[int, int]] = {}
+    for base, step, mult in aps:
+        if mult == INFINITE:
+            bases = least.setdefault(step, {})
+            bases[base % step] = min(base, bases.get(base % step, base))
+    if not least:
+        return aps
+    kept = []
+    for ap in aps:
+        base, step, _ = ap
+        for t, bases in least.items():
+            if step % t == 0:
+                other = bases.get(base % t)
+                if other is not None and (other, t) < (base, step):
+                    break
+        else:
+            kept.append(ap)
+    return kept
+
+
 def union(a: SpectralSet, b: SpectralSet) -> SpectralSet:
     """Set union with pointwise multiplicity addition (infinite absorbs)."""
     scale, a_keys, b_keys = _common_lattice(a, b)
     return _normalize_keys(scale, a_keys + b_keys)
-
-
-def _representable(n: int, p: int, q: int) -> bool:
-    """Whether ``n = a*p + b*q`` with ``a, b >= 0``, for coprime ``p, q >= 2``.
-
-    The least admissible ``b`` is ``n * q^-1 mod p``; ``n`` is representable
-    exactly when that many ``q`` fit into it.
-    """
-    return n >= q * (n * pow(q, -1, p) % p)
 
 
 def minkowski_sum(a: SpectralSet, b: SpectralSet) -> SpectralSet:
@@ -370,9 +381,10 @@ def minkowski_sum(a: SpectralSet, b: SpectralSet) -> SpectralSet:
     otherwise the representable gap values ``n ≤ pq - p - q`` as points and
     the tail from ``pq - p - q + 1`` on.  Every output atom is rational, so
     ``L`` only fixes the lattice the rules run on; they are homogeneous in
-    it.  Raises :class:`SymbolicBudgetError`, before any key is built, when
-    the progression pairs have more than ``GAP_BUDGET`` gap values
-    ``(p - 1)(q - 1)`` in all.
+    it.  The gap points are generated as ``b·q + a·p`` with ``b < p``, with
+    no test per value.  Raises :class:`SymbolicBudgetError`, before any key
+    is built, when the progression pairs have more than ``GAP_BUDGET`` gap
+    values ``(p - 1)(q - 1)`` in all.
     """
     if a.is_empty() or b.is_empty():
         return EMPTY
@@ -403,13 +415,18 @@ def minkowski_sum(a: SpectralSet, b: SpectralSet) -> SpectralSet:
                 continue
             # Coprime p, q >= 2: the reachable n form the numerical semigroup
             # <p, q>, complete past the Frobenius number pq - p - q.  Each
-            # reachable n at or below it has exactly one representation, so
-            # the point multiplicities are exact there.
+            # reachable n at or below it is b*q + a*p for exactly one b < p
+            # and a >= 0 (b*q <= pq - p - q forces b < p), so the point
+            # multiplicities are exact there; the points go out grouped by b,
+            # and the merge rules sort them.
             frobenius = p * q - p - q
+            last = total + g * frobenius
             keys += [
-                (total + g * n, 0, 0, product) for n in range(frobenius + 1) if _representable(n, p, q)
+                (value, 0, 0, product)
+                for start in range(total, last + 1, g * q)
+                for value in range(start, last + 1, g * p)
             ]
-            keys.append((total + g * (frobenius + 1), 1, g, product))
+            keys.append((last + g, 1, g, product))
     return _normalize_keys(scale, keys)
 
 
@@ -691,17 +708,20 @@ class OperatorSpectrum:
 def _fold_spectra(factors: Sequence[OperatorSpectrum], folds: dict) -> SpectralSet:
     """Left Minkowski fold of the factor spectra, starting from the first.
 
-    ``folds`` is a trie of the folds built so far, keyed by the identity of
-    the factor entries in order: a fold whose prefix is already there
-    reuses that prefix's sum, so the folds of one call share their prefixes.
+    ``folds`` is a trie of the folds built so far, keyed by the value of the
+    factor spectra in order: a fold whose prefix of spectra is already there
+    reuses that prefix's sum, so the folds of one call share their prefixes,
+    and entries with equal spectra share them too.  A sum reads only the
+    values of its operands, so the shared sum is the one the fold would make.
     The association stays left to right.
     """
     total, node = None, folds
     for factor in factors:
-        entry = node.get(id(factor))
+        spectrum = factor.spectrum
+        entry = node.get(spectrum)
         if entry is None:
-            total = factor.spectrum if total is None else minkowski_sum(total, factor.spectrum)
-            entry = node[id(factor)] = (total, {})
+            total = spectrum if total is None else minkowski_sum(total, spectrum)
+            entry = node[spectrum] = (total, {})
         total, node = entry
     return total
 
@@ -710,13 +730,18 @@ def _essential_union(
     terms: Sequence[Sequence[OperatorSpectrum]], folds: dict
 ) -> SpectralSet:
     """The union of the nonempty parts of every term, in term order, then
-    factor order; the others' sums fold through the trie ``folds``."""
+    factor order; the others' sums fold through the trie ``folds``, and each
+    part is summed once per distinct value pair ``(E_j, others' sum)``."""
     essential = EMPTY
+    parts: dict[tuple[SpectralSet, SpectralSet], SpectralSet] = {}
     for term in terms:
         for j, own in enumerate(term):
             if own.essential.is_empty():
                 continue
-            part = minkowski_sum(own.essential, _fold_spectra(term[:j] + term[j + 1 :], folds))
+            pair = (own.essential, _fold_spectra(term[:j] + term[j + 1 :], folds))
+            part = parts.get(pair)
+            if part is None:
+                part = parts[pair] = minkowski_sum(*pair)
             if not part.is_empty():
                 essential = union(essential, part)
     return essential
@@ -731,9 +756,11 @@ def product_essential(terms: Sequence[Sequence[OperatorSpectrum]]) -> SpectralSe
     Minkowski sum of the spectra of the term's other factors.  Returns the
     union of the parts, taken incrementally in term order, then factor order,
     since ``normalize`` is not associative on representation.  The sums of
-    the other factors fold left to right (:func:`_fold_spectra`), and a fold
-    prefix shared by several parts, such as the bit vectors of one weight
-    that agree on their first entries, is summed once per call.
+    the other factors fold left to right (:func:`_fold_spectra`) through a
+    trie keyed by spectrum values, so a fold prefix shared by several parts,
+    such as the bit vectors of one weight that agree on their first entries,
+    or entries with equal spectra, is summed once per call; so is each part
+    with the same value pair.
     """
     return _essential_union(terms, {})
 
@@ -743,8 +770,8 @@ def product_operator(terms: Sequence[Sequence[OperatorSpectrum]]) -> OperatorSpe
 
     The spectrum is the union, in term order, of the Minkowski sums of each
     term's factor spectra; the essential spectrum is :func:`product_essential`.
-    Both fold through one trie, so the others' sum of a term's last factor is
-    the prefix its full sum already built.
+    Both fold through one trie keyed by spectrum values, so the others' sum of
+    a term's last factor is the prefix its full sum already built.
     """
     spectrum = EMPTY
     folds: dict = {}

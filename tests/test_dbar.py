@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,6 +21,7 @@ from hcspec.dbar import (
     _uniform_term_noncompact,
 )
 from hcspec.fuzzing import random_factor_model, random_operator_spectrum
+from hcspec.scenario import parse_factor_model
 from hcspec.spectra import (
     AP,
     EMPTY,
@@ -284,28 +286,23 @@ def _bit_vector_terms(factors, q):
 
 
 def _prefixes(folds):
-    """The fold prefixes of two or more entries (by identity) of ``folds``."""
+    """The fold prefixes of two or more entries of ``folds``, by the values
+    of their spectra: the trie shares a prefix between equal spectra."""
     return {
-        ids[:k]
-        for ids in (tuple(id(entry) for entry in fold) for fold in folds)
-        for k in range(2, len(ids) + 1)
+        values[:k]
+        for values in (tuple(entry.spectrum for entry in fold) for fold in folds)
+        for k in range(2, len(values) + 1)
     }
 
 
-def test_shared_fold_sums_each_prefix_once(monkeypatch):
-    rnd = random.Random(7)
-    factors = [random_factor_model(rnd, f"f{j}", infinite_chance=0.1) for j in range(7)]
-    terms = _bit_vector_terms(factors, 3)
-    # one sum per distinct fold prefix, and one per part for the factor's
-    # own essential spectrum
-    others = [
-        term[:j] + term[j + 1 :]
-        for term in terms
-        for j, own in enumerate(term)
-        if not own.essential.is_empty()
-    ]
-    parts = len(others)
-    unshared_sums = parts * (len(factors) - 1)
+def _left_fold(entries):
+    fold = entries[0].spectrum
+    for entry in entries[1:]:
+        fold = minkowski_sum(fold, entry.spectrum)
+    return fold
+
+
+def _count_sums(monkeypatch):
     calls = []
 
     def counting(a, b):
@@ -313,16 +310,55 @@ def test_shared_fold_sums_each_prefix_once(monkeypatch):
         return minkowski_sum(a, b)
 
     monkeypatch.setattr(spectra, "minkowski_sum", counting)
+    return calls
+
+
+def test_shared_fold_sums_each_prefix_once(monkeypatch):
+    rnd = random.Random(7)
+    factors = [random_factor_model(rnd, f"f{j}", infinite_chance=0.1) for j in range(7)]
+    terms = _bit_vector_terms(factors, 3)
+    # one sum per distinct fold prefix of spectrum values, and one per
+    # distinct part, a value pair of the factor's own essential spectrum and
+    # the others' sum
+    owns = [
+        (own, term[:j] + term[j + 1 :])
+        for term in terms
+        for j, own in enumerate(term)
+        if not own.essential.is_empty()
+    ]
+    others = [rest for _, rest in owns]
+    pairs = {(own.essential, _left_fold(rest)) for own, rest in owns}
+    unshared_sums = len(owns) * (len(factors) - 1)
+    calls = _count_sums(monkeypatch)
     spectra.product_essential(terms)
-    assert parts >= 20
-    assert len(calls) == len(_prefixes(others)) + parts < unshared_sums
+    assert len(owns) >= 20
+    assert len(pairs) < len(owns)
+    assert len(calls) == len(_prefixes(others)) + len(pairs) < unshared_sums
     # product_operator folds the full terms and the others' sums through one
     # trie: the others' sum of a term's last factor is a full-term prefix
     calls.clear()
     spectra.product_operator(terms)
     shared = _prefixes([*terms, *others])
     assert len(shared) < len(_prefixes(terms)) + len(_prefixes(others))
-    assert len(calls) == len(shared) + parts
+    assert len(calls) == len(shared) + len(pairs)
+
+
+def test_equal_factor_spectra_are_summed_once(monkeypatch):
+    # forty parsed copies of one builtin: distinct objects, equal spectra,
+    # so the value-keyed trie and part memo sum each distinct piece once
+    factors = [parse_factor_model(json.loads('{"builtin": "infinite-bergman-factor"}'), "$") for _ in range(40)]
+    calls = _count_sums(monkeypatch)
+    riemann_surface_product_report(factors, 1)
+    assert 0 < len(calls) <= 1_000
+
+
+def test_random_tuple_sums_stay_within_budget(monkeypatch):
+    rnd = random.Random(5)
+    factors = [random_factor_model(rnd, f"f{j}", infinite_chance=0) for j in range(10)]
+    calls = _count_sums(monkeypatch)
+    for q in range(len(factors) + 1):
+        riemann_surface_product_report(factors, q)
+    assert 0 < len(calls) <= 2_100
 
 
 def test_shared_fold_matches_an_unshared_fold():

@@ -152,6 +152,38 @@ def test_factor_model_roundtrip_and_builtins():
         parse_factor_model({"name": "x", "complex_dimension": 0}, "$")
 
 
+def _mirrored_model(first, second) -> dict:
+    """A model whose entries at (0, 0) and (1, 0) are one point atom, with
+    the field and value of ``first`` and ``second`` set on it."""
+
+    def entry(field, value):
+        atom = {"kind": "point", "value": 1, "mult": 1, field: value}
+        return {"spectrum": {"atoms": [atom]}, "essential": None}
+
+    return {
+        "name": "mirrored",
+        "complex_dimension": 1,
+        "closed_range": True,
+        "box_spectrum": {"0,0": entry(*first), "1,0": entry(*second)},
+    }
+
+
+def test_equal_box_entries_share_one_parse():
+    model = parse_factor_model(_mirrored_model(("mult", 2), ("mult", 2)), "$")
+    assert model.box_spectrum[(0, 0)] is model.box_spectrum[(1, 0)]
+    other = parse_factor_model(_mirrored_model(("mult", 2), ("mult", 3)), "$")
+    assert other.box_spectrum[(0, 0)] != other.box_spectrum[(1, 0)]
+
+
+@pytest.mark.parametrize("field", ["mult", "value"])
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_a_mirrored_entry_equal_only_by_eq_is_parsed_on_its_own(field, bad):
+    # 1 == 1.0 == True, but only the JSON integer 1 is a valid mult or value
+    assert bad == 1
+    with pytest.raises(ParseError, match=re.escape(f"$.box_spectrum['1,0'].spectrum.atoms[0].{field}")):
+        parse_factor_model(_mirrored_model((field, 1), (field, bad)), "$")
+
+
 def test_load_scenario_reports_json_position(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\n  broken\n}")

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcspec.dbar import (
@@ -42,14 +42,23 @@ from hcspec.spectra import (
     multiplicity_at,
     normalize,
     union,
-    _representable,
+    _unabsorbed,
 )
+
+
+def _representable(n: int, p: int, q: int) -> bool:
+    """Whether ``n = a*p + b*q`` with ``a, b >= 0``, for coprime ``p, q >= 2``.
+
+    The least admissible ``b`` is ``n * q^-1 mod p``; ``n`` is representable
+    exactly when that many ``q`` fit into it.  The reference for the gap
+    points of ``minkowski_sum``, which generates them without this test.
+    """
+    return n >= q * (n * pow(q, -1, p) % p)
 
 
 def _atom_minkowski(x, y):
     """The Minkowski sum of two atoms, on ``Fraction`` atoms: the reference
-    for the lattice keys of ``minkowski_sum``, with which it shares no code
-    but ``_representable``."""
+    for the lattice keys of ``minkowski_sum``, with which it shares no code."""
     mult = INFINITE if INFINITE in (x.mult, y.mult) else x.mult * y.mult
     if isinstance(x, Point) and isinstance(y, Point):
         return [Point(x.value + y.value, mult)]
@@ -326,6 +335,41 @@ def test_an_int_query_answers_as_its_fraction(xs, value):
     s = normalize(xs)
     for query in (multiplicity_at, covered_by_progression, SpectralSet.contains):
         assert query(s, value) == query(s, Fraction(value)), query.__name__
+
+
+def _unabsorbed_by_scan(aps):
+    """The absorption rule as a scan of every infinite progression: the
+    reference for the indexed :func:`hcspec.spectra._unabsorbed`."""
+    infinite = [ap for ap in aps if ap[2] == INFINITE]
+    return [
+        ap
+        for ap in aps
+        if not any(
+            other is not ap
+            and ap[0] >= other[0]
+            and ap[1] % other[1] == 0
+            and (ap[0] - other[0]) % other[1] == 0
+            for other in infinite
+        )
+    ]
+
+
+_PROGRESSION_KEYS = st.lists(
+    st.tuples(st.integers(0, 24), st.sampled_from((1, 2, 3, 4, 6, 8, 12)), st.sampled_from((1, 2, INFINITE))),
+    max_size=8,
+)
+
+
+@_PROPERTY_SETTINGS
+@example([(0, 2, INFINITE), (0, 4, INFINITE), (0, 4, 1)])  # equal bases, nested steps
+@example([(1, 2, INFINITE), (3, 4, 1), (5, 8, INFINITE), (2, 4, INFINITE)])  # nested
+@example([(5, 3, INFINITE), (2, 3, INFINITE), (8, 3, 1), (1, 3, INFINITE)])  # one residue
+@example([(3, 4, INFINITE)])  # kept: only itself would match
+@given(_PROGRESSION_KEYS)
+def test_indexed_absorption_keeps_what_the_scan_keeps(keys):
+    # distinct (base, step) keys, as the merge pass hands them over
+    aps = [(base, step, mult) for (base, step), mult in dict(((b, t), m) for b, t, m in keys).items()]
+    assert _unabsorbed(aps) == _unabsorbed_by_scan(aps)
 
 
 def test_equal_sets_share_their_lattice():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -14,7 +15,7 @@ from hcspec.complexes import (
     random_complex,
     validate,
 )
-from hcspec.numerics import DEFAULT_TOL, MATCH_GAP, SizeOverflowError, max_abs
+from hcspec.numerics import DEFAULT_TOL, MATCH_GAP, NonFiniteError, SizeOverflowError, max_abs
 from hcspec.tensorprod import (
     block_structure_check,
     kuenneth_check,
@@ -332,6 +333,18 @@ def test_an_off_block_residual_sends_the_spectrum_down_the_whole_path(monkeypatc
         assert np.max(np.abs(got - whole)) <= MATCH_GAP
         if complexes.off_block_residual(mutant, degree) > 1e-8:
             assert sizes[-1] == mutant.dim(degree)
+
+
+def test_an_overflowing_block_is_refused_without_a_warning():
+    # each factor Laplacian, 1.44e308, is finite; their sum in the product
+    # block overflows, and the eigen gate refuses it with no RuntimeWarning
+    factor = FiniteComplex(0, (1, 1), {0: [[1.2e154]]})
+    product, _ = tensor_complex(factor, factor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert complexes.off_block_residual(product, 1) == 0.0
+        with pytest.raises(NonFiniteError):
+            complexes.spectrum_multiset(product, 1)
 
 
 def test_tensor_reports_the_off_block_residual_and_fails_the_sign_mutant(
