@@ -299,7 +299,6 @@ def _normalize_pass(work: list[tuple]) -> tuple[list[tuple], bool]:
     """One round of the merge rules of :func:`normalize` on sorted lattice
     keys, and whether it extended a progression.  A round that extends none
     ends at the fixed point: the next would test the same atoms the same way.
-    Absorption by infinite progressions is indexed (:func:`_unabsorbed`).
     """
     points: dict[int, Mult] = {}
     aps: dict[tuple[int, int], Mult] = {}
@@ -309,7 +308,21 @@ def _normalize_pass(work: list[tuple]) -> tuple[list[tuple], bool]:
         else:
             points[value] = points.get(value, 0) + mult
 
-    kept_aps = _unabsorbed([(base, step, mult) for (base, step), mult in aps.items()])
+    ap_list = [(base, step, mult) for (base, step), mult in aps.items()]
+    infinite_aps = [ap for ap in ap_list if ap[2] == INFINITE]
+    kept_aps = ap_list
+    if infinite_aps:
+        kept_aps = [
+            ap
+            for ap in ap_list
+            if not any(
+                other is not ap
+                and ap[0] >= other[0]
+                and ap[1] % other[1] == 0
+                and (ap[0] - other[0]) % other[1] == 0
+                for other in infinite_aps
+            )
+        ]
     if not kept_aps:
         return [(value, 0, 0, mult) for value, mult in points.items()], False
 
@@ -329,38 +342,6 @@ def _normalize_pass(work: list[tuple]) -> tuple[list[tuple], bool]:
             kept_points.append((value, 0, 0, mult))
 
     return [*kept_points, *((base, 1, step, mult) for base, step, mult in kept_aps)], extended
-
-
-def _unabsorbed(aps: list[tuple[int, int, Mult]]) -> list[tuple[int, int, Mult]]:
-    """The progressions ``(base, step, mult)`` of ``aps``, distinct in
-    ``(base, step)``, that no other infinite progression absorbs, in order.
-
-    Another one of step ``t`` and base ``b`` absorbs ``(base, step)`` when
-    ``t`` divides ``step``, ``b <= base`` and ``b = base mod t``.  The test is
-    indexed: per distinct infinite step ``t``, the least base of each residue
-    mod ``t``, so a progression costs one lookup per distinct infinite step,
-    not one test per infinite progression.  With distinct keys, a least base
-    equal to ``base`` absorbs when ``t < step`` and is the progression itself
-    when ``t = step``.
-    """
-    least: dict[int, dict[int, int]] = {}
-    for base, step, mult in aps:
-        if mult == INFINITE:
-            bases = least.setdefault(step, {})
-            bases[base % step] = min(base, bases.get(base % step, base))
-    if not least:
-        return aps
-    kept = []
-    for ap in aps:
-        base, step, _ = ap
-        for t, bases in least.items():
-            if step % t == 0:
-                other = bases.get(base % t)
-                if other is not None and (other, t) < (base, step):
-                    break
-        else:
-            kept.append(ap)
-    return kept
 
 
 def union(a: SpectralSet, b: SpectralSet) -> SpectralSet:

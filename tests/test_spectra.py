@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcspec.dbar import (
@@ -42,7 +42,6 @@ from hcspec.spectra import (
     multiplicity_at,
     normalize,
     union,
-    _unabsorbed,
 )
 
 
@@ -335,41 +334,6 @@ def test_an_int_query_answers_as_its_fraction(xs, value):
     s = normalize(xs)
     for query in (multiplicity_at, covered_by_progression, SpectralSet.contains):
         assert query(s, value) == query(s, Fraction(value)), query.__name__
-
-
-def _unabsorbed_by_scan(aps):
-    """The absorption rule as a scan of every infinite progression: the
-    reference for the indexed :func:`hcspec.spectra._unabsorbed`."""
-    infinite = [ap for ap in aps if ap[2] == INFINITE]
-    return [
-        ap
-        for ap in aps
-        if not any(
-            other is not ap
-            and ap[0] >= other[0]
-            and ap[1] % other[1] == 0
-            and (ap[0] - other[0]) % other[1] == 0
-            for other in infinite
-        )
-    ]
-
-
-_PROGRESSION_KEYS = st.lists(
-    st.tuples(st.integers(0, 24), st.sampled_from((1, 2, 3, 4, 6, 8, 12)), st.sampled_from((1, 2, INFINITE))),
-    max_size=8,
-)
-
-
-@_PROPERTY_SETTINGS
-@example([(0, 2, INFINITE), (0, 4, INFINITE), (0, 4, 1)])  # equal bases, nested steps
-@example([(1, 2, INFINITE), (3, 4, 1), (5, 8, INFINITE), (2, 4, INFINITE)])  # nested
-@example([(5, 3, INFINITE), (2, 3, INFINITE), (8, 3, 1), (1, 3, INFINITE)])  # one residue
-@example([(3, 4, INFINITE)])  # kept: only itself would match
-@given(_PROGRESSION_KEYS)
-def test_indexed_absorption_keeps_what_the_scan_keeps(keys):
-    # distinct (base, step) keys, as the merge pass hands them over
-    aps = [(base, step, mult) for (base, step), mult in dict(((b, t), m) for b, t, m in keys).items()]
-    assert _unabsorbed(aps) == _unabsorbed_by_scan(aps)
 
 
 def test_equal_sets_share_their_lattice():
