@@ -2,6 +2,8 @@
 
 ``_COMMANDS`` gives each command its scenario kind, handler and flags; the
 parser is built from it once, at import, and ``run`` checks the kind once.
+The dense handlers import their layers where they run, so ``dbar``,
+``dbar-n`` and ``symbolic`` without ``--oracle-cutoff`` never load numpy.
 """
 
 from __future__ import annotations
@@ -16,25 +18,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import complexes, fuzzing, tensorprod
 from .dbar import neumann_compactness, riemann_surface_product_report
 from .errors import ToolkitError
-from .jointspec import (
-    NotPSDError,
-    cartesian_gap,
-    check_pair,
-    joint_spectrum,
-    sum_operator_check,
-    tensor_pair_spectrum,
-)
-from .numerics import (
-    DEFAULT_TOL,
-    KRONECKER_DIM_CAP,
-    MATCH_GAP,
-    NotHermitianError,
-    Tolerance,
-    nan_max,
-)
+from .limits import DEFAULT_TOL, KRONECKER_DIM_CAP, Tolerance
 from .scenario import (
     ParseError,
     Scenario,
@@ -80,6 +66,8 @@ def _oracle_cutoff(args) -> Fraction | None:
 
 
 def _cmd_validate(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
+    from . import complexes
+
     complex_ = parse_finite_complex(scenario.payload, "$.payload")
     report = complexes.validate(complex_, tol)
     results = {
@@ -92,6 +80,8 @@ def _cmd_validate(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]
 
 
 def _cmd_spectrum(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
+    from . import complexes
+
     complex_ = parse_finite_complex(scenario.payload, "$.payload")
     ok = complexes.validate(complex_, tol).passed
     degrees = {
@@ -101,6 +91,8 @@ def _cmd_spectrum(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]
 
 
 def _cmd_hodge(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
+    from . import complexes
+
     complex_ = parse_finite_complex(scenario.payload, "$.payload")
     ok = complexes.validate(complex_, tol).passed
     per_degree = {}
@@ -113,6 +105,8 @@ def _cmd_hodge(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
 
 
 def _cmd_identities(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
+    from . import complexes
+
     complex_ = parse_finite_complex(scenario.payload, "$.payload")
     ok = complexes.validate(complex_, tol).passed
     per_degree = {}
@@ -125,6 +119,9 @@ def _cmd_identities(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, boo
 
 
 def _cmd_tensor(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
+    from . import complexes, tensorprod
+    from .numerics import nan_max
+
     left = parse_finite_complex(_require(scenario.payload, "left", "tensor"), "$.payload.left")
     right = parse_finite_complex(_require(scenario.payload, "right", "tensor"), "$.payload.right")
     product, index = tensorprod.tensor_complex(left, right, args.max_dim)
@@ -234,6 +231,16 @@ def _cmd_dbar_n(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
 
 
 def _cmd_joint(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
+    from .jointspec import (
+        NotPSDError,
+        cartesian_gap,
+        check_pair,
+        joint_spectrum,
+        sum_operator_check,
+        tensor_pair_spectrum,
+    )
+    from .numerics import MATCH_GAP, NotHermitianError
+
     t = parse_matrix(_require(scenario.payload, "t", "joint"), "$.payload.t")
     s = parse_matrix(_require(scenario.payload, "s", "joint"), "$.payload.s")
     pair = check_pair(t, s, tol)
@@ -263,6 +270,8 @@ FUZZ_CASES_CAP = 10_000
 
 
 def _cmd_fuzz(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
+    from . import fuzzing
+
     if not 1 <= args.cases <= FUZZ_CASES_CAP:
         raise ParseError(f"--cases: expected an integer in [1, {FUZZ_CASES_CAP}], got {args.cases}")
     seed = parse_seed(args.seed, "--seed") if args.seed is not None else (scenario.rng_seed or 0)

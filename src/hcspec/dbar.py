@@ -49,7 +49,6 @@ from enum import Enum
 from typing import Callable, Mapping, Sequence
 
 from .errors import ToolkitError
-from .gaussian_oracle import FORM_LADDER_BASE, FUNCTION_LADDER_BASE, LADDER_STEP
 from .spectra import (
     AP,
     EMPTY,
@@ -66,6 +65,14 @@ from .spectra import (
     product_essential,
     product_operator,
 )
+
+
+# The Gaussian weight's ladder, frozen conclusions of the ladder-operator
+# oracle in :mod:`hcspec.gaussian_oracle`: a unit ladder from 0 on functions
+# and from 1 on forms.
+FUNCTION_LADDER_BASE = 0
+FORM_LADDER_BASE = 1
+LADDER_STEP = 1
 
 
 class BidegreeOutOfRangeError(ToolkitError):

@@ -1,0 +1,50 @@
+"""Numerical tolerances and size caps.
+
+Shared by the dense layers, which re-export them from :mod:`hcspec.numerics`,
+and by the command line and the scenario parser.  This module imports no
+numpy, so the exact commands can read the defaults without loading it.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from dataclasses import dataclass
+
+# Kronecker sums and tensor products larger than this (rows or columns) are
+# refused.
+KRONECKER_DIM_CAP = 4096
+
+# Machine epsilon of float64, numpy's ``finfo(float64).eps``.
+_EPS = sys.float_info.epsilon
+
+
+@dataclass(frozen=True)
+class Tolerance:
+    """Numerical tolerances used across the toolkit.
+
+    ``rank_threshold`` is an explicit override for the singular-value cutoff;
+    when ``None`` the cutoff is ``dimension * eps * sigma_max``, the standard
+    backward-stable convention.  Every given value must be finite and strictly
+    positive: a NaN would fail no comparison and so disable every gate.
+    """
+
+    eigen_residual: float = 1e-9
+    identity_check: float = 1e-8
+    rank_threshold: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("eigen_residual", "identity_check", "rank_threshold"):
+            value = getattr(self, name)
+            if name == "rank_threshold" and value is None:
+                continue
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
+
+    def rank_cutoff(self, dimension: int, sigma_max: float) -> float:
+        if self.rank_threshold is not None:
+            return self.rank_threshold
+        return max(dimension, 1) * _EPS * sigma_max
+
+
+DEFAULT_TOL = Tolerance()

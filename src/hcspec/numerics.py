@@ -17,17 +17,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import ToolkitError
-
-# Kronecker sums and tensor products larger than this (rows or columns) are
-# refused.
-KRONECKER_DIM_CAP = 4096
+from .limits import _EPS, DEFAULT_TOL, KRONECKER_DIM_CAP, Tolerance
 
 # Largest gap at which two eigenvalue multisets, paired in sorted order, count
 # as one: every product, sum-operator and joint spectrum comparison passes on
 # ``gap <= MATCH_GAP``, which a NaN fails.
 MATCH_GAP = 1e-7
-
-_EPS = float(np.finfo(np.float64).eps)
 
 # Bound of the values-only eigen gate, in units of N * eps * ||A||_F (trace)
 # and N * eps * ||A||_F^2 (sum of squares).  Measured with eigvalsh: at most
@@ -51,37 +46,6 @@ class SizeOverflowError(ToolkitError):
 
 class NonFiniteError(ToolkitError, ValueError):
     """A matrix holds NaN or Inf, given as input or reached by overflow."""
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical tolerances used across the toolkit.
-
-    ``rank_threshold`` is an explicit override for the singular-value cutoff;
-    when ``None`` the cutoff is ``dimension * eps * sigma_max``, the standard
-    backward-stable convention.  Every given value must be finite and strictly
-    positive: a NaN would fail no comparison and so disable every gate.
-    """
-
-    eigen_residual: float = 1e-9
-    identity_check: float = 1e-8
-    rank_threshold: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("eigen_residual", "identity_check", "rank_threshold"):
-            value = getattr(self, name)
-            if name == "rank_threshold" and value is None:
-                continue
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
-
-    def rank_cutoff(self, dimension: int, sigma_max: float) -> float:
-        if self.rank_threshold is not None:
-            return self.rank_threshold
-        return max(dimension, 1) * _EPS * sigma_max
-
-
-DEFAULT_TOL = Tolerance()
 
 
 def as_complex_matrix(entries) -> np.ndarray:

@@ -3,7 +3,9 @@
 Scenarios are UTF-8 JSON documents: rationals travel as strings like
 ``"3/2"``, complex numbers as two-element ``[re, im]`` arrays (bare numbers
 are accepted for real entries), matrices as row-major nested arrays, and
-infinite multiplicities or dimensions as the string ``"inf"``.
+infinite multiplicities or dimensions as the string ``"inf"``.  Numpy and
+the dense layers are imported only where a matrix or a finite complex is
+parsed or printed, so factor models and spectral sets parse without them.
 """
 
 from __future__ import annotations
@@ -11,18 +13,16 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from .complexes import FiniteComplex, random_complex
 from .dbar import BUILTIN_BUILDERS, DbarFactorModel
 from .errors import ToolkitError
-from .numerics import KRONECKER_DIM_CAP
+from .limits import KRONECKER_DIM_CAP
 from .spectra import (
     INFINITE,
     Mult,
@@ -31,6 +31,11 @@ from .spectra import (
     is_infinite,
     normalize_ratios,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .complexes import FiniteComplex
 
 SCENARIO_KINDS = ("finite-complex", "finite-pair", "spectral-model", "dbar-factors")
 SUPPORTED_VERSIONS = ("1",)
@@ -118,6 +123,8 @@ def parse_complex_number(value: Any, path: str) -> complex:
 
 
 def parse_matrix(value: Any, path: str) -> np.ndarray:
+    import numpy as np
+
     if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
         raise _fail(path, "expected a nested array of rows")
     if not value:
@@ -132,6 +139,8 @@ def parse_matrix(value: Any, path: str) -> np.ndarray:
 
 
 def matrix_to_json(matrix: np.ndarray) -> list[list[list[float]]]:
+    import numpy as np
+
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
 
 
@@ -328,6 +337,8 @@ def _parse_dims(value: Any, path: str) -> list[int]:
 
 
 def parse_finite_complex(value: Any, path: str) -> FiniteComplex:
+    from .complexes import FiniteComplex, random_complex
+
     if not isinstance(value, dict):
         raise _fail(path, "expected an object")
     if "random" in value:
@@ -437,14 +448,16 @@ def json_ready(value: Any) -> Any:
         return spectral_set_to_json(value)
     if isinstance(value, OperatorSpectrum):
         return operator_spectrum_to_json(value)
-    if isinstance(value, np.ndarray):
-        return json_ready(matrix_to_json(value))
+    np = sys.modules.get("numpy")  # no numpy value exists unless numpy is loaded
+    if np is not None:
+        if isinstance(value, np.ndarray):
+            return json_ready(matrix_to_json(value))
+        if isinstance(value, np.integer):
+            return int(value)
+        if isinstance(value, np.floating):
+            value = float(value)
     if isinstance(value, complex):
         return [json_ready(value.real), json_ready(value.imag)]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        value = float(value)
     if isinstance(value, float) and math.isinf(value):
         return float.__repr__(value)
     return value

@@ -35,16 +35,20 @@ involved, each set becomes sorted int64 indices with exact counts and
 infinite flags.  The oracle adds every pair of summand indices at once; it
 never calls :func:`minkowski_sum`, its per-atom sums or its gap points.
 More than ``ORACLE_PAIR_CAP`` values of one set, or value pairs, is an
-:class:`OracleBudgetError`, raised before anything is enumerated.
+:class:`OracleBudgetError`, raised before anything is enumerated.  This kernel
+is the only part of the module that uses numpy, and it imports numpy where
+it runs, so the exact operations never load it.
 
 The product formula is written once, in :func:`product_essential` (the
 essential spectrum as a union of parts, one factor's essential spectrum summed
 with the other factors' spectra) and :func:`product_operator`.  Both fold the
 factor spectra left to right through one prefix trie keyed by spectrum values,
-which builds each distinct fold prefix once per call, and sum each distinct
-part (a value pair of essential spectrum and others' sum) once per call;
-:func:`product_operator` folds the spectrum and the essential parts through
-the same trie.  This module holds no verdict: those are in :mod:`hcspec.dbar`.
+which builds each distinct fold prefix once per call, and every sum, of a
+fold or of a part (essential spectrum plus others' sum), goes through one
+memo keyed by the operand value pair, so each distinct pair is summed once
+per call; :func:`product_operator` folds the spectrum and the essential parts
+through the same trie and memo.  This module holds no verdict: those are in
+:mod:`hcspec.dbar`.
 """
 
 from __future__ import annotations
@@ -52,11 +56,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 from .errors import ToolkitError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Infinite multiplicity marker.  Finite multiplicities are positive ints.
 INFINITE: float = math.inf
@@ -479,6 +484,8 @@ def _progressions(s: SpectralSet, scale: int, limit: int):
     so it has one term below it.  Starts are clipped to ``limit`` and strides
     to ``limit + 1``, which keeps the term counts and every entry in int64.
     """
+    import numpy as np
+
     keys = _rescaled(s, scale // s.scale)
     starts = np.array([min(key[0], limit) for key in keys], dtype=np.int64)
     strides = np.array([min(key[2], limit + 1) if key[1] else limit + 1 for key in keys], dtype=np.int64)
@@ -490,6 +497,8 @@ def _progressions(s: SpectralSet, scale: int, limit: int):
 
 def _classes(values: np.ndarray, counts: np.ndarray, infinite: np.ndarray):
     """Distinct sorted ``values`` with summed exact ``counts`` and any-``infinite`` flags."""
+    import numpy as np
+
     index, inverse = np.unique(values, return_inverse=True)
     total = np.zeros(index.size, dtype=object)
     np.add.at(total, inverse, counts)
@@ -500,6 +509,8 @@ def _classes(values: np.ndarray, counts: np.ndarray, infinite: np.ndarray):
 
 def _lattice(progressions):
     """Every lattice index below the limit, as :func:`_classes`."""
+    import numpy as np
+
     starts, strides, lengths, counts, infinite = progressions
     term = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     values = np.repeat(starts, lengths) + np.repeat(strides, lengths) * term
@@ -554,6 +565,8 @@ def minkowski_oracle_check(
     :class:`OracleBudgetError` as :func:`_on_lattice` does, or on more than
     ``ORACLE_PAIR_CAP`` value pairs, before enumerating anything.
     """
+    import numpy as np
+
     _, limit, ((a_prog, n_a), (b_prog, n_b), (total_prog, _)) = _on_lattice(
         {"a": a, "b": b, "the sum": total}, cutoff
     )
@@ -686,43 +699,52 @@ class OperatorSpectrum:
         return self.spectrum.is_empty()
 
 
-def _fold_spectra(factors: Sequence[OperatorSpectrum], folds: dict) -> SpectralSet:
+def _sum(a: SpectralSet, b: SpectralSet, sums: dict) -> SpectralSet:
+    """``minkowski_sum(a, b)``, summed once per ordered value pair in ``sums``.
+    A sum reads only the values of its operands, so the memo's sum is the one
+    the call would make."""
+    pair = (a, b)
+    total = sums.get(pair)
+    if total is None:
+        total = sums[pair] = minkowski_sum(a, b)
+    return total
+
+
+def _fold_spectra(factors: Sequence[OperatorSpectrum], folds: dict, sums: dict) -> SpectralSet:
     """Left Minkowski fold of the factor spectra, starting from the first.
 
     ``folds`` is a trie of the folds built so far, keyed by the value of the
     factor spectra in order: a fold whose prefix of spectra is already there
     reuses that prefix's sum, so the folds of one call share their prefixes,
-    and entries with equal spectra share them too.  A sum reads only the
-    values of its operands, so the shared sum is the one the fold would make.
-    The association stays left to right.
+    and entries with equal spectra share them too.  Where the trie misses,
+    the sum goes through the value-pair memo ``sums`` (:func:`_sum`), so
+    equal totals reached through different prefixes are summed once.  The
+    association stays left to right.
     """
     total, node = None, folds
     for factor in factors:
         spectrum = factor.spectrum
         entry = node.get(spectrum)
         if entry is None:
-            total = spectrum if total is None else minkowski_sum(total, spectrum)
+            total = spectrum if total is None else _sum(total, spectrum, sums)
             entry = node[spectrum] = (total, {})
         total, node = entry
     return total
 
 
 def _essential_union(
-    terms: Sequence[Sequence[OperatorSpectrum]], folds: dict
+    terms: Sequence[Sequence[OperatorSpectrum]], folds: dict, sums: dict
 ) -> SpectralSet:
     """The union of the nonempty parts of every term, in term order, then
     factor order; the others' sums fold through the trie ``folds``, and each
-    part is summed once per distinct value pair ``(E_j, others' sum)``."""
+    part ``E_j + others' sum`` goes through the value-pair memo ``sums``."""
     essential = EMPTY
-    parts: dict[tuple[SpectralSet, SpectralSet], SpectralSet] = {}
     for term in terms:
         for j, own in enumerate(term):
             if own.essential.is_empty():
                 continue
-            pair = (own.essential, _fold_spectra(term[:j] + term[j + 1 :], folds))
-            part = parts.get(pair)
-            if part is None:
-                part = parts[pair] = minkowski_sum(*pair)
+            others = _fold_spectra(term[:j] + term[j + 1 :], folds, sums)
+            part = _sum(own.essential, others, sums)
             if not part.is_empty():
                 essential = union(essential, part)
     return essential
@@ -740,10 +762,11 @@ def product_essential(terms: Sequence[Sequence[OperatorSpectrum]]) -> SpectralSe
     the other factors fold left to right (:func:`_fold_spectra`) through a
     trie keyed by spectrum values, so a fold prefix shared by several parts,
     such as the bit vectors of one weight that agree on their first entries,
-    or entries with equal spectra, is summed once per call; so is each part
-    with the same value pair.
+    or entries with equal spectra, is summed once per call.  The folds and
+    the parts sum through one memo keyed by the operand value pair
+    (:func:`_sum`), so no value pair is summed twice in one call.
     """
-    return _essential_union(terms, {})
+    return _essential_union(terms, {}, {})
 
 
 def product_operator(terms: Sequence[Sequence[OperatorSpectrum]]) -> OperatorSpectrum:
@@ -752,10 +775,12 @@ def product_operator(terms: Sequence[Sequence[OperatorSpectrum]]) -> OperatorSpe
     The spectrum is the union, in term order, of the Minkowski sums of each
     term's factor spectra; the essential spectrum is :func:`product_essential`.
     Both fold through one trie keyed by spectrum values, so the others' sum of
-    a term's last factor is the prefix its full sum already built.
+    a term's last factor is the prefix its full sum already built, and both
+    sum through one memo of value pairs.
     """
     spectrum = EMPTY
     folds: dict = {}
+    sums: dict = {}
     for term in terms:
-        spectrum = union(spectrum, _fold_spectra(term, folds))
-    return OperatorSpectrum(spectrum, _essential_union(terms, folds))
+        spectrum = union(spectrum, _fold_spectra(term, folds, sums))
+    return OperatorSpectrum(spectrum, _essential_union(terms, folds, sums))

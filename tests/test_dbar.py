@@ -302,6 +302,18 @@ def _left_fold(entries):
     return fold
 
 
+def _summed_pairs(folds):
+    """The operand value pairs ``(total, next spectrum)`` of the left folds
+    of ``folds``."""
+    pairs = set()
+    for fold in folds:
+        total = fold[0].spectrum
+        for entry in fold[1:]:
+            pairs.add((total, entry.spectrum))
+            total = minkowski_sum(total, entry.spectrum)
+    return pairs
+
+
 def _count_sums(monkeypatch):
     calls = []
 
@@ -317,9 +329,9 @@ def test_shared_fold_sums_each_prefix_once(monkeypatch):
     rnd = random.Random(7)
     factors = [random_factor_model(rnd, f"f{j}", infinite_chance=0.1) for j in range(7)]
     terms = _bit_vector_terms(factors, 3)
-    # one sum per distinct fold prefix of spectrum values, and one per
-    # distinct part, a value pair of the factor's own essential spectrum and
-    # the others' sum
+    # one sum per distinct operand value pair: of a fold step (the total so
+    # far and the next spectrum) or of a part (the factor's own essential
+    # spectrum and the others' sum)
     owns = [
         (own, term[:j] + term[j + 1 :])
         for term in terms
@@ -328,19 +340,24 @@ def test_shared_fold_sums_each_prefix_once(monkeypatch):
     ]
     others = [rest for _, rest in owns]
     pairs = {(own.essential, _left_fold(rest)) for own, rest in owns}
+    essential_pairs = _summed_pairs(others) | pairs
+    operator_pairs = _summed_pairs([*terms, *others]) | pairs
     unshared_sums = len(owns) * (len(factors) - 1)
     calls = _count_sums(monkeypatch)
     spectra.product_essential(terms)
     assert len(owns) >= 20
     assert len(pairs) < len(owns)
-    assert len(calls) == len(_prefixes(others)) + len(pairs) < unshared_sums
+    assert len(calls) == len(essential_pairs) < unshared_sums
+    # equal totals reached through different prefixes are summed once: fewer
+    # sums than distinct prefixes and parts
+    assert len(calls) < len(_prefixes(others)) + len(pairs)
     # product_operator folds the full terms and the others' sums through one
     # trie: the others' sum of a term's last factor is a full-term prefix
     calls.clear()
     spectra.product_operator(terms)
     shared = _prefixes([*terms, *others])
     assert len(shared) < len(_prefixes(terms)) + len(_prefixes(others))
-    assert len(calls) == len(shared) + len(pairs)
+    assert len(calls) == len(operator_pairs) < len(shared) + len(pairs)
 
 
 def test_equal_factor_spectra_are_summed_once(monkeypatch):
