@@ -124,7 +124,7 @@ def _cmd_tensor(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
 
     left = parse_finite_complex(_require(scenario.payload, "left", "tensor"), "$.payload.left")
     right = parse_finite_complex(_require(scenario.payload, "right", "tensor"), "$.payload.right")
-    product, index = tensorprod.tensor_complex(left, right, args.max_dim)
+    product = tensorprod.tensor_complex(left, right, args.max_dim)
     validation = complexes.validate(product, tol)
     kuenneth = tensorprod.kuenneth_check(left, right, product, tol)
     matches = {}
@@ -142,7 +142,7 @@ def _cmd_tensor(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
         "product_lo": product.lo,
         "blocks": {
             str(d): [[slot.j, slot.k, slot.offset, slot.size] for slot in idx.blocks]
-            for d, idx in sorted(index.items())
+            for d, idx in sorted(product.layout.items())
         },
         "validation": {"passed": validation.passed},
         "kuenneth": {

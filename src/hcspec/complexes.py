@@ -184,9 +184,6 @@ class FiniteComplex:
             return found
         return zero_matrix(self.dim(degree + 1), self.dim(degree))
 
-    def support(self) -> frozenset[int]:
-        return frozenset(d for d in self.degrees if self.dim(d) > 0)
-
     def _require_degree(self, degree: int) -> None:
         if not self.lo <= degree <= self.hi:
             raise DegreeOutOfRangeError(

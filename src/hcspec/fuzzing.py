@@ -246,7 +246,7 @@ def run_tensor_suite(seed: int, cases: int) -> SuiteResult:
         dims_b = [rnd.randint(0, 4) for _ in range(rnd.randint(1, 3))]
         a = complexes.random_complex(dims_a, seed=rnd.randrange(2**32))
         b = complexes.random_complex(dims_b, seed=rnd.randrange(2**32))
-        product, _ = tensorprod.tensor_complex(a, b)
+        product = tensorprod.tensor_complex(a, b)
         for degree in product.degrees:
             match = tensorprod.verify_product_spectrum(a, b, product, degree)
             if not match.passed:

@@ -21,9 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The catalogue's frozen ladder, which the tests regenerate from this oracle.
-from .dbar import FORM_LADDER_BASE, FUNCTION_LADDER_BASE, LADDER_STEP  # noqa: F401
-
 
 def lowering_matrix(levels: int) -> np.ndarray:
     """Oscillator lowering operator truncated to ``levels + 1`` states."""

@@ -420,14 +420,19 @@ def parse_factor_model(value: Any, path: str) -> DbarFactorModel:
         raise _fail(path, str(exc)) from exc
 
 
+# One spelling per bidegree, so no two keys of one object name the same one.
+_BIDEGREE_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
+
+
 def _parse_bidegree_key(key: str, path: str) -> tuple[int, int]:
-    parts = key.split(",")
-    if len(parts) != 2:
-        raise _fail(path, f"bidegree keys look like 'p,q'; got {key!r}")
+    match = _BIDEGREE_KEY.fullmatch(key)
     try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise _fail(path, f"bidegree keys look like 'p,q'; got {key!r}") from exc
+        if match is not None:
+            # int refuses more digits than sys.get_int_max_str_digits()
+            return int(match[1]), int(match[2])
+    except ValueError:
+        pass
+    raise _fail(path, f"bidegree keys look like 'p,q'; got {key!r}")
 
 
 # ---------------------------------------------------------------------------

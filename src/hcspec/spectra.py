@@ -42,13 +42,10 @@ it runs, so the exact operations never load it.
 The product formula is written once, in :func:`product_essential` (the
 essential spectrum as a union of parts, one factor's essential spectrum summed
 with the other factors' spectra) and :func:`product_operator`.  Both fold the
-factor spectra left to right through one prefix trie keyed by spectrum values,
-which builds each distinct fold prefix once per call, and every sum, of a
-fold or of a part (essential spectrum plus others' sum), goes through one
-memo keyed by the operand value pair, so each distinct pair is summed once
-per call; :func:`product_operator` folds the spectrum and the essential parts
-through the same trie and memo.  This module holds no verdict: those are in
-:mod:`hcspec.dbar`.
+factor spectra left to right, and every sum, of a fold step or of a part
+(essential spectrum plus others' sum), goes through one memo keyed by the
+operand value pair, local to the call, so each distinct pair is summed once
+per call.  This module holds no verdict: those are in :mod:`hcspec.dbar`.
 """
 
 from __future__ import annotations
@@ -710,40 +707,25 @@ def _sum(a: SpectralSet, b: SpectralSet, sums: dict) -> SpectralSet:
     return total
 
 
-def _fold_spectra(factors: Sequence[OperatorSpectrum], folds: dict, sums: dict) -> SpectralSet:
-    """Left Minkowski fold of the factor spectra, starting from the first.
-
-    ``folds`` is a trie of the folds built so far, keyed by the value of the
-    factor spectra in order: a fold whose prefix of spectra is already there
-    reuses that prefix's sum, so the folds of one call share their prefixes,
-    and entries with equal spectra share them too.  Where the trie misses,
-    the sum goes through the value-pair memo ``sums`` (:func:`_sum`), so
-    equal totals reached through different prefixes are summed once.  The
-    association stays left to right.
-    """
-    total, node = None, folds
-    for factor in factors:
-        spectrum = factor.spectrum
-        entry = node.get(spectrum)
-        if entry is None:
-            total = spectrum if total is None else _sum(total, spectrum, sums)
-            entry = node[spectrum] = (total, {})
-        total, node = entry
+def _fold_spectra(factors: Sequence[OperatorSpectrum], sums: dict) -> SpectralSet:
+    """Left Minkowski fold of the factor spectra, starting from the first;
+    each step sums through the value-pair memo ``sums`` (:func:`_sum`)."""
+    total = factors[0].spectrum
+    for factor in factors[1:]:
+        total = _sum(total, factor.spectrum, sums)
     return total
 
 
-def _essential_union(
-    terms: Sequence[Sequence[OperatorSpectrum]], folds: dict, sums: dict
-) -> SpectralSet:
+def _essential_union(terms: Sequence[Sequence[OperatorSpectrum]], sums: dict) -> SpectralSet:
     """The union of the nonempty parts of every term, in term order, then
-    factor order; the others' sums fold through the trie ``folds``, and each
-    part ``E_j + others' sum`` goes through the value-pair memo ``sums``."""
+    factor order; the others' folds and each part ``E_j + others' sum`` sum
+    through the value-pair memo ``sums``."""
     essential = EMPTY
     for term in terms:
         for j, own in enumerate(term):
             if own.essential.is_empty():
                 continue
-            others = _fold_spectra(term[:j] + term[j + 1 :], folds, sums)
+            others = _fold_spectra(term[:j] + term[j + 1 :], sums)
             part = _sum(own.essential, others, sums)
             if not part.is_empty():
                 essential = union(essential, part)
@@ -759,14 +741,12 @@ def product_essential(terms: Sequence[Sequence[OperatorSpectrum]]) -> SpectralSe
     Minkowski sum of the spectra of the term's other factors.  Returns the
     union of the parts, taken incrementally in term order, then factor order,
     since ``normalize`` is not associative on representation.  The sums of
-    the other factors fold left to right (:func:`_fold_spectra`) through a
-    trie keyed by spectrum values, so a fold prefix shared by several parts,
-    such as the bit vectors of one weight that agree on their first entries,
-    or entries with equal spectra, is summed once per call.  The folds and
-    the parts sum through one memo keyed by the operand value pair
-    (:func:`_sum`), so no value pair is summed twice in one call.
+    the other factors fold left to right (:func:`_fold_spectra`), and every
+    sum, of a fold step or of a part, goes through one memo keyed by the
+    operand value pair (:func:`_sum`), so no value pair is summed twice in
+    one call.
     """
-    return _essential_union(terms, {}, {})
+    return _essential_union(terms, {})
 
 
 def product_operator(terms: Sequence[Sequence[OperatorSpectrum]]) -> OperatorSpectrum:
@@ -774,13 +754,11 @@ def product_operator(terms: Sequence[Sequence[OperatorSpectrum]]) -> OperatorSpe
 
     The spectrum is the union, in term order, of the Minkowski sums of each
     term's factor spectra; the essential spectrum is :func:`product_essential`.
-    Both fold through one trie keyed by spectrum values, so the others' sum of
-    a term's last factor is the prefix its full sum already built, and both
-    sum through one memo of value pairs.
+    Both sum through one memo of value pairs, so a fold step that a term's
+    full sum and its parts share is summed once per call.
     """
     spectrum = EMPTY
-    folds: dict = {}
     sums: dict = {}
     for term in terms:
-        spectrum = union(spectrum, _fold_spectra(term, folds, sums))
-    return OperatorSpectrum(spectrum, _essential_union(terms, folds, sums))
+        spectrum = union(spectrum, _fold_spectra(term, sums))
+    return OperatorSpectrum(spectrum, _essential_union(terms, sums))

@@ -55,11 +55,9 @@ def _block_index(a: FiniteComplex, b: FiniteComplex, degree: int) -> ProductBloc
     return ProductBlockIndex(degree, tuple(blocks))
 
 
-def tensor_complex(
-    a: FiniteComplex, b: FiniteComplex, dim_cap: int = KRONECKER_DIM_CAP
-) -> tuple[FiniteComplex, dict[int, ProductBlockIndex]]:
-    """Build the product complex, which carries the per-degree block layout,
-    and that layout."""
+def tensor_complex(a: FiniteComplex, b: FiniteComplex, dim_cap: int = KRONECKER_DIM_CAP) -> FiniteComplex:
+    """Build the product complex, which carries its per-degree block layout
+    as ``layout``."""
     lo = a.lo + b.lo
     hi = a.hi + b.hi
     indexes = {i: _block_index(a, b, i) for i in range(lo, hi + 1)}
@@ -90,7 +88,7 @@ def tensor_complex(
         if matrix.size:
             differentials[i] = matrix
 
-    return FiniteComplex(lo, dims, differentials, indexes), indexes
+    return FiniteComplex(lo, dims, differentials, indexes)
 
 
 def product_laplacian_blocks(a: FiniteComplex, b: FiniteComplex, degree: int) -> dict[tuple[int, int], np.ndarray]:

@@ -440,6 +440,28 @@ def test_non_object_fields_exit_2(tmp_path, capsys, command, scenario, keys, bas
     assert f"ParseError: {json_path}: expected an object" in err
 
 
+@pytest.mark.parametrize("spelling", ["00,0", " 0 ,0", "+0,0", "0_0,0", "0,0 ", "0,-0", "\u0660,0"])
+@pytest.mark.parametrize(
+    "field, first, second",
+    [
+        pytest.param(
+            "box_spectrum",
+            {"spectrum": {"atoms": [{"kind": "point", "value": "1"}]}},
+            {"spectrum": {"atoms": [{"kind": "point", "value": "2"}]}},
+            id="box-spectrum",
+        ),
+        pytest.param("cohomology_dim", 1, "unknown", id="cohomology-dim"),
+    ],
+)
+def test_noncanonical_bidegree_keys_exit_2(tmp_path, capsys, field, first, second, spelling):
+    # another spelling of (0, 0) would silently replace the "0,0" entry
+    factor = {**_MYSTERY_FACTOR, field: {"0,0": first, spelling: second}}
+    code = main(["dbar", str(_edited_scenario(tmp_path, "bidisc.json", ["payload", "factors", 0], factor))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"ParseError: $.payload.factors[0].{field}: bidegree keys look like 'p,q'; got {spelling!r}" in err
+
+
 def test_complex_dimension_above_the_cap_exits_2_before_any_grid(tmp_path, capsys):
     factor = {**_MYSTERY_FACTOR, "complex_dimension": dbar.MAX_COMPLEX_DIMENSION + 1}
     code = main(["dbar", str(_edited_scenario(tmp_path, "bidisc.json", ["payload", "factors", 0], factor))])

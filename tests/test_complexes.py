@@ -167,7 +167,7 @@ def test_large_norm_complex_keeps_its_spectrum():
     c, unit = chain(3000.0), chain(1.0)
     assert [spectrum_multiset(c, degree) for degree in c.degrees] == [[9e6], [9e6]]
     assert [cohomology_dim(c, degree) for degree in c.degrees] == [0, 0]
-    product, _ = tensor_complex(c, unit)
+    product = tensor_complex(c, unit)
     assert kuenneth_check(c, unit, product).passed
     assert all(verify_product_spectrum(c, unit, product, i).passed for i in product.degrees)
 
@@ -201,14 +201,14 @@ def test_hodge_and_cohomology_kernel_counts_agree():
     # hodge counts eigenvector columns of the Laplacian (eigh); cohomology_dim
     # counts the memoized eigvalsh values and checks them against the SVD ranks
     factors = _random_complexes()
-    products = [tensor_complex(a, b)[0] for a, b in zip(factors, factors[1:])]
+    products = [tensor_complex(a, b) for a, b in zip(factors, factors[1:])]
     for c in factors + products + _fuzzed_complexes(200):
         for degree in c.degrees:
             assert hodge(c, degree).harmonic_dim == cohomology_dim(c, degree)
     # up to the 358-dimensional degree, against the count hodge takes from
     # eigh, without its two range projectors
     a = random_complex([6, 14, 10], seed=3)
-    product, _ = tensor_complex(a, random_complex([8, 16, 9], seed=4))
+    product = tensor_complex(a, random_complex([8, 16, 9], seed=4))
     assert max(product.dims) == 358
     for degree in product.degrees:
         values = np.clip(hermitian_eig(laplacian(product, degree)).eigenvalues, 0.0, None)
@@ -218,7 +218,7 @@ def test_hodge_and_cohomology_kernel_counts_agree():
 
 def test_values_only_spectra_agree_with_the_vectors_path():
     factors = _fuzzed_complexes(40)
-    products = [tensor_complex(a, b)[0] for a, b in zip(factors[::2], factors[1::2])]
+    products = [tensor_complex(a, b) for a, b in zip(factors[::2], factors[1::2])]
     for c in factors + products:
         for degree in c.degrees:
             if not c.dim(degree):
@@ -281,7 +281,7 @@ def test_svd_kernels_match_dilation_reference():
     factors = _random_complexes()
     deficient = 0
     for a, b in zip(factors, factors[1:]):
-        product, _ = tensor_complex(a, b)
+        product = tensor_complex(a, b)
         for d in product.differentials.values():
             pinv, proj, rank = _dilation_reference(d)
             deficient += rank < min(d.shape)

@@ -287,7 +287,7 @@ def _bit_vector_terms(factors, q):
 
 def _prefixes(folds):
     """The fold prefixes of two or more entries of ``folds``, by the values
-    of their spectra: the trie shares a prefix between equal spectra."""
+    of their spectra, so equal spectra make one prefix."""
     return {
         values[:k]
         for values in (tuple(entry.spectrum for entry in fold) for fold in folds)
@@ -352,17 +352,28 @@ def test_shared_fold_sums_each_prefix_once(monkeypatch):
     # sums than distinct prefixes and parts
     assert len(calls) < len(_prefixes(others)) + len(pairs)
     # product_operator folds the full terms and the others' sums through one
-    # trie: the others' sum of a term's last factor is a full-term prefix
+    # memo: the others' sum of a term's last factor is a step of its full sum
     calls.clear()
     spectra.product_operator(terms)
     shared = _prefixes([*terms, *others])
-    assert len(shared) < len(_prefixes(terms)) + len(_prefixes(others))
     assert len(calls) == len(operator_pairs) < len(shared) + len(pairs)
+
+
+def test_no_sum_outlives_one_product_call(monkeypatch):
+    # the memo is local to one call: a second identical call sums again
+    rnd = random.Random(7)
+    factors = [random_factor_model(rnd, f"f{j}", infinite_chance=0.1) for j in range(5)]
+    terms = _bit_vector_terms(factors, 2)
+    calls = _count_sums(monkeypatch)
+    spectra.product_operator(terms)
+    first = len(calls)
+    spectra.product_operator(terms)
+    assert 0 < first == len(calls) - first
 
 
 def test_equal_factor_spectra_are_summed_once(monkeypatch):
     # forty parsed copies of one builtin: distinct objects, equal spectra,
-    # so the value-keyed trie and part memo sum each distinct piece once
+    # so the value-pair memo sums each distinct operand pair once
     factors = [parse_factor_model(json.loads('{"builtin": "infinite-bergman-factor"}'), "$") for _ in range(40)]
     calls = _count_sums(monkeypatch)
     riemann_surface_product_report(factors, 1)

@@ -2,15 +2,8 @@
 
 from fractions import Fraction
 
-from hcspec.dbar import builtin_models
-from hcspec.gaussian_oracle import (
-    FORM_LADDER_BASE,
-    FUNCTION_LADDER_BASE,
-    LADDER_STEP,
-    derive_catalogue_values,
-    form_laplacian_spectrum,
-    function_laplacian_spectrum,
-)
+from hcspec.dbar import FORM_LADDER_BASE, FUNCTION_LADDER_BASE, LADDER_STEP, builtin_models
+from hcspec.gaussian_oracle import derive_catalogue_values, form_laplacian_spectrum, function_laplacian_spectrum
 from hcspec.spectra import AP, is_infinite
 
 

@@ -1,10 +1,11 @@
 """The public surface of ``hcspec`` is what the package itself reaches.
 
-Every module-level public function, class and constant of ``src/hcspec``
-must be referenced by some module of the package other than ``__init__``
-(its own module counts), so no public name lives only for the tests.  The
-walk is syntactic: a name counts as referenced when it is read as a bare
-name, read as an attribute, or imported by name anywhere in such a module.
+Every module-level public function, class and constant of ``src/hcspec``,
+and every public method and property in the body of such a class, must be
+referenced by some module of the package other than ``__init__`` (its own
+module counts), so no public name lives only for the tests.  The walk is
+syntactic: a name counts as referenced when it is read as a bare name, read
+as an attribute, or imported by name anywhere in such a module.
 ``REFERENCE_TOOLS`` lists the exceptions, reference tools that the tests
 compare the package against.
 
@@ -62,8 +63,9 @@ def _referenced(tree: ast.Module) -> set[str]:
 
 
 def _unreached() -> dict[str, str]:
-    """Public module-level name -> defining module, for every name that no
-    module other than ``__init__`` references."""
+    """``module.name`` or ``module.Class.name`` -> name, for every public
+    module-level name, and public method or property of a module-level
+    class, that no module other than ``__init__`` references."""
     defined: dict[str, str] = {}
     referenced: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -72,21 +74,29 @@ def _unreached() -> dict[str, str]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         referenced |= _referenced(tree)
         for node in tree.body:
-            defined.update((name, path.stem) for name in _defined(node) if not name.startswith("_"))
-    return {name: module for name, module in defined.items() if name not in referenced}
+            defined.update((f"{path.stem}.{name}", name) for name in _defined(node))
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    (f"{path.stem}.{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                )
+    return {
+        shown: name
+        for shown, name in defined.items()
+        if not name.startswith("_") and name not in referenced
+    }
 
 
 def test_every_public_name_is_reached_from_the_package():
-    unreached = {
-        f"{module}.{name}" for name, module in _unreached().items() if name not in REFERENCE_TOOLS
-    }
+    unreached = {shown for shown, name in _unreached().items() if name not in REFERENCE_TOOLS}
     assert not unreached, f"public names only tests reach: {sorted(unreached)}"
 
 
 def test_reference_tools_are_public_and_otherwise_unreached():
     # an entry that the package reaches, or that is gone, no longer needs
     # its exemption
-    assert set(REFERENCE_TOOLS) <= set(_unreached())
+    assert set(REFERENCE_TOOLS) <= set(_unreached().values())
 
 
 def _unset_defaults() -> set[str]:

@@ -30,10 +30,10 @@ def chain():
 
 
 def test_chain_squared_matches_hand_computation():
-    product, index = tensor_complex(chain(), chain())
+    product = tensor_complex(chain(), chain())
     assert product.dims == (1, 2, 1)
     # degree-1 blocks in ascending j: (0,1) then (1,0)
-    assert [(slot.j, slot.k) for slot in index[1].blocks] == [(0, 1), (1, 0)]
+    assert [(slot.j, slot.k) for slot in product.layout[1].blocks] == [(0, 1), (1, 0)]
     assert np.allclose(product.differential(0).real.ravel(), [1.0, 1.0])
     assert np.allclose(product.differential(1).real.ravel(), [1.0, -1.0])
     assert validate(product).passed
@@ -54,7 +54,7 @@ def test_sign_rule_is_load_bearing():
 def test_unit_complex_is_identity_for_the_product():
     unit = FiniteComplex(0, (1,))
     a = random_complex([2, 3, 2], seed=4)
-    product, _ = tensor_complex(a, unit)
+    product = tensor_complex(a, unit)
     assert product.dims == a.dims
     for degree in a.degrees:
         assert np.allclose(product.differential(degree), a.differential(degree))
@@ -63,16 +63,19 @@ def test_unit_complex_is_identity_for_the_product():
 def test_zero_complex_annihilates():
     zero = FiniteComplex(0, (0,))
     a = random_complex([2, 2], seed=9)
-    product, _ = tensor_complex(a, zero)
+    product = tensor_complex(a, zero)
     assert all(d == 0 for d in product.dims)
 
 
 def test_support_of_product_is_sumset():
     a = random_complex([2, 0, 3], seed=1)
     b = random_complex([1, 2], seed=2)
-    product, _ = tensor_complex(a, b)
-    want = {j + k for j in a.support() for k in b.support()}
-    assert product.support() == want
+    product = tensor_complex(a, b)
+
+    def support(c):
+        return {d for d in c.degrees if c.dim(d) > 0}
+
+    assert support(product) == {j + k for j in support(a) for k in support(b)}
 
 
 def test_product_laplacian_blocks_chain():
@@ -93,12 +96,12 @@ def test_block_assembly_matches_direct_laplacian():
 
     a = random_complex([2, 3], seed=3)
     b = random_complex([3, 2], seed=5)
-    product, index = tensor_complex(a, b)
+    product = tensor_complex(a, b)
     for degree in product.degrees:
         blocks = product_laplacian_blocks(a, b, degree)
         n = product.dim(degree)
         assembled = np.zeros((n, n), dtype=complex)
-        for slot in index[degree].blocks:
+        for slot in product.layout[degree].blocks:
             block = blocks[(slot.j, slot.k)]
             assembled[
                 slot.offset : slot.offset + slot.size,
@@ -109,7 +112,7 @@ def test_block_assembly_matches_direct_laplacian():
 
 def test_kuenneth_examples():
     def check(a, b):
-        return kuenneth_check(a, b, tensor_complex(a, b)[0])
+        return kuenneth_check(a, b, tensor_complex(a, b))
 
     point = FiniteComplex(0, (1,))
     report = check(point, point)
@@ -128,17 +131,17 @@ def test_kuenneth_on_random_pairs():
     for seed in range(4):
         a = random_complex([2, 3, 1], seed=seed)
         b = random_complex([1, 2], seed=seed + 10)
-        assert kuenneth_check(a, b, tensor_complex(a, b)[0]).passed
+        assert kuenneth_check(a, b, tensor_complex(a, b)).passed
 
 
 def test_verify_product_spectrum_chain():
-    match = verify_product_spectrum(chain(), chain(), tensor_complex(chain(), chain())[0], 1)
+    match = verify_product_spectrum(chain(), chain(), tensor_complex(chain(), chain()), 1)
     assert match.passed and match.max_gap <= 1e-12
     assert list(match.product_eigenvalues) == [2.0, 2.0]
 
 
 def test_verify_product_spectrum_outside_support():
-    match = verify_product_spectrum(chain(), chain(), tensor_complex(chain(), chain())[0], 7)
+    match = verify_product_spectrum(chain(), chain(), tensor_complex(chain(), chain()), 7)
     assert match.passed
     assert match.product_eigenvalues == () and match.summed_eigenvalues == ()
 
@@ -147,7 +150,7 @@ def test_verify_product_spectrum_random_pairs():
     for seed in range(5):
         a = random_complex([3, 2], seed=seed)
         b = random_complex([2, 3, 1], seed=seed + 100)
-        product, _ = tensor_complex(a, b)
+        product = tensor_complex(a, b)
         for degree in product.degrees:
             match = verify_product_spectrum(a, b, product, degree)
             assert match.passed, (seed, degree, match.max_gap)
@@ -162,7 +165,7 @@ def test_size_overflow_guard():
 def test_shifted_degree_windows():
     a = random_complex([2, 3], seed=1, lo=-1)
     b = random_complex([2, 2], seed=2, lo=2)
-    product, _ = tensor_complex(a, b)
+    product = tensor_complex(a, b)
     assert (product.lo, product.hi) == (1, 3)
     assert validate(product).passed
     assert kuenneth_check(a, b, product).passed
@@ -205,7 +208,8 @@ def _kron_product(a, b, signed=True):
     """The product of ``a`` and ``b`` assembled from ``np.kron`` pieces on the
     layout of :func:`tensor_complex`, with the sign ``(-1)^j`` on the
     ``I (x) d'_k`` pieces unless ``signed`` is false."""
-    product, layout = tensor_complex(a, b)
+    product = tensor_complex(a, b)
+    layout = product.layout
     differentials = {}
     for i in range(product.lo, product.hi):
         matrix = np.zeros((product.dim(i + 1), product.dim(i)), dtype=complex)
@@ -258,9 +262,8 @@ def _eig_sizes(monkeypatch):
 @pytest.mark.parametrize("index", range(len(_PAIRS)))
 def test_tensor_build_equals_the_kron_build(index):
     a, b = _pair(index)
-    product, layout = tensor_complex(a, b)
+    product = tensor_complex(a, b)
     want = _kron_product(a, b)
-    assert product.layout == layout
     for degree in range(product.lo, product.hi):
         got = product.differential(degree)
         assert got.dtype == np.complex128 and np.array_equal(got, want.differential(degree))
@@ -269,7 +272,7 @@ def test_tensor_build_equals_the_kron_build(index):
 @pytest.mark.parametrize("index", range(len(_PAIRS)))
 def test_block_eigenvalues_match_the_whole_laplacian(index):
     a, b = _pair(index)
-    product, _ = tensor_complex(a, b)
+    product = tensor_complex(a, b)
     for degree in product.degrees:
         got = np.array(complexes.spectrum_multiset(product, degree))
         whole = np.clip(np.linalg.eigvalsh(complexes.laplacian(product, degree)), 0.0, None)
@@ -282,18 +285,18 @@ def test_block_eigenvalues_match_the_whole_laplacian(index):
 
 def test_no_eigendecomposition_of_a_product_exceeds_its_largest_block(monkeypatch):
     a, b = _pair(4)
-    product, layout = tensor_complex(a, b)
+    product = tensor_complex(a, b)
     sizes = _eig_sizes(monkeypatch)
     for degree in product.degrees:
         complexes.spectrum_multiset(product, degree)
-    largest = max(block.size for index in layout.values() for block in index.blocks)
+    largest = max(block.size for index in product.layout.values() for block in index.blocks)
     assert max(sizes) == largest < max(product.dims)
-    assert len(sizes) == sum(len(index.blocks) for index in layout.values())
+    assert len(sizes) == sum(len(index.blocks) for index in product.layout.values())
 
 
 def test_a_complex_without_layout_takes_the_whole_laplacian(monkeypatch):
     a, b = _pair(4)
-    product, _ = tensor_complex(a, b)
+    product = tensor_complex(a, b)
     blockwise = [complexes.spectrum_multiset(product, degree) for degree in product.degrees]
     plain = FiniteComplex(product.lo, product.dims, product.differentials)
     assert plain.layout is None
@@ -307,7 +310,7 @@ def test_a_complex_without_layout_takes_the_whole_laplacian(monkeypatch):
 
 def test_block_structure_holds_and_the_sign_mutant_fails_it():
     a, b = _pair(4)
-    product, _ = tensor_complex(a, b)
+    product = tensor_complex(a, b)
     report = block_structure_check(a, b, product)
     assert report.passed and set(report.residuals) == {
         (degree, kind) for degree in product.degrees for kind in ("off-block", "diagonal")
@@ -339,7 +342,7 @@ def test_an_overflowing_block_is_refused_without_a_warning():
     # each factor Laplacian, 1.44e308, is finite; their sum in the product
     # block overflows, and the eigen gate refuses it with no RuntimeWarning
     factor = FiniteComplex(0, (1, 1), {0: [[1.2e154]]})
-    product, _ = tensor_complex(factor, factor)
+    product = tensor_complex(factor, factor)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert complexes.off_block_residual(product, 1) == 0.0
@@ -363,8 +366,7 @@ def test_tensor_reports_the_off_block_residual_and_fails_the_sign_mutant(
     assert all(0.0 <= r <= 1e-8 for r in residuals.values())
 
     def unsigned(a, b, dim_cap):
-        mutant = _kron_product(a, b, signed=False)
-        return mutant, mutant.layout
+        return _kron_product(a, b, signed=False)
 
     monkeypatch.setattr(tensorprod, "tensor_complex", unsigned)
     assert cli.main(["tensor", str(path), "--out", str(out)]) == 1
@@ -376,8 +378,8 @@ def test_tensor_reports_the_off_block_residual_and_fails_the_sign_mutant(
 
 def test_layout_is_checked_against_dims_and_differentials():
     a, b = _pair(4)
-    product, layout = tensor_complex(a, b)
-    lo, dims, differentials = product.lo, product.dims, product.differentials
+    product = tensor_complex(a, b)
+    lo, dims, differentials, layout = product.lo, product.dims, product.differentials, product.layout
     FiniteComplex(lo, dims, differentials, layout)
     with pytest.raises(ShapeMismatchError, match="one block index per degree"):
         FiniteComplex(lo, dims, differentials, {d: layout[d] for d in list(layout)[1:]})
@@ -396,7 +398,7 @@ def test_layout_is_checked_against_dims_and_differentials():
 
 def test_product_spectrum_pairing_fails_on_a_nan(monkeypatch):
     a, b = _pair(0)
-    product, _ = tensor_complex(a, b)
+    product = tensor_complex(a, b)
     spectrum = tensorprod.spectrum_multiset
 
     def poisoned(complex_, degree, tol):
