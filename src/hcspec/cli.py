@@ -310,9 +310,9 @@ _FLAGS = {
 }
 
 
-def _digest(scenario_path: Path, args, flags: tuple[str, ...]) -> str:
+def _digest(source: bytes, args, flags: tuple[str, ...]) -> str:
     digest = hashlib.sha256()
-    digest.update(scenario_path.read_bytes())
+    digest.update(source)
     digest.update(b"\x00")
     values = {flag: getattr(args, flag) for flag in flags}
     digest.update(json.dumps(values, sort_keys=True).encode("utf-8"))
@@ -333,8 +333,7 @@ def _flatten_csv(value, prefix: str, rows: list[tuple[str, str]]) -> None:
 def run(command: str, scenario_path: str | Path, out_path: str | Path | None, args) -> tuple[int, dict]:
     """Execute one command against a scenario file; returns (exit code, report)."""
     kind, handler, flags = _COMMANDS[command]
-    scenario_path = Path(scenario_path)
-    scenario = load_scenario(scenario_path)
+    scenario = load_scenario(Path(scenario_path))
     if kind not in (None, scenario.kind):
         raise ParseError(f"$.kind: expected {kind}, got {scenario.kind}")
     tol = DEFAULT_TOL
@@ -345,7 +344,7 @@ def run(command: str, scenario_path: str | Path, out_path: str | Path | None, ar
     results, passed = handler(scenario, tol, args)
     report = {
         "command": command,
-        "inputs_digest": _digest(scenario_path, args, flags),
+        "inputs_digest": _digest(scenario.source, args, flags),
         "results": results,
         "pass": passed,
     }

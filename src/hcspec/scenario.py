@@ -10,13 +10,17 @@ parsed or printed, so factor models and spectral sets parse without them.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as _json_string
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -62,25 +66,44 @@ def is_json_int(value: Any) -> bool:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A parsed scenario; ``source`` is the file bytes (``inputs_digest``)."""
+
     version: str
     kind: str
     payload: dict
     rng_seed: int | None
+    source: bytes
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict, refusing a repeated key (``json.loads`` keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise ParseError(f"repeated key {repeated!r} in one JSON object")
+    return obj
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    """Read a scenario file once, keeping its bytes as ``source``; the text is
+    decoded from them as ``Path.read_text`` would."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        source = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read the file: {exc.strerror}") from exc
+    try:
+        text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8").read()
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ParseError as exc:  # a repeated key
+        raise ParseError(f"{path}: {exc}") from exc
     except (RecursionError, ValueError) as exc:
         raise ParseError(f"{path}: unreadable JSON: {exc}") from exc
-    return scenario_from_dict(doc)
+    return scenario_from_dict(doc, source)
 
 
-def scenario_from_dict(doc: Any) -> Scenario:
+def scenario_from_dict(doc: Any, source: bytes = b"") -> Scenario:
     if not isinstance(doc, dict):
         raise _fail("$", "scenario must be a JSON object")
     version = doc.get("version")
@@ -95,7 +118,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
     seed = doc.get("rng_seed")
     if seed is not None:
         parse_seed(seed, "$.rng_seed")
-    return Scenario(version, kind, payload, seed)
+    return Scenario(version, kind, payload, seed, source)
 
 
 def parse_seed(value: Any, source: str) -> int:
@@ -254,42 +277,52 @@ def parse_spectral_set(value: Any, path: str) -> SpectralSet:
     return normalize_ratios(ratios)
 
 
-#: The JSON fields of one atom by key kind (0 a point, 1 a progression), in
-#: the sorted order reports write them; ``_atom_fields`` gives their values.
-_ATOM_LAYOUT = (("kind", "mult", "value"), ("base", "kind", "mult", "step"))
-
-
-def _atom_fields(key: tuple, scale: int, mult_json=mult_to_json) -> tuple:
-    number, kind, step, mult = key
-    if kind:
-        return _ratio_to_json(number, scale), "ap", mult_json(mult), _ratio_to_json(step, scale)
-    return "point", mult_json(mult), _ratio_to_json(number, scale)
-
-
 def spectral_set_to_json(value: SpectralSet) -> dict:
-    return {"atoms": [dict(zip(_ATOM_LAYOUT[key[1]], _atom_fields(key, value.scale))) for key in value.keys]}
-
-
-def _mult_text(mult: Mult) -> str:
-    return '"inf"' if is_infinite(mult) else str(mult)
+    text = lambda index: _ratio_to_json(index, value.scale)  # noqa: E731
+    atoms = [
+        {"base": text(number), "kind": "ap", "mult": mult_to_json(mult), "step": text(step)}
+        if kind
+        else {"kind": "point", "mult": mult_to_json(mult), "value": text(number)}
+        for number, kind, step, mult in value.keys
+    ]
+    return {"atoms": atoms}
 
 
 def _write_spectral_set(value: SpectralSet, out: list[str], newline: str) -> None:
-    """The report text of ``spectral_set_to_json(value)`` at ``newline``, one
-    formatted string per atom: every field but ``mult`` is a string that
-    needs no escape (a kind, or digits with ``-`` and ``/``)."""
+    """The report text of ``spectral_set_to_json(value)`` at ``newline``;
+    every field but ``mult`` is a string that needs no escape.  A run of
+    consecutive points with one multiplicity is one piece: its values joined
+    by one ``str.join`` between texts built once per run.  At ``scale`` 1 a
+    value prints by ``str``, after one ``PRINTABLE_DIGITS`` check of the key
+    columns before any text; otherwise by ``_ratio_to_json``, which checks it."""
     inner = newline + "  "
     if not value.keys:
         out.append(f'{{{inner}"atoms": []{newline}}}')
         return
-    atom, field = inner + "  ", inner + "    "
-    templates = [
-        "{" + field + ("," + field).join(f'"{n}": %s' if n == "mult" else f'"{n}": "%s"' for n in names) + atom + "}"
-        for names in _ATOM_LAYOUT
-    ]
     scale = value.scale
-    texts = [templates[key[1]] % _atom_fields(key, scale, _mult_text) for key in value.keys]
-    out.append(f'{{{inner}"atoms": [{atom}' + ("," + atom).join(texts) + f"{inner}]{newline}}}")
+    if scale == 1:
+        text = str
+        numbers, _, steps, _ = zip(*value.keys)
+        if max(max(numbers), max(steps)) >= _PRINTABLE_BOUND:
+            raise UnprintableResultError(f"a result has a rational beyond {PRINTABLE_DIGITS} digits")
+    else:
+        text = lambda index: _ratio_to_json(index, scale)  # noqa: E731
+    atom, field = inner + "  ", inner + "    "
+    close = '"' + atom + "}"
+    pieces: list[str] = []
+    for mult, same_mult in groupby(value.keys, itemgetter(3)):
+        mult = '"inf"' if is_infinite(mult) else str(mult)
+        for kind, run in groupby(same_mult, itemgetter(1)):
+            if kind:
+                pieces += [
+                    f'{{{field}"base": "{text(base)}",{field}"kind": "ap",{field}"mult": {mult},'
+                    f'{field}"step": "{text(step)}{close}'
+                    for base, _, step, _ in run
+                ]
+            else:
+                head = f'{{{field}"kind": "point",{field}"mult": {mult},{field}"value": "'
+                pieces.append(head + f"{close},{atom}{head}".join(map(text, map(itemgetter(0), run))) + close)
+    out.append(f'{{{inner}"atoms": [{atom}' + f",{atom}".join(pieces) + f"{inner}]{newline}}}")
 
 
 def parse_operator_spectrum(value: Any, path: str) -> OperatorSpectrum:

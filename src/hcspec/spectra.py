@@ -31,9 +31,10 @@ in one sum is a :class:`SymbolicBudgetError`, raised before anything is built.
 One kernel enumerates values below a cutoff, for the oracle
 :func:`minkowski_oracle_check`, :func:`enumerate_below` and the fuzz checks:
 on the integer lattice ``(1/L)·ℤ``, ``L`` the lcm of every denominator
-involved, each set becomes sorted int64 indices with exact counts and
-infinite flags.  The oracle adds every pair of summand indices at once; it
-never calls :func:`minkowski_sum`, its per-atom sums or its gap points.
+involved, each set becomes sorted int64 indices with infinite flags, and
+exact counts, built only where they are read.  The oracle adds every pair of
+summand indices at once; it never calls :func:`minkowski_sum`, its per-atom
+sums or its gap points.
 More than ``ORACLE_PAIR_CAP`` values of one set, or value pairs, is an
 :class:`OracleBudgetError`, raised before anything is enumerated.  This kernel
 is the only part of the module that uses numpy, and it imports numpy where
@@ -53,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import ToolkitError
 
@@ -271,11 +272,9 @@ def normalize_ratios(ratios: Iterable[tuple[int, int, int, int, Mult]]) -> Spect
 def _normalize_keys(scale: int, keys: Iterable[tuple]) -> SpectralSet:
     """The merge rules of :func:`normalize` on lattice keys of ``(1/scale)·ℤ``,
     run to a fixed point; the result is on the least lattice of its keys."""
-    # Sorting whole keys also orders equal atoms by mult; a pass merges those
-    # whatever their order, so only the order of distinct keys matters.
-    current, extended = _normalize_pass(sorted(keys))
+    current, extended = _normalize_pass(keys)
     while extended:
-        current, extended = _normalize_pass(sorted(current))
+        current, extended = _normalize_pass(current)
     current.sort()
     if scale > 1:  # move to the least lattice of the result
         common = math.gcd(scale, *(key[0] for key in current), *(key[2] for key in current))
@@ -297,10 +296,14 @@ def _rescaled(s: SpectralSet, factor: int) -> list[tuple]:
     return [(value * factor, kind, step * factor, mult) for value, kind, step, mult in s.keys]
 
 
-def _normalize_pass(work: list[tuple]) -> tuple[list[tuple], bool]:
-    """One round of the merge rules of :func:`normalize` on sorted lattice
-    keys, and whether it extended a progression.  A round that extends none
-    ends at the fixed point: the next would test the same atoms the same way.
+def _normalize_pass(work: Iterable[tuple]) -> tuple[list[tuple], bool]:
+    """One round of the merge rules of :func:`normalize` on lattice keys, and
+    whether it extended a progression.  A round that extends none ends at the
+    fixed point: the next would test the same atoms the same way.  A point
+    tests the progressions in (base, step) order.  Points are scanned from the
+    top down to the floor ``min(base - step)``, which an extension lowers; a
+    point below it can neither lie on a progression nor extend one, so it and
+    every lower point go out unchanged.
     """
     points: dict[int, Mult] = {}
     aps: dict[tuple[int, int], Mult] = {}
@@ -310,7 +313,7 @@ def _normalize_pass(work: list[tuple]) -> tuple[list[tuple], bool]:
         else:
             points[value] = points.get(value, 0) + mult
 
-    ap_list = [(base, step, mult) for (base, step), mult in aps.items()]
+    ap_list = [(base, step, mult) for (base, step), mult in sorted(aps.items())]
     infinite_aps = [ap for ap in ap_list if ap[2] == INFINITE]
     kept_aps = ap_list
     if infinite_aps:
@@ -330,7 +333,12 @@ def _normalize_pass(work: list[tuple]) -> tuple[list[tuple], bool]:
 
     kept_points: list[tuple] = []
     extended = False
-    for value in sorted(points, reverse=True):
+    floor = min(base - step for base, step, _ in kept_aps)
+    descending = sorted(points, reverse=True)
+    for position, value in enumerate(descending):
+        if value < floor:
+            kept_points += [(lower, 0, 0, points[lower]) for lower in descending[position:]]
+            break
         mult = points[value]
         for idx, (base, step, ap_mult) in enumerate(kept_aps):
             if value >= base and (value - base) % step == 0:
@@ -338,6 +346,7 @@ def _normalize_pass(work: list[tuple]) -> tuple[list[tuple], bool]:
                     break
             elif value + step == base and mult == ap_mult:
                 kept_aps[idx] = (value, step, ap_mult)
+                floor = min(floor, value - step)
                 extended = True
                 break
         else:
@@ -468,7 +477,7 @@ def enumerate_below(s: SpectralSet, cutoff: RationalLike) -> list[tuple[Fraction
     index, counts, infinite = _lattice(progressions)
     return [
         (Fraction(i, scale), INFINITE if inf else count)
-        for i, count, inf in zip(index.tolist(), counts.tolist(), infinite.tolist())
+        for i, count, inf in zip(index.tolist(), counts().tolist(), infinite.tolist())
     ]
 
 
@@ -476,32 +485,41 @@ def _progressions(s: SpectralSet, scale: int, limit: int):
     """The atoms of ``s`` on the lattice ``(1/scale)·ℤ``, clipped at ``limit``.
 
     Returns per-atom start and stride indices, the number of terms below
-    ``limit``, finite counts (Python ints, 0 for an infinite atom) and
-    infinite flags.  A point is a progression whose stride exceeds ``limit``,
-    so it has one term below it.  Starts are clipped to ``limit`` and strides
-    to ``limit + 1``, which keeps the term counts and every entry in int64.
+    ``limit``, multiplicities (an object array) and infinite flags.  A point
+    is a progression whose stride exceeds ``limit``, so it has one term below
+    it.  Starts are clipped to ``limit`` and strides to ``limit + 1``, key by
+    key only when some key needs it, which keeps every entry in int64.
     """
     import numpy as np
 
-    keys = _rescaled(s, scale // s.scale)
-    starts = np.array([min(key[0], limit) for key in keys], dtype=np.int64)
-    strides = np.array([min(key[2], limit + 1) if key[1] else limit + 1 for key in keys], dtype=np.int64)
-    infinite = np.array([is_infinite(key[3]) for key in keys], dtype=bool)
-    counts = np.array([0 if inf else key[3] for key, inf in zip(keys, infinite)], dtype=object)
+    values, _, steps, mults = zip(*s.keys) if s.keys else ((), (), (), ())
+    factor = scale // s.scale
+    if factor > 1 or max(values, default=0) > limit or max(steps, default=0) > limit:
+        values = [min(value * factor, limit) for value in values]
+        steps = [min(step * factor, limit + 1) for step in steps]
+    starts, strides = np.array(values, dtype=np.int64), np.array(steps, dtype=np.int64)
+    strides[strides == 0] = limit + 1  # a point's step key is 0
+    counts = np.array(mults, dtype=object)
     lengths = (limit - starts + strides - 1) // strides
-    return starts, strides, lengths, counts, infinite
+    return starts, strides, lengths, counts, counts == INFINITE
 
 
-def _classes(values: np.ndarray, counts: np.ndarray, infinite: np.ndarray):
-    """Distinct sorted ``values`` with summed exact ``counts`` and any-``infinite`` flags."""
+def _classes(values: np.ndarray, counts: Callable[[], np.ndarray], infinite: np.ndarray):
+    """Distinct sorted ``values``, a function that sums their ``counts()``
+    exactly (an object array, slow to build, so built only when called; a
+    value flagged infinite sums to ``INFINITE``), and any-``infinite`` flags."""
     import numpy as np
 
     index, inverse = np.unique(values, return_inverse=True)
-    total = np.zeros(index.size, dtype=object)
-    np.add.at(total, inverse, counts)
     flags = np.zeros(index.size, dtype=bool)
     flags[inverse[infinite]] = True
-    return index, total, flags
+
+    def totals() -> np.ndarray:
+        total = np.zeros(index.size, dtype=object)
+        np.add.at(total, inverse, counts())
+        return total
+
+    return index, totals, flags
 
 
 def _lattice(progressions):
@@ -511,7 +529,7 @@ def _lattice(progressions):
     starts, strides, lengths, counts, infinite = progressions
     term = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     values = np.repeat(starts, lengths) + np.repeat(strides, lengths) * term
-    return _classes(values, np.repeat(counts, lengths), np.repeat(infinite, lengths))
+    return _classes(values, lambda: np.repeat(counts, lengths), np.repeat(infinite, lengths))
 
 
 def _on_lattice(sets: Mapping[str, SpectralSet], cutoff: RationalLike):
@@ -558,7 +576,7 @@ def minkowski_oracle_check(
     every index of ``b`` at once.  It never calls :func:`minkowski_sum` or the
     semigroup logic behind it and uses no Frobenius bound.  Index sets are
     compared exactly; multiplicities as finite/infinite classes, and as exact
-    counts when both inputs consist of points only.  Raises
+    counts, built only then, when both inputs consist of points only.  Raises
     :class:`OracleBudgetError` as :func:`_on_lattice` does, or on more than
     ``ORACLE_PAIR_CAP`` value pairs, before enumerating anything.
     """
@@ -575,7 +593,7 @@ def minkowski_oracle_check(
     below = sums < limit
     index, counts, infinite = _classes(
         sums[below],
-        np.multiply.outer(a_counts, b_counts)[below],
+        lambda: np.multiply.outer(a_counts(), b_counts())[below],
         np.logical_or.outer(a_infinite, b_infinite)[below],
     )
     total_index, total_counts, total_infinite = _lattice(total_prog)
@@ -583,7 +601,7 @@ def minkowski_oracle_check(
         return False
     points_only = not any(key[1] for key in (*a.keys, *b.keys))
     finite = ~infinite
-    return not points_only or counts[finite].tolist() == total_counts[finite].tolist()
+    return not points_only or counts()[finite].tolist() == total_counts()[finite].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -699,6 +700,67 @@ def test_unreadable_scenario_exits_2(tmp_path, capsys, make, error):
     err = capsys.readouterr().err
     assert code == 2
     assert f"ParseError: {path}: {error}" in err
+    # the message names the path as pathlib spells it
+    assert main(["validate", f"{tmp_path}//./scenario.json"]) == 2
+    assert f"ParseError: {path}: {error}" in capsys.readouterr().err
+
+
+_TWICE_IN_BOX = (
+    '{"version": "1", "kind": "dbar-factors", "payload": {"p": 0, "q": 0, "factors": ['
+    '{"name": "twice", "complex_dimension": 1, "closed_range": true, "box_spectrum": {'
+    '"0,0": {"spectrum": {"atoms": [{"kind": "point", "value": "1"}]}}, '
+    '"0,0": {"spectrum": {"atoms": [{"kind": "point", "value": "2"}]}}}}, '
+    '{"builtin": "gaussian-weight-line"}]}}'
+)
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        pytest.param("dbar", _TWICE_IN_BOX, "0,0", id="box-spectrum"),
+        pytest.param(
+            "dbar",
+            '{"version": "1", "kind": "dbar-factors", "payload": {"p": 0, "q": 0, "q": 1, "factors": ['
+            '{"builtin": "infinite-bergman-factor"}, {"builtin": "infinite-bergman-factor"}]}}',
+            "q",
+            id="payload",
+        ),
+        pytest.param(
+            "symbolic",
+            '{"version": "1", "kind": "spectral-model", "payload": {"operation": "essential", '
+            '"a": {"atoms": [{"kind": "point", "value": "1", "mult": "inf", "value": "2"}]}}}',
+            "value",
+            id="atom",
+        ),
+        pytest.param("symbolic", '{"kind": "x", "version": "1", "kind": "spectral-model"}', "kind", id="document"),
+    ],
+)
+def test_repeated_json_keys_exit_2(tmp_path, capsys, command, text, key):
+    # plain json.loads keeps the last of two equal keys, so the first entry would be dropped unseen
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"ParseError: {path}: repeated key {key!r} in one JSON object" in err
+
+
+def test_the_scenario_file_is_read_once_and_digested(tmp_path, capsys, monkeypatch):
+    # CRLF line ends: the digest hashes the bytes read, not the decoded text
+    path = tmp_path / "scenario.json"
+    path.write_bytes((SCENARIOS / "symbolic-ap-pair.json").read_bytes().replace(b"\n", b"\r\n"))
+    opened, original = [], Path.open
+
+    def counted(self, *args, **kwargs):  # read_text and read_bytes open through it
+        opened.append(self == path)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counted)
+    code, report = run_cli(capsys, "symbolic", path, "--oracle-cutoff", "7/2")
+    monkeypatch.undo()
+    assert code == 0 and opened.count(True) == 1
+    flags = json.dumps({"oracle_cutoff": "7/2"}, sort_keys=True).encode("utf-8")
+    assert report["inputs_digest"] == hashlib.sha256(path.read_bytes() + b"\x00" + flags).hexdigest()
 
 
 @pytest.mark.parametrize(

@@ -21,8 +21,19 @@ from hypothesis import strategies as st
 
 from hcspec import cli
 from hcspec.cli import main
-from hcspec.scenario import UnprintableResultError, dump_report, json_ready
-from hcspec.spectra import AP, EMPTY, INFINITE, OperatorSpectrum, Point, essential_part, normalize
+from hcspec.scenario import PRINTABLE_DIGITS, UnprintableResultError, _write_spectral_set, dump_report, json_ready
+from hcspec.spectra import (
+    AP,
+    EMPTY,
+    INFINITE,
+    OperatorSpectrum,
+    Point,
+    SpectralSet,
+    essential_part,
+    minkowski_sum,
+    normalize,
+    union,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import golden  # noqa: E402
@@ -105,6 +116,53 @@ def test_spectral_sets_write_every_atom_field():
     assert text == reference(report)
     assert '"kind": "point",\n          "mult": "inf",\n          "value": "1/3"' in text
     assert text.index('"10"') < text.index('"2"')
+
+
+def _sum(a, b):
+    return minkowski_sum(SpectralSet.of(a), SpectralSet.of(b))
+
+
+#: Sets with long runs of points: coprime sums (757 and 4,897 atoms), runs cut
+#: by mult changes, progressions between runs, and sets on a lattice finer than 1.
+_LONG_RUNS = {
+    "37/43": _sum(AP(2, 37), AP(3, 43)),
+    "97/103": _sum(AP(0, 97), AP(1, 103)),
+    "mixed-mults": normalize(
+        [Point(v, 1 + v % 7 // 3) for v in range(300)] + [Point(v, INFINITE) for v in range(300, 340, 3)]
+    ),
+    "interleaved": union(
+        _sum(AP(0, 11, 2), AP(500, 13, 2)),
+        normalize([AP(40, 1000), AP(61, 999, INFINITE), AP(200, 1001, 2), *(Point(v) for v in range(400))]),
+    ),
+    "scale-6": union(_sum(AP(Fraction(1, 2), Fraction(37, 3)), AP(0, Fraction(43, 2))), normalize([AP(1, Fraction(5, 6))])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_RUNS))
+def test_long_point_runs_write_the_reference_text(name):
+    s = _LONG_RUNS[name]
+    assert len(s.keys) > 100
+    report = {"results": {"result": s, "essential": essential_part(s)}, "sets": [s, EMPTY, s]}
+    assert dump_report(report) == reference(report)
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        [*(Point(v) for v in range(500)), Point(10**PRINTABLE_DIGITS), *(Point(v) for v in range(501, 600))],
+        [*(Point(v) for v in range(500)), AP(1, 10**PRINTABLE_DIGITS), *(Point(v) for v in range(501, 600))],
+        [*(Point(Fraction(v, 3)) for v in range(500)), Point(Fraction(10**PRINTABLE_DIGITS * 3 + 1, 3))],
+    ],
+    ids=["value", "step", "scale-3"],
+)
+def test_an_unprintable_value_deep_in_a_run_is_refused_before_any_text(atoms):
+    s = SpectralSet(atoms)  # the trusted constructor keeps the order: the value sits inside a run
+    out = []
+    with pytest.raises(UnprintableResultError, match=f"beyond {PRINTABLE_DIGITS} digits"):
+        _write_spectral_set(s, out, "\n")
+    assert out == []
+    with pytest.raises(UnprintableResultError, match=f"beyond {PRINTABLE_DIGITS} digits"):
+        dump_report({"results": {"result": s}})
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcspec import spectra
 from hcspec.dbar import (
     CompactnessReport,
     DbarFactorModel,
@@ -242,6 +243,33 @@ def _crowded_atom_collection(rnd):
     ]
 
 
+def _long_run_collection(rnd):
+    """Long runs of points under a few progressions: chains of points one step
+    apart below a progression of the same mult, which it absorbs one by one
+    (each lowering the floor of the point scan), runs below and between the
+    progressions, and points on them with other mults."""
+    d = rnd.choice((1, 1, 2, 3))
+    mult = lambda: rnd.choice((1, 1, 2, INFINITE))
+    atoms = []
+    for _ in range(rnd.randint(1, 3)):
+        base, step = Fraction(rnd.randrange(20, 120), d), Fraction(rnd.randint(1, 5), d)
+        x = AP(base, step, mult())
+        atoms.append(x)
+        chain = rnd.randint(1, 40)
+        atoms += [Point(base - k * step, x.mult) for k in range(1, chain) if base - k * step >= 0]
+        if rnd.random() < 0.5:  # a point that breaks the chain: another mult, one step below its end
+            gap = base - chain * step
+            if gap >= 0:
+                atoms.append(Point(gap, 3))
+    run_mult = mult()
+    atoms += [Point(Fraction(rnd.randrange(0, 150), d), rnd.choice((run_mult, run_mult, 1))) for _ in range(60)]
+    if rnd.random() < 0.3:  # a Frobenius expansion: a long run of points and its tail
+        p, q = rnd.choice(((7, 9), (11, 13), (13, 17)))
+        atoms += _atom_minkowski(AP(Fraction(rnd.randrange(0, 4)), p, mult()), AP(Fraction(0), q, mult()))
+    rnd.shuffle(atoms)
+    return atoms
+
+
 def test_normalize_agrees_with_the_fraction_passes():
     rnd = random.Random(2024)
     generators = (
@@ -251,8 +279,19 @@ def test_normalize_agrees_with_the_fraction_passes():
         lambda: _crowded_atom_collection(rnd),
     )
     collections = _MERGE_ORDER_CASES + [generators[case % 4]() for case in range(2400)]
+    collections += [_long_run_collection(rnd) for _ in range(80)]
     for case, atoms in enumerate(collections):
         assert repr(normalize(atoms).atoms) == repr(_normalize_by_fractions(atoms)), (case, atoms)
+
+
+def test_a_chain_below_a_progression_extends_it_in_one_pass():
+    # each extension lowers the floor of the point scan by a step, so the
+    # whole chain joins in one pass; the odd points lie off the progression
+    # and go out as they came
+    chain = [(value, 0, 0, 1) for value in range(0, 20, 2)]
+    odd = [(value, 0, 0, 1) for value in range(1, 40, 2)]
+    merged, extended = spectra._normalize_pass([(20, 1, 2, 1), *odd, *chain])
+    assert extended and sorted(merged) == sorted([*odd, (0, 1, 2, 1)])
 
 
 def test_normalize_is_not_associative_on_representation():
@@ -546,6 +585,33 @@ def test_lattice_oracle_agrees_with_the_double_loop():
         rejected[kind] += not want
     # every corruption is caught often enough to matter; the true sums pass
     assert rejected["none"] == 0 and min(rejected[k] for k in kinds[1:]) >= 15, rejected
+
+
+def test_lattice_oracle_agrees_with_the_double_loop_on_progressions():
+    # coprime progression sums, their long point runs cut by the cutoff, keys
+    # past the limit, and sets moved onto a finer lattice by the cutoff; a
+    # count on a progression is nominal, so no corruption here recounts one
+    rnd = random.Random(79)
+    kinds = ("none", "drop", "flip", "stray", "step")
+    cutoffs = (Fraction(45), Fraction(61, 4), Fraction(40, 7), Fraction(35, 2))
+    rejected = Counter()
+    for case in range(150):
+        p, q = rnd.choice(((2, 3), (3, 5), (5, 7), (4, 9), (7, 8)))
+        d = rnd.choice((1, 1, 2, 3))
+        mult = lambda: rnd.choice((1, 2, INFINITE))
+        a = SpectralSet.of(ap(Fraction(rnd.randrange(0, 7), d), Fraction(p, d), mult()), pt(rnd.randrange(0, 60), mult()))
+        b = SpectralSet.of(ap(Fraction(rnd.randrange(0, 7), d), Fraction(q, d), mult()))
+        if case % 3 == 0:
+            b = union(b, _random_points(rnd))
+        kind = kinds[case % len(kinds)]
+        total = _corrupted(minkowski_sum(a, b), rnd, kind)
+        cutoff = rnd.choice(cutoffs)
+        want = _double_loop_oracle(a, b, total, cutoff)
+        assert minkowski_oracle_check(a, b, total, cutoff) == want, (a, b, total, cutoff)
+        rejected[kind] += not want
+    # the true sums pass, and every corruption is caught (a step change only
+    # where it hits one of the first two atoms, mostly points here)
+    assert rejected["none"] == 0 and min(rejected[k] for k in kinds[1:]) >= 3, rejected
 
 
 def test_lattice_oracle_counts_beyond_int64():
