@@ -2,6 +2,8 @@
 
 ``_COMMANDS`` gives each command its scenario kind, handler and flags; the
 parser is built from it once, at import, and ``run`` checks the kind once.
+A command line that starts with a command is read by that command's own
+subparser, which gives the namespace the full parser would.
 The dense handlers import their layers where they run, so ``dbar``,
 ``dbar-n`` and ``symbolic`` without ``--oracle-cutoff`` never load numpy.
 """
@@ -363,7 +365,8 @@ def run(command: str, scenario_path: str | Path, out_path: str | Path | None, ar
     return (0 if passed else 1), report
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each command's own subparser by name."""
     parser = argparse.ArgumentParser(
         prog="hcspec",
         description=(
@@ -372,21 +375,35 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, (_, _, flags) in _COMMANDS.items():
-        cmd = sub.add_parser(name)
+        cmd = commands[name] = sub.add_parser(name)
         cmd.add_argument("scenario", help="path to a scenario JSON file")
         cmd.add_argument("--out", default=None, help="write the report here instead of stdout")
         cmd.add_argument("--csv", action="store_true", help="flatten results to CSV")
         for flag in flags:
             cmd.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
-    return parser
+    return parser, commands
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMAND_PARSERS = _build_parser()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, read by the named command's own
+    subparser when ``argv[0]`` names one.  Everything else goes to the full
+    parser: no command, an unknown one, ``-h``, and arguments the
+    subparser does not know, so that their usage text is the full parser's."""
+    command = _COMMAND_PARSERS.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code, _ = run(args.command, args.scenario, args.out, args)
         return code

@@ -232,7 +232,15 @@ def parse_mult(value: Any, path: str) -> Mult:
 
 
 def mult_to_json(value: Mult) -> Any:
-    return "inf" if is_infinite(value) else int(value)
+    return "inf" if is_infinite(value) else _printable_int(int(value))
+
+
+def _printable_int(value: int) -> int:
+    """``value``, refused as ``UnprintableResultError`` where ``str`` would
+    refuse it, past ``PRINTABLE_DIGITS`` digits."""
+    if abs(value) >= _PRINTABLE_BOUND:
+        raise UnprintableResultError(f"a result has an integer beyond {PRINTABLE_DIGITS} digits")
+    return value
 
 
 def parse_extended_count(value: Any, path: str) -> Mult | None:
@@ -294,7 +302,8 @@ def _write_spectral_set(value: SpectralSet, out: list[str], newline: str) -> Non
     consecutive points with one multiplicity is one piece: its values joined
     by one ``str.join`` between texts built once per run.  At ``scale`` 1 a
     value prints by ``str``, after one ``PRINTABLE_DIGITS`` check of the key
-    columns before any text; otherwise by ``_ratio_to_json``, which checks it."""
+    columns before any text; otherwise by ``_ratio_to_json``, which checks it.
+    Each run's multiplicity is checked once, as it is printed."""
     inner = newline + "  "
     if not value.keys:
         out.append(f'{{{inner}"atoms": []{newline}}}')
@@ -311,7 +320,7 @@ def _write_spectral_set(value: SpectralSet, out: list[str], newline: str) -> Non
     close = '"' + atom + "}"
     pieces: list[str] = []
     for mult, same_mult in groupby(value.keys, itemgetter(3)):
-        mult = '"inf"' if is_infinite(mult) else str(mult)
+        mult = '"inf"' if is_infinite(mult) else str(_printable_int(mult))
         for kind, run in groupby(same_mult, itemgetter(1)):
             if kind:
                 pieces += [
@@ -509,8 +518,8 @@ def dump_report(report: dict) -> str:
     by ``str`` and sorted, strings ASCII-escaped, an infinite float is
     ``"inf"`` or ``"-inf"``, and spectral sets are written straight from
     their keys.  Leaves the pass does not know go through ``json_ready``.  A NaN, or a
-    rational no report can print, raises ``UnprintableResultError`` before
-    any text is returned.
+    rational or integer no report can print, raises ``UnprintableResultError``
+    before any text is returned.
     """
     out: list[str] = []
     _write(report, out, "\n")
@@ -530,7 +539,7 @@ def _write(value: Any, out: list[str], newline: str) -> None:
     elif value is False:
         out.append("false")
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        out.append(int.__repr__(_printable_int(value)))
     elif isinstance(value, float):
         if value != value:
             raise UnprintableResultError("a result is NaN")

@@ -29,13 +29,15 @@ each Frobenius gap one value at a time, so more than ``GAP_BUDGET`` gap values
 in one sum is a :class:`SymbolicBudgetError`, raised before anything is built.
 
 One kernel enumerates values below a cutoff, for the oracle
-:func:`minkowski_oracle_check`, :func:`enumerate_below` and the fuzz checks:
-on the integer lattice ``(1/L)·ℤ``, ``L`` the lcm of every denominator
-involved, each set becomes sorted int64 indices with infinite flags, and
-exact counts, built only where they are read.  The oracle adds every pair of
-summand indices at once; it never calls :func:`minkowski_sum`, its per-atom
-sums or its gap points.
-More than ``ORACLE_PAIR_CAP`` values of one set, or value pairs, is an
+:func:`minkowski_oracle_check`, :func:`enumerate_below` and the fuzz checks,
+in one flat pass: on the integer lattice ``(1/L)·ℤ``, ``L`` the lcm of every
+denominator involved, the key columns of all its sets become int64 arrays at
+once, and each atom's terms below the cutoff are expanded once, with infinite
+flags and without deduplication.  The oracle adds every pair of summand terms
+at once and finds each sum among the sorted distinct values of the claimed
+sum by binary search; it never calls :func:`minkowski_sum`, its per-atom sums
+or its gap points.  Exact counts are Python ints, built only where they are
+read.  More than ``ORACLE_PAIR_CAP`` values of one set, or value pairs, is an
 :class:`OracleBudgetError`, raised before anything is enumerated.  This kernel
 is the only part of the module that uses numpy, and it imports numpy where
 it runs, so the exact operations never load it.
@@ -54,7 +56,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Union
+from itertools import accumulate, chain, compress, islice, pairwise, product, repeat, starmap
+from operator import mul
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 from .errors import ToolkitError
 
@@ -473,73 +477,25 @@ def _covers(key: tuple, index: int) -> bool:
 def enumerate_below(s: SpectralSet, cutoff: RationalLike) -> list[tuple[Fraction, Mult]]:
     """All spectrum values strictly below ``cutoff`` with total multiplicities,
     read off the lattice kernel under its budget (:func:`_on_lattice`)."""
-    scale, _, ((progressions, _),) = _on_lattice({"s": s}, cutoff)
-    index, counts, infinite = _lattice(progressions)
-    return [
-        (Fraction(i, scale), INFINITE if inf else count)
-        for i, count, inf in zip(index.tolist(), counts().tolist(), infinite.tolist())
-    ]
-
-
-def _progressions(s: SpectralSet, scale: int, limit: int):
-    """The atoms of ``s`` on the lattice ``(1/scale)·ℤ``, clipped at ``limit``.
-
-    Returns per-atom start and stride indices, the number of terms below
-    ``limit``, multiplicities (an object array) and infinite flags.  A point
-    is a progression whose stride exceeds ``limit``, so it has one term below
-    it.  Starts are clipped to ``limit`` and strides to ``limit + 1``, key by
-    key only when some key needs it, which keeps every entry in int64.
-    """
-    import numpy as np
-
-    values, _, steps, mults = zip(*s.keys) if s.keys else ((), (), (), ())
-    factor = scale // s.scale
-    if factor > 1 or max(values, default=0) > limit or max(steps, default=0) > limit:
-        values = [min(value * factor, limit) for value in values]
-        steps = [min(step * factor, limit + 1) for step in steps]
-    starts, strides = np.array(values, dtype=np.int64), np.array(steps, dtype=np.int64)
-    strides[strides == 0] = limit + 1  # a point's step key is 0
-    counts = np.array(mults, dtype=object)
-    lengths = (limit - starts + strides - 1) // strides
-    return starts, strides, lengths, counts, counts == INFINITE
-
-
-def _classes(values: np.ndarray, counts: Callable[[], np.ndarray], infinite: np.ndarray):
-    """Distinct sorted ``values``, a function that sums their ``counts()``
-    exactly (an object array, slow to build, so built only when called; a
-    value flagged infinite sums to ``INFINITE``), and any-``infinite`` flags."""
-    import numpy as np
-
-    index, inverse = np.unique(values, return_inverse=True)
-    flags = np.zeros(index.size, dtype=bool)
-    flags[inverse[infinite]] = True
-
-    def totals() -> np.ndarray:
-        total = np.zeros(index.size, dtype=object)
-        np.add.at(total, inverse, counts())
-        return total
-
-    return index, totals, flags
-
-
-def _lattice(progressions):
-    """Every lattice index below the limit, as :func:`_classes`."""
-    import numpy as np
-
-    starts, strides, lengths, counts, infinite = progressions
-    term = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    values = np.repeat(starts, lengths) + np.repeat(strides, lengths) * term
-    return _classes(values, lambda: np.repeat(counts, lengths), np.repeat(infinite, lengths))
+    scale, limit, _, columns = _on_lattice({"s": s}, cutoff)
+    ((values, infinite, mults),) = _lattice(*columns)
+    index, classes = _classes(values, infinite, limit)
+    rows = zip(index.tolist(), _totals(index.size, index.searchsorted(values), mults), classes.tolist())
+    return [(Fraction(i, scale), INFINITE if kind == 2 else count) for i, count, kind in rows if kind]
 
 
 def _on_lattice(sets: Mapping[str, SpectralSet], cutoff: RationalLike):
     """``L``, the lcm of the denominators of the cutoff and of every atom of
-    ``sets``, the limit ``cutoff·L``, and per set its :func:`_progressions`
-    and value count (a Python int).  Raises :class:`OracleBudgetError`, before
-    anything is enumerated, when a set has more than ``ORACLE_PAIR_CAP``
-    values below the cutoff or the limit reaches ``2**62``, past which a sum
-    of two indices could leave int64.
-    """
+    ``sets``, the limit ``cutoff·L``, each set's value count below it, and
+    the key columns of all sets, read at once, for :func:`_lattice`.  A point
+    is a progression whose stride exceeds the limit.  Starts are clipped to
+    the limit and strides to ``limit + 1``, key by key only when some key
+    needs it, which keeps every entry in int64.  Raises
+    :class:`OracleBudgetError`, before anything is enumerated, when the limit
+    reaches ``2**62``, past which a sum of two indices could leave int64, or
+    a set has more than ``ORACLE_PAIR_CAP`` values below the cutoff."""
+    import numpy as np
+
     bound = as_rational(cutoff)
     scale = math.lcm(bound.denominator, *(s.scale for s in sets.values()))
     limit = max(0, bound.numerator * (scale // bound.denominator))
@@ -548,13 +504,63 @@ def _on_lattice(sets: Mapping[str, SpectralSet], cutoff: RationalLike):
             f"the oracle lattice below the cutoff has {limit} steps of 1/{scale}, "
             f"beyond the cap {_LATTICE_CAP}"
         )
-    lattice = []
-    for name, s in sets.items():
-        progressions = _progressions(s, scale, limit)
-        count = sum(progressions[2].tolist())
+    keys = [s.keys for s in sets.values()]
+    values, _, steps, mults = zip(*chain.from_iterable(keys)) if any(keys) else ((),) * 4
+    factors = [scale // s.scale for s in sets.values()]
+    if max(factors) > 1 or max(values, default=0) > limit or max(steps, default=0) > limit:
+        factors = [factor for factor, part in zip(factors, keys) for _ in part]
+        values = [min(value * factor, limit) for value, factor in zip(values, factors)]
+        steps = [min(step * factor, limit + 1) for step, factor in zip(steps, factors)]
+    starts, strides = np.array(values, dtype=np.int64), np.array(steps, dtype=np.int64)
+    strides = np.where(strides, strides, limit + 1)  # a point's step key is 0
+    lengths = -((starts - limit) // strides)  # ceil((limit - start) / stride)
+    ends = np.zeros(lengths.size + 1, dtype=np.int64)  # ends[k]: the terms of the keys before k,
+    np.minimum(lengths, ORACLE_PAIR_CAP + 1).cumsum(out=ends[1:])  # capped: a set past it is recounted
+    firsts = [0, *accumulate(map(len, keys))]
+    spans = list(zip(pairwise(firsts), pairwise(ends[firsts].tolist())))  # keys, terms
+    counts = [hi - lo if hi - lo <= ORACLE_PAIR_CAP else sum(lengths[i:j].tolist()) for (i, j), (lo, hi) in spans]
+    for name, count in zip(sets, counts):
         _check_budget(count, f"values of {name}")
-        lattice.append((progressions, count))
-    return scale, limit, lattice
+    infinite = np.array(mults) == INFINITE  # int64, float64 or object: each compares exactly
+    return scale, limit, counts, (starts, strides, lengths, infinite, mults, ends, spans)
+
+
+def _lattice(starts, strides, lengths, infinite, mults, ends, spans):
+    """Per set, every term of its atoms below the limit, in key order and not
+    deduplicated: values (int64), infinite flags, and multiplicities (Python
+    ints, 0 for ``INFINITE``, an iterator read only where counts are)."""
+    import numpy as np
+
+    term = np.arange(ends[-1]) - ends[:-1].repeat(lengths)
+    values = starts.repeat(lengths) + strides.repeat(lengths) * term
+    flags = infinite.repeat(lengths)
+    finite = lambda i, j: (0 if mult == INFINITE else mult for mult in islice(mults, i, j))  # noqa: E731
+    return [
+        (values[lo:hi], flags[lo:hi], chain.from_iterable(map(repeat, finite(i, j), lengths[i:j])))
+        for (i, j), (lo, hi) in spans
+    ]
+
+
+def _classes(values: np.ndarray, infinite: np.ndarray, limit: int):
+    """The sorted distinct ``values``, then the sentinel ``limit``, which no
+    value equals, and per position its class: 1 finite, 2 where an
+    ``infinite`` value lands, 0 for the sentinel."""
+    import numpy as np
+
+    ordered = np.concatenate((values, [limit]))
+    ordered.sort()  # np.unique would hash, which is slower at these sizes
+    index = ordered[np.concatenate((ordered[:-1] != ordered[1:], [True]))]
+    classes = (index < limit).astype(np.int8)
+    classes[index.searchsorted(values[infinite])] = 2
+    return index, classes
+
+
+def _totals(size: int, place: np.ndarray, weights: Iterable[int]) -> list[int]:
+    """Exact sums, in Python ints, of ``weights`` at their positions ``place``."""
+    totals = [0] * size
+    for position, weight in zip(place.tolist(), weights):
+        totals[position] += weight
+    return totals
 
 
 def _check_budget(count: int, what: str) -> None:
@@ -572,36 +578,34 @@ def minkowski_oracle_check(
 
     Valid because all values are nonnegative: a sum below the cutoff only uses
     summands below the cutoff.  The three sets go on one lattice
-    (:func:`_on_lattice`); the brute-force side adds every index of ``a`` to
-    every index of ``b`` at once.  It never calls :func:`minkowski_sum` or the
-    semigroup logic behind it and uses no Frobenius bound.  Index sets are
-    compared exactly; multiplicities as finite/infinite classes, and as exact
-    counts, built only then, when both inputs consist of points only.  Raises
-    :class:`OracleBudgetError` as :func:`_on_lattice` does, or on more than
-    ``ORACLE_PAIR_CAP`` value pairs, before enumerating anything.
-    """
+    (:func:`_on_lattice`); every term of ``a`` is added to every term of ``b``
+    at once, and each sum is found among the distinct values of ``total`` by
+    binary search.  It never calls :func:`minkowski_sum` or the semigroup
+    logic behind it and uses no Frobenius bound.  A sum that is no value of
+    ``total``, a value that is no sum, or another finite/infinite class fails;
+    exact counts are compared, and built, only when both inputs consist of
+    points only.  Raises :class:`OracleBudgetError` as :func:`_on_lattice`
+    does, or on more than ``ORACLE_PAIR_CAP`` value pairs, before enumerating
+    anything."""
     import numpy as np
 
-    _, limit, ((a_prog, n_a), (b_prog, n_b), (total_prog, _)) = _on_lattice(
-        {"a": a, "b": b, "the sum": total}, cutoff
-    )
+    _, limit, (n_a, n_b, _), columns = _on_lattice({"a": a, "b": b, "the sum": total}, cutoff)
     _check_budget(n_a * n_b, "value pairs")
-
-    a_index, a_counts, a_infinite = _lattice(a_prog)
-    b_index, b_counts, b_infinite = _lattice(b_prog)
-    sums = np.add.outer(a_index, b_index)
+    (a_values, a_inf, a_mults), (b_values, b_inf, b_mults), (values, infinite, mults) = _lattice(*columns)
+    index, classes = _classes(values, infinite, limit)
+    sums = np.add.outer(a_values, b_values)
     below = sums < limit
-    index, counts, infinite = _classes(
-        sums[below],
-        lambda: np.multiply.outer(a_counts(), b_counts())[below],
-        np.logical_or.outer(a_infinite, b_infinite)[below],
-    )
-    total_index, total_counts, total_infinite = _lattice(total_prog)
-    if not (np.array_equal(index, total_index) and np.array_equal(infinite, total_infinite)):
-        return False
-    points_only = not any(key[1] for key in (*a.keys, *b.keys))
-    finite = ~infinite
-    return not points_only or counts()[finite].tolist() == total_counts()[finite].tolist()
+    sums = sums[below]
+    hit = index.searchsorted(sums)
+    got = np.zeros(index.size, dtype=np.int8)
+    got[hit] = 1
+    got[hit[np.logical_or.outer(a_inf, b_inf)[below]]] = 2
+    matched = index[hit].tobytes() == sums.tobytes() and got.tobytes() == classes.tobytes()  # equal dtypes
+    if not matched or any(key[1] for key in (*a.keys, *b.keys)):
+        return matched
+    pairs = starmap(mul, compress(product(a_mults, b_mults), below.ravel().tolist()))
+    counts = zip(_totals(index.size, hit, pairs), _totals(index.size, index.searchsorted(values), mults))
+    return all(x == y for (x, y), kind in zip(counts, classes.tolist()) if kind == 1)
 
 
 # ---------------------------------------------------------------------------

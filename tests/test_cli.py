@@ -5,13 +5,14 @@ import io
 import json
 import math
 import random
+import re
 import time
 import warnings
 from pathlib import Path
 
 import pytest
 
-from hcspec import cli, complexes, dbar, spectra
+from hcspec import cli, complexes, dbar, fuzzing, spectra
 from hcspec.cli import main
 from hcspec.fuzzing import random_factor_model
 from hcspec.scenario import json_ready, parse_factor_model
@@ -93,6 +94,31 @@ def test_fuzz_command(capsys):
     names = {entry["suite"] for entry in report["results"]["suites"]}
     assert names == {"spectra", "verdicts"}
     assert all(entry["failures"] == [] for entry in report["results"]["suites"])
+
+
+def _shifted_sum(a, b):
+    """A wrong Minkowski sum: the true one moved up by 1."""
+    return minkowski_sum(minkowski_sum(a, b), spectra.SpectralSet.of(spectra.Point(1)))
+
+
+def test_spectra_suite_reports_a_wrong_sum(monkeypatch):
+    monkeypatch.setattr(fuzzing, "minkowski_sum", _shifted_sum)
+    result = fuzzing.run_spectra_suite(5, 20)
+    assert not result.passed
+    # the shift keeps associativity and commutativity, so only the oracle sees it
+    assert result.failures
+    assert all(re.fullmatch(r"case \d+: oracle mismatch for .+ \+ .+", failure) for failure in result.failures)
+
+
+def test_fuzz_command_fails_on_a_wrong_sum(monkeypatch, capsys):
+    monkeypatch.setattr(fuzzing, "minkowski_sum", _shifted_sum)
+    code, report = run_cli(
+        capsys, "fuzz", SCENARIOS / "symbolic-ap-pair.json", "--cases", "20", "--seed", "5"
+    )
+    assert code == 1 and report["pass"] is False
+    spectra_suite = next(entry for entry in report["results"]["suites"] if entry["suite"] == "spectra")
+    assert spectra_suite["passed"] is False
+    assert spectra_suite["failures"] == list(fuzzing.run_spectra_suite(5, 20).failures)
 
 
 def test_reports_are_deterministic(tmp_path, capsys):
@@ -850,6 +876,21 @@ def test_unprintable_result_exits_2_before_writing(tmp_path, capsys, a, b, csv):
     code = main(["symbolic", str(path), "--out", str(out)] + ["--csv"] * csv)
     assert code == 2
     assert "UnprintableResultError: a result has a rational beyond 4300 digits" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("csv", [False, True], ids=["json", "csv"])
+def test_unprintable_multiplicity_exits_2_before_writing(tmp_path, capsys, csv):
+    # both multiplicities parse, but their product has 6,000 digits, which
+    # str refuses; the report must fail as unprintable, not with a traceback
+    nines = int("9" * 3000)
+    path = _symbolic_scenario(
+        tmp_path, [{"kind": "point", "value": "1", "mult": nines}], [{"kind": "point", "value": "2", "mult": nines}]
+    )
+    out = tmp_path / "report.txt"
+    code = main(["symbolic", str(path), "--out", str(out)] + ["--csv"] * csv)
+    assert code == 2
+    assert "UnprintableResultError: a result has an integer beyond 4300 digits" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -124,3 +124,41 @@ def test_help_lists_the_same_flags_and_defaults(command, capsys):
         assert "--" + flag.replace("_", "-") in text
     args = vars(cli._PARSER.parse_args([command, "scenario.json"]))
     assert args == {"command": command, "scenario": "scenario.json", **FLAG_DEFAULTS[command]}
+
+
+#: A value for each flag of ``FLAG_DEFAULTS``; ``None`` for a switch.
+FLAG_VALUES = {
+    "out": "report.txt", "csv": None, "tol": "1e-6", "max_dim": "12", "seed": "5",
+    "oracle_cutoff": "7/2", "cases": "3",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_DEFAULTS))
+def test_command_parser_reads_what_the_full_parser_reads(command):
+    flags = list(FLAG_DEFAULTS[command])
+    for chosen in ([], *([flag] for flag in flags), flags):
+        argv = [command, "scenario.json"]
+        for flag in chosen:
+            argv += ["--" + flag.replace("_", "-"), *([FLAG_VALUES[flag]] if FLAG_VALUES[flag] else [])]
+        assert vars(cli._parse_args(argv)) == vars(cli._PARSER.parse_args(argv)), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["symbolic", "scenario.json", "--bogus"],
+        ["dbar", "scenario.json", "--oracle-cutoff", "5"],
+        ["fuzz", "scenario.json", "--cases", "many"],
+        ["symbolic"],
+        ["no-such-command", "scenario.json"],
+        [],
+    ],
+)
+def test_a_bad_command_line_keeps_its_usage_and_exit_code(argv, capsys):
+    outcomes = []
+    for parse in (cli.main, cli._PARSER.parse_args):
+        with pytest.raises(SystemExit) as stop:
+            parse(argv)
+        outcomes.append((stop.value.code, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 2
+    assert outcomes[0][1].err.startswith("usage: hcspec")

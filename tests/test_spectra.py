@@ -638,7 +638,10 @@ def test_oracle_budget_is_checked_before_enumerating():
 
 def test_enumerate_below_agrees_with_the_loop():
     rnd = random.Random(78)
-    cutoffs = (Fraction(100, 3), Fraction(25), Fraction(61, 4), Fraction(40, 7), Fraction(12))
+    cutoffs = (
+        Fraction(100, 3), Fraction(25), Fraction(61, 4), Fraction(40, 7), Fraction(12), Fraction(100),
+        Fraction(0), Fraction(1, 997),
+    )
     for case in range(1200):
         s = (_random_points if case % 3 == 0 else random_spectral_set)(rnd)
         if case % 4 == 0:
@@ -651,6 +654,95 @@ def test_enumerate_below_agrees_with_the_loop():
 def test_enumerate_below_is_budgeted():
     with pytest.raises(OracleBudgetError, match="6000000 values of s below the cutoff"):
         enumerate_below(SpectralSet.of(ap(0, "1/6")), 10**6)
+
+
+def _replaced(total, index, **changes):
+    """``total`` with atom ``index`` changed, kept as given (not renormalized)."""
+    atoms = list(total.atoms)
+    atoms[index] = dataclasses.replace(atoms[index], **changes)
+    return SpectralSet(tuple(atoms))
+
+
+def _points_sum():
+    a, b = SpectralSet.of(pt(1, 2), pt(4)), SpectralSet.of(pt(0), pt(10, 3))
+    total = minkowski_sum(a, b)
+    assert total == SpectralSet.of(pt(1, 2), pt(4), pt(11, 6), pt(14, 3))
+    return a, b, total, 2  # the point 11
+
+
+def _tail_sum():
+    # <3, 5> moved up by 1: gap points 1, 4, 6, 7 and the tail from 9 on
+    a, b = SpectralSet.of(ap(0, 3)), SpectralSet.of(ap(1, 5))
+    total = minkowski_sum(a, b)
+    assert total.atoms[-1] == ap(9, 1)
+    return a, b, total, len(total.atoms) - 1
+
+
+@pytest.mark.parametrize("summands", [_points_sum, _tail_sum], ids=["point", "tail"])
+def test_oracle_rejects_a_missing_an_extra_or_a_reclassed_value(summands):
+    a, b, total, j = summands()
+    assert minkowski_oracle_check(a, b, total, 30)
+    x = total.atoms[j]
+    if isinstance(x, Point):
+        missing = SpectralSet(total.atoms[:j] + total.atoms[j + 1 :])
+        extra = SpectralSet((*total.atoms, pt(x.value - 1)))
+    else:
+        missing = _replaced(total, j, base=x.base + 1)
+        extra = _replaced(total, j, base=x.base - 1)
+    flipped = _replaced(total, j, mult=INFINITE)
+    for claimed in (missing, extra, flipped):
+        assert not minkowski_oracle_check(a, b, claimed, 30), claimed
+    # an infinite summand value makes its sums infinite, so finite claims fail
+    a_infinite = SpectralSet((dataclasses.replace(a.atoms[0], mult=INFINITE), *a.atoms[1:]))
+    assert not minkowski_oracle_check(a_infinite, b, total, 30)
+
+
+def test_oracle_compares_exact_counts_of_points_only():
+    a, b, total, j = _points_sum()
+    for mult in (5, 7):
+        assert not minkowski_oracle_check(a, b, _replaced(total, j, mult=mult), 30)
+    # a progression summand makes the counts nominal: any finite claim passes
+    a, b, total, j = _tail_sum()
+    assert minkowski_oracle_check(a, b, _replaced(total, j, mult=7), 30)
+    assert minkowski_oracle_check(a, b, _replaced(total, 0, mult=2), 30)
+    c = SpectralSet.of(pt(1, 2))
+    assert minkowski_oracle_check(a, c, _replaced(minkowski_sum(a, c), 0, mult=5), 30)
+
+
+def test_kernel_counts_a_huge_multiplicity_beside_an_infinite_one():
+    # 10**400 exceeds every float, so INFINITE * 10**400 would overflow;
+    # a value with an infinite term is counted as INFINITE without it
+    huge = 10**400
+    a, b = SpectralSet.of(pt(1, huge), pt(2)), SpectralSet.of(pt(0, INFINITE), pt(3))
+    total = minkowski_sum(a, b)
+    assert minkowski_oracle_check(a, b, total, 10)
+    assert not minkowski_oracle_check(a, b, _replaced(total, 2, mult=huge + 1), 10)
+    s = SpectralSet((Point(Fraction(1), INFINITE), AP(Fraction(0), Fraction(1), huge)))
+    assert enumerate_below(s, 3) == [(0, huge), (1, INFINITE), (2, huge)]
+
+
+def test_oracle_budgets_raise_in_order_before_any_lattice(monkeypatch):
+    def no_lattice(*columns):
+        raise AssertionError("the kernel enumerated before its budget check")
+
+    monkeypatch.setattr(spectra, "_lattice", no_lattice)
+    huge = SpectralSet.of(ap(0, Fraction(1, 2**40)))  # 2**40 values below 1
+    full = SpectralSet.of(ap(0, Fraction(1, 2**20)))  # exactly ORACLE_PAIR_CAP values below 1
+    over = lambda what: f"the oracle would enumerate {2**40} {what} below the cutoff, above the cap {2**20}"  # noqa: E731
+    cases = [
+        ((huge, huge, huge, 2**62), f"the oracle lattice below the cutoff has {2**102} steps of 1/{2**40}, "
+         f"beyond the cap {2**62}"),
+        ((huge, huge, huge, 1), over("values of a")),
+        ((EMPTY, huge, huge, 1), over("values of b")),
+        ((EMPTY, full, huge, 1), over("values of the sum")),
+        ((full, full, EMPTY, 1), over("value pairs")),
+    ]
+    for args, message in cases:
+        with pytest.raises(OracleBudgetError) as error:
+            minkowski_oracle_check(*args)
+        assert str(error.value) == message
+    with pytest.raises(OracleBudgetError, match=f"enumerate {2**40} values of s below"):
+        enumerate_below(huge, 1)
 
 
 def test_representable_matches_the_enumeration_loop():
