@@ -6,6 +6,8 @@ A command line that starts with a command is read by that command's own
 subparser, which gives the namespace the full parser would.
 The dense handlers import their layers where they run, so ``dbar``,
 ``dbar-n`` and ``symbolic`` without ``--oracle-cutoff`` never load numpy.
+``--csv`` flattens the JSON text of the results, so it is refused exactly
+when the JSON report is.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .scenario import (
     Scenario,
     dump_report,
     is_json_int,
-    json_ready,
     load_scenario,
     parse_factor_model,
     parse_finite_complex,
@@ -322,9 +323,10 @@ def _digest(source: bytes, args, flags: tuple[str, ...]) -> str:
 
 
 def _flatten_csv(value, prefix: str, rows: list[tuple[str, str]]) -> None:
+    """The ``(key path, value)`` rows of ``value``, a loaded JSON document."""
     if isinstance(value, dict):
         for key in sorted(value):
-            _flatten_csv(value[key], f"{prefix}.{key}" if prefix else str(key), rows)
+            _flatten_csv(value[key], f"{prefix}.{key}" if prefix else key, rows)
     elif isinstance(value, list):
         for idx, item in enumerate(value):
             _flatten_csv(item, f"{prefix}[{idx}]", rows)
@@ -352,7 +354,7 @@ def run(command: str, scenario_path: str | Path, out_path: str | Path | None, ar
     }
     if args.csv:
         rows: list[tuple[str, str]] = [("key", "value")]
-        _flatten_csv(json_ready(report["results"]), "", rows)
+        _flatten_csv(json.loads(dump_report(results)), "", rows)
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(rows)
         text = buffer.getvalue()

@@ -27,10 +27,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ToolkitError
+from .limits import DEFAULT_TOL, Tolerance
 from .numerics import (
-    DEFAULT_TOL,
     NonFiniteError,
-    Tolerance,
     _svd,
     as_complex_matrix,
     hermitian_eig,

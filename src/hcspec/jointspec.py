@@ -29,13 +29,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ToolkitError
+from .limits import DEFAULT_TOL, KRONECKER_DIM_CAP, Tolerance
 from .numerics import (
-    DEFAULT_TOL,
-    KRONECKER_DIM_CAP,
     MATCH_GAP,
     EigenDecomposition,
     NonFiniteError,
-    Tolerance,
     _gated_eigh,
     as_complex_matrix,
     hermitian_eig,

@@ -1,8 +1,8 @@
 """Numerical tolerances and size caps.
 
-Shared by the dense layers, which re-export them from :mod:`hcspec.numerics`,
-and by the command line and the scenario parser.  This module imports no
-numpy, so the exact commands can read the defaults without loading it.
+Every module that reads them imports them from here: the dense layers, the
+command line and the scenario parser.  This module imports no numpy, so the
+exact commands can read the defaults without loading it.
 """
 
 from __future__ import annotations

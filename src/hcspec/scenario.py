@@ -5,7 +5,9 @@ Scenarios are UTF-8 JSON documents: rationals travel as strings like
 are accepted for real entries), matrices as row-major nested arrays, and
 infinite multiplicities or dimensions as the string ``"inf"``.  Numpy and
 the dense layers are imported only where a matrix or a finite complex is
-parsed or printed, so factor models and spectral sets parse without them.
+parsed, so factor models and spectral sets parse without them.
+
+Reports have one writer, :func:`dump_report`; ``--csv`` flattens its text.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import io
 import json
 import math
 import re
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,12 +162,6 @@ def parse_matrix(value: Any, path: str) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
-def matrix_to_json(matrix: np.ndarray) -> list[list[list[float]]]:
-    import numpy as np
-
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
-
-
 #: Most digits of a numerator or denominator: ``str`` refuses longer ints
 #: (CPython's default ``int_max_str_digits``), so no report could print them.
 PRINTABLE_DIGITS = 4300
@@ -231,10 +226,6 @@ def parse_mult(value: Any, path: str) -> Mult:
     raise _fail(path, f"expected a positive integer or 'inf', got {value!r}")
 
 
-def mult_to_json(value: Mult) -> Any:
-    return "inf" if is_infinite(value) else _printable_int(int(value))
-
-
 def _printable_int(value: int) -> int:
     """``value``, refused as ``UnprintableResultError`` where ``str`` would
     refuse it, past ``PRINTABLE_DIGITS`` digits."""
@@ -285,19 +276,9 @@ def parse_spectral_set(value: Any, path: str) -> SpectralSet:
     return normalize_ratios(ratios)
 
 
-def spectral_set_to_json(value: SpectralSet) -> dict:
-    text = lambda index: _ratio_to_json(index, value.scale)  # noqa: E731
-    atoms = [
-        {"base": text(number), "kind": "ap", "mult": mult_to_json(mult), "step": text(step)}
-        if kind
-        else {"kind": "point", "mult": mult_to_json(mult), "value": text(number)}
-        for number, kind, step, mult in value.keys
-    ]
-    return {"atoms": atoms}
-
-
 def _write_spectral_set(value: SpectralSet, out: list[str], newline: str) -> None:
-    """The report text of ``spectral_set_to_json(value)`` at ``newline``;
+    """The report text of ``value`` at ``newline``, ``{"atoms": [...]}``
+    with each rational a ``"p/q"`` string and an infinite ``mult`` ``"inf"``;
     every field but ``mult`` is a string that needs no escape.  A run of
     consecutive points with one multiplicity is one piece: its values joined
     by one ``str.join`` between texts built once per run.  At ``scale`` 1 a
@@ -342,15 +323,6 @@ def parse_operator_spectrum(value: Any, path: str) -> OperatorSpectrum:
     if essential is None:
         return OperatorSpectrum(spectrum)
     return OperatorSpectrum(spectrum, parse_spectral_set(essential, f"{path}.essential"))
-
-
-def operator_spectrum_to_json(value: OperatorSpectrum) -> dict:
-    doc: dict[str, Any] = {"spectrum": spectral_set_to_json(value.spectrum)}
-    if value.essential_asserted:
-        doc["essential"] = spectral_set_to_json(value.essential)
-    else:
-        doc["essential"] = None
-    return doc
 
 
 def _object_field(value: dict, name: str, path: str) -> dict:
@@ -481,45 +453,18 @@ def _parse_bidegree_key(key: str, path: str) -> tuple[int, int]:
 # Reports
 
 
-def json_ready(value: Any) -> Any:
-    """Recursively convert report values into JSON-serializable data; an
-    infinite float, also a complex or matrix part, becomes ``"inf"`` or
-    ``"-inf"``."""
-    if isinstance(value, dict):
-        return {str(k): json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_ready(v) for v in value]
-    if isinstance(value, Fraction):
-        return _ratio_to_json(value.numerator, value.denominator)
-    if isinstance(value, SpectralSet):
-        return spectral_set_to_json(value)
-    if isinstance(value, OperatorSpectrum):
-        return operator_spectrum_to_json(value)
-    np = sys.modules.get("numpy")  # no numpy value exists unless numpy is loaded
-    if np is not None:
-        if isinstance(value, np.ndarray):
-            return json_ready(matrix_to_json(value))
-        if isinstance(value, np.integer):
-            return int(value)
-        if isinstance(value, np.floating):
-            value = float(value)
-    if isinstance(value, complex):
-        return [json_ready(value.real), json_ready(value.imag)]
-    if isinstance(value, float) and math.isinf(value):
-        return float.__repr__(value)
-    return value
-
-
 def dump_report(report: dict) -> str:
     """Canonical JSON text for a report; byte-stable for identical inputs.
 
-    The text is ``json.dumps(json_ready(report), sort_keys=True, indent=2)``
-    and a newline, written in one pass over the report: keys are converted
-    by ``str`` and sorted, strings ASCII-escaped, an infinite float is
-    ``"inf"`` or ``"-inf"``, and spectral sets are written straight from
-    their keys.  Leaves the pass does not know go through ``json_ready``.  A NaN, or a
-    rational or integer no report can print, raises ``UnprintableResultError``
-    before any text is returned.
+    This is the one report writer: ``--csv`` flattens the text it returns.
+    The text is ``json.dumps(..., sort_keys=True, indent=2)`` and a newline,
+    written in one pass over the report: keys are converted by ``str`` and
+    sorted, strings ASCII-escaped, an infinite float is ``"inf"`` or
+    ``"-inf"``, a ``Fraction`` is its ``"p/q"`` string, a complex number is
+    ``[re, im]``, and spectral sets are written straight from their keys.  A
+    leaf of any other type raises ``TypeError``, as ``json.dumps`` does.  A
+    NaN, or a rational or integer no report can print, raises
+    ``UnprintableResultError`` before any text is returned.
     """
     out: list[str] = []
     _write(report, out, "\n")
@@ -551,11 +496,12 @@ def _write(value: Any, out: list[str], newline: str) -> None:
         _write_items(value, "[]", out, newline)
     elif isinstance(value, SpectralSet):
         _write_spectral_set(value, out, newline)
+    elif isinstance(value, Fraction):
+        out.append(f'"{_ratio_to_json(value.numerator, value.denominator)}"')
+    elif isinstance(value, complex):
+        _write_items((value.real, value.imag), "[]", out, newline)
     else:
-        converted = json_ready(value)
-        if converted is value:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        _write(converted, out, newline)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_items(items: Any, brackets: str, out: list[str], newline: str) -> None:

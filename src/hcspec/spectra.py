@@ -54,7 +54,7 @@ per call.  This module holds no verdict: those are in :mod:`hcspec.dbar`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice, pairwise, product, repeat, starmap
 from operator import mul
@@ -312,10 +312,16 @@ def _normalize_pass(work: Iterable[tuple]) -> tuple[list[tuple], bool]:
     points: dict[int, Mult] = {}
     aps: dict[tuple[int, int], Mult] = {}
     for value, kind, step, mult in work:
-        if kind:
-            aps[value, step] = aps.get((value, step), 0) + mult
-        else:
-            points[value] = points.get(value, 0) + mult
+        try:
+            if kind:
+                aps[value, step] = aps.get((value, step), 0) + mult
+            else:
+                points[value] = points.get(value, 0) + mult
+        except OverflowError:  # only INFINITE plus an int past the float range
+            if kind:
+                aps[value, step] = INFINITE
+            else:
+                points[value] = INFINITE
 
     ap_list = [(base, step, mult) for (base, step), mult in sorted(aps.items())]
     infinite_aps = [ap for ap in ap_list if ap[2] == INFINITE]
@@ -693,18 +699,16 @@ class OperatorSpectrum:
     """Spectrum and essential spectrum of one positive self-adjoint operator.
 
     When ``essential`` is omitted it is derived from the multiplicity
-    annotations of ``spectrum``; passing it explicitly marks it as
-    user-asserted (needed to model operators whose essential spectrum arises
-    from accumulation, which the atom class cannot express).
-    ``essential_asserted`` records which of the two it was.
+    annotations of ``spectrum``; passing it asserts it, checked only to lie
+    in the spectrum (needed to model operators whose essential spectrum
+    arises from accumulation, which the atom class cannot express).  Nothing
+    records which of the two it was: spectra compare by their two sets.
     """
 
     spectrum: SpectralSet
     essential: SpectralSet | None = None
-    essential_asserted: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "essential_asserted", self.essential is not None)
         if self.essential is None:
             object.__setattr__(self, "essential", essential_part(self.spectrum))
         else:

@@ -31,12 +31,10 @@ from .complexes import (
     laplacian,
     spectrum_multiset,
 )
+from .limits import DEFAULT_TOL, KRONECKER_DIM_CAP, Tolerance
 from .numerics import (
-    DEFAULT_TOL,
-    KRONECKER_DIM_CAP,
     MATCH_GAP,
     SizeOverflowError,
-    Tolerance,
     kronecker_sum,
     max_abs,
     nan_max,

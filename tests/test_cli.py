@@ -15,7 +15,7 @@ import pytest
 from hcspec import cli, complexes, dbar, fuzzing, spectra
 from hcspec.cli import main
 from hcspec.fuzzing import random_factor_model
-from hcspec.scenario import json_ready, parse_factor_model
+from hcspec.scenario import dump_report, parse_factor_model
 from hcspec.spectra import minkowski_sum
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -290,19 +290,17 @@ def test_overflowing_joint_pair_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags, expected", [((), 2), (("--csv",), 1)], ids=["json", "csv"])
-def test_hodge_with_nan_residuals_does_not_pass(monkeypatch, tmp_path, capsys, flags, expected):
-    # JSON refuses to print the NaN (exit 2); CSV prints it and fails (exit 1)
+@pytest.mark.parametrize("flags", [(), ("--csv",)], ids=["json", "csv"])
+def test_hodge_with_nan_residuals_does_not_pass(monkeypatch, tmp_path, capsys, flags):
+    # the CSV flattens the JSON text, so both refuse to print the NaN (exit 2)
     monkeypatch.setattr(
         complexes, "_projector_residuals", lambda *projectors: {"sum_minus_identity": math.nan, "pairwise_products": 0.0}
     )
     out = tmp_path / "report"
     code = main(["hodge", str(SCENARIOS / "chain.json"), "--out", str(out), *flags])
-    assert code == expected
-    if flags:
-        assert "degrees.0.residuals.sum_minus_identity,nan\n" in out.read_text()
-    else:
-        assert "UnprintableResultError" in capsys.readouterr().err
+    assert code == 2
+    assert capsys.readouterr().err == "UnprintableResultError: a result is NaN\n"
+    assert not out.exists()
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -853,9 +851,9 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv, keys, source):
     assert f"ParseError: {source}: expected a nonnegative integer seed, got -1" in err
 
 
-def _symbolic_scenario(tmp_path, a_atoms, b_atoms) -> Path:
+def _symbolic_scenario(tmp_path, a_atoms, b_atoms, operation="minkowski") -> Path:
     path = tmp_path / "sum.json"
-    payload = {"operation": "minkowski", "a": {"atoms": a_atoms}, "b": {"atoms": b_atoms}}
+    payload = {"operation": operation, "a": {"atoms": a_atoms}, "b": {"atoms": b_atoms}}
     path.write_text(json.dumps({"version": "1", "kind": "spectral-model", "payload": payload}))
     return path
 
@@ -892,6 +890,18 @@ def test_unprintable_multiplicity_exits_2_before_writing(tmp_path, capsys, csv):
     assert code == 2
     assert "UnprintableResultError: a result has an integer beyond 4300 digits" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "atom", [{"kind": "point", "value": "1"}, {"kind": "ap", "base": "1", "step": "1"}], ids=["point", "ap"]
+)
+def test_infinite_and_huge_multiplicities_merge_to_infinite(tmp_path, capsys, atom):
+    # INFINITE plus a 401-digit int overflows float addition; the merge is INFINITE
+    huge = 10**400
+    path = _symbolic_scenario(tmp_path, [{**atom, "mult": "inf"}, {**atom, "mult": huge}], [], operation="union")
+    code, report = run_cli(capsys, "symbolic", path)
+    assert code == 0
+    assert report["results"]["result"]["atoms"] == [{**atom, "mult": "inf"}]
 
 
 def test_oracle_budget_exits_2(tmp_path, capsys):
@@ -989,9 +999,10 @@ def _random_pair_scenario(tmp_path, p, q) -> Path:
             "name": name,
             "complex_dimension": 1,
             "closed_range": True,
-            "bergman_dim": json_ready(model.bergman_dim),
+            "bergman_dim": json.loads(dump_report(model.bergman_dim)),
             "box_spectrum": {
-                f"{a},{b}": json_ready(entry) for (a, b), entry in model.box_spectrum.items()
+                f"{a},{b}": json.loads(dump_report({"spectrum": entry.spectrum, "essential": None}))
+                for (a, b), entry in model.box_spectrum.items()
             },
         }
         for name, model in ((name, random_factor_model(rnd, name)) for name in ("x", "y"))

@@ -121,6 +121,10 @@ def test_normalize_merges_equal_atoms():
     assert normalize([pt(1, 1), pt(1, 2)]) == SpectralSet.of(pt(1, 3))
     assert normalize([ap(0, 2, 1), ap(0, 2, 2)]) == SpectralSet.of(ap(0, 2, 3))
     assert normalize([pt(1, 1), pt(1, INFINITE)]) == SpectralSet.of(pt(1, INFINITE))
+    # INFINITE + 10**400 overflows float addition; either order merges to INFINITE
+    for mults in ((INFINITE, 10**400), (10**400, INFINITE)):
+        assert normalize([pt(1, m) for m in mults]) == SpectralSet.of(pt(1, INFINITE))
+        assert normalize([ap(1, 1, m) for m in mults]) == SpectralSet.of(ap(1, 1, INFINITE))
 
 
 def test_normalize_infinite_progression_absorbs():
@@ -942,7 +946,6 @@ def test_subset_of_zero():
 def test_operator_spectrum_derives_essential_from_annotations():
     op = OperatorSpectrum(SpectralSet.of(pt(0, INFINITE), ap(1, 1)))
     assert op.essential == SpectralSet.of(pt(0, INFINITE))
-    assert not op.essential_asserted
 
 
 def test_operator_spectrum_rejects_stray_essential():

@@ -13,6 +13,10 @@ Likewise every defaulted parameter of a module-level function of the
 package must be passed, by position or by keyword, at some call site in the
 package, so that no option lives on that no caller sets; ``UNSET_DEFAULTS``
 lists the exceptions.
+
+And every name a module of the package imports must be read in that module
+(``__init__`` and ``__future__`` imports aside), so a deletion leaves no
+dead import behind.
 """
 
 import ast
@@ -143,3 +147,27 @@ def test_every_default_is_passed_somewhere_in_the_package():
 
 def test_unset_default_exemptions_are_still_needed():
     assert set(UNSET_DEFAULTS) <= _unset_defaults()
+
+
+def _unread_imports() -> list[str]:
+    """``module.name`` for every name a module of the package other than
+    ``__init__`` imports, at any depth, and never reads."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.stem}.{name}" for name in sorted(imported - read)]
+    return unread
+
+
+def test_every_imported_name_is_read():
+    unread = _unread_imports()
+    assert not unread, f"imported names the module never reads: {unread}"
