@@ -17,6 +17,7 @@ from . import complexes, tensorprod
 from .dbar import (
     DbarFactorModel,
     Verdict,
+    _mirror_p_degrees,
     neumann_compactness,
     riemann_surface_product_report,
 )
@@ -29,6 +30,7 @@ from .spectra import (
     Point,
     SpectralSet,
     enumerate_below,
+    essential_part,
     is_infinite,
     is_subset,
     is_subset_of_zero,
@@ -132,17 +134,11 @@ def random_factor_model(
 
     functions = OperatorSpectrum(with_kernel())
     forms = OperatorSpectrum(with_kernel())
-    entries = {
-        (0, 0): functions,
-        (0, 1): forms,
-        (1, 0): functions,
-        (1, 1): forms,
-    }
     kernel = multiplicity_at(functions.spectrum, 0)
     return DbarFactorModel(
         name=name,
         complex_dimension=1,
-        box_spectrum=entries,
+        box_spectrum=_mirror_p_degrees({(0, 0): functions, (0, 1): forms}),
         closed_range=True,
         bergman_dim=kernel,
     )
@@ -173,27 +169,25 @@ def _loose_factor_model(rnd: random.Random, name: str) -> DbarFactorModel:
     return DbarFactorModel(
         name=name,
         complex_dimension=1,
-        box_spectrum={(0, 0): functions, (0, 1): forms, (1, 0): functions, (1, 1): forms},
+        box_spectrum=_mirror_p_degrees({(0, 0): functions, (0, 1): forms}),
         closed_range=True,
         bergman_dim=None if is_infinite(kernel) and not functions.essential.contains(0) else kernel,
     )
 
 
-def sets_semantically_equal(a: SpectralSet, b: SpectralSet, cutoff: Fraction) -> bool:
-    """Same point set (exactly, both directions) and same finite/infinite
-    classes below the cutoff.
+def sets_semantically_equal(a: SpectralSet, b: SpectralSet) -> bool:
+    """Same point set and same essential part, each decided exactly by
+    mutual containment, so the finite/infinite classes agree at every value.
 
     Normalized forms of equal sets need not coincide structurally: a union of
     finite-multiplicity progressions can cover one point set in several
-    incomparable ways.  Mutual containment plus class agreement is the honest
-    equality for such sets.
+    incomparable ways.  Mutual containment of the sets and of their essential
+    parts is the honest equality for such sets.
     """
-    if not (is_subset(a, b) and is_subset(b, a)):
-        return False
-    a_classes, b_classes = (
-        [(value, is_infinite(mult)) for value, mult in enumerate_below(s, cutoff)] for s in (a, b)
+    return all(
+        is_subset(x, y) and is_subset(y, x)
+        for x, y in ((a, b), (essential_part(a), essential_part(b)))
     )
-    return a_classes == b_classes
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +269,7 @@ def run_spectra_suite(seed: int, cases: int, cutoff: Fraction = Fraction(100)) -
         c = random_spectral_set(rnd)
         lhs = minkowski_sum(a_plus_b, c)
         rhs = minkowski_sum(a, minkowski_sum(b, c))
-        if not sets_semantically_equal(lhs, rhs, cutoff):
+        if not sets_semantically_equal(lhs, rhs):
             failures.append(f"case {case}: associativity broke for {a}, {b}, {c}")
         if a_plus_b != minkowski_sum(b, a):
             failures.append(f"case {case}: commutativity broke for {a}, {b}")

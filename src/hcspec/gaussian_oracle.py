@@ -7,7 +7,9 @@ oscillator lowering operators, so the function-level Laplacian is ``a* a`` and
 the form-level one is ``a a*``.  Truncating ``a_x`` and ``a_y`` at a finite
 level gives matrix models that are exact on the subspace of bounded total
 oscillator number: lowering never leaves the truncation, so the restricted
-matrices have the true eigenvalues.
+matrices have the true eigenvalues.  That truncation is a two-term
+:class:`FiniteComplex`, and its Laplacian spectra at degrees 0 and 1 are read
+by the dense engine.
 
 The catalogue entry for this factor freezes the spectra derived here: a unit
 ladder starting at 0 on functions and at 1 on forms, every level of infinite
@@ -21,6 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexes import FiniteComplex, spectrum_multiset
+from .numerics import kronecker_sum
+
 
 def lowering_matrix(levels: int) -> np.ndarray:
     """Oscillator lowering operator truncated to ``levels + 1`` states."""
@@ -30,20 +35,13 @@ def lowering_matrix(levels: int) -> np.ndarray:
     return a
 
 
-def _plane_lowering(levels: int) -> np.ndarray:
-    ax = np.kron(lowering_matrix(levels), np.eye(levels + 1))
-    ay = np.kron(np.eye(levels + 1), lowering_matrix(levels))
-    return (ax + 1j * ay) / np.sqrt(2.0)
-
-
-def _total_number_indices(levels: int, bound: int) -> np.ndarray:
-    pairs = [
-        nx * (levels + 1) + ny
-        for nx in range(levels + 1)
-        for ny in range(levels + 1)
-        if nx + ny <= bound
-    ]
-    return np.array(pairs, dtype=int)
+def truncated_line(truncation: int) -> FiniteComplex:
+    """The two-term complex whose ``d`` is the plane lowering operator ``a``,
+    from total oscillator number ``<= truncation`` to ``<= truncation - 1``."""
+    a = lowering_matrix(truncation) / np.sqrt(2.0)
+    total = np.add.outer(np.arange(truncation + 1), np.arange(truncation + 1)).ravel()
+    d = kronecker_sum(a, 1j * a)[np.ix_(total < truncation, total <= truncation)]
+    return FiniteComplex(0, d.shape[::-1], {0: d})
 
 
 @dataclass(frozen=True)
@@ -55,13 +53,13 @@ class LadderSpectrum:
     level_counts: dict[int, int]
 
 
-def _group_levels(eigenvalues: np.ndarray) -> dict[int, int]:
+def _group_levels(eigenvalues: list[float]) -> dict[int, int]:
     """Eigenvalue counts per integer level; each eigenvalue must lie within
     1e-8 of its level."""
     counts: dict[int, int] = {}
     for value in eigenvalues:
-        level = round(float(value))
-        if not abs(float(value) - level) <= 1e-8:
+        level = round(value)
+        if not abs(value - level) <= 1e-8:
             raise ArithmeticError(f"eigenvalue {value!r} is not within 1e-08 of an integer level")
         counts[level] = counts.get(level, 0) + 1
     return counts
@@ -69,22 +67,14 @@ def _group_levels(eigenvalues: np.ndarray) -> dict[int, int]:
 
 def function_laplacian_spectrum(truncation: int) -> LadderSpectrum:
     """Spectrum of ``a* a`` restricted to total oscillator number <= truncation."""
-    a = _plane_lowering(truncation)
-    box = a.conj().T @ a
-    keep = _total_number_indices(truncation, truncation)
-    box = box[np.ix_(keep, keep)]
-    values = np.linalg.eigvalsh((box + box.conj().T) / 2.0)
-    return LadderSpectrum(truncation, tuple(map(float, values)), _group_levels(values))
+    values = spectrum_multiset(truncated_line(truncation), 0)
+    return LadderSpectrum(truncation, tuple(values), _group_levels(values))
 
 
 def form_laplacian_spectrum(truncation: int) -> LadderSpectrum:
     """Spectrum of ``a a*`` restricted to total oscillator number <= truncation - 1."""
-    a = _plane_lowering(truncation)
-    box = a @ a.conj().T
-    keep = _total_number_indices(truncation, truncation - 1)
-    box = box[np.ix_(keep, keep)]
-    values = np.linalg.eigvalsh((box + box.conj().T) / 2.0)
-    return LadderSpectrum(truncation, tuple(map(float, values)), _group_levels(values))
+    values = spectrum_multiset(truncated_line(truncation), 1)
+    return LadderSpectrum(truncation, tuple(values), _group_levels(values))
 
 
 def derive_catalogue_values(truncation: int = 8) -> dict[str, object]:

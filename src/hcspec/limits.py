@@ -12,8 +12,12 @@ import sys
 from dataclasses import dataclass
 
 # Kronecker sums and tensor products larger than this (rows or columns) are
-# refused.
+# refused, and so is a parsed complex or a product whose differentials hold
+# more than its square of entries in all.
 KRONECKER_DIM_CAP = 4096
+
+# Most degrees of a parsed complex.
+DEGREE_CAP = 64
 
 # Machine epsilon of float64, numpy's ``finfo(float64).eps``.
 _EPS = sys.float_info.epsilon

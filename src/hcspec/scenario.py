@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any
 
 from .dbar import BUILTIN_BUILDERS, DbarFactorModel
 from .errors import ToolkitError
-from .limits import KRONECKER_DIM_CAP
+from .limits import DEGREE_CAP, KRONECKER_DIM_CAP
 from .spectra import (
     INFINITE,
     Mult,
@@ -340,14 +340,25 @@ def _object_field(value: dict, name: str, path: str) -> dict:
 
 
 def _parse_dims(value: Any, path: str) -> list[int]:
-    """Degree dimensions, each at most ``KRONECKER_DIM_CAP`` (the ``--max-dim``
-    default), so no factor is larger than a product may be."""
+    """At most ``DEGREE_CAP`` degree dimensions, each at most
+    ``KRONECKER_DIM_CAP`` (the ``--max-dim`` default), so no factor is larger
+    than a product may be, and whose differentials hold at most
+    ``KRONECKER_DIM_CAP**2`` entries in all."""
     if not isinstance(value, list) or not all(is_json_int(d) and d >= 0 for d in value):
         raise _fail(path, "expected an array of nonnegative integers")
+    if len(value) > DEGREE_CAP:
+        raise _fail(path, f"{len(value)} degrees exceed the cap {DEGREE_CAP}")
     for idx, dim in enumerate(value):
         if dim > KRONECKER_DIM_CAP:
             raise _fail(f"{path}[{idx}]", f"dimension exceeds the cap {KRONECKER_DIM_CAP}")
+    if sum(x * y for x, y in zip(value, value[1:])) > KRONECKER_DIM_CAP**2:
+        raise _fail(path, f"the differentials would hold more than {KRONECKER_DIM_CAP}**2 entries")
     return value
+
+
+# One spelling per degree, as for bidegree keys: no two keys of one object
+# name the same degree.
+_DEGREE_KEY = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def parse_finite_complex(value: Any, path: str) -> FiniteComplex:
@@ -371,10 +382,13 @@ def parse_finite_complex(value: Any, path: str) -> FiniteComplex:
         raise _fail(f"{path}.lo", "expected an integer")
     differentials = {}
     for key, matrix in _object_field(value, "differentials", path).items():
-        try:
+        try:  # int refuses more digits than sys.get_int_max_str_digits()
+            if _DEGREE_KEY.fullmatch(key) is None:
+                raise ValueError(key)
             degree = int(key)
         except ValueError as exc:
-            raise _fail(f"{path}.differentials.{key}", "keys must be integer degrees") from exc
+            message = f"keys are integer degrees like '0' or '-1'; got {key!r}"
+            raise _fail(f"{path}.differentials", message) from exc
         differentials[degree] = parse_matrix(matrix, f"{path}.differentials.{key}")
     try:
         return FiniteComplex(lo, tuple(dims), differentials)

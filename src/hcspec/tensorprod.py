@@ -55,7 +55,9 @@ def _block_index(a: FiniteComplex, b: FiniteComplex, degree: int) -> ProductBloc
 
 def tensor_complex(a: FiniteComplex, b: FiniteComplex, dim_cap: int = KRONECKER_DIM_CAP) -> FiniteComplex:
     """Build the product complex, which carries its per-degree block layout
-    as ``layout``."""
+    as ``layout``.  A product degree of more than ``dim_cap`` dimensions, or
+    differentials of more than ``dim_cap**2`` entries in all, is refused
+    before any matrix is made."""
     lo = a.lo + b.lo
     hi = a.hi + b.hi
     indexes = {i: _block_index(a, b, i) for i in range(lo, hi + 1)}
@@ -63,6 +65,11 @@ def tensor_complex(a: FiniteComplex, b: FiniteComplex, dim_cap: int = KRONECKER_
     if any(d > dim_cap for d in dims):
         raise SizeOverflowError(
             f"product degree dimension {max(dims)} exceeds cap {dim_cap}"
+        )
+    entries = sum(x * y for x, y in zip(dims, dims[1:]))
+    if entries > dim_cap**2:
+        raise SizeOverflowError(
+            f"product differentials of {entries} entries exceed the cap {dim_cap}**2"
         )
 
     differentials: dict[int, np.ndarray] = {}

@@ -805,6 +805,59 @@ def test_degree_dimensions_are_capped(tmp_path, capsys, payload, json_path):
 
 
 @pytest.mark.parametrize(
+    "command, kind, payload, error",
+    [
+        pytest.param(
+            "validate", "finite-complex", {"random": {"dims": [1] * 65, "seed": 1}},
+            "ParseError: $.payload.random.dims: 65 degrees exceed the cap 64", id="degrees",
+        ),
+        pytest.param(
+            "validate", "finite-complex", {"dims": [4096, 4096, 4096]},
+            "ParseError: $.payload.dims: the differentials would hold more than 4096**2 entries",
+            id="entries",
+        ),
+        pytest.param(
+            "tensor", "finite-pair",
+            {"left": {"random": {"dims": [1] * 64, "seed": 1}}, "right": {"random": {"dims": [64] * 64, "seed": 2}}},
+            "SizeOverflowError: product differentials of 715653120 entries exceed the cap 4096**2",
+            id="product-entries",
+        ),
+    ],
+)
+def test_complex_sizes_are_capped_in_all(tmp_path, capsys, command, kind, payload, error):
+    # each degree is within the cap, but the whole would exhaust memory
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"version": "1", "kind": kind, "payload": payload}))
+    start = time.perf_counter()
+    code = main([command, str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 2 and error in capsys.readouterr().err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("spelling", ["00", "+0", " 0", "0 ", "0_0", "-0", "\u0660"])
+def test_noncanonical_degree_keys_exit_2(tmp_path, capsys, spelling):
+    # another spelling of degree 0 would silently replace the "0" entry
+    payload = {"dims": [1, 1], "differentials": {"0": [[1.0]], spelling: [[2.0]]}}
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps({"version": "1", "kind": "finite-complex", "payload": payload}))
+    code = main(["spectrum", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"ParseError: $.payload.differentials: keys are integer degrees like '0' or '-1'; got {spelling!r}" in err
+
+
+@pytest.mark.parametrize("key", ["0", "-1", "12"])
+def test_canonical_degree_keys_are_accepted(tmp_path, capsys, key):
+    payload = {"lo": int(key), "dims": [1, 1], "differentials": {key: [[2.0]]}}
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps({"version": "1", "kind": "finite-complex", "payload": payload}))
+    code, report = run_cli(capsys, "spectrum", path)
+    assert code == 0
+    assert report["results"]["degrees"] == {key: [4.0], str(int(key) + 1): [4.0]}
+
+
+@pytest.mark.parametrize(
     "argv, error",
     [
         pytest.param(["fuzz", "symbolic-ap-pair.json", "--cases", "-3"], "--cases:", id="cases-negative"),

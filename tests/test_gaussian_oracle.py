@@ -2,9 +2,18 @@
 
 from fractions import Fraction
 
+import pytest
+
+from hcspec.complexes import cohomology_dim
 from hcspec.dbar import FORM_LADDER_BASE, FUNCTION_LADDER_BASE, LADDER_STEP, builtin_models
-from hcspec.gaussian_oracle import derive_catalogue_values, form_laplacian_spectrum, function_laplacian_spectrum
+from hcspec.gaussian_oracle import (
+    derive_catalogue_values,
+    form_laplacian_spectrum,
+    function_laplacian_spectrum,
+    truncated_line,
+)
 from hcspec.spectra import AP, is_infinite
+from hcspec.tensorprod import block_structure_check, kuenneth_check, tensor_complex, verify_product_spectrum
 
 
 def test_function_levels_are_the_nonnegative_integers():
@@ -49,3 +58,17 @@ def test_catalogue_entry_consumes_oracle_values():
     # the whole ladder
     assert functions.essential == functions.spectrum
     assert is_infinite(model.bergman_dim)
+
+
+@pytest.mark.parametrize("truncation", [3, 4])
+def test_truncated_lines_tensor_in_the_dense_product_path(truncation):
+    line = truncated_line(truncation)
+    product = tensor_complex(line, line)
+    for degree in product.degrees:
+        assert verify_product_spectrum(line, line, product, degree).passed, degree
+    assert kuenneth_check(line, line, product).passed
+    assert block_structure_check(line, line, product).passed
+    # one holomorphic level per total-number block: the finite witness of the
+    # infinite Bergman spaces of the plane and of C^2
+    assert cohomology_dim(line, 0) == truncation + 1
+    assert cohomology_dim(product, 0) == (truncation + 1) ** 2

@@ -128,6 +128,14 @@ def test_finite_complex_random_form():
         parse_finite_complex({"dims": [1], "differentials": {"x": [[1]]}}, "$")
 
 
+def test_the_size_caps_admit_their_bounds():
+    # DEGREE_CAP degrees, and one differential of KRONECKER_DIM_CAP**2 entries
+    assert parse_finite_complex({"random": {"dims": [1] * 64, "seed": 1}}, "$").dims == (1,) * 64
+    assert parse_finite_complex({"dims": [4096, 4096]}, "$").dims == (4096, 4096)
+    with pytest.raises(ParseError, match=r"^\$\.dims: the differentials would hold"):
+        parse_finite_complex({"dims": [1, 4096, 4096]}, "$")
+
+
 def test_factor_model_roundtrip_and_builtins():
     for name, model in builtin_models().items():
         by_reference = parse_factor_model({"builtin": name}, "$")

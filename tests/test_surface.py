@@ -17,6 +17,10 @@ lists the exceptions.
 And every name a module of the package imports must be read in that module
 (``__init__`` and ``__future__`` imports aside), so a deletion leaves no
 dead import behind.
+
+And no module but ``numerics`` calls numpy's raw eigen, SVD or Kronecker
+kernels, so each result passes the gates there; ``RAW_KERNEL_CALLS`` lists
+the exceptions.
 """
 
 import ast
@@ -171,3 +175,49 @@ def _unread_imports() -> list[str]:
 def test_every_imported_name_is_read():
     unread = _unread_imports()
     assert not unread, f"imported names the module never reads: {unread}"
+
+
+#: Raw numpy eigen, SVD and Kronecker kernels; outside ``numerics`` every
+#: Hermitian eigenvalue goes through ``hermitian_eig``'s gates, every SVD
+#: through ``_svd`` and every Kronecker sum through ``kronecker_sum``.
+RAW_KERNELS = {"eigh", "eigvalsh", "eig", "eigvals", "svd", "kron"}
+
+#: ``module.function: kernel`` calls allowed outside ``numerics``, with the
+#: reason each stays.
+RAW_KERNEL_CALLS = {
+    "jointspec.cartesian_gap: eigvals": "the independent reference side of guarantee 7",
+}
+
+
+def _raw_kernel_calls() -> set[str]:
+    """``module.function: kernel`` for every call of ``np.linalg.<kernel>``
+    or ``np.kron`` in a module of the package other than ``numerics``, by
+    the top-level function or class that holds it, and ``module: imports
+    kernel`` for every kernel imported from numpy by name."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "numerics":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            holder = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                    names = {alias.name for alias in node.names} & RAW_KERNELS
+                    found.update(f"{path.stem}: imports {name}" for name in names)
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in RAW_KERNELS
+                    and ast.unparse(node.func.value) in ("np", "np.linalg", "numpy", "numpy.linalg")
+                ):
+                    found.add(f"{holder}: {node.func.attr}")
+    return found
+
+
+def test_raw_eigen_svd_and_kronecker_kernels_live_in_numerics():
+    stray = _raw_kernel_calls() - set(RAW_KERNEL_CALLS)
+    assert not stray, f"raw numpy kernels called outside numerics: {sorted(stray)}"
+
+
+def test_raw_kernel_exemptions_are_still_needed():
+    assert set(RAW_KERNEL_CALLS) <= _raw_kernel_calls()

@@ -162,6 +162,15 @@ def test_size_overflow_guard():
         tensor_complex(big, big)
 
 
+def test_product_differentials_are_capped_in_all():
+    # product dims (4, 8, 12, 8, 4): every degree within 15, but the
+    # differentials hold 32 + 96 + 96 + 32 = 256 entries
+    a = random_complex([2, 2, 2], seed=1)
+    with pytest.raises(SizeOverflowError, match="256 entries exceed the cap 15"):
+        tensor_complex(a, a, dim_cap=15)
+    assert tensor_complex(a, a, dim_cap=16).dims == (4, 8, 12, 8, 4)
+
+
 def test_shifted_degree_windows():
     a = random_complex([2, 3], seed=1, lo=-1)
     b = random_complex([2, 2], seed=2, lo=2)
