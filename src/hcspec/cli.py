@@ -1,9 +1,10 @@
 """Command-line front end: scenario files in, deterministic reports out.
 
 ``_COMMANDS`` gives each command its scenario kind, handler and flags; the
-parser is built from it once, at import, and ``run`` checks the kind once.
-A command line that starts with a command is read by that command's own
-subparser, which gives the namespace the full parser would.
+parsers are built from it, and ``run`` checks the kind once.  A command line
+that starts with a command is read by a parser of that command alone, which
+gives the namespace the full parser would; the full parser is built only for
+help, usage errors and unknown commands.
 The dense handlers import their layers where they run, so ``dbar``,
 ``dbar-n`` and ``symbolic`` without ``--oracle-cutoff`` never load numpy.
 ``--csv`` flattens the JSON text of the results, so it is refused exactly
@@ -13,13 +14,12 @@ when the JSON report is.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .dbar import neumann_compactness, riemann_surface_product_report
@@ -353,6 +353,9 @@ def run(command: str, scenario_path: str | Path, out_path: str | Path | None, ar
         "pass": passed,
     }
     if args.csv:
+        import csv
+        import io
+
         rows: list[tuple[str, str]] = [("key", "value")]
         _flatten_csv(json.loads(dump_report(results)), "", rows)
         buffer = io.StringIO()
@@ -367,8 +370,18 @@ def run(command: str, scenario_path: str | Path, out_path: str | Path | None, ar
     return (0 if passed else 1), report
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser, and each command's own subparser by name."""
+def _add_arguments(cmd: argparse.ArgumentParser, flags: tuple[str, ...]) -> argparse.ArgumentParser:
+    """``cmd`` with the scenario path, ``--out``, ``--csv`` and ``flags``."""
+    cmd.add_argument("scenario", help="path to a scenario JSON file")
+    cmd.add_argument("--out", default=None, help="write the report here instead of stdout")
+    cmd.add_argument("--csv", action="store_true", help="flatten results to CSV")
+    for flag in flags:
+        cmd.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
+    return cmd
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser, with a subparser for every command."""
     parser = argparse.ArgumentParser(
         prog="hcspec",
         description=(
@@ -377,31 +390,28 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for name, (_, _, flags) in _COMMANDS.items():
-        cmd = commands[name] = sub.add_parser(name)
-        cmd.add_argument("scenario", help="path to a scenario JSON file")
-        cmd.add_argument("--out", default=None, help="write the report here instead of stdout")
-        cmd.add_argument("--csv", action="store_true", help="flatten results to CSV")
-        for flag in flags:
-            cmd.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
-    return parser, commands
+        _add_arguments(sub.add_parser(name), flags)
+    return parser
 
 
-_PARSER, _COMMAND_PARSERS = _build_parser()
+@cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """A parser of command ``name`` alone, built once, on first use: the full
+    parser's subparser of that command, ``prog`` included."""
+    return _add_arguments(argparse.ArgumentParser(prog=f"hcspec {name}"), _COMMANDS[name][2])
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``_PARSER.parse_args(argv)``, read by the named command's own
-    subparser when ``argv[0]`` names one.  Everything else goes to the full
-    parser: no command, an unknown one, ``-h``, and arguments the
-    subparser does not know, so that their usage text is the full parser's."""
-    command = _COMMAND_PARSERS.get(argv[0]) if argv else None
-    if command is not None:
-        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    """``_build_parser().parse_args(argv)``, read by the parser of the named
+    command alone when ``argv[0]`` names one.  Everything else goes to the
+    full parser: no command, an unknown one, ``-h``, and arguments the
+    command does not know, so that their usage text is the full parser's."""
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if not extra:
             return args
-    return _PARSER.parse_args(argv)
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

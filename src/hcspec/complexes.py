@@ -21,8 +21,7 @@ vanish off its diagonal blocks, and its spectrum is read block by block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .numerics import (
     range_projection,
     zero_matrix,
 )
+from .records import FrozenRecord
 
 
 class ShapeMismatchError(ToolkitError):
@@ -54,8 +54,7 @@ class InconsistentRankError(ToolkitError):
     """Kernel and rank-nullity cohomology counts disagree (tolerance trouble)."""
 
 
-@dataclass(frozen=True)
-class BlockSlot:
+class BlockSlot(NamedTuple):
     """One ``H_j (x) H'_k`` block inside a product degree."""
 
     j: int
@@ -64,8 +63,7 @@ class BlockSlot:
     size: int
 
 
-@dataclass(frozen=True)
-class ProductBlockIndex:
+class ProductBlockIndex(NamedTuple):
     """Ordered block layout of one degree of the product complex: nonempty
     blocks in ascending ``j``, each starting where the one before ends."""
 
@@ -85,8 +83,7 @@ class ProductBlockIndex:
         return sum(block.size for block in self.blocks)
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteComplex:
+class FiniteComplex(FrozenRecord):
     """Graded dimensions plus differentials ``d_i: H_i -> H_{i+1}``.
 
     ``dims[n]`` is the dimension at degree ``lo + n``.  A missing differential
@@ -110,21 +107,26 @@ class FiniteComplex:
     entry goes stale.
     """
 
-    lo: int
-    dims: tuple[int, ...]
-    differentials: Mapping[int, np.ndarray] = field(default_factory=dict)
-    layout: Mapping[int, ProductBlockIndex] | None = None
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("lo", "dims", "differentials", "layout", "_memo")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+    def __init__(
+        self,
+        lo: int,
+        dims: tuple[int, ...],
+        differentials: Mapping[int, np.ndarray] | None = None,
+        layout: Mapping[int, ProductBlockIndex] | None = None,
+    ) -> None:
+        dims = tuple(int(d) for d in dims)
         if not dims:
             raise ShapeMismatchError("a complex needs at least one degree")
         if any(d < 0 for d in dims):
             raise ShapeMismatchError("dimensions must be nonnegative")
+        object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "dims", dims)
         cleaned: dict[int, np.ndarray] = {}
-        for degree, matrix in dict(self.differentials).items():
+        for degree, matrix in dict(differentials or {}).items():
             matrix = as_complex_matrix(matrix)
             expected = (self.dim(degree + 1), self.dim(degree))
             if matrix.shape != expected:
@@ -134,8 +136,9 @@ class FiniteComplex:
                 )
             cleaned[degree] = matrix
         object.__setattr__(self, "differentials", cleaned)
-        if self.layout is not None:
-            object.__setattr__(self, "layout", dict(self.layout))
+        object.__setattr__(self, "layout", None if layout is None else dict(layout))
+        object.__setattr__(self, "_memo", {})
+        if layout is not None:
             self._check_layout()
 
     def _check_layout(self) -> None:
@@ -190,8 +193,7 @@ class FiniteComplex:
             )
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Max-norm residuals of a set of identities, by name or degree, and
     whether all of them hold within tolerance."""
 
@@ -271,8 +273,7 @@ def _laplacian_any(complex_: FiniteComplex, degree: int) -> np.ndarray:
         return up.conj().T @ up + down @ down.conj().T
 
 
-@dataclass(frozen=True)
-class HodgeSplit:
+class HodgeSplit(NamedTuple):
     """The three orthogonal projectors of the Hodge decomposition at one
     degree, and the report on their algebra (see :func:`hodge`)."""
 

@@ -44,11 +44,11 @@ one that leaves ``{0}``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
 from .errors import ToolkitError
+from .records import FrozenRecord
 from .spectra import (
     AP,
     EMPTY,
@@ -111,29 +111,36 @@ class Verdict(str, Enum):
     UNDECIDABLE = "undecidable"
 
 
-@dataclass(frozen=True)
-class CompactnessReport:
-    """Structured compactness verdict with the rule that decided it."""
+class CompactnessReport(FrozenRecord):
+    """Structured compactness verdict with the rule that decided it.
 
-    verdict: Verdict
-    fired_rule: str
-    witnesses: tuple
-    essential_spectrum: SpectralSet
-    trace: tuple[str, ...] = ()
-    #: The product spectrum, when the pairwise report knew every entry.
-    spectrum: SpectralSet | None = None
+    ``spectrum`` is the product spectrum, when the pairwise report knew
+    every entry."""
 
-    def __post_init__(self) -> None:
-        if self.verdict is Verdict.NONCOMPACT and not self.witnesses:
+    __slots__ = ("verdict", "fired_rule", "witnesses", "essential_spectrum", "trace", "spectrum")
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        fired_rule: str,
+        witnesses: tuple,
+        essential_spectrum: SpectralSet,
+        trace: tuple[str, ...] = (),
+        spectrum: SpectralSet | None = None,
+    ) -> None:
+        if verdict is Verdict.NONCOMPACT and not witnesses:
             raise ValueError("a non-compact verdict requires witnesses")
-        if self.verdict is Verdict.COMPACT and not is_subset_of_zero(
-            self.essential_spectrum
-        ):
+        if verdict is Verdict.COMPACT and not is_subset_of_zero(essential_spectrum):
             raise ValueError("a compact verdict requires essential spectrum within {0}")
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "fired_rule", fired_rule)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "essential_spectrum", essential_spectrum)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "spectrum", spectrum)
 
 
-@dataclass(frozen=True)
-class DbarFactorModel:
+class DbarFactorModel(FrozenRecord):
     """Per-bidegree spectral data of one Hermitian factor.
 
     ``box_spectrum`` maps every bidegree in ``{0..n} x {0..n}`` to an
@@ -144,32 +151,37 @@ class DbarFactorModel:
     both sides are specified.
     """
 
-    name: str
-    complex_dimension: int
-    box_spectrum: Mapping[tuple[int, int], OperatorSpectrum | None] = field(
-        default_factory=dict
-    )
-    closed_range: bool = False
-    bergman_dim: Mult | None = None
-    cohomology_dim: Mapping[tuple[int, int], Mult | None] = field(default_factory=dict)
+    __slots__ = ("name", "complex_dimension", "box_spectrum", "closed_range", "bergman_dim", "cohomology_dim")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.complex_dimension <= MAX_COMPLEX_DIMENSION:
+    def __init__(
+        self,
+        name: str,
+        complex_dimension: int,
+        box_spectrum: Mapping[tuple[int, int], OperatorSpectrum | None] | None = None,
+        closed_range: bool = False,
+        bergman_dim: Mult | None = None,
+        cohomology_dim: Mapping[tuple[int, int], Mult | None] | None = None,
+    ) -> None:
+        if not 1 <= complex_dimension <= MAX_COMPLEX_DIMENSION:
             raise BadDimensionError(
                 f"complex dimension must lie in [1, {MAX_COMPLEX_DIMENSION}], "
-                f"got {self.complex_dimension}"
+                f"got {complex_dimension}"
             )
-        grid = self._fill_grid(self.box_spectrum)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "complex_dimension", complex_dimension)
+        grid = self._fill_grid(box_spectrum)
         object.__setattr__(self, "box_spectrum", grid)
-        cohom = self._fill_grid(self.cohomology_dim)
+        object.__setattr__(self, "closed_range", closed_range)
+        object.__setattr__(self, "bergman_dim", bergman_dim)
+        cohom = self._fill_grid(cohomology_dim)
         object.__setattr__(self, "cohomology_dim", cohom)
 
         base = grid[(0, 0)]
-        if self.bergman_dim is not None and base is not None:
-            self._check_kernel_dim((0, 0), self.bergman_dim, base, "Bergman dimension")
-            if is_infinite(self.bergman_dim) and not base.essential.contains(0):
+        if bergman_dim is not None and base is not None:
+            self._check_kernel_dim((0, 0), bergman_dim, base, "Bergman dimension")
+            if is_infinite(bergman_dim) and not base.essential.contains(0):
                 raise ValueError(
-                    f"{self.name}: infinite Bergman space requires 0 in the "
+                    f"{name}: infinite Bergman space requires 0 in the "
                     "essential spectrum at bidegree (0, 0)"
                 )
         for key, dim in cohom.items():
@@ -177,11 +189,11 @@ class DbarFactorModel:
             if dim is not None and entry is not None:
                 self._check_kernel_dim(key, dim, entry, "cohomology dimension")
 
-    def _fill_grid(self, entries: Mapping[tuple[int, int], object]) -> dict:
+    def _fill_grid(self, entries: Mapping[tuple[int, int], object] | None) -> dict:
         """``entries`` on every bidegree of the grid, ``None`` where missing."""
         n = self.complex_dimension
         grid = {(p, q): None for p in range(n + 1) for q in range(n + 1)}
-        for key, value in dict(entries).items():
+        for key, value in dict(entries or {}).items():
             if key not in grid:
                 raise BidegreeOutOfRangeError(
                     f"bidegree {key} outside the {n}-dimensional grid"

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,8 +194,7 @@ def sets_semantically_equal(a: SpectralSet, b: SpectralSet) -> bool:
 # Property suites
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     suite: str
     cases: int
     failures: tuple[str, ...]

@@ -19,7 +19,7 @@ the truncation grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ def truncated_line(truncation: int) -> FiniteComplex:
     return FiniteComplex(0, d.shape[::-1], {0: d})
 
 
-@dataclass(frozen=True)
-class LadderSpectrum:
+class LadderSpectrum(NamedTuple):
     """Eigenvalues of one truncated weighted Laplacian, grouped by level."""
 
     truncation: int

@@ -23,8 +23,7 @@ the basis reshaped to ``(n, m, k)`` (``(A (x) B) vec X = vec(B X A^T)``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,8 +73,7 @@ class PairShapeError(ToolkitError, ValueError):
     """The two matrices of a pair are not square or differ in size."""
 
 
-@dataclass(frozen=True)
-class CommutingPair:
+class CommutingPair(NamedTuple):
     """A validated pair of commuting normal matrices."""
 
     t: np.ndarray
@@ -189,8 +187,7 @@ def _quotients(
     return lams, mus, residual
 
 
-@dataclass(frozen=True)
-class JointSpectrumPoints:
+class JointSpectrumPoints(NamedTuple):
     """Joint eigenvalue pairs (one per basis column) and the joint eigenbasis.
 
     Pairs are sorted lexicographically by (Re, Im) of the first then second
@@ -344,8 +341,7 @@ def cartesian_gap(points: JointSpectrumPoints, t, s) -> float:
     return pairing_gap(points.pairs, cartesian.reshape(-1, 2))
 
 
-@dataclass(frozen=True)
-class SumOperatorReport:
+class SumOperatorReport(NamedTuple):
     """Eigenvalues of ``T (x) I + I (x) S`` against pairwise eigenvalue sums."""
 
     eigenvalues: tuple[float, ...]

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+
+from .records import FrozenRecord
 
 # Kronecker sums and tensor products larger than this (rows or columns) are
 # refused, and so is a parsed complex or a product whose differentials hold
@@ -23,8 +24,7 @@ DEGREE_CAP = 64
 _EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(FrozenRecord):
     """Numerical tolerances used across the toolkit.
 
     ``rank_threshold`` is an explicit override for the singular-value cutoff;
@@ -33,17 +33,15 @@ class Tolerance:
     positive: a NaN would fail no comparison and so disable every gate.
     """
 
-    eigen_residual: float = 1e-9
-    identity_check: float = 1e-8
-    rank_threshold: float | None = None
+    __slots__ = ("eigen_residual", "identity_check", "rank_threshold")
 
-    def __post_init__(self) -> None:
-        for name in ("eigen_residual", "identity_check", "rank_threshold"):
-            value = getattr(self, name)
-            if name == "rank_threshold" and value is None:
-                continue
-            if not (math.isfinite(value) and value > 0):
+    def __init__(
+        self, eigen_residual: float = 1e-9, identity_check: float = 1e-8, rank_threshold: float | None = None
+    ) -> None:
+        for name, value in zip(self.__slots__, (eigen_residual, identity_check, rank_threshold)):
+            if not ((value is None and name == "rank_threshold") or (math.isfinite(value) and value > 0)):
                 raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
+            object.__setattr__(self, name, value)
 
     def rank_cutoff(self, dimension: int, sigma_max: float) -> float:
         if self.rank_threshold is not None:

@@ -11,8 +11,7 @@ off one singular value decomposition, which also fixes the rank cutoff
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,8 +78,7 @@ def nan_max(values) -> float:
     return float(np.max(np.asarray(values, dtype=np.float64), initial=0.0))
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     """Ascending eigenvalues and an orthonormal eigenbasis of a Hermitian matrix.
 
     ``residual`` is the largest ``||A v - lambda v||_2`` over eigenvector

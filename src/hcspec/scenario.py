@@ -17,13 +17,12 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .dbar import BUILTIN_BUILDERS, DbarFactorModel
 from .errors import ToolkitError
@@ -65,8 +64,7 @@ def is_json_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A parsed scenario; ``source`` is the file bytes (``inputs_digest``)."""
 
     version: str
@@ -85,6 +83,32 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
+def _repeated_key_at(text: str) -> str:
+    """`` at <JSON path>`` of the object :func:`_unique_keys` refused in
+    ``text``, found by a second read that keeps every pair (an object as a
+    tuple of pairs); empty if that read fails past the refused object."""
+    try:
+        return f" at {_refused_object(json.loads(text, object_pairs_hook=tuple), '$')}"
+    except (RecursionError, ValueError):
+        return ""
+
+
+def _refused_object(value: Any, path: str) -> str | None:
+    """The path of the first object with a repeated key in ``value``, in the
+    order the decoder closes objects and calls its hook: members first."""
+    if isinstance(value, tuple):
+        members = [(f".{key}" if key.isidentifier() else f"[{key!r}]", item) for key, item in value]
+    elif isinstance(value, list):
+        members = [(f"[{index}]", item) for index, item in enumerate(value)]
+    else:
+        return None
+    for member, item in members:
+        found = _refused_object(item, path + member)
+        if found is not None:
+            return found
+    return path if len(dict(members)) < len(members) else None
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Read a scenario file once, keeping its bytes as ``source``; the text is
     decoded from them as ``Path.read_text`` would."""
@@ -98,7 +122,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except ParseError as exc:  # a repeated key
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{path}: {exc}{_repeated_key_at(text)}") from exc
     except (RecursionError, ValueError) as exc:
         raise ParseError(f"{path}: unreadable JSON: {exc}") from exc
     return scenario_from_dict(doc, source)
@@ -476,7 +500,8 @@ def dump_report(report: dict) -> str:
     sorted, strings ASCII-escaped, an infinite float is ``"inf"`` or
     ``"-inf"``, a ``Fraction`` is its ``"p/q"`` string, a complex number is
     ``[re, im]``, and spectral sets are written straight from their keys.  A
-    leaf of any other type raises ``TypeError``, as ``json.dumps`` does.  A
+    leaf of any other type raises ``TypeError``, as ``json.dumps`` does, and
+    so does a subclass of list or tuple, such as a NamedTuple record.  A
     NaN, or a rational or integer no report can print, raises
     ``UnprintableResultError`` before any text is returned.
     """
@@ -506,7 +531,7 @@ def _write(value: Any, out: list[str], newline: str) -> None:
         out.append(f'"{text}"' if math.isinf(value) else text)
     elif isinstance(value, dict):
         _write_items(sorted({str(k): v for k, v in value.items()}.items()), "{}", out, newline)
-    elif isinstance(value, (list, tuple)):
+    elif type(value) in (list, tuple):  # a NamedTuple record is no report leaf
         _write_items(value, "[]", out, newline)
     elif isinstance(value, SpectralSet):
         _write_spectral_set(value, out, newline)

@@ -54,13 +54,13 @@ per call.  This module holds no verdict: those are in :mod:`hcspec.dbar`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice, pairwise, product, repeat, starmap
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 from .errors import ToolkitError
+from .records import FrozenRecord
 
 if TYPE_CHECKING:
     import numpy as np
@@ -119,32 +119,27 @@ def _check_mult(mult: Mult) -> Mult:
     raise ValueError(f"multiplicity must be a positive integer or INFINITE, got {mult!r}")
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(FrozenRecord):
     """A single spectral value with its multiplicity."""
 
-    value: Fraction
-    mult: Mult = 1
+    __slots__ = ("value", "mult")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", as_rational(self.value))
-        object.__setattr__(self, "mult", _check_mult(self.mult))
+    def __init__(self, value: RationalLike, mult: Mult = 1) -> None:
+        object.__setattr__(self, "value", as_rational(value))
+        object.__setattr__(self, "mult", _check_mult(mult))
         if self.value < 0:
             raise ValueError("spectral values must be nonnegative")
 
 
-@dataclass(frozen=True)
-class AP:
+class AP(FrozenRecord):
     """The arithmetic progression ``{base + n*step : n >= 0}``."""
 
-    base: Fraction
-    step: Fraction
-    mult: Mult = 1
+    __slots__ = ("base", "step", "mult")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base", as_rational(self.base))
-        object.__setattr__(self, "step", as_rational(self.step))
-        object.__setattr__(self, "mult", _check_mult(self.mult))
+    def __init__(self, base: RationalLike, step: RationalLike, mult: Mult = 1) -> None:
+        object.__setattr__(self, "base", as_rational(base))
+        object.__setattr__(self, "step", as_rational(step))
+        object.__setattr__(self, "mult", _check_mult(mult))
         if self.base < 0:
             raise ValueError("progression base must be nonnegative")
         if self.step <= 0:
@@ -161,20 +156,22 @@ class SpectralSet:
     holds each atom as ``(value or base times L, 0 for a point or 1 for a
     progression, step times L or 0, mult)``; sets compare and hash by both.
     ``atoms`` views the keys as :class:`Point` and :class:`AP`, built on first
-    use.  Build sets through :func:`normalize` (or :meth:`of`); the
-    constructor trusts its atoms and keeps them, in order, as the view.
+    use, and the hash is kept from the first ``hash``.  Build sets through
+    :func:`normalize` (or :meth:`of`); the constructor trusts its atoms and
+    keeps them, in order, as the view.
     """
 
-    __slots__ = ("scale", "keys", "_atoms")
+    __slots__ = ("scale", "keys", "_atoms", "_hash")
 
     def __init__(self, atoms: Iterable[Atom] = ()) -> None:
         self._atoms = tuple(atoms)
         self.scale, self.keys = _ratio_keys(map(_ratio, self._atoms))
+        self._hash = None
 
     @classmethod
     def _on_keys(cls, scale: int, keys: tuple[tuple, ...]) -> "SpectralSet":
         new = cls.__new__(cls)
-        new.scale, new.keys, new._atoms = scale, keys, None
+        new.scale, new.keys, new._atoms, new._hash = scale, keys, None, None
         return new
 
     @property
@@ -193,7 +190,9 @@ class SpectralSet:
         return isinstance(other, SpectralSet) and (self.scale, self.keys) == (other.scale, other.keys)
 
     def __hash__(self) -> int:
-        return hash((self.scale, self.keys))
+        if self._hash is None:
+            self._hash = hash((self.scale, self.keys))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"SpectralSet(atoms={self.atoms!r})"
@@ -694,8 +693,7 @@ def _find_uncovered_ap(
 # Operator spectra and the product formulas
 
 
-@dataclass(frozen=True)
-class OperatorSpectrum:
+class OperatorSpectrum(FrozenRecord):
     """Spectrum and essential spectrum of one positive self-adjoint operator.
 
     When ``essential`` is omitted it is derived from the multiplicity
@@ -705,18 +703,19 @@ class OperatorSpectrum:
     records which of the two it was: spectra compare by their two sets.
     """
 
-    spectrum: SpectralSet
-    essential: SpectralSet | None = None
+    __slots__ = ("spectrum", "essential")
 
-    def __post_init__(self) -> None:
-        if self.essential is None:
-            object.__setattr__(self, "essential", essential_part(self.spectrum))
+    def __init__(self, spectrum: SpectralSet, essential: SpectralSet | None = None) -> None:
+        if essential is None:
+            essential = essential_part(spectrum)
         else:
-            witness = find_uncovered(self.essential, self.spectrum)
+            witness = find_uncovered(essential, spectrum)
             if witness is not None:
                 raise EssentialNotContainedError(
                     f"essential spectrum point {witness} does not belong to the spectrum"
                 )
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "essential", essential)
 
     def is_empty(self) -> bool:
         return self.spectrum.is_empty()

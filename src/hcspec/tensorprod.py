@@ -17,8 +17,7 @@ holds the dense Laplacian to both facts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -134,8 +133,7 @@ def block_structure_check(
     return ResidualReport.judge(residuals, DEFAULT_TOL)
 
 
-@dataclass(frozen=True)
-class KuennethReport:
+class KuennethReport(NamedTuple):
     """Computed vs expected cohomology dimensions of the product, per degree."""
 
     pairs: Mapping[int, tuple[int, int]]
@@ -163,8 +161,7 @@ def kuenneth_check(
     return KuennethReport(pairs, passed)
 
 
-@dataclass(frozen=True)
-class SpectrumMatchReport:
+class SpectrumMatchReport(NamedTuple):
     """Pairing of product-Laplacian eigenvalues against sums of factor eigenvalues."""
 
     degree: int

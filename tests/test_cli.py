@@ -684,6 +684,22 @@ def test_bergman_shortcut_skips_entries_within_zero(tmp_path, capsys, atom, verd
     assert (report["results"]["verdict"], report["results"]["fired_rule"]) == (verdict, rule)
 
 
+@pytest.mark.parametrize("command, degrees", [("dbar", {"p": 0, "q": 1}), ("dbar-n", {"q": 1})])
+def test_a_null_box_entry_reads_as_an_omitted_one(tmp_path, capsys, command, degrees):
+    omitted = _zero_factor("partial", 1)
+    del omitted["box_spectrum"]["0,1"]
+    null = {**omitted, "box_spectrum": {**omitted["box_spectrum"], "0,1": None}}
+    model = parse_factor_model(null, "$.payload.factors[0]")
+    assert model.box_spectrum[(0, 1)] is None and model.box_spectrum[(0, 0)] is not None
+    assert model == parse_factor_model(omitted, "$.payload.factors[0]")
+    results = []
+    for factor in (null, omitted):
+        code, report = run_cli(capsys, command, _dbar_scenario(tmp_path, [factor, _zero_factor("other", 1)], **degrees))
+        results.append((code, report["results"]))
+    assert results[0] == results[1]
+    assert results[0][1]["fired_rule"] == "unknown-factor-data"
+
+
 def test_module_error_is_surfaced_by_name(tmp_path, capsys):
     noncommuting = {
         "version": "1",
@@ -767,6 +783,40 @@ def test_repeated_json_keys_exit_2(tmp_path, capsys, command, text, key):
     err = capsys.readouterr().err
     assert code == 2
     assert f"ParseError: {path}: repeated key {key!r} in one JSON object" in err
+
+
+@pytest.mark.parametrize(
+    "text, key, json_path",
+    [
+        ('{"version": "1", "version": "1", "kind": "dbar-factors", "payload": {}}', "version", "$"),
+        (
+            '{"version": "1", "kind": "dbar-factors", "payload": {"q": 0, "factors": [], "q": 1}}',
+            "q",
+            "$.payload",
+        ),
+        (
+            '{"version": "1", "kind": "dbar-factors", "payload": {"q": 1, "factors": [{"builtin": '
+            '"infinite-bergman-factor"}, {"name": "x", "complex_dimension": 1, "box_spectrum": '
+            '{"0,0": null, "0,1": null, "0,0": {"spectrum": {"atoms": []}}}}]}}',
+            "0,0",
+            "$.payload.factors[1].box_spectrum",
+        ),
+    ],
+    ids=["document", "payload", "box-spectrum"],
+)
+def test_a_repeated_key_is_named_by_its_json_path(tmp_path, capsys, text, key, json_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main(["dbar-n", str(path)]) == 2
+    assert capsys.readouterr().err == f"ParseError: {path}: repeated key {key!r} in one JSON object at {json_path}\n"
+
+
+def test_a_repeated_key_before_broken_json_keeps_the_plain_message(tmp_path, capsys):
+    # the first read stops at the repeated key; the path needs the whole text
+    path = tmp_path / "scenario.json"
+    path.write_text('{"payload": {"q": 0, "q": 1}, "kind": ')
+    assert main(["dbar-n", str(path)]) == 2
+    assert capsys.readouterr().err == f"ParseError: {path}: repeated key 'q' in one JSON object\n"
 
 
 def test_the_scenario_file_is_read_once_and_digested(tmp_path, capsys, monkeypatch):

@@ -3,8 +3,10 @@
 ``import hcspec`` binds its public names lazily (PEP 562), and the command
 line imports the dense layers inside the handlers that need them, so
 ``dbar``, ``dbar-n`` and ``symbolic`` without ``--oracle-cutoff`` never load
-numpy.  The first test runs them in a fresh interpreter, where an eager
-``import numpy`` anywhere on their path would show.
+numpy.  No record of the package is a dataclass, so no path loads
+``dataclasses`` or the ``inspect`` it imports, and ``csv`` loads only under
+``--csv``.  The first test runs the exact commands in a fresh interpreter,
+where an eager import of any of these anywhere on their path would show.
 """
 
 import json
@@ -26,12 +28,14 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 import hcspec
 import hcspec.cli
-loaded = ["numpy" in sys.modules]
+def loaded():
+    return [name for name in ("numpy", "dataclasses", "inspect", "csv") if name in sys.modules]
+after = [loaded()]
 codes = []
 for command, scenario, out in json.loads(sys.argv[2]):
     codes.append(hcspec.cli.main([command, scenario, "--out", out]))
-    loaded.append("numpy" in sys.modules)
-print(json.dumps({"codes": codes, "numpy_loaded": loaded}))
+    after.append(loaded())
+print(json.dumps({"codes": codes, "loaded": after}))
 """
 
 #: The public names ``hcspec/__init__`` imported eagerly before it loaded
@@ -83,7 +87,7 @@ def test_exact_commands_never_load_numpy(tmp_path):
         check=True,
     )
     result = json.loads(done.stdout)
-    assert result == {"codes": [0, 0, 0], "numpy_loaded": [False, False, False, False]}
+    assert result == {"codes": [0, 0, 0], "loaded": [[], [], [], []]}
     for _, _, out in runs:
         assert json.loads(Path(out).read_text(encoding="utf-8"))["pass"] is True
 
@@ -122,8 +126,18 @@ def test_help_lists_the_same_flags_and_defaults(command, capsys):
     text = capsys.readouterr().out
     for flag in FLAG_DEFAULTS[command]:
         assert "--" + flag.replace("_", "-") in text
-    args = vars(cli._PARSER.parse_args([command, "scenario.json"]))
+    args = vars(cli._build_parser().parse_args([command, "scenario.json"]))
     assert args == {"command": command, "scenario": "scenario.json", **FLAG_DEFAULTS[command]}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_DEFAULTS))
+def test_help_is_the_full_parsers_help_of_the_command(command, capsys):
+    texts = []
+    for parse in (cli.main, cli._build_parser().parse_args):
+        with pytest.raises(SystemExit) as stop:
+            parse([command, "--help"])
+        texts.append((stop.value.code, capsys.readouterr()))
+    assert texts[0] == texts[1] and texts[0][1].out.startswith(f"usage: hcspec {command} [-h]")
 
 
 #: A value for each flag of ``FLAG_DEFAULTS``; ``None`` for a switch.
@@ -140,7 +154,7 @@ def test_command_parser_reads_what_the_full_parser_reads(command):
         argv = [command, "scenario.json"]
         for flag in chosen:
             argv += ["--" + flag.replace("_", "-"), *([FLAG_VALUES[flag]] if FLAG_VALUES[flag] else [])]
-        assert vars(cli._parse_args(argv)) == vars(cli._PARSER.parse_args(argv)), argv
+        assert vars(cli._parse_args(argv)) == vars(cli._build_parser().parse_args(argv)), argv
 
 
 @pytest.mark.parametrize(
@@ -156,7 +170,7 @@ def test_command_parser_reads_what_the_full_parser_reads(command):
 )
 def test_a_bad_command_line_keeps_its_usage_and_exit_code(argv, capsys):
     outcomes = []
-    for parse in (cli.main, cli._PARSER.parse_args):
+    for parse in (cli.main, cli._build_parser().parse_args):
         with pytest.raises(SystemExit) as stop:
             parse(argv)
         outcomes.append((stop.value.code, capsys.readouterr()))

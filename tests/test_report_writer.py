@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from hcspec import cli
 from hcspec.cli import main
+from hcspec.fuzzing import SuiteResult
 from hcspec.scenario import PRINTABLE_DIGITS, UnprintableResultError, _write_spectral_set, dump_report, parse_spectral_set
 from hcspec.spectra import (
     AP,
@@ -214,7 +215,9 @@ def test_an_unknown_leaf_is_refused_as_json_does():
 
 
 @pytest.mark.parametrize(
-    "leaf", [np.int64(3), np.array([[1.0]]), OperatorSpectrum(EMPTY)], ids=["int64", "ndarray", "operator-spectrum"]
+    "leaf",
+    [np.int64(3), np.array([[1.0]]), OperatorSpectrum(EMPTY), SuiteResult("spectra", 1, ())],
+    ids=["int64", "ndarray", "operator-spectrum", "named-tuple-record"],
 )
 def test_only_report_leaf_kinds_are_written(leaf):
     with pytest.raises(TypeError, match=f"Object of type {type(leaf).__name__} is not JSON serializable"):

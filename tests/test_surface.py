@@ -21,6 +21,9 @@ dead import behind.
 And no module but ``numerics`` calls numpy's raw eigen, SVD or Kronecker
 kernels, so each result passes the gates there; ``RAW_KERNEL_CALLS`` lists
 the exceptions.
+
+And no module imports ``dataclasses``, whose import pulls in ``inspect`` and
+so costs every command a large share of its start-up.
 """
 
 import ast
@@ -217,6 +220,21 @@ def _raw_kernel_calls() -> set[str]:
 def test_raw_eigen_svd_and_kronecker_kernels_live_in_numerics():
     stray = _raw_kernel_calls() - set(RAW_KERNEL_CALLS)
     assert not stray, f"raw numpy kernels called outside numerics: {sorted(stray)}"
+
+
+def test_no_module_imports_dataclasses():
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.partition(".")[0] == "dataclasses" for module in modules):
+                importers.add(path.stem)
+    assert not importers, f"modules importing dataclasses: {sorted(importers)}"
 
 
 def test_raw_kernel_exemptions_are_still_needed():
