@@ -38,7 +38,7 @@ from .numerics import (
     hermitian_eig,
     kronecker_sum,
     max_abs,
-    nan_max,
+    sorted_gap,
 )
 from .spectra import minkowski_sum, normalize_ratios
 
@@ -154,10 +154,7 @@ def _head_parts(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _simdiag(mats: Sequence[np.ndarray], tol: Tolerance) -> np.ndarray:
     """Unitary basis simultaneously diagonalizing commuting Hermitian matrices:
     eigendecompose the first, then recurse on the rest restricted to each
-    cluster of its eigenvalues."""
-    n = mats[0].shape[0] if mats else 0
-    if not mats or n == 0:
-        return np.eye(n, dtype=np.complex128)
+    cluster of its eigenvalues.  ``mats`` is a nonempty list."""
     head, rest = mats[0], mats[1:]
     dec = hermitian_eig(head, tol)
     if not rest:
@@ -362,8 +359,8 @@ def sum_operator_check(
     Numerically: the assembled operator's eigenvalues must match all pairwise
     sums of factor eigenvalues after sorting.  Symbolically: spectral sets
     built from the factor eigenvalue multisets must reproduce the same values
-    through the exact Minkowski sum.  Both gaps must be at most
-    ``MATCH_GAP``.
+    through the exact Minkowski sum.  Both gaps, each a
+    :func:`numerics.sorted_gap`, must be at most ``MATCH_GAP``.
     """
     t = as_complex_matrix(t)
     s = as_complex_matrix(s)
@@ -373,27 +370,22 @@ def sum_operator_check(
         if values.size and float(values[0]) < -1e-9:
             raise NotPSDError(f"{name} matrix has eigenvalue {values[0]:.3e} < -1e-9")
     eigenvalues = hermitian_eig(kronecker_sum(t, s, dim_cap), tol, vectors=False).eigenvalues
-    expected = sorted(float(a + b) for a in eig_t for b in eig_s)
-    if len(expected) != eigenvalues.size:
-        raise AssertionError("dimension bookkeeping is broken")
-    max_gap = nan_max(np.abs(eigenvalues - np.array(expected)))
+    expected = np.sort(np.add.outer(eig_t, eig_s), axis=None)
+    max_gap = sorted_gap(eigenvalues, expected)
 
     # each eigenvalue as the exact ratio of its float, a point of mult 1
     lhs, rhs = (
         normalize_ratios((*max(float(v), 0.0).as_integer_ratio(), 0, 1, 1) for v in values)
         for values in (eig_t, eig_s)
     )
-    # a sum of point sets normalizes to points only: keys (k, 0, 0, mult) of k / L
+    # a sum of point sets is points, n * m of them counted by mult: keys (k, 0, 0, mult) of k / L
     total = minkowski_sum(lhs, rhs)
     listed = sorted(value / total.scale for value, _, _, mult in total.keys for _ in range(mult))
-    if len(listed) != eigenvalues.size:
-        symbolic_gap = float("inf")
-    else:
-        symbolic_gap = nan_max(np.abs(eigenvalues - np.array(listed)))
+    symbolic_gap = sorted_gap(eigenvalues, listed)
     passed = max_gap <= MATCH_GAP and symbolic_gap <= MATCH_GAP
     return SumOperatorReport(
         tuple(float(v) for v in eigenvalues),
-        tuple(expected),
+        tuple(expected.tolist()),
         max_gap,
         symbolic_gap,
         passed,

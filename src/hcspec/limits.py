@@ -27,25 +27,20 @@ _EPS = sys.float_info.epsilon
 class Tolerance(FrozenRecord):
     """Numerical tolerances used across the toolkit.
 
-    ``rank_threshold`` is an explicit override for the singular-value cutoff;
-    when ``None`` the cutoff is ``dimension * eps * sigma_max``, the standard
-    backward-stable convention.  Every given value must be finite and strictly
-    positive: a NaN would fail no comparison and so disable every gate.
+    Every value must be finite and strictly positive: a NaN would fail no
+    comparison and so disable every gate.  The singular-value cutoff is
+    ``dimension * eps * sigma_max``, the standard backward-stable convention.
     """
 
-    __slots__ = ("eigen_residual", "identity_check", "rank_threshold")
+    __slots__ = ("eigen_residual", "identity_check")
 
-    def __init__(
-        self, eigen_residual: float = 1e-9, identity_check: float = 1e-8, rank_threshold: float | None = None
-    ) -> None:
-        for name, value in zip(self.__slots__, (eigen_residual, identity_check, rank_threshold)):
-            if not ((value is None and name == "rank_threshold") or (math.isfinite(value) and value > 0)):
+    def __init__(self, eigen_residual: float = 1e-9, identity_check: float = 1e-8) -> None:
+        for name, value in zip(self.__slots__, (eigen_residual, identity_check)):
+            if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
             object.__setattr__(self, name, value)
 
     def rank_cutoff(self, dimension: int, sigma_max: float) -> float:
-        if self.rank_threshold is not None:
-            return self.rank_threshold
         return max(dimension, 1) * _EPS * sigma_max
 
 

@@ -50,8 +50,6 @@ class NonFiniteError(ToolkitError, ValueError):
 def as_complex_matrix(entries) -> np.ndarray:
     """Coerce to a read-only 2-D complex128 array, rejecting NaN/Inf."""
     a = np.array(entries, dtype=np.complex128, copy=True)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1) if a.size else a.reshape(0, 0)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
     if a.size and not np.isfinite(a).all():
@@ -76,6 +74,14 @@ def nan_max(values) -> float:
     for none and NaN when any is NaN, which fails every gate: Python's
     ``max`` keeps a NaN only when it comes first."""
     return float(np.max(np.asarray(values, dtype=np.float64), initial=0.0))
+
+
+def sorted_gap(values, reference) -> float:
+    """Largest ``|x - y|`` of two ascending multisets paired in order: ``inf``
+    when their sizes differ, else the :func:`nan_max` of the differences."""
+    if len(values) != len(reference):
+        return float("inf")
+    return nan_max(np.abs(np.subtract(values, reference)))
 
 
 class EigenDecomposition(NamedTuple):

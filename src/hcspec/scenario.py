@@ -346,7 +346,11 @@ def parse_operator_spectrum(value: Any, path: str) -> OperatorSpectrum:
     essential = value.get("essential")
     if essential is None:
         return OperatorSpectrum(spectrum)
-    return OperatorSpectrum(spectrum, parse_spectral_set(essential, f"{path}.essential"))
+    essential = parse_spectral_set(essential, f"{path}.essential")
+    try:
+        return OperatorSpectrum(spectrum, essential)
+    except ToolkitError as exc:  # an essential point outside the spectrum
+        raise _fail(path, str(exc)) from exc
 
 
 def _object_field(value: dict, name: str, path: str) -> dict:

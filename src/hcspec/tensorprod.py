@@ -37,6 +37,7 @@ from .numerics import (
     kronecker_sum,
     max_abs,
     nan_max,
+    sorted_gap,
 )
 
 
@@ -180,8 +181,8 @@ def verify_product_spectrum(
 ) -> SpectrumMatchReport:
     """Check that the product Laplacian's eigenvalue multiset at ``degree``
     equals the multiset union over ``j + k = degree`` of pairwise sums of
-    factor eigenvalues, by greedy matching after sorting: it passes when the
-    largest gap is at most ``MATCH_GAP``.  ``product`` is the complex
+    factor eigenvalues: it passes when their :func:`numerics.sorted_gap` is
+    at most ``MATCH_GAP``.  ``product`` is the complex
     :func:`tensor_complex` built from ``a`` and ``b``."""
     if product.lo <= degree <= product.hi:
         lhs = spectrum_multiset(product, degree, tol)
@@ -194,8 +195,6 @@ def verify_product_spectrum(
     ]
     rhs = np.sort(np.concatenate(sums)) if sums else np.zeros(0)
     summed = tuple(rhs.tolist())
-    if len(lhs) != rhs.size:
-        return SpectrumMatchReport(degree, tuple(lhs), summed, float("inf"), False)
-    max_gap = nan_max(np.abs(np.subtract(lhs, rhs)))
+    max_gap = sorted_gap(lhs, rhs)
     return SpectrumMatchReport(degree, tuple(lhs), summed, max_gap, max_gap <= MATCH_GAP)
 

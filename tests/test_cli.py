@@ -6,6 +6,8 @@ import json
 import math
 import random
 import re
+import runpy
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -332,13 +334,20 @@ def test_dbar_degrees_must_be_integers(tmp_path, capsys, command, scenario, fiel
     assert f"ParseError: $.payload.{field}:" in err
 
 
+# ``_edited_scenario`` deletes the entry given this value.
+_DROP = object()
+
+
 def _edited_scenario(tmp_path, scenario, keys, value) -> Path:
     """A copy of a shipped scenario with the entry at ``keys`` set to ``value``."""
     doc = json.loads((SCENARIOS / scenario).read_text())
     target = doc
     for key in keys[:-1]:
         target = target[key]
-    target[keys[-1]] = value
+    if value is _DROP:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
     return path
@@ -437,6 +446,146 @@ def test_malformed_matrices_exit_2(tmp_path, capsys, command, scenario, keys, ba
     err = capsys.readouterr().err
     assert code == 2
     assert error in err
+
+
+def _box(spectrum, essential=None, bergman_dim=None) -> dict:
+    """The mystery factor with one ``box_spectrum['0,0']`` entry of point
+    atoms, each ``(value, mult)``, and optionally an asserted essential part."""
+    atoms = lambda points: {"atoms": [{"kind": "point", "value": v, "mult": m} for v, m in points]}  # noqa: E731
+    entry = {"spectrum": atoms(spectrum)}
+    if essential is not None:
+        entry["essential"] = atoms(essential)
+    extra = {} if bergman_dim is None else {"bergman_dim": bergman_dim}
+    return {**_MYSTERY_FACTOR, **extra, "box_spectrum": {"0,0": entry}}
+
+
+_LONG_KEY = "1" * 4301 + ",0"  # matches the key pattern, but int() refuses its digits
+_INFINITE = [{"builtin": "infinite-bergman-factor"}]
+
+
+@pytest.mark.parametrize(
+    "command, scenario, keys, bad, error",
+    [
+        pytest.param(
+            "symbolic", "symbolic-ap-pair.json", ["payload", "operation"], _DROP,
+            "$.payload.operation: required by the symbolic command", id="missing-field",
+        ),
+        pytest.param(
+            "symbolic", "symbolic-ap-pair.json", ["payload", "operation"], "intersection",
+            "$.payload.operation: expected union, minkowski, or essential, got 'intersection'",
+            id="unknown-operation",
+        ),
+        pytest.param(
+            "dbar", "bidisc.json", ["payload", "factors"], _INFINITE * 3,
+            "$.payload.factors: dbar needs exactly 2 factor models", id="dbar-three-factors",
+        ),
+        pytest.param(
+            "dbar-n", "riemann-triple.json", ["payload", "factors"], _INFINITE[0],
+            "$.payload.factors: dbar-n needs a list of factor models", id="dbar-n-factor-object",
+        ),
+        pytest.param(
+            "joint", "joint-pair.json", ["payload", "t"], "x",
+            "$.payload.t: expected a nested array of rows", id="matrix-string",
+        ),
+        pytest.param(
+            "symbolic", "symbolic-ap-pair.json", ["payload", "a", "atoms", 0, "base"], "1e4300",
+            "$.payload.a.atoms[0].base: rational beyond 4300 digits: '1e4300'", id="reduced-rational-digits",
+        ),
+        pytest.param(
+            "symbolic", "symbolic-ap-pair.json", ["payload", "a"], [],
+            "$.payload.a: expected an object with an 'atoms' array", id="spectral-set-array",
+        ),
+        pytest.param(
+            "symbolic", "symbolic-ap-pair.json", ["payload", "a", "atoms"], {},
+            "$.payload.a.atoms: expected an array", id="atoms-object",
+        ),
+        pytest.param(
+            "symbolic", "symbolic-ap-pair.json", ["payload", "a", "atoms", 0], 1,
+            "$.payload.a.atoms[0]: expected an object", id="atom-number",
+        ),
+        pytest.param(
+            "dbar", "bidisc.json", ["payload", "factors", 0], {**_MYSTERY_FACTOR, "box_spectrum": {"0,0": 1}},
+            "$.payload.factors[0].box_spectrum['0,0']: expected an object with a 'spectrum' field",
+            id="box-entry-number",
+        ),
+        pytest.param(
+            "tensor", "chain-product.json", ["payload", "left"], [],
+            "$.payload.left: expected an object", id="complex-array",
+        ),
+        pytest.param(
+            "validate", "chain.json", ["payload", "differentials", "0"], [[1, 2]],
+            "$.payload: differential at degree 0 has shape (1, 2), expected (1, 1)", id="differential-shape",
+        ),
+        pytest.param(
+            "dbar", "bidisc.json", ["payload", "factors", 0], 1,
+            "$.payload.factors[0]: expected an object", id="factor-number",
+        ),
+        pytest.param(
+            "dbar", "bidisc.json", ["payload", "factors", 0], {"complex_dimension": 1},
+            "$.payload.factors[0].name: expected a string", id="factor-without-name",
+        ),
+        pytest.param(
+            "dbar", "bidisc.json", ["payload", "factors", 0], {**_MYSTERY_FACTOR, "closed_range": 1},
+            "$.payload.factors[0].closed_range: expected true or false", id="closed-range-number",
+        ),
+        pytest.param(
+            "dbar", "bidisc.json", ["payload", "factors", 0], {**_MYSTERY_FACTOR, "box_spectrum": {_LONG_KEY: None}},
+            f"$.payload.factors[0].box_spectrum: bidegree keys look like 'p,q'; got {_LONG_KEY!r}",
+            id="bidegree-key-digits",
+        ),
+        pytest.param(
+            "dbar", "bidisc.json", ["payload", "factors", 0], _box([("2", 1)], essential=[("1", 1)]),
+            "$.payload.factors[0].box_spectrum['0,0']: essential spectrum point 1 does not belong to the spectrum",
+            id="essential-outside-spectrum",
+        ),
+        pytest.param(
+            "dbar", "bidisc.json", ["payload", "factors", 0],
+            _box([("0", "inf"), ("1", "inf")], essential=[("1", "inf")], bergman_dim="inf"),
+            "$.payload.factors[0]: mystery: infinite Bergman space requires 0 in the essential spectrum "
+            "at bidegree (0, 0)",
+            id="infinite-bergman-without-essential-zero",
+        ),
+    ],
+)
+def test_refusals_name_their_json_path(tmp_path, capsys, command, scenario, keys, bad, error):
+    code = main([command, str(_edited_scenario(tmp_path, scenario, keys, bad))])
+    assert code == 2
+    assert capsys.readouterr().err == f"ParseError: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "t, skipped",
+    [([[-1.0, 0.0], [0.0, 1.0]], "NotPSDError"), ([[[0.0, 1.0], 0.0], [0.0, 2.0]], "NotHermitianError")],
+    ids=["indefinite", "normal-not-hermitian"],
+)
+def test_joint_skips_the_sum_operator_off_hermitian_psd_pairs(tmp_path, capsys, t, skipped):
+    code, report = run_cli(capsys, "joint", _edited_scenario(tmp_path, "joint-pair.json", ["payload", "t"], t))
+    assert code == 0 and report["pass"]
+    assert report["results"]["sum_operator"] == {"skipped": skipped}
+    assert report["results"]["tensor_pair"] == {"cartesian_gap": 0.0, "passed": True}
+
+
+def test_joint_on_the_empty_pair(tmp_path, capsys):
+    path = _edited_scenario(tmp_path, "joint-pair.json", ["payload"], {"t": [], "s": []})
+    code, report = run_cli(capsys, "joint", path)
+    assert code == 0 and report["pass"]
+    assert report["results"] == {
+        "commutator_norm": 0.0,
+        "joint_points": [],
+        "sum_operator": {"max_gap": 0.0, "passed": True, "symbolic_max_gap": 0.0},
+        "tensor_pair": {"cartesian_gap": 0.0, "passed": True},
+    }
+
+
+def test_the_module_runs_as_a_script(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(sys, "argv", ["hcspec", "dbar", str(SCENARIOS / "bidisc.json"), "--out", str(out)])
+    # run as __main__ from a fresh module, as ``python -m hcspec.cli`` does
+    monkeypatch.delitem(sys.modules, "hcspec.cli")
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("hcspec.cli", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert json.loads(out.read_text())["results"]["verdict"] == "non-compact"
 
 
 @pytest.mark.parametrize("bad", [[["0,0"]], "0,0"], ids=["array", "string"])

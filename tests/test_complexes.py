@@ -5,9 +5,11 @@ import pytest
 
 from hcspec import complexes, fuzzing
 from hcspec.complexes import (
+    BlockSlot,
     DegreeOutOfRangeError,
     FiniteComplex,
     InconsistentRankError,
+    ProductBlockIndex,
     ShapeMismatchError,
     check_identities,
     cohomology_dim,
@@ -133,31 +135,26 @@ def test_cohomology_dims():
 
 
 def test_cohomology_cross_check_flags_bad_thresholds():
-    # a rank threshold wedged between a singular value and its square makes
-    # the kernel count and the rank-nullity count disagree
-    c = FiniteComplex(0, (1, 1), {0: [[1e-4]]})
-    bad = Tolerance(rank_threshold=1e-6)
+    # the singular value 1e-9 of d_0 lies above its rank cutoff 4 eps, but
+    # the Laplacian eigenvalue 1e-18 lies below its cutoff 2 eps, so the
+    # kernel count and the rank-nullity count disagree
+    c = FiniteComplex(0, (2, 2), {0: np.diag([1.0, 1e-9])})
     with pytest.raises(InconsistentRankError):
-        cohomology_dim(c, 0, bad)
+        cohomology_dim(c, 0)
 
 
 def test_memo_is_keyed_by_tolerance():
-    # the threshold 3 drops the singular value 2 from the rank but keeps the
-    # Laplacian eigenvalue 4 off the kernel, so only fresh ranks disagree
-    bad = Tolerance(rank_threshold=3.0)
-    c = chain(2.0)
-    assert cohomology_dim(c, 0) == 0
-    with pytest.raises(InconsistentRankError):
-        cohomology_dim(c, 0, bad)
-    c = chain(2.0)
-    with pytest.raises(InconsistentRankError):
-        cohomology_dim(c, 0, bad)
-    assert cohomology_dim(c, 0) == 0
     # memoized eigenvalues do not skip the residual gate of another tolerance
     r = random_complex([3, 4, 2], seed=8)
     spectrum_multiset(r, 1)
     with pytest.raises(NoConvergenceError):
         spectrum_multiset(r, 1, Tolerance(eigen_residual=1e-300))
+
+
+def test_a_layout_ignores_the_zero_size_maps_outside_the_window():
+    layout = {0: ProductBlockIndex(0, (BlockSlot(0, 0, 0, 1),))}
+    c = FiniteComplex(0, (1,), {-1: np.zeros((1, 0)), 0: np.zeros((0, 1))}, layout)
+    assert sorted(c.differentials) == [-1, 0] and validate(c).passed
 
 
 def test_large_norm_complex_keeps_its_spectrum():

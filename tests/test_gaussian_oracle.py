@@ -7,6 +7,7 @@ import pytest
 from hcspec.complexes import cohomology_dim
 from hcspec.dbar import FORM_LADDER_BASE, FUNCTION_LADDER_BASE, LADDER_STEP, builtin_models
 from hcspec.gaussian_oracle import (
+    _group_levels,
     derive_catalogue_values,
     form_laplacian_spectrum,
     function_laplacian_spectrum,
@@ -19,6 +20,11 @@ from hcspec.tensorprod import block_structure_check, kuenneth_check, tensor_comp
 def test_function_levels_are_the_nonnegative_integers():
     spectrum = function_laplacian_spectrum(7)
     assert sorted(spectrum.level_counts) == list(range(8))
+
+
+def test_a_level_off_the_integers_is_refused():
+    with pytest.raises(ArithmeticError, match="eigenvalue 0.5 is not within 1e-08 of an integer level"):
+        _group_levels([0.5])
 
 
 def test_form_levels_start_at_one():

@@ -12,12 +12,14 @@ from hcspec.numerics import (
     NotHermitianError,
     SizeOverflowError,
     Tolerance,
+    as_complex_matrix,
     hermitian_eig,
     kronecker_sum,
     max_abs,
     numeric_rank,
     pseudo_inverse,
     range_projection,
+    sorted_gap,
 )
 
 
@@ -48,6 +50,36 @@ def test_non_hermitian_rejected():
 def test_empty_matrix_eig():
     dec = hermitian_eig(np.zeros((0, 0)))
     assert dec.eigenvalues.size == 0 and dec.residual == 0.0
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 2, 2)])
+def test_an_array_that_is_not_a_matrix_is_refused(shape):
+    with pytest.raises(ValueError, match=f"expected a matrix, got array of ndim {len(shape)}"):
+        as_complex_matrix(np.zeros(shape))
+
+
+@pytest.mark.parametrize(
+    "solver, call",
+    [
+        ("eigvalsh", lambda: hermitian_eig(np.eye(2), vectors=False)),
+        ("eigh", lambda: hermitian_eig(np.eye(2))),
+        ("svd", lambda: numeric_rank(np.eye(2))),
+    ],
+)
+def test_a_solver_that_does_not_converge_raises_no_convergence(monkeypatch, solver, call):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{solver} did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    with pytest.raises(NoConvergenceError, match=f"^{solver} did not converge$"):
+        call()
+
+
+def test_sorted_gap_pairs_in_order():
+    assert sorted_gap([0.0, 1.0], np.array([0.5, 3.0])) == 2.0
+    assert sorted_gap([], np.zeros(0)) == 0.0
+    assert sorted_gap([1.0], []) == math.inf
+    assert math.isnan(sorted_gap([math.nan, 1.0], [0.0, 5.0]))
 
 
 def test_random_hermitian_reconstruction():
@@ -342,18 +374,15 @@ def test_tolerance_validation():
         Tolerance(eigen_residual=0.0)
     with pytest.raises(ValueError):
         Tolerance(identity_check=-1.0)
-    with pytest.raises(ValueError):
-        Tolerance(rank_threshold=0.0)
-    assert Tolerance(rank_threshold=1e-6).rank_cutoff(10, 1.0) == 1e-6
+    assert Tolerance(1e-6, 1e-7).rank_cutoff(10, 1.0) == DEFAULT_TOL.rank_cutoff(10, 1.0)
     assert DEFAULT_TOL.rank_cutoff(4, 0.0) == 0.0
 
 
-@pytest.mark.parametrize("field", ["eigen_residual", "identity_check", "rank_threshold"])
+@pytest.mark.parametrize("field", ["eigen_residual", "identity_check"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-9, 0.0])
 def test_tolerance_refuses_values_that_are_not_finite_and_positive(field, value):
-    # a NaN fails every comparison, so it would pass every gate: a NaN rank
-    # threshold made numeric_rank(eye(3)) 0, a NaN identity check made
-    # [[0, 1], [0, 0]] Hermitian
+    # a NaN fails every comparison, so it would pass every gate: a NaN
+    # identity check made [[0, 1], [0, 0]] Hermitian
     with pytest.raises(ValueError, match=field):
         Tolerance(**{field: value})
     assert getattr(Tolerance(**{field: 1e-3}), field) == 1e-3

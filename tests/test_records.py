@@ -8,6 +8,7 @@ equal only to a record of its own class, as a dataclass was.
 
 import copy
 import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ def test_fields_compare_and_hash_within_one_class():
 def test_repr_names_the_fields_in_order():
     assert repr(Point("1/2", 3)) == "Point(value=Fraction(1, 2), mult=3)"
     assert repr(AP(1, 2)) == "AP(base=Fraction(1, 1), step=Fraction(2, 1), mult=1)"
-    assert repr(Tolerance()) == "Tolerance(eigen_residual=1e-09, identity_check=1e-08, rank_threshold=None)"
+    assert repr(Tolerance()) == "Tolerance(eigen_residual=1e-09, identity_check=1e-08)"
     assert repr(BlockSlot(0, 1, 2, 3)) == "BlockSlot(j=0, k=1, offset=2, size=3)"
     complex_ = FiniteComplex(0, (1,))
     assert repr(complex_) == "FiniteComplex(lo=0, dims=(1,), differentials={}, layout=None)"
@@ -62,12 +63,14 @@ def test_constructors_check_as_before():
         Point(-1)
     with pytest.raises(ValueError, match="a non-compact verdict requires witnesses"):
         CompactnessReport(Verdict.NONCOMPACT, "rule", (), EMPTY)
+    with pytest.raises(ValueError, match=re.escape("a compact verdict requires essential spectrum within {0}")):
+        CompactnessReport(Verdict.COMPACT, "rule", (), SpectralSet.of(Point(1)))
 
 
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))])
 def test_copies_rebuild_through_the_constructor(clone):
     model = builtin_models()["infinite-bergman-factor"]
-    for record in (Point("1/2", INFINITE), AP(1, 2, 3), Tolerance(rank_threshold=1e-3), model):
+    for record in (Point("1/2", INFINITE), AP(1, 2, 3), Tolerance(1e-3, 1e-4), model):
         assert clone(record) == record
     complex_ = FiniteComplex(0, (2, 1), {0: np.ones((1, 2))})
     copied = clone(complex_)

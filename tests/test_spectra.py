@@ -31,6 +31,7 @@ from hcspec.spectra import (
     OracleBudgetError,
     Point,
     SpectralSet,
+    as_rational,
     covered_by_progression,
     enumerate_below,
     essential_part,
@@ -954,6 +955,15 @@ def test_operator_spectrum_derives_essential_from_annotations():
 def test_operator_spectrum_rejects_stray_essential():
     with pytest.raises(EssentialNotContainedError):
         OperatorSpectrum(SpectralSet.of(ap(0, 2)), SpectralSet.of(pt(1)))
+
+
+def test_atoms_refuse_what_no_atom_holds():
+    with pytest.raises(TypeError, match="cannot interpret 1.5 as a rational number"):
+        as_rational(1.5)
+    with pytest.raises(ValueError, match="progression base must be nonnegative"):
+        AP(-1, 1)
+    with pytest.raises(TypeError, match="not a spectral atom: 1"):
+        normalize([1])
 
 
 # ---------------------------------------------------------------------------

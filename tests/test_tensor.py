@@ -146,6 +146,15 @@ def test_verify_product_spectrum_outside_support():
     assert match.product_eigenvalues == () and match.summed_eigenvalues == ()
 
 
+def test_verify_product_spectrum_of_an_unrelated_product():
+    # a product of other factors: one eigenvalue at degree 1 against the two
+    # sums of the chain's, so the gap is infinite
+    product = tensor_complex(chain(), FiniteComplex(0, (1,)))
+    match = verify_product_spectrum(chain(), chain(), product, 1)
+    assert match.max_gap == math.inf and not match.passed
+    assert len(match.product_eigenvalues) == 1 and match.summed_eigenvalues == (2.0, 2.0)
+
+
 def test_verify_product_spectrum_random_pairs():
     for seed in range(5):
         a = random_complex([3, 2], seed=seed)
