@@ -5,7 +5,7 @@ Layers, bottom up:
 - :mod:`hcspec.limits`: tolerances and size caps, shared with the command
   line without numpy.
 - :mod:`hcspec.numerics`: dense complex-matrix kernels (Hermitian eig,
-  pseudo-inverse, Kronecker sums, projections, rank).
+  Kronecker sums, one SVD for rank, range projectors and pseudo-inverse).
 - :mod:`hcspec.complexes`: finite Hilbert complexes (with an optional
   product block layout), Laplacians, Hodge splitting, solution operators,
   operator identities.
@@ -72,9 +72,8 @@ _EXPORTS = {
         "numerics": (
             "EigenDecomposition",
             "hermitian_eig",
-            "numeric_rank",
             "pseudo_inverse",
-            "range_projection",
+            "svd",
         ),
         "spectra": (
             "AP",

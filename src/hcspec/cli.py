@@ -219,6 +219,9 @@ def _cmd_dbar(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
 
 def _cmd_dbar_n(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
     factors = _parse_factors(scenario, "dbar-n")
+    p = scenario.payload.get("p", 0)
+    if not is_json_int(p) or p:
+        raise ParseError(f"$.payload.p: dbar-n reports (0, q) forms; expected 0 or no p, got {p!r}")
     q = _require_int(scenario.payload, "q", "dbar-n")
     report = riemann_surface_product_report(factors, q)
     results = {

@@ -28,15 +28,15 @@ import numpy as np
 from .errors import ToolkitError
 from .limits import DEFAULT_TOL, Tolerance
 from .numerics import (
+    SVD,
     NonFiniteError,
-    _svd,
     as_complex_matrix,
     hermitian_eig,
     max_abs,
     nan_max,
-    numeric_rank,
     pseudo_inverse,
-    range_projection,
+    rank_cutoff,
+    svd,
     zero_matrix,
 )
 from .records import FrozenRecord
@@ -95,16 +95,18 @@ class FiniteComplex(FrozenRecord):
     tile a degree, or that a differential does not respect: each column of
     block ``j`` must vanish outside the rows of blocks ``j`` and ``j + 1``.
 
-    Each object memoizes, keyed by ``(degree, tol)``, the numeric rank of
-    each differential and the clipped Laplacian eigenvalues of each degree
-    (values-only ``eigvalsh`` under the moment gate of :func:`hermitian_eig`,
-    no eigenvectors; block by block under a layout, see
-    :func:`off_block_residual`), which :func:`cohomology_dim` and
-    :func:`spectrum_multiset` read, and the pseudo-inverses of
-    :func:`solution_operator` and :func:`laplacian_inverse`, which
-    :func:`check_identities` reads at two adjacent degrees.  The memo lives
-    with the object, and the object is frozen with read-only matrices, so no
-    entry goes stale.
+    Each object memoizes, keyed by ``(degree, tol)``, the clipped Laplacian
+    eigenvalues of each degree (values-only ``eigvalsh`` under the moment
+    gate of :func:`hermitian_eig`, no eigenvectors; block by block under a
+    layout, see :func:`off_block_residual`), which :func:`cohomology_dim`
+    and :func:`spectrum_multiset` read.  Keyed by degree alone, since no
+    tolerance moves the rank cutoff, it holds the Laplacian pseudo-inverses
+    of :func:`laplacian_inverse` and two SVDs of each differential: one
+    values-only, whose rank :func:`cohomology_dim` reads, and one with
+    vectors, the only one, from which :func:`hodge` reads both range
+    projectors, :func:`solution_operator` the pseudo-inverse and
+    :func:`check_identities` both.  The memo lives with the object, and the
+    object is frozen with read-only matrices, so no entry goes stale.
     """
 
     __slots__ = ("lo", "dims", "differentials", "layout", "_memo")
@@ -234,7 +236,7 @@ def random_complex(dims: tuple[int, ...] | list[int], seed: int, lo: int = 0) ->
     factored form, through an orthonormal basis of the complement (the left
     singular vectors of the previous differential past its rank), so the
     constructed matrix has no stray singular values straddling the rank
-    cutoff at the default tolerance.
+    cutoff.
     """
     dims = tuple(int(d) for d in dims)
     rng = np.random.default_rng(seed)
@@ -242,11 +244,8 @@ def random_complex(dims: tuple[int, ...] | list[int], seed: int, lo: int = 0) ->
     previous: np.ndarray | None = None
     for offset in range(len(dims) - 1):
         rows, cols = dims[offset + 1], dims[offset]
-        if previous is not None and previous.size:
-            _, rank, u, _ = _svd(previous, DEFAULT_TOL, vectors=True)
-            complement = u[:, rank:]
-        else:
-            complement = np.eye(cols, dtype=np.complex128)
+        factors = svd(zero_matrix(cols, 0) if previous is None else previous, vectors=True)
+        complement = factors.u[:, factors.rank :]
         width = complement.shape[1]
         draw = rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))
         matrix = np.asarray(draw / math.sqrt(2.0)) @ complement.conj().T
@@ -285,11 +284,10 @@ class HodgeSplit(NamedTuple):
     report: ResidualReport
 
 
-def _kernel_mask(values: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _kernel_mask(values: np.ndarray) -> np.ndarray:
     """Which clipped ascending Laplacian eigenvalues lie at or below the rank
     cutoff for the Laplacian's size and largest eigenvalue: the kernel."""
-    sigma_max = float(values[-1]) if values.size else 0.0
-    return values <= tol.rank_cutoff(values.size, sigma_max)
+    return values <= rank_cutoff(values.size, np.max(values, initial=0.0))
 
 
 def _laplacian_eigenvalues(complex_: FiniteComplex, degree: int, tol: Tolerance) -> np.ndarray:
@@ -365,35 +363,38 @@ def off_block_residual(complex_: FiniteComplex, degree: int) -> float:
     return complex_._memo[key]
 
 
-def _rank(complex_: FiniteComplex, degree: int, tol: Tolerance) -> int:
-    """Numeric rank of ``d_degree``, memoized on the complex."""
-    key = ("rank", degree, tol)
+def _svd_of(complex_: FiniteComplex, degree: int, vectors: bool = True) -> SVD:
+    """The SVD of ``d_degree``, with or without vectors, memoized on the
+    complex; an out-of-window degree is a map to or from a zero space."""
+    key = ("svd", degree, vectors)
     if key not in complex_._memo:
-        complex_._memo[key] = numeric_rank(complex_.differential(degree), tol)
+        complex_._memo[key] = svd(complex_.differential(degree), vectors)
     return complex_._memo[key]
 
 
 def hodge(complex_: FiniteComplex, degree: int, tol: Tolerance = DEFAULT_TOL) -> HodgeSplit:
     """Split ``H_i`` into harmonic space, range of d, and range of d-star.
 
-    The split's ``report`` judges the projector algebra at ``tol``: its
-    residuals ``sum_minus_identity`` (``P_harm + P_d + P_d* - I``) and
+    ``P_harm`` spans the kernel eigenvectors of the Laplacian, while
+    ``P_d`` and ``P_d*`` are read off the memoized SVDs of ``d_{i-1}`` (left
+    vectors) and ``d_i`` (right vectors), so the sum compares the two
+    differentials' factorizations with the Laplacian's.  The split's
+    ``report`` judges the projector algebra at ``tol``: its residuals
+    ``sum_minus_identity`` (``P_harm + P_d + P_d* - I``) and
     ``pairwise_products`` (the largest product of two different
     projectors), both 0 on a zero space.
     """
     complex_._require_degree(degree)
-    delta = _laplacian_any(complex_, degree)
-    p_harm = p_range_d = p_range_dstar = zero_matrix(0, 0)  # on a zero space
-    harmonic_dim = 0
-    if delta.shape[0]:
-        dec = hermitian_eig(delta, tol)
-        kernel = dec.vectors[:, _kernel_mask(np.clip(dec.eigenvalues, 0.0, None), tol)]
-        p_harm = kernel @ kernel.conj().T
-        harmonic_dim = kernel.shape[1]
-        p_range_d = range_projection(complex_.differential(degree - 1), tol)
-        p_range_dstar = range_projection(complex_.differential(degree).conj().T, tol)
+    dec = hermitian_eig(_laplacian_any(complex_, degree), tol)
+    below, above = _svd_of(complex_, degree - 1), _svd_of(complex_, degree)
+    bases = (
+        dec.vectors[:, _kernel_mask(np.clip(dec.eigenvalues, 0.0, None))],
+        below.u[:, : below.rank],
+        above.vh[: above.rank].conj().T,
+    )
+    p_harm, p_range_d, p_range_dstar = (basis @ basis.conj().T for basis in bases)
     report = ResidualReport.judge(_projector_residuals(p_harm, p_range_d, p_range_dstar), tol)
-    return HodgeSplit(degree, p_harm, p_range_d, p_range_dstar, harmonic_dim, report)
+    return HodgeSplit(degree, p_harm, p_range_d, p_range_dstar, bases[0].shape[1], report)
 
 
 def _projector_residuals(p_harm: np.ndarray, p_d: np.ndarray, p_dstar: np.ndarray) -> dict[str, float]:
@@ -418,12 +419,9 @@ def cohomology_dim(
     """
     complex_._require_degree(degree)
     values = _laplacian_eigenvalues(complex_, degree, tol)
-    harmonic = int(np.count_nonzero(_kernel_mask(values, tol)))
-    by_rank = (
-        complex_.dim(degree)
-        - _rank(complex_, degree, tol)
-        - _rank(complex_, degree - 1, tol)
-    )
+    harmonic = int(np.count_nonzero(_kernel_mask(values)))
+    ranks = (_svd_of(complex_, i, vectors=False).rank for i in (degree, degree - 1))
+    by_rank = complex_.dim(degree) - sum(ranks)
     if harmonic != by_rank:
         raise InconsistentRankError(
             f"kernel dimension {harmonic} vs rank-nullity {by_rank} "
@@ -432,37 +430,29 @@ def cohomology_dim(
     return harmonic
 
 
-def solution_operator(
-    complex_: FiniteComplex, degree: int, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
+def solution_operator(complex_: FiniteComplex, degree: int) -> np.ndarray:
     """Norm-minimal solution operator ``S_i: H_i -> H_{i-1}``.
 
-    The pseudo-inverse of ``d_{i-1}`` solves ``d x = y`` with ``x`` orthogonal
-    to the kernel and vanishes on the orthogonal complement of the range.
+    The pseudo-inverse of ``d_{i-1}``, read off its memoized SVD, solves
+    ``d x = y`` with ``x`` orthogonal to the kernel and vanishes on the
+    orthogonal complement of the range.
     """
     complex_._require_degree(degree)
-    return _pseudo_inverse(complex_, "solution", degree, tol)
+    return _svd_of(complex_, degree - 1).pseudo_inverse()
 
 
-def laplacian_inverse(
-    complex_: FiniteComplex, degree: int, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
+def laplacian_inverse(complex_: FiniteComplex, degree: int) -> np.ndarray:
     """``N_i``, the pseudo-inverse of the Laplacian, zero on the harmonic space."""
     complex_._require_degree(degree)
-    return _pseudo_inverse(complex_, "laplacian", degree, tol)
+    return _laplacian_pinv(complex_, degree)
 
 
-def _pseudo_inverse(complex_: FiniteComplex, kind: str, degree: int, tol: Tolerance) -> np.ndarray:
-    """The pseudo-inverse of ``d_{degree-1}`` (``"solution"``) or of the
-    Laplacian (``"laplacian"``) at ``degree``, memoized on the complex; an
-    out-of-window degree is a zero space."""
-    key = (kind, degree, tol)
+def _laplacian_pinv(complex_: FiniteComplex, degree: int) -> np.ndarray:
+    """The pseudo-inverse of the Laplacian at ``degree``, from its own SVD,
+    memoized on the complex; an out-of-window degree is a zero space."""
+    key = ("laplacian", degree)
     if key not in complex_._memo:
-        if kind == "solution":
-            matrix = complex_.differential(degree - 1)
-        else:
-            matrix = _laplacian_any(complex_, degree)
-        complex_._memo[key] = pseudo_inverse(matrix, tol)
+        complex_._memo[key] = pseudo_inverse(_laplacian_any(complex_, degree))
     return complex_._memo[key]
 
 
@@ -475,23 +465,29 @@ def check_identities(
     ``I - P_ker(d) = d* N d``; the commutation ``d N = N d``; and
     ``N = S* S + S S*`` with the zero-extended solution operators.
     ``degree`` must lie in the window; the adjacent degree above it may not,
-    and is then treated as a zero space.  ``S`` and ``N`` come from the
-    per-complex memo, so the identities at degrees ``i`` and ``i + 1`` share
-    each pseudo-inverse; ``S`` and ``N`` themselves stay separate
-    computations, so every identity still compares two independent sides.
-    The report judges the four residuals at ``tol``.
+    and is then treated as a zero space.  The report judges the four
+    residuals at ``tol``.
+
+    ``S`` and ``I - P_ker(d) = P_ran(d*)`` are read off the memoized SVD of
+    each differential, and ``N`` off a separate SVD of each Laplacian, so the
+    identities at degrees ``i`` and ``i + 1`` share every factorization.
+    Still no identity compares a value with itself: the first, second and
+    fourth each set a differential's SVD against a Laplacian's, and the
+    commutation sets the Laplacians of two degrees against each other.
     """
     d_prev = complex_.differential(degree - 1)
     d_here = complex_.differential(degree)
-    n_here = laplacian_inverse(complex_, degree, tol)
-    n_up = _pseudo_inverse(complex_, "laplacian", degree + 1, tol)
-    s_here = solution_operator(complex_, degree, tol)
-    s_up = _pseudo_inverse(complex_, "solution", degree + 1, tol)
+    n_here = laplacian_inverse(complex_, degree)
+    n_up = _laplacian_pinv(complex_, degree + 1)
+    s_here = solution_operator(complex_, degree)
+    here = _svd_of(complex_, degree)
+    s_up = here.pseudo_inverse()
+    coimage = here.vh[: here.rank]
 
     residuals = {
         "solution-from-inverse": max_abs(s_here - d_prev.conj().T @ n_here),
         "kernel-complement-formula": max_abs(
-            range_projection(d_here.conj().T, tol) - d_here.conj().T @ n_up @ d_here
+            coimage.conj().T @ coimage - d_here.conj().T @ n_up @ d_here
         ),
         "inverse-commutes-with-d": max_abs(d_here @ n_here - n_up @ d_here),
         "inverse-from-solutions": max_abs(

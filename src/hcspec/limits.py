@@ -28,8 +28,8 @@ class Tolerance(FrozenRecord):
     """Numerical tolerances used across the toolkit.
 
     Every value must be finite and strictly positive: a NaN would fail no
-    comparison and so disable every gate.  The singular-value cutoff is
-    ``dimension * eps * sigma_max``, the standard backward-stable convention.
+    comparison and so disable every gate.  No tolerance moves the rank
+    cutoff, ``numerics.rank_cutoff``.
     """
 
     __slots__ = ("eigen_residual", "identity_check")
@@ -39,9 +39,6 @@ class Tolerance(FrozenRecord):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
             object.__setattr__(self, name, value)
-
-    def rank_cutoff(self, dimension: int, sigma_max: float) -> float:
-        return max(dimension, 1) * _EPS * sigma_max
 
 
 DEFAULT_TOL = Tolerance()

@@ -1,11 +1,11 @@
 """Dense complex-matrix kernels.
 
 Everything else in the package reduces to the operations here: Hermitian
-eigendecomposition, Kronecker sums, Moore-Penrose pseudo-inverse, range
-projections and numeric rank.  The last three of those are read
-off one singular value decomposition, which also fixes the rank cutoff
-(dimension ``rows + cols``) for all of them.  All functions are pure; matrices are plain
-``numpy.ndarray`` values with dtype complex128 and are never mutated.
+eigendecomposition, Kronecker sums and one singular value decomposition,
+:func:`svd`, whose rank (at :func:`rank_cutoff` for dimension ``rows +
+cols``), range projectors and Moore-Penrose pseudo-inverse are read off its
+factors.  All functions are pure; matrices are plain ``numpy.ndarray``
+values with dtype complex128 and are never mutated.
 """
 
 from __future__ import annotations
@@ -228,19 +228,50 @@ def _eig_failure(herm: np.ndarray, message: str) -> ToolkitError:
     return NoConvergenceError(message)
 
 
-def _svd(a: np.ndarray, tol: Tolerance, vectors: bool = False):
-    """Singular values of a nonempty ``a``, descending, and how many of them
-    lie above the rank cutoff for dimension ``rows + cols``.
+def rank_cutoff(dimension: int, sigma_max: float) -> float:
+    """The singular-value cutoff ``dimension * eps * sigma_max`` (dimension at
+    least 1), the standard backward-stable convention."""
+    return max(dimension, 1) * _EPS * sigma_max
 
-    Returns ``(sigma, rank, u, vh)``; with ``vectors`` the unitary factors
-    are full (``u[:, rank:]`` spans the complement of the range), otherwise
-    they are ``None``.  Raises ``NonFiniteError`` when a singular value
-    overflows or a kept one has no finite reciprocal.
+
+class SVD(NamedTuple):
+    """Singular values of a matrix, descending, and how many of them lie
+    above the rank cutoff.  With vectors, ``u`` and ``vh`` are the full
+    unitary factors: ``u[:, :rank]`` spans the range and ``u[:, rank:]`` its
+    complement, ``vh[:rank]`` the range of the adjoint (conjugated);
+    otherwise they are ``None``."""
+
+    sigma: np.ndarray
+    rank: int
+    u: np.ndarray | None
+    vh: np.ndarray | None
+
+    def pseudo_inverse(self) -> np.ndarray:
+        """``V diag(1/sigma) U*`` over the kept singular values."""
+        kept = self.rank
+        result = (self.vh[:kept].conj().T / self.sigma[:kept]) @ self.u[:, :kept].conj().T
+        result.setflags(write=False)
+        return result
+
+
+def svd(a, vectors: bool = False) -> SVD:
+    """The :class:`SVD` of ``a`` at :func:`rank_cutoff` for dimension ``rows +
+    cols``; an empty matrix has no singular values and, with vectors,
+    identity factors.
+
+    Raises ``NonFiniteError`` when a singular value overflows or a kept one
+    has no finite reciprocal, and ``NoConvergenceError`` when the solver
+    fails.
     """
+    a = as_complex_matrix(a)
     rows, cols = a.shape
     u = vh = None
     try:
-        if vectors:
+        if not a.size:
+            sigma = np.zeros(0)
+            if vectors:
+                u, vh = np.eye(rows, dtype=np.complex128), np.eye(cols, dtype=np.complex128)
+        elif vectors:
             u, sigma, vh = np.linalg.svd(a)
         else:
             sigma = np.linalg.svd(a, compute_uv=False)
@@ -248,25 +279,16 @@ def _svd(a: np.ndarray, tol: Tolerance, vectors: bool = False):
         raise NoConvergenceError(str(exc)) from exc
     if not np.all(np.isfinite(sigma)):
         raise NonFiniteError("a singular value overflows")
-    cutoff = tol.rank_cutoff(rows + cols, float(sigma[0]))
-    rank = int(np.count_nonzero(sigma > cutoff))
+    rank = int(np.count_nonzero(sigma > rank_cutoff(rows + cols, np.max(sigma, initial=0.0))))
     if rank and not math.isfinite(1.0 / float(sigma[rank - 1])):
         raise NonFiniteError("a singular value above the rank cutoff has no finite reciprocal")
-    return sigma, rank, u, vh
+    return SVD(sigma, rank, u, vh)
 
 
-def pseudo_inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse ``V diag(1/sigma) U*`` over the singular values
-    above the rank cutoff, so the zero matrix maps to the (transposed) zero
-    matrix."""
-    a = as_complex_matrix(a)
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        return zero_matrix(cols, rows)
-    sigma, rank, u, vh = _svd(a, tol, vectors=True)
-    result = (vh[:rank].conj().T / sigma[:rank]) @ u[:, :rank].conj().T
-    result.setflags(write=False)
-    return result
+def pseudo_inverse(a) -> np.ndarray:
+    """Moore-Penrose inverse of a matrix, read off its :func:`svd`, so the zero
+    matrix maps to the (transposed) zero matrix."""
+    return svd(a, vectors=True).pseudo_inverse()
 
 
 def kronecker_sum(a, b, dim_cap: int = KRONECKER_DIM_CAP) -> np.ndarray:
@@ -290,29 +312,3 @@ def kronecker_sum(a, b, dim_cap: int = KRONECKER_DIM_CAP) -> np.ndarray:
     out = out.reshape(n * m, n * m)
     out.setflags(write=False)
     return out
-
-
-def range_projection(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projection onto the column space of ``a`` at the rank cutoff:
-    ``U_r U_r*`` over the left singular vectors of the kept singular values."""
-    a = as_complex_matrix(a)
-    rows, cols = a.shape
-    if rows == 0:
-        return zero_matrix(0, 0)
-    if cols == 0:
-        return zero_matrix(rows, rows)
-    _, rank, u, _ = _svd(a, tol, vectors=True)
-    basis = u[:, :rank]
-    proj = basis @ basis.conj().T
-    proj = (proj + proj.conj().T) / 2.0
-    proj.setflags(write=False)
-    return proj
-
-
-def numeric_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above the rank cutoff, from an SVD without
-    vectors."""
-    a = as_complex_matrix(a)
-    if a.size == 0:
-        return 0
-    return _svd(a, tol)[1]

@@ -22,7 +22,7 @@ from itertools import groupby
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .dbar import BUILTIN_BUILDERS, DbarFactorModel
 from .errors import ToolkitError
@@ -403,7 +403,7 @@ def parse_finite_complex(value: Any, path: str) -> FiniteComplex:
         lo = spec.get("lo", 0)
         if not is_json_int(lo):
             raise _fail(f"{path}.random.lo", "expected an integer")
-        return random_complex(dims, seed, lo=lo)
+        return _built(path, lambda: random_complex(dims, seed, lo=lo))
     dims = _parse_dims(value.get("dims"), f"{path}.dims")
     lo = value.get("lo", 0)
     if not is_json_int(lo):
@@ -418,8 +418,13 @@ def parse_finite_complex(value: Any, path: str) -> FiniteComplex:
             message = f"keys are integer degrees like '0' or '-1'; got {key!r}"
             raise _fail(f"{path}.differentials", message) from exc
         differentials[degree] = parse_matrix(matrix, f"{path}.differentials.{key}")
+    return _built(path, lambda: FiniteComplex(lo, tuple(dims), differentials))
+
+
+def _built(path: str, make: Callable[[], FiniteComplex]) -> FiniteComplex:
+    """``make()``, with a construction error named at ``path``."""
     try:
-        return FiniteComplex(lo, tuple(dims), differentials)
+        return make()
     except ToolkitError as exc:
         raise _fail(path, str(exc)) from exc
 

@@ -12,6 +12,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hcspec import cli, complexes, dbar, fuzzing, spectra
@@ -332,6 +333,64 @@ def test_dbar_degrees_must_be_integers(tmp_path, capsys, command, scenario, fiel
     err = capsys.readouterr().err
     assert code == 2
     assert f"ParseError: $.payload.{field}:" in err
+
+
+@pytest.mark.parametrize("p, expected", [(0, 0), (1, 2), (-1, 2), ("x", 2), (0.0, 2), (False, 2), (None, 2)])
+def test_dbar_n_takes_no_p_but_zero(tmp_path, capsys, p, expected):
+    # dbar-n reports (0, q) forms only, so a p it would not read is refused
+    doc = json.loads((SCENARIOS / "riemann-triple.json").read_text())
+    doc["payload"]["p"] = p
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["dbar-n", str(path)]) == expected
+    err = capsys.readouterr().err
+    assert err.startswith("ParseError: $.payload.p: ") if expected else err == ""
+
+
+@pytest.mark.parametrize("complex_", [{"random": {"dims": [], "seed": 0}}, {"dims": []}], ids=["random", "explicit"])
+@pytest.mark.parametrize("command", ["spectrum", "tensor"])
+def test_a_complex_without_degrees_is_a_parse_error(tmp_path, capsys, command, complex_):
+    # the generated and the explicit spelling fail alike, naming the complex
+    if command == "tensor":
+        kind, payload, where = "finite-pair", {"left": complex_, "right": {"dims": [1]}}, "$.payload.left"
+    else:
+        kind, payload, where = "finite-complex", complex_, "$.payload"
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"version": "1", "kind": kind, "payload": payload}))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"ParseError: {where}: a complex needs at least one degree\n"
+
+
+@pytest.mark.parametrize("command", ["hodge", "identities"])
+def test_each_differential_gets_one_svd_with_vectors_per_run(tmp_path, capsys, monkeypatch, command):
+    # hodge reads both range projectors, and identities the solution
+    # operators and P_ran(d*), off one memoized SVD per differential; only
+    # the Laplacian pseudo-inverses of identities add their own SVDs
+    c = complexes.random_complex([2, 4, 5, 0, 3, 1], seed=5, lo=-1)
+    differentials = {
+        str(degree): [[[z.real, z.imag] for z in row] for row in d.tolist()]
+        for degree, d in c.differentials.items()
+    }
+    path = tmp_path / "explicit.json"
+    payload = {"lo": c.lo, "dims": list(c.dims), "differentials": differentials}
+    path.write_text(json.dumps({"version": "1", "kind": "finite-complex", "payload": payload}))
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append((np.array(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert main([command, str(path)]) == 0
+    capsys.readouterr()
+    factored = [a for a, vectors in calls if vectors]
+    assert len(factored) == len(calls)  # no values-only SVD
+    assert len(c.differentials) == 3
+    for d in c.differentials.values():
+        assert sum(a.shape == d.shape and np.array_equal(a, d) for a in factored) == 1
+    laplacians = sum(1 for degree in c.degrees if c.dim(degree)) if command == "identities" else 0
+    assert len(factored) == len(c.differentials) + laplacians
 
 
 # ``_edited_scenario`` deletes the entry given this value.

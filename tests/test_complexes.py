@@ -27,9 +27,9 @@ from hcspec.numerics import (
     Tolerance,
     hermitian_eig,
     max_abs,
-    numeric_rank,
     pseudo_inverse,
-    range_projection,
+    rank_cutoff,
+    svd,
 )
 from hcspec.tensorprod import kuenneth_check, tensor_complex, verify_product_spectrum
 
@@ -209,7 +209,7 @@ def test_hodge_and_cohomology_kernel_counts_agree():
     assert max(product.dims) == 358
     for degree in product.degrees:
         values = np.clip(hermitian_eig(laplacian(product, degree)).eigenvalues, 0.0, None)
-        kernel = int(np.count_nonzero(complexes._kernel_mask(values, DEFAULT_TOL)))
+        kernel = int(np.count_nonzero(complexes._kernel_mask(values)))
         assert cohomology_dim(product, degree) == kernel
 
 
@@ -257,21 +257,22 @@ def test_shifted_eigenvalue_fails_the_laplacian_memo(monkeypatch):
 
 
 def _dilation_reference(d):
-    """Pseudo-inverse, range projector and rank of ``d`` read off an
-    eigendecomposition of the Hermitian dilation ``[[0, d], [d*, 0]]``, whose
-    eigenvalues are the signed singular values of ``d``."""
+    """Pseudo-inverse, range projectors of ``d`` and ``d*``, and rank of ``d``
+    read off an eigendecomposition of the Hermitian dilation ``[[0, d], [d*,
+    0]]``, whose eigenvalues are the signed singular values of ``d``."""
     rows, cols = d.shape
     dilation = np.zeros((rows + cols, rows + cols), dtype=complex)
     dilation[:rows, rows:] = d
     dilation[rows:, :rows] = d.conj().T
     values, vectors = np.linalg.eigh(dilation)
-    cutoff = DEFAULT_TOL.rank_cutoff(rows + cols, float(np.max(np.abs(values))))
+    cutoff = rank_cutoff(rows + cols, float(np.max(np.abs(values))))
     keep = np.abs(values) > cutoff
     inverted = np.zeros_like(values)
     inverted[keep] = 1.0 / values[keep]
     pinv = ((vectors * inverted) @ vectors.conj().T)[rows:, :rows]
-    basis = vectors[:rows, keep]
-    return pinv, basis @ basis.conj().T, int(np.count_nonzero(values[keep] > 0))
+    image, coimage = vectors[:rows, keep], vectors[rows:, keep]
+    projectors = image @ image.conj().T, coimage @ coimage.conj().T
+    return pinv, projectors, int(np.count_nonzero(values[keep] > 0))
 
 
 def test_svd_kernels_match_dilation_reference():
@@ -280,12 +281,36 @@ def test_svd_kernels_match_dilation_reference():
     for a, b in zip(factors, factors[1:]):
         product = tensor_complex(a, b)
         for d in product.differentials.values():
-            pinv, proj, rank = _dilation_reference(d)
+            pinv, (proj, coproj), rank = _dilation_reference(d)
             deficient += rank < min(d.shape)
-            assert numeric_rank(d) == rank
-            assert max_abs(range_projection(d) - proj) <= 1e-10
+            factors = svd(d, vectors=True)
+            assert svd(d).rank == factors.rank == rank
+            image, coimage = factors.u[:, :rank], factors.vh[:rank]
+            assert max_abs(image @ image.conj().T - proj) <= 1e-10
+            assert max_abs(coimage.conj().T @ coimage - coproj) <= 1e-10
             assert max_abs(pseudo_inverse(d) - pinv) <= 1e-10 * max(1.0, max_abs(pinv))
     assert deficient >= 10
+
+
+@pytest.mark.parametrize("factor, hodge_fails, identities_fail", [("u", [2], [2]), ("vh", [1], [1, 2])])
+def test_a_corrupted_factorization_fails_hodge_and_identities(factor, hodge_fails, identities_fail):
+    # hodge and check_identities read one memoized SVD of d_1, but each sets
+    # it against a factorization of a Laplacian.  A kept left vector traded
+    # for one outside the range moves P_ran(d_1) and S_2, so degree 2 fails
+    # both reports; a kept right vector traded for one in the kernel moves
+    # P_ran(d_1*) at degree 1 and S_2 at degree 2.
+    c = random_complex([3, 5, 4, 2], seed=0)
+    assert all(hodge(c, i).report.passed and check_identities(c, i).passed for i in c.degrees)
+    factors = complexes._svd_of(c, 1)
+    assert factors.rank == 2
+    swap = [0, factors.rank]
+    if factor == "u":
+        factors.u[:, swap] = factors.u[:, swap[::-1]]
+    else:
+        factors.vh[swap] = factors.vh[swap[::-1]]
+    assert complexes._svd_of(c, 1) is factors
+    assert [i for i in c.degrees if not hodge(c, i).report.passed] == hodge_fails
+    assert [i for i in c.degrees if not check_identities(c, i).passed] == identities_fail
 
 
 def test_solution_operator_examples():

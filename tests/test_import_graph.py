@@ -38,8 +38,7 @@ for command, scenario, out in json.loads(sys.argv[2]):
 print(json.dumps({"codes": codes, "loaded": after}))
 """
 
-#: The public names ``hcspec/__init__`` imported eagerly before it loaded
-#: them on first access.
+#: The public names of ``hcspec/__init__``, each loaded on first access.
 EAGER_EXPORTS = (
     "FiniteComplex", "HodgeSplit", "check_identities", "cohomology_dim", "hodge", "laplacian",
     "laplacian_inverse", "off_block_residual", "random_complex", "solution_operator",
@@ -49,8 +48,7 @@ EAGER_EXPORTS = (
     "ToolkitError",
     "CommutingPair", "JointSpectrumPoints", "check_pair", "joint_spectrum", "spectral_mapping",
     "sum_operator_check", "tensor_pair_spectrum",
-    "EigenDecomposition", "Tolerance", "hermitian_eig", "numeric_rank", "pseudo_inverse",
-    "range_projection",
+    "EigenDecomposition", "Tolerance", "hermitian_eig", "pseudo_inverse", "svd",
     "AP", "EMPTY", "INFINITE", "OperatorSpectrum", "Point", "SpectralSet", "enumerate_below",
     "essential_part", "is_subset", "minkowski_oracle_check", "minkowski_sum", "normalize", "union",
     "ProductBlockIndex", "block_structure_check", "kuenneth_check", "product_laplacian_blocks",

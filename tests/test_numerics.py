@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hcspec.numerics import (
-    DEFAULT_TOL,
     MOMENT_GATE,
     NoConvergenceError,
     NonFiniteError,
@@ -16,10 +15,10 @@ from hcspec.numerics import (
     hermitian_eig,
     kronecker_sum,
     max_abs,
-    numeric_rank,
     pseudo_inverse,
-    range_projection,
+    rank_cutoff,
     sorted_gap,
+    svd,
 )
 
 
@@ -63,7 +62,7 @@ def test_an_array_that_is_not_a_matrix_is_refused(shape):
     [
         ("eigvalsh", lambda: hermitian_eig(np.eye(2), vectors=False)),
         ("eigh", lambda: hermitian_eig(np.eye(2))),
-        ("svd", lambda: numeric_rank(np.eye(2))),
+        ("svd", lambda: svd(np.eye(2))),
     ],
 )
 def test_a_solver_that_does_not_converge_raises_no_convergence(monkeypatch, solver, call):
@@ -121,7 +120,7 @@ def test_penrose_identities_on_random_ranks():
         assert max_abs(p @ a @ p - p) <= 1e-8
         assert max_abs(a @ p - (a @ p).conj().T) <= 1e-8
         assert max_abs(p @ a - (p @ a).conj().T) <= 1e-8
-        assert numeric_rank(a) == r
+        assert svd(a).rank == r
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (3, 1), (2, 5), (4, 3), (6, 6), (0, 3), (2, 0), (0, 0)])
@@ -325,13 +324,35 @@ def test_hermitian_part_is_the_mean_with_the_adjoint():
         hermitian_eig(a, Tolerance(identity_check=skew * (1 - 1e-12)))
 
 
+def _range_projection(a):
+    factors = svd(a, vectors=True)
+    basis = factors.u[:, : factors.rank]
+    return basis @ basis.conj().T
+
+
 def test_range_projection_cases():
-    assert max_abs(range_projection(np.zeros((3, 2)))) == 0.0
+    assert max_abs(_range_projection(np.zeros((3, 2)))) == 0.0
     rng = np.random.default_rng(5)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.allclose(range_projection(a), np.eye(4), atol=1e-10)
+    assert np.allclose(_range_projection(a), np.eye(4), atol=1e-10)
     v = np.array([[1.0], [0.0]])
-    assert np.allclose(range_projection(v), np.diag([1.0, 0.0]))
+    assert np.allclose(_range_projection(v), np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0)])
+def test_an_empty_matrix_has_rank_zero_and_identity_factors(shape, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("an empty matrix reached the solver")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    rows, cols = shape
+    values = svd(np.zeros(shape))
+    assert values.sigma.shape == (0,) and values[1:] == (0, None, None)
+    factors = svd(np.zeros(shape), vectors=True)
+    assert factors.sigma.shape == (0,) and factors.rank == 0
+    assert np.array_equal(factors.u, np.eye(rows)) and np.array_equal(factors.vh, np.eye(cols))
+    assert factors.pseudo_inverse().shape == (cols, rows)
+    assert _range_projection(np.zeros(shape)).shape == (rows, rows)
 
 
 def test_range_projection_rank_matches_matrix_rank():
@@ -345,22 +366,23 @@ def test_range_projection_rank_matches_matrix_rank():
             if r
             else np.zeros((m, n))
         )
-        proj = range_projection(a)
-        assert numeric_rank(proj) == numeric_rank(a) == r
+        proj = _range_projection(a)
+        assert svd(proj).rank == svd(a).rank == r
         assert max_abs(proj @ proj - proj) <= 1e-10
         assert max_abs(proj - proj.conj().T) <= 1e-12
 
 
 def test_numeric_rank_examples():
-    assert numeric_rank(np.eye(4)) == 4
-    assert numeric_rank(np.zeros((3, 3))) == 0
-    assert numeric_rank([[1.0, 1.0], [1.0, 1.0]]) == 1
+    assert svd(np.eye(4)).rank == 4
+    assert svd(np.zeros((3, 3))).rank == 0
+    assert svd([[1.0, 1.0], [1.0, 1.0]]).rank == 1
+    assert svd([[1.0, 1.0], [1.0, 1.0]], vectors=True).rank == 1
 
 
 def test_overflowing_singular_value_is_refused():
     # sigma_max = 2e308 overflows; an Inf cutoff would count rank 0
     with pytest.raises(NonFiniteError):
-        numeric_rank([[1e308, 1e308], [1e308, 1e308]])
+        svd([[1e308, 1e308], [1e308, 1e308]])
 
 
 def test_singular_value_without_finite_reciprocal_is_refused():
@@ -374,8 +396,8 @@ def test_tolerance_validation():
         Tolerance(eigen_residual=0.0)
     with pytest.raises(ValueError):
         Tolerance(identity_check=-1.0)
-    assert Tolerance(1e-6, 1e-7).rank_cutoff(10, 1.0) == DEFAULT_TOL.rank_cutoff(10, 1.0)
-    assert DEFAULT_TOL.rank_cutoff(4, 0.0) == 0.0
+    assert rank_cutoff(10, 1.0) == 10 * np.finfo(np.float64).eps
+    assert rank_cutoff(0, 1.0) == rank_cutoff(1, 1.0) and rank_cutoff(4, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("field", ["eigen_residual", "identity_check"])

@@ -182,7 +182,7 @@ def test_every_imported_name_is_read():
 
 #: Raw numpy eigen, SVD and Kronecker kernels; outside ``numerics`` every
 #: Hermitian eigenvalue goes through ``hermitian_eig``'s gates, every SVD
-#: through ``_svd`` and every Kronecker sum through ``kronecker_sum``.
+#: through ``svd`` and every Kronecker sum through ``kronecker_sum``.
 RAW_KERNELS = {"eigh", "eigvalsh", "eig", "eigvals", "svd", "kron"}
 
 #: ``module.function: kernel`` calls allowed outside ``numerics``, with the

@@ -15,7 +15,7 @@ from hcspec.complexes import (
     random_complex,
     validate,
 )
-from hcspec.numerics import DEFAULT_TOL, MATCH_GAP, NonFiniteError, SizeOverflowError, max_abs
+from hcspec.numerics import MATCH_GAP, NonFiniteError, SizeOverflowError, max_abs, rank_cutoff
 from hcspec.tensorprod import (
     block_structure_check,
     kuenneth_check,
@@ -194,17 +194,18 @@ def test_shifted_degree_windows():
 def test_tensor_command_builds_once_and_ranks_once(tmp_path, monkeypatch, capsys):
     ranked = []
     builds = []
-    rank, build = complexes.numeric_rank, tensorprod.tensor_complex
+    factor, build = complexes.svd, tensorprod.tensor_complex
 
-    def counting_rank(a, tol):
-        ranked.append(np.asarray(a))
-        return rank(a, tol)
+    def counting_svd(a, vectors=False):
+        if not vectors:
+            ranked.append(np.asarray(a))
+        return factor(a, vectors)
 
     def counting_build(*args):
         builds.append(args)
         return build(*args)
 
-    monkeypatch.setattr(complexes, "numeric_rank", counting_rank)
+    monkeypatch.setattr(complexes, "svd", counting_svd)
     monkeypatch.setattr(tensorprod, "tensor_complex", counting_build)
     payload = {
         "left": {"random": {"dims": [2, 3, 2], "seed": 1}},
@@ -296,7 +297,7 @@ def test_block_eigenvalues_match_the_whole_laplacian(index):
         whole = np.clip(np.linalg.eigvalsh(complexes.laplacian(product, degree)), 0.0, None)
         assert got.shape == whole.shape
         assert np.max(np.abs(got - whole), initial=0.0) <= MATCH_GAP
-        cutoff = DEFAULT_TOL.rank_cutoff(whole.size, whole[-1] if whole.size else 0.0)
+        cutoff = rank_cutoff(whole.size, whole[-1] if whole.size else 0.0)
         assert complexes.cohomology_dim(product, degree) == np.count_nonzero(whole <= cutoff)
         assert complexes.off_block_residual(product, degree) <= 1e-12
 
