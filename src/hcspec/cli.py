@@ -5,8 +5,10 @@ parsers are built from it, and ``run`` checks the kind once.  A command line
 that starts with a command is read by a parser of that command alone, which
 gives the namespace the full parser would; the full parser is built only for
 help, usage errors and unknown commands.
-The dense handlers import their layers where they run, so ``dbar``,
-``dbar-n`` and ``symbolic`` without ``--oracle-cutoff`` never load numpy.
+Each handler imports the layers it calls where it runs.  So ``dbar``,
+``dbar-n`` and ``symbolic`` without ``--oracle-cutoff`` never load numpy,
+and ``validate``, ``spectrum``, ``hodge``, ``identities`` and ``tensor``
+never load the exact layer: ``spectra``, ``dbar``, ``fractions``.
 ``--csv`` flattens the JSON text of the results, so it is refused exactly
 when the JSON report is.
 """
@@ -18,11 +20,10 @@ import hashlib
 import json
 import math
 import sys
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .dbar import neumann_compactness, riemann_surface_product_report
 from .errors import ToolkitError
 from .limits import DEFAULT_TOL, KRONECKER_DIM_CAP, Tolerance
 from .scenario import (
@@ -38,12 +39,9 @@ from .scenario import (
     parse_seed,
     parse_spectral_set,
 )
-from .spectra import (
-    essential_part,
-    minkowski_oracle_check,
-    minkowski_sum,
-    union,
-)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _require(payload: dict, field: str, command: str):
@@ -161,6 +159,9 @@ def _cmd_tensor(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
 
 
 def _cmd_symbolic(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
+    from .spectra import essential_part, minkowski_oracle_check, minkowski_sum, union
+
+    cutoff = _oracle_cutoff(args)
     payload = scenario.payload
     operation = _require(payload, "operation", "symbolic")
     first = parse_spectral_set(_require(payload, "a", "symbolic"), "$.payload.a")
@@ -174,7 +175,6 @@ def _cmd_symbolic(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]
             results["result"] = union(first, second)
         else:
             results["result"] = minkowski_sum(first, second)
-            cutoff = _oracle_cutoff(args)
             if cutoff is not None:
                 checked = minkowski_oracle_check(first, second, results["result"], cutoff)
                 results["oracle"] = {"cutoff": cutoff, "passed": checked}
@@ -198,6 +198,8 @@ def _parse_factors(scenario: Scenario, command: str, expected: int | None = None
 
 
 def _cmd_dbar(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
+    from .dbar import neumann_compactness
+
     factors = _parse_factors(scenario, "dbar", expected=2)
     x, y = factors
     p = _require_int(scenario.payload, "p", "dbar")
@@ -218,6 +220,8 @@ def _cmd_dbar(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
 
 
 def _cmd_dbar_n(scenario: Scenario, tol: Tolerance, args) -> tuple[dict, bool]:
+    from .dbar import riemann_surface_product_report
+
     factors = _parse_factors(scenario, "dbar-n")
     p = scenario.payload.get("p", 0)
     if not is_json_int(p) or p:
@@ -348,6 +352,8 @@ def run(command: str, scenario_path: str | Path, out_path: str | Path | None, ar
         if not (math.isfinite(args.tol) and args.tol > 0):
             raise ParseError(f"--tol: expected a finite positive number, got {args.tol}")
         tol = Tolerance(identity_check=args.tol)
+    if "max_dim" in flags and args.max_dim < 1:
+        raise ParseError(f"--max-dim: expected a positive integer, got {args.max_dim}")
     results, passed = handler(scenario, tol, args)
     report = {
         "command": command,

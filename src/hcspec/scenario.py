@@ -5,7 +5,12 @@ Scenarios are UTF-8 JSON documents: rationals travel as strings like
 are accepted for real entries), matrices as row-major nested arrays, and
 infinite multiplicities or dimensions as the string ``"inf"``.  Numpy and
 the dense layers are imported only where a matrix or a finite complex is
-parsed, so factor models and spectral sets parse without them.
+parsed, so factor models and spectral sets parse without them.  The exact
+layer (``spectra``, ``dbar``, ``fractions``) is imported only where a
+rational, a spectral set or a factor model is parsed or an exact value
+written, so finite complexes and their reports need none of it.  Those
+imports run per parsed set or written value, so they name the package
+absolutely: ``from . import spectra`` takes 1.7 times as long.
 
 Reports have one writer, :func:`dump_report`; ``--csv`` flattens its text.
 """
@@ -17,29 +22,23 @@ import json
 import math
 import re
 from collections import Counter
-from fractions import Fraction
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-from .dbar import BUILTIN_BUILDERS, DbarFactorModel
 from .errors import ToolkitError
 from .limits import DEGREE_CAP, KRONECKER_DIM_CAP
-from .spectra import (
-    INFINITE,
-    Mult,
-    OperatorSpectrum,
-    SpectralSet,
-    is_infinite,
-    normalize_ratios,
-)
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
     from .complexes import FiniteComplex
+    from .dbar import DbarFactorModel
+    from .spectra import Mult, OperatorSpectrum, SpectralSet
 
 SCENARIO_KINDS = ("finite-complex", "finite-pair", "spectral-model", "dbar-factors")
 SUPPORTED_VERSIONS = ("1",)
@@ -229,6 +228,8 @@ def parse_ratio(value: Any, path: str) -> tuple[int, int]:
 
 
 def parse_rational(value: Any, path: str) -> Fraction:
+    from fractions import Fraction
+
     return Fraction(*parse_ratio(value, path))
 
 
@@ -244,7 +245,7 @@ def _ratio_to_json(numerator: int, denominator: int) -> str:
 
 def parse_mult(value: Any, path: str) -> Mult:
     if value == "inf":
-        return INFINITE
+        return math.inf
     if is_json_int(value) and value >= 1:
         return value
     raise _fail(path, f"expected a positive integer or 'inf', got {value!r}")
@@ -263,13 +264,15 @@ def parse_extended_count(value: Any, path: str) -> Mult | None:
     if value is None or value == "unknown":
         return None
     if value == "inf":
-        return INFINITE
+        return math.inf
     if is_json_int(value) and value >= 0:
         return value
     raise _fail(path, f"expected a count, 'inf', 'unknown', or null, got {value!r}")
 
 
 def parse_spectral_set(value: Any, path: str) -> SpectralSet:
+    import hcspec.spectra as spectra
+
     if not isinstance(value, dict) or "atoms" not in value:
         raise _fail(path, "expected an object with an 'atoms' array")
     atoms = value["atoms"]
@@ -297,7 +300,7 @@ def parse_spectral_set(value: Any, path: str) -> SpectralSet:
             ratios.append((*base, *step, mult))
         else:
             raise _fail(f"{apath}.kind", f"expected 'point' or 'ap', got {kind!r}")
-    return normalize_ratios(ratios)
+    return spectra.normalize_ratios(ratios)
 
 
 def _write_spectral_set(value: SpectralSet, out: list[str], newline: str) -> None:
@@ -325,7 +328,7 @@ def _write_spectral_set(value: SpectralSet, out: list[str], newline: str) -> Non
     close = '"' + atom + "}"
     pieces: list[str] = []
     for mult, same_mult in groupby(value.keys, itemgetter(3)):
-        mult = '"inf"' if is_infinite(mult) else str(_printable_int(mult))
+        mult = '"inf"' if mult == math.inf else str(_printable_int(mult))
         for kind, run in groupby(same_mult, itemgetter(1)):
             if kind:
                 pieces += [
@@ -340,15 +343,17 @@ def _write_spectral_set(value: SpectralSet, out: list[str], newline: str) -> Non
 
 
 def parse_operator_spectrum(value: Any, path: str) -> OperatorSpectrum:
+    import hcspec.spectra as spectra
+
     if not isinstance(value, dict) or "spectrum" not in value:
         raise _fail(path, "expected an object with a 'spectrum' field")
     spectrum = parse_spectral_set(value["spectrum"], f"{path}.spectrum")
     essential = value.get("essential")
     if essential is None:
-        return OperatorSpectrum(spectrum)
+        return spectra.OperatorSpectrum(spectrum)
     essential = parse_spectral_set(essential, f"{path}.essential")
     try:
-        return OperatorSpectrum(spectrum, essential)
+        return spectra.OperatorSpectrum(spectrum, essential)
     except ToolkitError as exc:  # an essential point outside the spectrum
         raise _fail(path, str(exc)) from exc
 
@@ -434,13 +439,15 @@ def _built(path: str, make: Callable[[], FiniteComplex]) -> FiniteComplex:
 
 
 def parse_factor_model(value: Any, path: str) -> DbarFactorModel:
+    import hcspec.dbar as dbar
+
     if not isinstance(value, dict):
         raise _fail(path, "expected an object")
     if "builtin" in value:
         name = value["builtin"]
-        if not isinstance(name, str) or name not in BUILTIN_BUILDERS:
-            raise _fail(f"{path}.builtin", f"unknown builtin model {name!r}; have {sorted(BUILTIN_BUILDERS)}")
-        return BUILTIN_BUILDERS[name]()
+        if not isinstance(name, str) or name not in dbar.BUILTIN_BUILDERS:
+            raise _fail(f"{path}.builtin", f"unknown builtin model {name!r}; have {sorted(dbar.BUILTIN_BUILDERS)}")
+        return dbar.BUILTIN_BUILDERS[name]()
     name = value.get("name")
     if not isinstance(name, str):
         raise _fail(f"{path}.name", "expected a string")
@@ -469,7 +476,7 @@ def parse_factor_model(value: Any, path: str) -> DbarFactorModel:
         cohom[bidegree] = parse_extended_count(entry, f"{path}.cohomology_dim['{key}']")
     bergman = parse_extended_count(value.get("bergman_dim"), f"{path}.bergman_dim")
     try:
-        return DbarFactorModel(
+        return dbar.DbarFactorModel(
             name=name,
             complex_dimension=dimension,
             box_spectrum=box,
@@ -542,14 +549,19 @@ def _write(value: Any, out: list[str], newline: str) -> None:
         _write_items(sorted({str(k): v for k, v in value.items()}.items()), "{}", out, newline)
     elif type(value) in (list, tuple):  # a NamedTuple record is no report leaf
         _write_items(value, "[]", out, newline)
-    elif isinstance(value, SpectralSet):
-        _write_spectral_set(value, out, newline)
-    elif isinstance(value, Fraction):
-        out.append(f'"{_ratio_to_json(value.numerator, value.denominator)}"')
     elif isinstance(value, complex):
         _write_items((value.real, value.imag), "[]", out, newline)
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    else:  # exact values, imported here so that no dense report loads them
+        import fractions
+
+        import hcspec.spectra as spectra
+
+        if isinstance(value, spectra.SpectralSet):
+            _write_spectral_set(value, out, newline)
+        elif isinstance(value, fractions.Fraction):
+            out.append(f'"{_ratio_to_json(value.numerator, value.denominator)}"')
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_items(items: Any, brackets: str, out: list[str], newline: str) -> None:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hcspec import cli, complexes, dbar, fuzzing, spectra
+from hcspec import complexes, dbar, fuzzing, spectra
 from hcspec.cli import main
 from hcspec.fuzzing import random_factor_model
 from hcspec.scenario import dump_report, parse_factor_model
@@ -1129,14 +1129,33 @@ def test_canonical_degree_keys_are_accepted(tmp_path, capsys, key):
             ["fuzz", "symbolic-ap-pair.json", "--oracle-cutoff", "0"], "--oracle-cutoff:",
             id="fuzz-cutoff-zero",
         ),
+        pytest.param(["symbolic", "union", "--oracle-cutoff", "-1"], "--oracle-cutoff:", id="union-cutoff-negative"),
+        pytest.param(
+            ["symbolic", "union", "--oracle-cutoff", "abc"], "--oracle-cutoff: bad rational 'abc'",
+            id="union-cutoff-text",
+        ),
+        pytest.param(
+            ["symbolic", "essential", "--oracle-cutoff", "-1"], "--oracle-cutoff:", id="essential-cutoff-negative",
+        ),
+        pytest.param(
+            ["symbolic", "essential", "--oracle-cutoff", "abc"], "--oracle-cutoff: bad rational 'abc'",
+            id="essential-cutoff-text",
+        ),
+        pytest.param(["tensor", "chain-product.json", "--max-dim", "-3"], "--max-dim:", id="tensor-max-dim-negative"),
+        pytest.param(["tensor", "chain-product.json", "--max-dim", "0"], "--max-dim:", id="tensor-max-dim-zero"),
+        pytest.param(["joint", "joint-pair.json", "--max-dim", "-3"], "--max-dim:", id="joint-max-dim-negative"),
+        pytest.param(["joint", "joint-pair.json", "--max-dim", "0"], "--max-dim:", id="joint-max-dim-zero"),
         pytest.param(["validate", "chain.json", "--tol", "-1"], "--tol:", id="tol-negative"),
         pytest.param(["validate", "random-complex.json", "--tol", "nan"], "--tol:", id="tol-nan"),
         pytest.param(["tensor", "chain-product.json", "--tol", "inf"], "--tol:", id="tol-inf"),
     ],
 )
-def test_flag_ranges_exit_2(capsys, argv, error):
+def test_flag_ranges_exit_2(tmp_path, capsys, argv, error):
     command, scenario, *flags = argv
-    code = main([command, str(SCENARIOS / scenario), *flags])
+    path = SCENARIOS / scenario
+    if scenario in ("union", "essential"):  # symbolic-ap-pair.json with this operation
+        path = _edited_scenario(tmp_path, "symbolic-ap-pair.json", ["payload", "operation"], scenario)
+    code = main([command, str(path), *flags])
     err = capsys.readouterr().err
     assert code == 2
     assert f"ParseError: {error}" in err
@@ -1294,7 +1313,6 @@ def test_symbolic_builds_each_sum_once(tmp_path, monkeypatch, capsys):
         return minkowski_sum(a, b)
 
     monkeypatch.setattr(spectra, "minkowski_sum", counting)
-    monkeypatch.setattr(cli, "minkowski_sum", counting)
     points = [{"kind": "point", "value": "1/2", "mult": 2}]
     for path in (SCENARIOS / "symbolic-ap-pair.json", _symbolic_scenario(tmp_path, points, points)):
         calls.clear()

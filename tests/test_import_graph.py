@@ -1,12 +1,15 @@
-"""The exact commands run without numpy; the package surface loads on use.
+"""Each half of the toolkit runs without the other; the package surface loads on use.
 
 ``import hcspec`` binds its public names lazily (PEP 562), and the command
-line imports the dense layers inside the handlers that need them, so
+line and the scenario parser import each layer where it is used.  So
 ``dbar``, ``dbar-n`` and ``symbolic`` without ``--oracle-cutoff`` never load
-numpy.  No record of the package is a dataclass, so no path loads
-``dataclasses`` or the ``inspect`` it imports, and ``csv`` loads only under
-``--csv``.  The first test runs the exact commands in a fresh interpreter,
-where an eager import of any of these anywhere on their path would show.
+numpy, and the dense commands never load the exact layer (``spectra``,
+``dbar``, ``fractions`` and the ``decimal`` it imports); ``symbolic`` and
+``joint`` load ``spectra`` but not ``dbar``.  No record of the package is a
+dataclass, so no exact path loads ``dataclasses`` or the ``inspect`` it
+imports, and ``csv`` loads only under ``--csv``.  The first two tests run
+commands in a fresh interpreter, where an eager import of any of these
+anywhere on their path would show.
 """
 
 import json
@@ -23,13 +26,15 @@ from hcspec import cli, limits
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = Path(hcspec.__file__).resolve().parent.parent
 
-_EXACT_RUN = """
+# Imports hcspec.cli, then runs commands; prints the exit codes and which of
+# the watched modules are loaded after the import and after each command.
+_FRESH_RUN = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import hcspec
 import hcspec.cli
 def loaded():
-    return [name for name in ("numpy", "dataclasses", "inspect", "csv") if name in sys.modules]
+    return [name for name in json.loads(sys.argv[3]) if name in sys.modules]
 after = [loaded()]
 codes = []
 for command, scenario, out in json.loads(sys.argv[2]):
@@ -71,23 +76,45 @@ FLAG_DEFAULTS = {
 }
 
 
-def test_exact_commands_never_load_numpy(tmp_path):
+def _fresh_run(tmp_path, runs: list[tuple[str, str]], watched: tuple[str, ...]) -> dict:
+    """Exit codes and watched modules loaded of ``runs`` (command, scenario
+    name) in a fresh interpreter; every report must read ``"pass": true``."""
     runs = [
-        ("dbar-n", str(SCENARIOS / "riemann-triple.json"), str(tmp_path / "dbar-n.json")),
-        ("dbar", str(SCENARIOS / "bidisc.json"), str(tmp_path / "dbar.json")),
-        ("symbolic", str(SCENARIOS / "symbolic-ap-pair.json"), str(tmp_path / "symbolic.json")),
+        (command, str(SCENARIOS / name), str(tmp_path / f"{idx}-{command}.json"))
+        for idx, (command, name) in enumerate(runs)
     ]
     done = subprocess.run(
-        [sys.executable, "-c", _EXACT_RUN, str(SRC), json.dumps(runs)],
+        [sys.executable, "-c", _FRESH_RUN, str(SRC), json.dumps(runs), json.dumps(watched)],
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
     )
-    result = json.loads(done.stdout)
-    assert result == {"codes": [0, 0, 0], "loaded": [[], [], [], []]}
     for _, _, out in runs:
         assert json.loads(Path(out).read_text(encoding="utf-8"))["pass"] is True
+    return json.loads(done.stdout)
+
+
+def test_exact_commands_never_load_numpy(tmp_path):
+    runs = [("dbar-n", "riemann-triple.json"), ("dbar", "bidisc.json"), ("symbolic", "symbolic-ap-pair.json")]
+    result = _fresh_run(tmp_path, runs, ("numpy", "dataclasses", "inspect", "csv"))
+    assert result == {"codes": [0, 0, 0], "loaded": [[], [], [], []]}
+
+
+def test_dense_commands_never_load_the_exact_layer(tmp_path):
+    runs = [
+        ("validate", "chain.json"),
+        ("spectrum", "random-complex.json"),
+        ("hodge", "chain.json"),
+        ("identities", "random-complex.json"),
+        ("tensor", "chain-product.json"),
+        ("symbolic", "symbolic-ap-pair.json"),
+        ("joint", "joint-pair.json"),
+    ]
+    result = _fresh_run(tmp_path, runs, ("hcspec.spectra", "hcspec.dbar", "fractions", "decimal"))
+    assert result["codes"] == [0] * 7
+    assert result["loaded"][:6] == [[]] * 6  # after the import and each dense command
+    assert [loaded for loaded in result["loaded"][6:] if "hcspec.dbar" in loaded] == []
 
 
 def test_eager_exports_resolve_lazily():
