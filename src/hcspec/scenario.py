@@ -8,9 +8,9 @@ the dense layers are imported only where a matrix or a finite complex is
 parsed, so factor models and spectral sets parse without them.  The exact
 layer (``spectra``, ``dbar``, ``fractions``) is imported only where a
 rational, a spectral set or a factor model is parsed or an exact value
-written, so finite complexes and their reports need none of it.  Those
-imports run per parsed set or written value, so they name the package
-absolutely: ``from . import spectra`` takes 1.7 times as long.
+written, so finite complexes and their reports need none of it.  Each
+module of it is bound by its first use (``_load_spectra``, ``_load_dbar``),
+so no later parsed set or written value imports it again.
 
 Reports have one writer, :func:`dump_report`; ``--csv`` flattens its text.
 """
@@ -51,6 +51,25 @@ class ParseError(ToolkitError):
 class UnprintableResultError(ToolkitError):
     """A result holds a NaN or a rational beyond ``PRINTABLE_DIGITS`` digits,
     so no report can print it; raised before any report text is written."""
+
+
+# The exact layer's modules, each bound by its first use, so that no dense run
+# loads them and no later parse or write imports them again.
+_spectra = _dbar = None
+
+
+def _load_spectra():
+    global _spectra
+    import hcspec.spectra as _spectra
+
+    return _spectra
+
+
+def _load_dbar():
+    global _dbar
+    import hcspec.dbar as _dbar
+
+    return _dbar
 
 
 def _fail(path: str, message: str) -> ParseError:
@@ -202,8 +221,32 @@ def parse_ratio(value: Any, path: str) -> tuple[int, int]:
     ``(numerator, denominator)``; no ``Fraction`` is built.  A numerator or
     denominator of more than ``PRINTABLE_DIGITS`` digits is refused, and an
     exponent that would give one before its power of ten is built."""
-    if is_json_int(value):
-        return value, 1
+    return _plain_ratio(value) or _parsed_ratio(value, path)
+
+
+def _plain_ratio(value: Any) -> tuple[int, int] | None:
+    """:func:`parse_ratio` of a JSON integer, or of ASCII digits with at most
+    one ``/`` and digits after it, read by ``int`` and ``gcd``; ``None`` for
+    any other value and for one that :func:`_parsed_ratio` refuses, so that
+    it alone words every refusal."""
+    if type(value) is not str or not value.isascii():
+        return (value, 1) if is_json_int(value) else None
+    numerator, slash, denominator = value.partition("/")
+    if not numerator.isdigit() or slash and not denominator.isdigit():
+        return None
+    try:  # int() refuses more than PRINTABLE_DIGITS digits
+        numerator, denominator = int(numerator), int(denominator) if slash else 1
+    except ValueError:
+        return None
+    common = math.gcd(numerator, denominator)
+    if denominator and max(numerator, denominator) // common < _PRINTABLE_BOUND:
+        return numerator // common, denominator // common
+    return None
+
+
+def _parsed_ratio(value: Any, path: str) -> tuple[int, int]:
+    """:func:`parse_ratio` of a value that is no JSON integer, by
+    ``_RATIONAL_TEXT``."""
     if not isinstance(value, str):
         raise _fail(path, f"expected an integer or 'p/q' string, got {value!r}")
     match = _RATIONAL_TEXT.fullmatch(value)
@@ -271,8 +314,7 @@ def parse_extended_count(value: Any, path: str) -> Mult | None:
 
 
 def parse_spectral_set(value: Any, path: str) -> SpectralSet:
-    import hcspec.spectra as spectra
-
+    """A spectral set; an atom's JSON path is built only to name a refusal."""
     if not isinstance(value, dict) or "atoms" not in value:
         raise _fail(path, "expected an object with an 'atoms' array")
     atoms = value["atoms"]
@@ -280,27 +322,30 @@ def parse_spectral_set(value: Any, path: str) -> SpectralSet:
         raise _fail(f"{path}.atoms", "expected an array")
     ratios = []
     for idx, atom in enumerate(atoms):
-        apath = f"{path}.atoms[{idx}]"
         if not isinstance(atom, dict):
-            raise _fail(apath, "expected an object")
+            raise _fail(f"{path}.atoms[{idx}]", "expected an object")
         kind = atom.get("kind")
-        mult = parse_mult(atom.get("mult", 1), f"{apath}.mult")
+        mult = atom.get("mult", 1)
+        if type(mult) is not int or mult < 1:  # the plain positive int needs no parse_mult
+            mult = parse_mult(mult, f"{path}.atoms[{idx}].mult")
         if kind == "point":
-            value = parse_ratio(atom.get("value"), f"{apath}.value")
+            value = atom.get("value")
+            value = _plain_ratio(value) or _parsed_ratio(value, f"{path}.atoms[{idx}].value")
             if value[0] < 0:
-                raise _fail(apath, "spectral values must be nonnegative")
+                raise _fail(f"{path}.atoms[{idx}]", "spectral values must be nonnegative")
             ratios.append((*value, 0, 1, mult))
         elif kind == "ap":
-            base = parse_ratio(atom.get("base"), f"{apath}.base")
-            step = parse_ratio(atom.get("step"), f"{apath}.step")
+            base, step = atom.get("base"), atom.get("step")
+            base = _plain_ratio(base) or _parsed_ratio(base, f"{path}.atoms[{idx}].base")
+            step = _plain_ratio(step) or _parsed_ratio(step, f"{path}.atoms[{idx}].step")
             if base[0] < 0:
-                raise _fail(apath, "progression base must be nonnegative")
+                raise _fail(f"{path}.atoms[{idx}]", "progression base must be nonnegative")
             if step[0] <= 0:
-                raise _fail(apath, "progression step must be positive")
+                raise _fail(f"{path}.atoms[{idx}]", "progression step must be positive")
             ratios.append((*base, *step, mult))
         else:
-            raise _fail(f"{apath}.kind", f"expected 'point' or 'ap', got {kind!r}")
-    return spectra.normalize_ratios(ratios)
+            raise _fail(f"{path}.atoms[{idx}].kind", f"expected 'point' or 'ap', got {kind!r}")
+    return (_spectra or _load_spectra()).normalize_ratios(ratios)
 
 
 def _write_spectral_set(value: SpectralSet, out: list[str], newline: str) -> None:
@@ -343,11 +388,10 @@ def _write_spectral_set(value: SpectralSet, out: list[str], newline: str) -> Non
 
 
 def parse_operator_spectrum(value: Any, path: str) -> OperatorSpectrum:
-    import hcspec.spectra as spectra
-
     if not isinstance(value, dict) or "spectrum" not in value:
         raise _fail(path, "expected an object with a 'spectrum' field")
     spectrum = parse_spectral_set(value["spectrum"], f"{path}.spectrum")
+    spectra = _spectra or _load_spectra()
     essential = value.get("essential")
     if essential is None:
         return spectra.OperatorSpectrum(spectrum)
@@ -439,8 +483,7 @@ def _built(path: str, make: Callable[[], FiniteComplex]) -> FiniteComplex:
 
 
 def parse_factor_model(value: Any, path: str) -> DbarFactorModel:
-    import hcspec.dbar as dbar
-
+    dbar = _dbar or _load_dbar()
     if not isinstance(value, dict):
         raise _fail(path, "expected an object")
     if "builtin" in value:
@@ -551,14 +594,11 @@ def _write(value: Any, out: list[str], newline: str) -> None:
         _write_items(value, "[]", out, newline)
     elif isinstance(value, complex):
         _write_items((value.real, value.imag), "[]", out, newline)
-    else:  # exact values, imported here so that no dense report loads them
-        import fractions
-
-        import hcspec.spectra as spectra
-
+    else:  # exact values, loaded here so that no dense report loads them
+        spectra = _spectra or _load_spectra()
         if isinstance(value, spectra.SpectralSet):
             _write_spectral_set(value, out, newline)
-        elif isinstance(value, fractions.Fraction):
+        elif isinstance(value, spectra.Fraction):  # the class spectra imports
             out.append(f'"{_ratio_to_json(value.numerator, value.denominator)}"')
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

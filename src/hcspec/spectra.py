@@ -48,7 +48,9 @@ with the other factors' spectra) and :func:`product_operator`.  Both fold the
 factor spectra left to right, and every sum, of a fold step or of a part
 (essential spectrum plus others' sum), goes through one memo keyed by the
 operand value pair, local to the call, so each distinct pair is summed once
-per call.  This module holds no verdict: those are in :mod:`hcspec.dbar`.
+per call.  The unions of the parts, and of the terms' sums, go through a
+second memo of the same kind, so each distinct pair is unioned once per
+call.  This module holds no verdict: those are in :mod:`hcspec.dbar`.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice, pairwise, product, repeat, starmap
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import ToolkitError
 from .records import FrozenRecord
@@ -259,11 +261,14 @@ def _ratio_keys(ratios: Iterable[tuple[int, int, int, int, Mult]]) -> tuple[int,
     """``L``, the lcm of every denominator of ``ratios`` (1 for none), and
     their keys on ``(1/L)·ℤ``, in order."""
     ratios = tuple(ratios)
-    scale = math.lcm(*(den for _, den, _, step_den, _ in ratios for den in (den, step_den)))
-    return scale, tuple(
+    scale = 1
+    for _, den, _, step_den, _ in ratios:
+        scale = math.lcm(scale, den, step_den)
+    keys = [
         (num * (scale // den), 1 if step else 0, step * (scale // step_den), mult)
         for num, den, step, step_den, mult in ratios
-    )
+    ]
+    return scale, tuple(keys)
 
 
 def normalize_ratios(ratios: Iterable[tuple[int, int, int, int, Mult]]) -> SpectralSet:
@@ -280,7 +285,11 @@ def _normalize_keys(scale: int, keys: Iterable[tuple]) -> SpectralSet:
         current, extended = _normalize_pass(current)
     current.sort()
     if scale > 1:  # move to the least lattice of the result
-        common = math.gcd(scale, *(key[0] for key in current), *(key[2] for key in current))
+        common = scale
+        for value, _, step, _ in current:
+            common = math.gcd(common, value, step)
+            if common == 1:
+                break
         if common > 1:
             scale //= common
             current = [(value // common, kind, step // common, mult) for value, kind, step, mult in current]
@@ -322,31 +331,27 @@ def _normalize_pass(work: Iterable[tuple]) -> tuple[list[tuple], bool]:
             else:
                 points[value] = INFINITE
 
-    ap_list = [(base, step, mult) for (base, step), mult in sorted(aps.items())]
-    infinite_aps = [ap for ap in ap_list if ap[2] == INFINITE]
-    kept_aps = ap_list
-    if infinite_aps:
-        kept_aps = [
-            ap
-            for ap in ap_list
-            if not any(
-                other is not ap
-                and ap[0] >= other[0]
-                and ap[1] % other[1] == 0
-                and (ap[0] - other[0]) % other[1] == 0
-                for other in infinite_aps
-            )
-        ]
-    if not kept_aps:
+    if not aps:
         return [(value, 0, 0, mult) for value, mult in points.items()], False
+    infinite_aps = [key for key, mult in aps.items() if mult == INFINITE]
+    kept_aps: list[tuple] = []  # (base, step, mult) in (base, step) order
+    floor = INFINITE  # an int once a progression is kept, which one always is
+    for (base, step), mult in sorted(aps.items()):
+        for other_base, other_step in infinite_aps:
+            if base >= other_base and step % other_step == 0 and (base - other_base) % other_step == 0:
+                if base != other_base or step != other_step:  # not the progression itself
+                    break
+        else:
+            kept_aps.append((base, step, mult))
+            if base - step < floor:
+                floor = base - step
 
-    kept_points: list[tuple] = []
+    kept: list[tuple] = []
     extended = False
-    floor = min(base - step for base, step, _ in kept_aps)
     descending = sorted(points, reverse=True)
     for position, value in enumerate(descending):
         if value < floor:
-            kept_points += [(lower, 0, 0, points[lower]) for lower in descending[position:]]
+            kept += [(lower, 0, 0, points[lower]) for lower in descending[position:]]
             break
         mult = points[value]
         for idx, (base, step, ap_mult) in enumerate(kept_aps):
@@ -359,9 +364,10 @@ def _normalize_pass(work: Iterable[tuple]) -> tuple[list[tuple], bool]:
                 extended = True
                 break
         else:
-            kept_points.append((value, 0, 0, mult))
-
-    return [*kept_points, *((base, 1, step, mult) for base, step, mult in kept_aps)], extended
+            kept.append((value, 0, 0, mult))
+    for base, step, mult in kept_aps:
+        kept.append((base, 1, step, mult))
+    return kept, extended
 
 
 def union(a: SpectralSet, b: SpectralSet) -> SpectralSet:
@@ -383,24 +389,16 @@ def minkowski_sum(a: SpectralSet, b: SpectralSet) -> SpectralSet:
     the tail from ``pq - p - q + 1`` on.  Every output atom is rational, so
     ``L`` only fixes the lattice the rules run on; they are homogeneous in
     it.  The gap points are generated as ``b·q + a·p`` with ``b < p``, with
-    no test per value.  Raises :class:`SymbolicBudgetError`, before any key
-    is built, when the progression pairs have more than ``GAP_BUDGET`` gap
-    values ``(p - 1)(q - 1)`` in all.
+    no test per value.  Raises :class:`SymbolicBudgetError`, before any gap
+    point is built, when the progression pairs have more than ``GAP_BUDGET``
+    gap values ``(p - 1)(q - 1)`` in all.
     """
-    if a.is_empty() or b.is_empty():
+    if not (a.keys and b.keys):
         return EMPTY
     scale, a_keys, b_keys = _common_lattice(a, b)
-    gap_values = sum(
-        (s // math.gcd(s, t) - 1) * (t // math.gcd(s, t) - 1)
-        for s in (key[2] for key in a_keys if key[1])
-        for t in (key[2] for key in b_keys if key[1])
-    )
-    if gap_values > GAP_BUDGET:
-        raise SymbolicBudgetError(
-            f"the Minkowski sum would expand {gap_values} Frobenius gap values, "
-            f"above the budget {GAP_BUDGET}"
-        )
     keys: list[tuple] = []
+    semigroups: list[tuple] = []  # (total, g, p, q, product) of coprime p, q >= 2
+    gap_values = 0
     for base, kind, step, mult in a_keys:
         for other_base, other_kind, other_step, other_mult in b_keys:
             total = base + other_base
@@ -413,21 +411,28 @@ def minkowski_sum(a: SpectralSet, b: SpectralSet) -> SpectralSet:
             p, q = step // g, other_step // g
             if p == 1 or q == 1:
                 keys.append((total, 1, g, product))
-                continue
-            # Coprime p, q >= 2: the reachable n form the numerical semigroup
-            # <p, q>, complete past the Frobenius number pq - p - q.  Each
-            # reachable n at or below it is b*q + a*p for exactly one b < p
-            # and a >= 0 (b*q <= pq - p - q forces b < p), so the point
-            # multiplicities are exact there; the points go out grouped by b,
-            # and the merge rules sort them.
-            frobenius = p * q - p - q
-            last = total + g * frobenius
-            keys += [
-                (value, 0, 0, product)
-                for start in range(total, last + 1, g * q)
-                for value in range(start, last + 1, g * p)
-            ]
-            keys.append((last + g, 1, g, product))
+            else:
+                gap_values += (p - 1) * (q - 1)
+                semigroups.append((total, g, p, q, product))
+    if gap_values > GAP_BUDGET:
+        raise SymbolicBudgetError(
+            f"the Minkowski sum would expand {gap_values} Frobenius gap values, "
+            f"above the budget {GAP_BUDGET}"
+        )
+    for total, g, p, q, product in semigroups:
+        # Coprime p, q >= 2: the reachable n form the numerical semigroup
+        # <p, q>, complete past the Frobenius number pq - p - q.  Each
+        # reachable n at or below it is b*q + a*p for exactly one b < p and
+        # a >= 0 (b*q <= pq - p - q forces b < p), so the point
+        # multiplicities are exact there; the points go out grouped by b,
+        # and the merge rules, which read keys in any order, sort them.
+        last = total + g * (p * q - p - q)
+        keys += [
+            (value, 0, 0, product)
+            for start in range(total, last + 1, g * q)
+            for value in range(start, last + 1, g * p)
+        ]
+        keys.append((last + g, 1, g, product))
     return _normalize_keys(scale, keys)
 
 
@@ -437,7 +442,8 @@ def essential_part(s: SpectralSet) -> SpectralSet:
     Progression atoms diverge, so they contribute no finite accumulation
     points; only infinite-multiplicity annotations survive.
     """
-    return _normalize_keys(s.scale, (key for key in s.keys if is_infinite(key[3])))
+    keys = [key for key in s.keys if key[3] == INFINITE]
+    return _normalize_keys(s.scale, keys) if keys else EMPTY
 
 
 def multiplicity_at(s: SpectralSet, value: RationalLike) -> Mult:
@@ -721,39 +727,43 @@ class OperatorSpectrum(FrozenRecord):
         return self.spectrum.is_empty()
 
 
-def _sum(a: SpectralSet, b: SpectralSet, sums: dict) -> SpectralSet:
-    """``minkowski_sum(a, b)``, summed once per ordered value pair in ``sums``.
-    A sum reads only the values of its operands, so the memo's sum is the one
-    the call would make."""
+def _once(
+    operation: Callable[[SpectralSet, SpectralSet], SpectralSet], a: SpectralSet, b: SpectralSet, memo: dict
+) -> SpectralSet:
+    """``operation(a, b)``, a :func:`minkowski_sum` or a :func:`union`, made
+    once per ordered value pair in ``memo``, which holds one operation's
+    results.  Both read only the values of their operands, so the memo's set
+    is the one the call would make."""
     pair = (a, b)
-    total = sums.get(pair)
-    if total is None:
-        total = sums[pair] = minkowski_sum(a, b)
-    return total
+    result = memo.get(pair)
+    if result is None:
+        result = memo[pair] = operation(a, b)
+    return result
 
 
 def _fold_spectra(factors: Sequence[OperatorSpectrum], sums: dict) -> SpectralSet:
     """Left Minkowski fold of the factor spectra, starting from the first;
-    each step sums through the value-pair memo ``sums`` (:func:`_sum`)."""
+    each step sums through the value-pair memo ``sums`` (:func:`_once`)."""
     total = factors[0].spectrum
     for factor in factors[1:]:
-        total = _sum(total, factor.spectrum, sums)
+        total = _once(minkowski_sum, total, factor.spectrum, sums)
     return total
 
 
-def _essential_union(terms: Sequence[Sequence[OperatorSpectrum]], sums: dict) -> SpectralSet:
+def _essential_union(terms: Sequence[Sequence[OperatorSpectrum]], sums: dict, unions: dict) -> SpectralSet:
     """The union of the nonempty parts of every term, in term order, then
     factor order; the others' folds and each part ``E_j + others' sum`` sum
-    through the value-pair memo ``sums``."""
+    through the value-pair memo ``sums``, and each union of the essential
+    spectrum so far with a part goes through ``unions``."""
     essential = EMPTY
     for term in terms:
         for j, own in enumerate(term):
             if own.essential.is_empty():
                 continue
             others = _fold_spectra(term[:j] + term[j + 1 :], sums)
-            part = _sum(own.essential, others, sums)
+            part = _once(minkowski_sum, own.essential, others, sums)
             if not part.is_empty():
-                essential = union(essential, part)
+                essential = _once(union, essential, part, unions)
     return essential
 
 
@@ -768,10 +778,12 @@ def product_essential(terms: Sequence[Sequence[OperatorSpectrum]]) -> SpectralSe
     since ``normalize`` is not associative on representation.  The sums of
     the other factors fold left to right (:func:`_fold_spectra`), and every
     sum, of a fold step or of a part, goes through one memo keyed by the
-    operand value pair (:func:`_sum`), so no value pair is summed twice in
-    one call.
+    operand value pair (:func:`_once`), so no value pair is summed twice in
+    one call.  The unions go through a second such memo: once a part adds
+    nothing, the union so far stays the same set, and each later part equal
+    to an earlier one is unioned with it once.
     """
-    return _essential_union(terms, {})
+    return _essential_union(terms, {}, {})
 
 
 def product_operator(terms: Sequence[Sequence[OperatorSpectrum]]) -> OperatorSpectrum:
@@ -780,10 +792,12 @@ def product_operator(terms: Sequence[Sequence[OperatorSpectrum]]) -> OperatorSpe
     The spectrum is the union, in term order, of the Minkowski sums of each
     term's factor spectra; the essential spectrum is :func:`product_essential`.
     Both sum through one memo of value pairs, so a fold step that a term's
-    full sum and its parts share is summed once per call.
+    full sum and its parts share is summed once per call, and both union
+    through a second one.
     """
     spectrum = EMPTY
     sums: dict = {}
+    unions: dict = {}
     for term in terms:
-        spectrum = union(spectrum, _fold_spectra(term, sums))
-    return OperatorSpectrum(spectrum, _essential_union(terms, sums))
+        spectrum = _once(union, spectrum, _fold_spectra(term, sums), unions)
+    return OperatorSpectrum(spectrum, _essential_union(terms, sums, unions))

@@ -371,6 +371,77 @@ def test_no_sum_outlives_one_product_call(monkeypatch):
     assert 0 < first == len(calls) - first
 
 
+def _count_unions(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return union(a, b)
+
+    monkeypatch.setattr(spectra, "union", counting)
+    return calls
+
+
+def _union_pairs(sets):
+    """The operand value pairs ``(union so far, next set)`` of the unions of
+    ``sets`` in order, from the empty set."""
+    pairs, total = [], EMPTY
+    for s in sets:
+        pairs.append((total, s))
+        total = union(total, s)
+    return pairs
+
+
+def test_each_union_pair_is_unioned_once(monkeypatch):
+    rnd = random.Random(7)
+    factors = [random_factor_model(rnd, f"f{j}", infinite_chance=0.1) for j in range(7)]
+    terms = _bit_vector_terms(factors, 3)
+    _, parts = unshared_product_essential(terms)
+    essential_pairs = _union_pairs(part for _, _, part in parts)
+    spectrum_pairs = _union_pairs(_left_fold(term) for term in terms)
+    calls = _count_unions(monkeypatch)
+    spectra.product_essential(terms)
+    # one union per distinct pair (essential spectrum so far, part): a part
+    # that adds nothing leaves the union as it was, so later equal parts hit
+    assert len(calls) == len(set(calls)) == len(set(essential_pairs)) < len(essential_pairs)
+    # product_operator unions the terms' sums and the parts through one memo
+    calls.clear()
+    spectra.product_operator(terms)
+    operator_pairs = set(spectrum_pairs) | set(essential_pairs)
+    assert len(calls) == len(set(calls)) == len(operator_pairs) < len(spectrum_pairs) + len(essential_pairs)
+
+
+def test_no_union_outlives_one_product_call(monkeypatch):
+    rnd = random.Random(7)
+    factors = [random_factor_model(rnd, f"f{j}", infinite_chance=0.1) for j in range(5)]
+    terms = _bit_vector_terms(factors, 2)
+    calls = _count_unions(monkeypatch)
+    spectra.product_essential(terms)
+    first = len(calls)
+    spectra.product_essential(terms)
+    assert 0 < first == len(calls) - first
+
+
+def test_the_union_memo_leaves_the_sums_as_they_were(monkeypatch):
+    # seeded reports: the union memo leaves the 510 and 213 sums that one
+    # union per part and term made, and unions 157 and 252 times of 256 and 288
+    rnd = random.Random(5)
+    factors = [random_factor_model(rnd, f"f{j}", infinite_chance=0.1) for j in range(8)]
+    rnd = random.Random(6)
+    pairs = [[random_factor_model(rnd, f"p{k}-{j}", infinite_chance=0.1) for j in range(2)] for k in range(10)]
+    sums, unions = _count_sums(monkeypatch), _count_unions(monkeypatch)
+    monkeypatch.setattr(dbar, "minkowski_sum", spectra.minkowski_sum)
+    for q in range(len(factors) + 1):
+        riemann_surface_product_report(factors, q)
+    assert (len(sums), len(unions)) == (510, 157)
+    sums.clear()
+    unions.clear()
+    for x, y in pairs:
+        for p, q in itertools.product(range(3), repeat=2):
+            neumann_compactness(x, y, p, q)
+    assert (len(sums), len(unions)) == (213, 252)
+
+
 def test_equal_factor_spectra_are_summed_once(monkeypatch):
     # forty parsed copies of one builtin: distinct objects, equal spectra,
     # so the value-pair memo sums each distinct operand pair once
@@ -389,9 +460,10 @@ def test_random_tuple_sums_stay_within_budget(monkeypatch):
     assert 0 < len(calls) <= 2_100
 
 
-def test_shared_fold_matches_an_unshared_fold():
+def test_shared_fold_matches_an_unshared_fold(monkeypatch):
     rnd = random.Random(8)
     compared = 0
+    unions = _count_unions(monkeypatch)
     for case in range(30):
         n = rnd.randint(2, 7)
         factors = [random_factor_model(rnd, f"f{case}-{j}", infinite_chance=0.1) for j in range(n)]
@@ -402,6 +474,7 @@ def test_shared_fold_matches_an_unshared_fold():
         assert repr(spectra.product_operator(terms).essential) == repr(want_essential), (case, q)
         compared += len(want_parts)
     assert compared >= 100
+    assert len(unions) < 2 * compared  # the union memo hit along the way
 
 
 def test_nfactor_report_unchanged_by_the_shared_fold(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcspec import scenario
 from hcspec.dbar import BUILTIN_BUILDERS, builtin_models
 from hcspec.scenario import (
     ParseError,
@@ -87,6 +88,40 @@ def test_parse_ratio_reads_what_fraction_reads(text):
         assert parse_ratio(text, "$") == (number.numerator, number.denominator)
 
 
+def _read(read, text):
+    """What ``read(text, "$.x")`` returns, or the text of its ``ParseError``."""
+    try:
+        return read(text, "$.x")
+    except ParseError as exc:
+        return str(exc)
+
+
+# Text near the plain digits path: its edges, and what the regex alone reads.
+_NEAR_PLAIN = {
+    "0/": "$.x: bad rational '0/'",
+    "/3": "$.x: bad rational '/3'",
+    "3/0": "$.x: bad rational '3/0'",
+    "007/014": (1, 2),
+    "+3": (3, 1),
+    " 3": (3, 1),
+    "1_0": (10, 1),
+    "٣": (3, 1),
+    "１": (1, 1),
+    "9" * 18: (10**18 - 1, 1),
+    "9" * 19: (10**19 - 1, 1),
+    "9" * 4301: f"$.x: bad rational '{'9' * 4301}'",
+    "1/" + "9" * 4301: f"$.x: bad rational '1/{'9' * 4301}'",
+}
+
+
+@pytest.mark.parametrize("text", sorted(_NEAR_PLAIN))
+def test_parse_ratio_reads_plain_digits_as_the_regex_does(text):
+    assert _read(parse_ratio, text) == _NEAR_PLAIN[text] == _read(scenario._parsed_ratio, text)
+    # plain ASCII digits, with a nonzero digit denominator, never reach the regex
+    plain = text.isascii() and re.fullmatch(r"\d+(/\d*[1-9]\d*)?", text) and len(text) <= 4300
+    assert scenario._plain_ratio(text) == (_NEAR_PLAIN[text] if plain else None)
+
+
 def test_spectral_set_roundtrip():
     s = SpectralSet.of(Point(Fraction(1, 2), 2), AP(0, 3, INFINITE))
     again = parse_spectral_set(written(s), "$")
@@ -95,6 +130,19 @@ def test_spectral_set_roundtrip():
         parse_spectral_set({"atoms": [{"kind": "blob"}]}, "$")
     with pytest.raises(ParseError):
         parse_spectral_set({"atoms": [{"kind": "point", "value": "-1", "mult": 1}]}, "$")
+
+
+def test_an_int_subclass_multiplicity_reads_as_its_int():
+    # JSON gives plain ints, read without parse_mult; an int subclass from
+    # a Python caller goes through it and reads the same, a bool is refused
+    class Count(int):
+        pass
+
+    atom = {"kind": "point", "value": "1/2"}
+    want = parse_spectral_set({"atoms": [{**atom, "mult": 3}]}, "$")
+    assert parse_spectral_set({"atoms": [{**atom, "mult": Count(3)}]}, "$") == want
+    with pytest.raises(ParseError, match=re.escape("$.atoms[0].mult: expected a positive integer or 'inf', got True")):
+        parse_spectral_set({"atoms": [{**atom, "mult": True}]}, "$")
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
